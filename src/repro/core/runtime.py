@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from .. import obs
-from ..sim.instrument import AccessEvent, AccessType, InstrumentationHook, PendingAccess
+from ..sim.instrument import (
+    AccessEvent,
+    AccessType,
+    InstrumentationHook,
+    Location,
+    PendingAccess,
+)
 from .analyzer import InjectionPlan
 from .candidates import CandidatePair, CandidateSet
 from .config import WaffleConfig
@@ -169,6 +175,35 @@ class InjectionEngine:
         return length
 
 
+class _ScheduleCapture:
+    """Engine decision plus (site, nth-occurrence) schedule capture."""
+
+    __slots__ = ("engine", "schedule", "occurrences")
+
+    def __init__(self, engine: InjectionEngine, schedule: List[Dict[str, object]]):
+        self.engine = engine
+        self.schedule = schedule
+        self.occurrences: Dict[str, int] = {}
+
+    def decide(self, pending: PendingAccess) -> float:
+        occurrences = self.occurrences
+        site = pending.location.site
+        nth = occurrences.get(site, 0)
+        occurrences[site] = nth + 1
+        length = self.engine.decide(pending)
+        if length > 0.0:
+            self.schedule.append(
+                {
+                    "site": site,
+                    "nth": nth,
+                    "len_ms": round(length, 6),
+                    "t_ms": round(pending.timestamp, 4),
+                    "thread_id": pending.thread_id,
+                }
+            )
+        return length
+
+
 class _BaseInjectionHook(InstrumentationHook):
     """Shared scaffolding: engine wiring, stats, failure capture."""
 
@@ -179,33 +214,21 @@ class _BaseInjectionHook(InstrumentationHook):
         self._threads: Dict[int, object] = {}
         self.engine: Optional[InjectionEngine] = None
         #: Injection schedule keyed by per-site dynamic occurrence, only
-        #: maintained while a flight recorder is installed (the dossier
-        #: builder replays it deterministically). ``_site_occurrences``
-        #: stays None when recording is off so the hot path pays a
-        #: single ``is None`` check per instrumented access.
-        self._site_occurrences: Optional[Dict[str, int]] = (
-            {} if obs.flightrec.recorder() is not None else None
-        )
+        #: maintained while a flight recorder is installed at
+        #: construction (the dossier builder replays it
+        #: deterministically).
         self.injection_schedule: List[Dict[str, object]] = []
+        self._capture_schedule = obs.flightrec.recorder() is not None
 
-    def _traced_decide(self, pending: PendingAccess) -> float:
-        """Engine decision plus (site, nth-occurrence) schedule capture."""
-        occurrences = self._site_occurrences
-        site = pending.location.site
-        nth = occurrences.get(site, 0)
-        occurrences[site] = nth + 1
-        length = self.engine.decide(pending)
-        if length > 0.0:
-            self.injection_schedule.append(
-                {
-                    "site": site,
-                    "nth": nth,
-                    "len_ms": round(length, 6),
-                    "t_ms": round(pending.timestamp, 4),
-                    "thread_id": pending.thread_id,
-                }
-            )
-        return length
+    def _bind_decide(self):
+        """The per-operation decision, chosen once the engine exists:
+        the bare engine, or one that also captures the schedule. Neither
+        refers back to the hook: a bound method of the hook stored on
+        the hook would be a reference cycle, keeping every finished
+        run's hook alive until the cycle collector runs."""
+        if not self._capture_schedule:
+            return self.engine.decide
+        return _ScheduleCapture(self.engine, self.injection_schedule).decide
 
     # -- Stats accessors used by the harness ---------------------------
 
@@ -296,13 +319,12 @@ class PlannedInjectionHook(_BaseInjectionHook):
             interference=interference,
             rng=random.Random(seed),
         )
+        self._decide = self._bind_decide()
 
     def before_access(self, pending: PendingAccess) -> float:
         if not pending.access_type.is_memorder:
             return 0.0
-        if self._site_occurrences is None:
-            return self.engine.decide(pending)
-        return self._traced_decide(pending)
+        return self._decide(pending)
 
 
 class OnlineInjectionHook(_BaseInjectionHook):
@@ -387,6 +409,7 @@ class OnlineInjectionHook(_BaseInjectionHook):
         #: HB-inference: open delay windows per delay site:
         #: site -> (start, end, thread_id, sites_seen_during).
         self._windows: Dict[str, Tuple[float, float, int, Set[str]]] = {}
+        self._decide = self._bind_decide()
 
     # -- Candidate bookkeeping ------------------------------------------
 
@@ -433,9 +456,7 @@ class OnlineInjectionHook(_BaseInjectionHook):
                 return 0.0
         elif not pending.access_type.is_memorder:
             return 0.0
-        if self._site_occurrences is None:
-            return self.engine.decide(pending)
-        return self._traced_decide(pending)
+        return self._decide(pending)
 
     def after_access(self, event: AccessEvent) -> None:
         if self.parent_child:
@@ -488,8 +509,6 @@ class OnlineInjectionHook(_BaseInjectionHook):
             if start <= ts < end:
                 seen_during.add(event.location.site)
             elif end <= ts <= end + grace and event.location.site not in seen_during:
-                from ..sim.instrument import Location
-
                 l1 = Location(l1_site)
                 for pair in self.engine.candidates.pairs_for_delay_location(l1):
                     if pair.other_location == event.location:

@@ -18,16 +18,58 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import Any, List, NoReturn, Optional
 
 from .. import obs
 from ..obs import eventbus
-from ..apps import all_bugs, bug_workload, get_app
+from ..apps import all_apps, all_bugs, bug_workload, get_app
 from ..baselines import StressRunner, WaffleBasic
 from ..core.config import DEFAULT_CONFIG
 from ..core.detector import Waffle
 from . import experiments, faults, supervisor, tables
 from .cache import GLOBAL_STATS
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2 with argparse's one-line ``waffle-repro: error:`` format."""
+    print("waffle-repro: error: %s" % message, file=sys.stderr)
+    raise SystemExit(2)
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
+def _resolve_target(args):
+    """The test case named by ``--bug`` or ``--app``/``--test``."""
+    if args.bug:
+        try:
+            return bug_workload(args.bug)
+        except KeyError:
+            _usage_error(
+                "unknown bug %r (known: %s)"
+                % (args.bug, ", ".join(bug.bug_id for bug in all_bugs()))
+            )
+    try:
+        app = get_app(args.app)
+    except KeyError:
+        _usage_error(
+            "unknown app %r (known: %s)" % (args.app, ", ".join(sorted(all_apps())))
+        )
+    try:
+        return app.test(args.test)
+    except KeyError:
+        _usage_error(
+            "unknown test %r in app %r (known: %s)"
+            % (args.test, app.name, ", ".join(test.name for test in app.tests))
+        )
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -271,10 +313,7 @@ def _apply_hb_engine(config, args):
 
 
 def cmd_detect(args) -> None:
-    if args.bug:
-        test = bug_workload(args.bug)
-    else:
-        test = get_app(args.app).test(args.test)
+    test = _resolve_target(args)
     config = _apply_hb_engine(DEFAULT_CONFIG.with_seed(args.seed), args)
     if getattr(args, "dossier_dir", None) and not obs.flightrec.active():
         # Dossiers need the flight recorder's provenance; install it
@@ -320,8 +359,6 @@ def cmd_detect(args) -> None:
 
 def _resolve_workload(name: str):
     """Find a test case by name across all applications (for replay)."""
-    from ..apps import all_apps
-
     for app in all_apps().values():
         for test in app.tests:
             if test.name == name:
@@ -333,14 +370,18 @@ def _resolve_workload(name: str):
     test = gen_registry.resolve_test(name)
     if test is not None:
         return test
-    raise SystemExit("workload %r not found in any registered application" % name)
+    _usage_error("workload %r not found in any registered application" % name)
 
 
 def cmd_replay(args) -> int:
     """Deterministically re-execute a dossier's minimal schedule."""
     from ..obs import dossier as dossier_mod
 
-    dossier = dossier_mod.load_dossier(args.dossier)
+    try:
+        dossier = dossier_mod.load_dossier(args.dossier)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        reason = "missing field %s" % exc if isinstance(exc, KeyError) else exc
+        _usage_error("cannot read dossier %s: %s" % (args.dossier, reason))
     test = _resolve_workload(dossier.workload)
     print(
         "replaying %s :: %s (%s @ %s, %d delay(s), %s)"
@@ -373,8 +414,6 @@ def cmd_replay(args) -> int:
 
 def cmd_apps(args) -> None:
     """List the benchmark applications and their test suites."""
-    from ..apps import all_apps
-
     for app in all_apps().values():
         bugs = ", ".join(b.bug_id for b in app.known_bugs) or "none"
         print(
@@ -388,8 +427,6 @@ def cmd_apps(args) -> None:
 
 def cmd_bugs(args) -> None:
     """List the 18 Table 4 bugs with their metadata."""
-    from ..apps import all_bugs
-
     for bug in all_bugs():
         print(
             "%-7s %-17s issue %-5s %-16s %-9s test=%s"
@@ -413,7 +450,7 @@ def cmd_trace(args) -> None:
     from ..core.persistence import save_plan
     from .runner import run_recording
 
-    test = bug_workload(args.bug) if args.bug else get_app(args.app).test(args.test)
+    test = _resolve_target(args)
     config = _apply_hb_engine(DEFAULT_CONFIG.with_seed(args.seed), args)
     run, trace = run_recording(test, config, seed=args.seed)
     print("trace of %r: %d events, %.2f virtual ms" % (test.name, len(trace), run.virtual_time_ms))
@@ -746,8 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, attempts_default=15, budget_default=50):
         p.add_argument("--apps", nargs="*", default=None, help="restrict to these app keys")
         p.add_argument("--bugs", nargs="*", default=None, help="restrict to these bug ids")
-        p.add_argument("--attempts", type=int, default=attempts_default)
-        p.add_argument("--budget", type=int, default=budget_default)
+        p.add_argument("--attempts", type=positive_int, default=attempts_default)
+        p.add_argument("--budget", type=positive_int, default=budget_default)
 
     for name, fn, help_text in (
         ("table1", cmd_table1, "design-decision matrix (Table 1)"),
@@ -793,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bug", type=str, default=None, help="bug id, e.g. Bug-11")
     p.add_argument("--app", type=str, default=None)
     p.add_argument("--test", type=str, default=None)
-    p.add_argument("--budget", type=int, default=50)
+    p.add_argument("--budget", type=positive_int, default=50)
     p.add_argument(
         "--dossier-dir",
         type=str,
@@ -819,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--budget",
-        type=int,
+        type=positive_int,
         default=8,
         help="detection runs per oracle session (default 8)",
     )

@@ -34,6 +34,7 @@ from ..sim.instrument import (
     Location,
     NoopHook,
     PendingAccess,
+    clamp_delay,
 )
 
 
@@ -283,7 +284,7 @@ class RealThreadsRuntime:
             ref_name=ref_name, member=member,
         )
         with self._lock:
-            delay_ms = float(self.hook.before_access(pending) or 0.0)
+            delay_ms = clamp_delay(self.hook.before_access(pending))
         if delay_ms > 0:
             time.sleep(delay_ms / 1000.0)
 

@@ -15,11 +15,17 @@ Every ``use``/``read``/``write``/``call``/``assign``/``dispose``/
 before it runs and may inject a delay -- the entire control surface the
 paper's tools need (Figure 1: identify locations, then delay at run
 time).
+
+The hook is bound once per :class:`Simulation`: its ``before_access``,
+``after_access`` and ``per_op_overhead_ms`` are read at construction.
+:class:`AccessEvent` records are built only when the hook overrides
+``after_access`` (on its class or on the instance); otherwise the
+operation skips both the allocation and the call.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Optional, Union
+from typing import Any, Dict, Generator, Iterable, Optional, Union
 
 from .errors import NullReferenceError
 from .instrument import (
@@ -29,20 +35,19 @@ from .instrument import (
     InstrumentationHook,
     Location,
     PendingAccess,
+    clamp_delay,
+    consumes_events,
 )
 from .refs import HeapObject, Ref
-from .scheduler import RunResult, Scheduler, Sleep, YIELD
+from .scheduler import BLOCK, YIELD, RunResult, Scheduler
 from .sync import Barrier, Channel, Condition, Event, Lock, RLock, Semaphore
 from .thread import SimThread
 from .unsafe_api import ActiveCallTable, UnsafeCollection, UnsafeDict, UnsafeList
 
 LocationLike = Union[str, Location]
 
-
-def _loc(value: LocationLike) -> Location:
-    if isinstance(value, Location):
-        return value
-    return Location(str(value))
+_USE = AccessType.USE
+_UNSAFE_CALL = AccessType.UNSAFE_CALL
 
 
 class Simulation:
@@ -66,6 +71,16 @@ class Simulation:
             stop_on_failure=stop_on_failure,
         )
         self._unsafe_calls = ActiveCallTable()
+        #: Site label -> interned Location: one entry per static site
+        #: the program's operations name.
+        self._locations: Dict[LocationLike, Location] = {}
+        # The hook is bound once per simulation (see the module docs).
+        hook = self.scheduler.hook
+        self._before_access = hook.before_access
+        self._after_access = hook.after_access if consumes_events(hook) else None
+        self._op_overhead_ms = float(hook.per_op_overhead_ms)
+        self._sample_op_cost = self.scheduler.cost_model.sample_op_cost
+        self._rng = self.scheduler.rng
 
     # ------------------------------------------------------------------
     # Introspection
@@ -109,8 +124,6 @@ class Simulation:
         me = self.current_thread
         while thread.is_alive:
             thread.joiners.append(me)
-            from .scheduler import BLOCK
-
             yield BLOCK
         return thread.result
 
@@ -130,15 +143,18 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def sleep(self, duration_ms: float) -> Generator[Any, Any, None]:
-        """Suspend the current thread for ``duration_ms`` virtual ms."""
-        yield Sleep(duration_ms)
+        """Suspend the current thread for ``duration_ms`` virtual ms
+        (negative durations sleep 0)."""
+        duration_ms = float(duration_ms)
+        yield duration_ms if duration_ms > 0.0 else 0.0
 
     def compute(self, duration_ms: float, jitter: bool = True) -> Generator[Any, Any, None]:
         """Model CPU work; jittered by the cost model's noise factor."""
         if jitter:
             frac = self.scheduler.cost_model.jitter_frac
             duration_ms *= self.scheduler.rng.uniform(1.0 - frac, 1.0 + frac)
-        yield Sleep(duration_ms)
+        duration_ms = float(duration_ms)
+        yield duration_ms if duration_ms > 0.0 else 0.0
 
     def pause(self) -> Generator[Any, Any, None]:
         """Cooperatively yield the processor without advancing time."""
@@ -221,7 +237,7 @@ class Simulation:
         **disposal** (section 3.1). non-null -> non-null re-assignment is
         treated as an initialization of the new object.
         """
-        location = _loc(loc)
+        location = self._locations.get(loc) or self._intern(loc)
         old = ref.value
         if obj is None:
             if old is None:
@@ -252,7 +268,7 @@ class Simulation:
         Either way the failure surfaces as a null-reference-class error,
         matching the paper's oracle.
         """
-        location = _loc(loc)
+        location = self._locations.get(loc) or self._intern(loc)
         target = ref.value
         if target is None:
             # Disposing through a null reference is itself a faulty use.
@@ -285,25 +301,54 @@ class Simulation:
         (after any injected delay), which is exactly how a delay exposes
         a MemOrder bug: push the use past the disposal, or the
         initialization past the use.
+
+        USE is the bulk of all instrumented operations, so this is
+        :meth:`_instrumented` written out for the dereference: the same
+        steps in the same order, minus a closure and a generator frame.
+        The event's object id is the one observed at *execution* time: a
+        delayed USE may start while the reference is still null but
+        execute after an initialization landed.
         """
-        location = _loc(loc)
-        object_id = ref.value.oid if ref.value is not None else -1
-        thread_name = self.current_thread.name
-
-        def action() -> HeapObject:
-            return ref.require(location=location, thread_name=thread_name)
-
-        obj = yield from self._instrumented(
-            location,
-            AccessType.USE,
-            object_id,
-            ref.name,
-            member,
-            action,
-            oid_from_result=True,
+        location = self._locations.get(loc) or self._intern(loc)
+        value = ref.value
+        object_id = value.oid if value is not None else -1
+        sched = self.scheduler
+        thread = sched.current
+        if thread is None:
+            raise RuntimeError("no simulated thread is currently running")
+        injected = self._before_access(
+            PendingAccess(location, _USE, object_id, thread.tid, sched.clock.now, ref.name, member)
         )
+        if type(injected) is not float:
+            injected = clamp_delay(injected)
+        if injected > 0.0:
+            yield injected
+        else:
+            injected = 0.0
+        cost = self._sample_op_cost(self._rng) + self._op_overhead_ms
+        yield cost if cost > 0.0 else 0.0
+        sched.result.op_count += 1
+        after = self._after_access
+        if after is None:
+            obj = ref.value
+            if obj is None or obj.disposed:
+                ref.require(location=location, thread_name=thread.name)
+        else:
+            event = AccessEvent(
+                location, _USE, object_id, thread.tid, sched.clock.now, ref.name, member,
+                0.0, injected,
+            )
+            try:
+                obj = ref.require(location=location, thread_name=thread.name)
+            except NullReferenceError:
+                event.object_id = -1
+                after(event)
+                raise
+            if isinstance(obj, HeapObject):
+                event.object_id = obj.oid
+            after(event)
         if duration > 0:
-            yield Sleep(duration)
+            yield float(duration)
         return obj
 
     def call(
@@ -341,40 +386,32 @@ class Simulation:
         Overlapping windows on the same object from different threads
         are recorded as thread-safety violations (the Tsvd oracle).
         """
-        location = _loc(loc)
+        location = self._locations.get(loc) or self._intern(loc)
         sched = self.scheduler
         thread = self.current_thread
-        pending = PendingAccess(
-            location,
-            AccessType.UNSAFE_CALL,
-            collection.oid,
-            thread.tid,
-            sched.clock.now,
-            ref_name=collection.type_name,
-            member=api,
-        )
-        injected = self._maybe_delay(pending)
-        if injected > 0:
-            yield Sleep(injected)
-        cost = sched.cost_model.sample_op_cost(sched.rng) + sched.hook.per_op_overhead_ms
-        yield Sleep(cost)
+        injected = clamp_delay(self._before_access(
+            PendingAccess(
+                location, _UNSAFE_CALL, collection.oid, thread.tid, sched.clock.now,
+                collection.type_name, api,
+            )
+        ))
+        if injected > 0.0:
+            yield injected
+        cost = self._sample_op_cost(self._rng) + self._op_overhead_ms
+        yield cost if cost > 0.0 else 0.0
         start = sched.clock.now
         self._unsafe_calls.begin(collection.oid, thread.tid, location, start, start + duration)
-        event = AccessEvent(
-            location=location,
-            access_type=AccessType.UNSAFE_CALL,
-            object_id=collection.oid,
-            thread_id=thread.tid,
-            timestamp=start,
-            ref_name=collection.type_name,
-            member=api,
-            duration=duration,
-            injected_delay=injected,
-        )
-        sched.hook.after_access(event)
-        self.scheduler.result.op_count += 1
+        after = self._after_access
+        if after is not None:
+            after(
+                AccessEvent(
+                    location, _UNSAFE_CALL, collection.oid, thread.tid, start,
+                    collection.type_name, api, duration, injected,
+                )
+            )
+        sched.result.op_count += 1
         if duration > 0:
-            yield Sleep(duration)
+            yield float(duration)
         self._unsafe_calls.end(collection.oid, thread.tid, location)
         return collection.apply(api, *args)
 
@@ -382,13 +419,12 @@ class Simulation:
     # Internals
     # ------------------------------------------------------------------
 
-    def _maybe_delay(self, pending: PendingAccess) -> float:
-        delay = self.scheduler.hook.before_access(pending)
-        try:
-            delay = float(delay)
-        except (TypeError, ValueError):
-            raise TypeError("hook.before_access must return a number, got %r" % (delay,))
-        return max(0.0, delay)
+    def _intern(self, value: LocationLike) -> Location:
+        """Intern the :class:`Location` of a site label missing from
+        ``_locations`` (operations look it up there first)."""
+        location = value if isinstance(value, Location) else Location(str(value))
+        self._locations[value] = location
+        return location
 
     def _instrumented(
         self,
@@ -398,48 +434,40 @@ class Simulation:
         ref_name: str,
         member: str,
         action,
-        oid_from_result: bool = False,
     ) -> Generator[Any, Any, Any]:
-        """Common path of every instrumented MemOrder-surface operation.
+        """Common path of the INIT/DISPOSE operations.
 
         Order of events (matching the instrumented proxy functions of
         section 5): consult the hook -> optionally sleep the injected
         delay -> pay the operation's execution cost -> execute -> report
-        the final event to the hook.
-
-        ``oid_from_result`` re-resolves the event's object id from the
-        action's result: a delayed USE may start while the reference is
-        still null (object id unknown) but execute after an
-        initialization landed -- the recorded event must carry the
-        identity observed at *execution* time.
+        the final event to the hook. :meth:`use` repeats these steps
+        inline for USE.
         """
         sched = self.scheduler
-        thread = self.current_thread
-        pending = PendingAccess(
-            location,
-            access_type,
-            object_id,
-            thread.tid,
-            sched.clock.now,
-            ref_name=ref_name,
-            member=member,
+        thread = sched.current
+        if thread is None:
+            raise RuntimeError("no simulated thread is currently running")
+        injected = self._before_access(
+            PendingAccess(
+                location, access_type, object_id, thread.tid, sched.clock.now, ref_name, member
+            )
         )
-        injected = self._maybe_delay(pending)
-        if injected > 0:
-            yield Sleep(injected)
-        cost = sched.cost_model.sample_op_cost(sched.rng) + sched.hook.per_op_overhead_ms
-        yield Sleep(cost)
+        if type(injected) is not float:
+            injected = clamp_delay(injected)
+        if injected > 0.0:
+            yield injected
+        else:
+            injected = 0.0
+        cost = self._sample_op_cost(self._rng) + self._op_overhead_ms
+        yield cost if cost > 0.0 else 0.0
+        sched.result.op_count += 1
+        after = self._after_access
+        if after is None:
+            return action()
         event = AccessEvent(
-            location=location,
-            access_type=access_type,
-            object_id=object_id,
-            thread_id=thread.tid,
-            timestamp=sched.clock.now,
-            ref_name=ref_name,
-            member=member,
-            injected_delay=injected,
+            location, access_type, object_id, thread.tid, sched.clock.now, ref_name, member,
+            0.0, injected,
         )
-        self.scheduler.result.op_count += 1
         try:
             result = action()
         except NullReferenceError:
@@ -447,9 +475,7 @@ class Simulation:
             # runtime needs it to attribute the manifestation to the
             # delays it injected (section 5's bug reports).
             event.object_id = -1
-            sched.hook.after_access(event)
+            after(event)
             raise
-        if oid_from_result and isinstance(result, HeapObject):
-            event.object_id = result.oid
-        sched.hook.after_access(event)
+        after(event)
         return result

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 
 class VirtualClock:
-    """A monotonically advancing clock measured in float milliseconds."""
+    """A monotonically advancing clock measured in float milliseconds.
 
-    __slots__ = ("_now",)
+    ``now`` is a plain attribute (not a property): the scheduler and the
+    instrumented operations read it several times per operation. Only
+    the scheduler moves it, through :meth:`advance`/:meth:`advance_to`
+    or by assigning a later float in its run loop.
+    """
+
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now
+        #: Current virtual time in milliseconds.
+        self.now = float(start)
 
     def advance(self, delta_ms: float) -> float:
         """Move the clock forward by ``delta_ms`` milliseconds.
@@ -32,8 +34,8 @@ class VirtualClock:
         """
         if delta_ms < 0:
             raise ValueError("virtual clock cannot move backwards (delta=%r)" % delta_ms)
-        self._now += delta_ms
-        return self._now
+        self.now += delta_ms
+        return self.now
 
     def advance_to(self, timestamp_ms: float) -> float:
         """Jump the clock forward to an absolute timestamp.
@@ -42,9 +44,9 @@ class VirtualClock:
         future. A timestamp in the past is a no-op rather than an error,
         because several threads may share the same wake time.
         """
-        if timestamp_ms > self._now:
-            self._now = float(timestamp_ms)
-        return self._now
+        if timestamp_ms > self.now:
+            self.now = float(timestamp_ms)
+        return self.now
 
     def __repr__(self) -> str:
-        return "VirtualClock(now=%.4fms)" % self._now
+        return "VirtualClock(now=%.4fms)" % self.now

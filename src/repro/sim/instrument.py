@@ -35,10 +35,10 @@ class AccessType(enum.Enum):
     USE = "use"
     UNSAFE_CALL = "unsafe_call"
 
-    @property
-    def is_memorder(self) -> bool:
-        """True for the operation classes that MemOrder bugs involve."""
-        return self is not AccessType.UNSAFE_CALL
+    def __init__(self, value: str) -> None:
+        #: True for the operation classes that MemOrder bugs involve
+        #: (a plain member attribute: hooks read it once per operation).
+        self.is_memorder = value != "unsafe_call"
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -169,6 +169,30 @@ class InstrumentationHook:
 
 class NoopHook(InstrumentationHook):
     """Uninstrumented execution: the 'Base' configuration of Table 5."""
+
+
+def consumes_events(hook: InstrumentationHook) -> bool:
+    """Does ``hook`` override ``after_access``, on its class or instance?
+
+    Backends skip building :class:`AccessEvent` records for hooks that
+    would only discard them.
+    """
+    after = hook.after_access
+    return getattr(after, "__func__", None) is not InstrumentationHook.after_access
+
+
+def clamp_delay(value: Any) -> float:
+    """Validate a ``before_access`` result as an injected delay.
+
+    Anything ``float()`` accepts is a number; negative results and NaN
+    mean "no delay". Both backends route hook results through here so
+    they agree on what a hook may return.
+    """
+    try:
+        delay = float(value)
+    except (TypeError, ValueError):
+        raise TypeError("hook.before_access must return a number, got %r" % (value,)) from None
+    return delay if delay > 0.0 else 0.0
 
 
 class CostModel:

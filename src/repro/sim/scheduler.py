@@ -3,10 +3,16 @@
 The scheduler drives :class:`~repro.sim.thread.SimThread` generators.
 Every time-consuming action in the simulated program -- computing,
 sleeping, the execution cost of an instrumented operation, and the
-delays injected by the tools under test -- is expressed as a ``Sleep``
-command, so the simulation reduces to a priority queue ordered by
-virtual wake time. Threads blocked on synchronization primitives leave
-the queue entirely and are re-inserted by :meth:`Scheduler.wake`.
+delays injected by the tools under test -- is a sleep command, so the
+simulation reduces to a priority queue ordered by virtual wake time.
+Threads blocked on synchronization primitives leave the queue entirely
+and are re-inserted by :meth:`Scheduler.wake`.
+
+The command protocol: a thread yields a :class:`Sleep`, :data:`BLOCK`
+or :data:`YIELD`. The simulator's own operations (:mod:`repro.sim.api`)
+may also yield a bare non-negative ``float``, a sleep of that many
+milliseconds without the :class:`Sleep` allocation. Any other yielded
+value fails the thread with ``TypeError``.
 
 Determinism: the queue breaks ties by insertion sequence (FIFO), and all
 randomness (operation-cost jitter) flows from a single seeded RNG, so a
@@ -186,7 +192,7 @@ class Scheduler:
         if thread.state is not ThreadState.BLOCKED:
             return
         thread.state = ThreadState.RUNNABLE
-        self._push(thread, self.clock.now if at is None else at)
+        self._push(thread, self.clock.now if at is None else float(at))
 
     def _push(self, thread: SimThread, wake_time: float) -> None:
         heapq.heappush(self._queue, (wake_time, next(self._seq), thread))
@@ -196,57 +202,115 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Drive all threads until completion, deadlock, crash or timeout."""
+        """Drive all threads until completion, deadlock, crash or timeout.
+
+        One loop pops the earliest thread, resumes it until its next
+        yield and re-queues it according to the yielded command. When a
+        sleeping thread would wake strictly before every queued thread,
+        the pop would hand it straight back, so the loop resumes it in
+        place and skips the heap round trip; steps, the time limit and
+        the clock advance exactly as if it had been popped. This is the
+        per-operation hot path: everything it touches is bound to a
+        local, and queue entries hold float wake times only.
+        """
         self.hook.on_run_start(self)
+        queue = self._queue
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        seq = self._seq
+        clock = self.clock
+        result = self.result
+        fr = self._fr
+        time_limit_ms = self.time_limit_ms
+        max_steps = self.max_steps
+        last_run = self._last_run
+        sleeping = ThreadState.SLEEPING
+        blocked = ThreadState.BLOCKED
+        done = ThreadState.DONE
+        failed = ThreadState.FAILED
         steps = 0
         try:
-            while self._queue and not self._stopping:
+            while queue and not self._stopping:
                 steps += 1
-                if steps > self.max_steps:
+                if steps > max_steps:
                     raise SimulationTimeout(
-                        "exceeded %d scheduler steps" % self.max_steps, self.clock.now
+                        "exceeded %d scheduler steps" % max_steps, clock.now
                     )
-                wake_time, _, thread = heapq.heappop(self._queue)
-                if thread.state.is_terminal:
+                wake_time, _, thread = heappop(queue)
+                state = thread.state
+                if state is done or state is failed:
                     continue
-                self.clock.advance_to(wake_time)
-                if self.clock.now > self.time_limit_ms:
-                    self.result.timed_out = True
+                now = clock.now
+                if wake_time > now:
+                    clock.now = now = wake_time
+                if now > time_limit_ms:
+                    result.timed_out = True
                     break
-                if thread is not self._last_run:
-                    self.result.context_switches += 1
-                    self._last_run = thread
-                    if self._fr is not None:
-                        self._fr.record("switch", self.clock.now, tid=thread.tid)
-                self._step(thread)
-            if not self._stopping and not self.result.timed_out:
+                if thread is not last_run:
+                    result.context_switches += 1
+                    self._last_run = last_run = thread
+                    if fr is not None:
+                        fr.record("switch", now, tid=thread.tid)
+                self.current = thread
+                send = thread.gen.send
+                while True:
+                    try:
+                        command = send(None)
+                    except StopIteration as stop:
+                        self.current = None
+                        self._finish(thread, result=stop.value)
+                        break
+                    except BaseException as exc:  # noqa: BLE001 - faithful crash capture
+                        self.current = None
+                        self._fail(thread, exc)
+                        break
+                    kind = type(command)
+                    if kind is float:
+                        wake_time = clock.now + command
+                    elif kind is Sleep:
+                        wake_time = clock.now + command.duration_ms
+                    else:
+                        self.current = None
+                        if kind is Block:
+                            thread.state = blocked
+                        else:
+                            self._dispatch_other(thread, command)
+                        break
+                    thread.state = sleeping
+                    if self._stopping or (queue and wake_time >= queue[0][0]):
+                        self.current = None
+                        heappush(queue, (wake_time, next(seq), thread))
+                        break
+                    # Resume in place: the step the pop would have taken.
+                    steps += 1
+                    if steps > max_steps:
+                        raise SimulationTimeout(
+                            "exceeded %d scheduler steps" % max_steps, clock.now
+                        )
+                    if wake_time > clock.now:
+                        clock.now = wake_time
+                    if clock.now > time_limit_ms:
+                        result.timed_out = True
+                        break
+                if result.timed_out:
+                    break
+            if not self._stopping and not result.timed_out:
                 self._check_deadlock()
         except SimulationTimeout:
-            self.result.timed_out = True
+            result.timed_out = True
         finally:
-            self.result.virtual_time = self.clock.now
+            self.current = None
+            result.virtual_time = clock.now
             self.hook.on_run_end(self)
             if self._obs is not None:
                 self._obs.c_sched_runs.inc()
-                self._obs.c_context_switches.inc(self.result.context_switches)
-                self._obs.g_virtual_ms.set(self.result.virtual_time)
-                self._obs.g_virtual_ms_total.add(self.result.virtual_time)
-        return self.result
+                self._obs.c_context_switches.inc(result.context_switches)
+                self._obs.g_virtual_ms.set(result.virtual_time)
+                self._obs.g_virtual_ms_total.add(result.virtual_time)
+        return result
 
-    def _step(self, thread: SimThread) -> None:
-        """Resume ``thread`` until its next yield and act on the command."""
-        self.current = thread
-        try:
-            command = thread.gen.send(None)
-        except StopIteration as stop:
-            self._finish(thread, result=getattr(stop, "value", None))
-            return
-        except BaseException as exc:  # noqa: BLE001 - faithful crash capture
-            self._fail(thread, exc)
-            return
-        finally:
-            self.current = None
-
+    def _dispatch_other(self, thread: SimThread, command: Any) -> None:
+        """The commands :meth:`run` does not match by exact type."""
         if isinstance(command, Sleep):
             thread.state = ThreadState.SLEEPING
             self._push(thread, self.clock.now + command.duration_ms)

@@ -23,9 +23,9 @@ class ThreadState(enum.Enum):
     DONE = "done"
     FAILED = "failed"
 
-    @property
-    def is_terminal(self) -> bool:
-        return self in (ThreadState.DONE, ThreadState.FAILED)
+    def __init__(self, value: str) -> None:
+        #: DONE or FAILED (a plain member attribute, read per scheduling step).
+        self.is_terminal = value in ("done", "failed")
 
 
 class SimThread:

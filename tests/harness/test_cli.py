@@ -246,3 +246,89 @@ class TestSupervisedCampaigns:
         second = capsys.readouterr().out
         assert "resumed from journal" in second
         assert self.table_lines(first) == self.table_lines(second)
+
+
+class TestUsageErrors:
+    """Bad targets and counts exit 2 with one ``waffle-repro: error:`` line."""
+
+    @staticmethod
+    def fails_with(argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def one_line(self, argv, capsys):
+        err = self.fails_with(argv, capsys)
+        assert err.startswith("waffle-repro: error: ")
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("command", ["detect", "trace"])
+    def test_unknown_bug_lists_the_known_bugs(self, command, capsys):
+        err = self.one_line([command, "--bug", "Bug-99"], capsys)
+        assert "unknown bug 'Bug-99'" in err
+        assert "Bug-1," in err and "Bug-18" in err
+
+    @pytest.mark.parametrize("command", ["detect", "trace"])
+    def test_unknown_app_lists_the_known_apps(self, command, capsys):
+        err = self.one_line([command, "--app", "nosuchapp", "--test", "t"], capsys)
+        assert "unknown app 'nosuchapp'" in err
+        assert "netmq" in err and "sshnet" in err
+
+    def test_unknown_test_lists_the_app_tests(self, capsys):
+        err = self.one_line(["detect", "--app", "netmq", "--test", "nosuchtest"], capsys)
+        assert "unknown test 'nosuchtest' in app 'netmq'" in err
+        assert "runtime_abrupt_termination" in err
+
+    def test_replay_of_a_missing_dossier(self, tmp_path, capsys):
+        missing = tmp_path / "dossier-missing.json"
+        err = self.one_line(["replay", str(missing)], capsys)
+        assert "cannot read dossier" in err and str(missing) in err
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("not json at all", "Expecting value"),
+            ('{"version": 1, "record": {}}', "missing field 'dossier'"),
+            ('{"version": 999, "record": {}}', "unsupported persistence format"),
+            ("[1, 2]", "cannot read dossier"),
+        ],
+    )
+    def test_replay_of_an_unreadable_dossier(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "dossier-bad.json"
+        path.write_text(content)
+        err = self.one_line(["replay", str(path)], capsys)
+        assert reason in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table4", "--attempts", "0"],
+            ["table4", "--attempts", "-1"],
+            ["table4", "--budget", "0"],
+            ["table2", "--budget", "-3"],
+            ["fuzz", "--budget", "0"],
+            ["detect", "--bug", "Bug-1", "--budget", "0"],
+        ],
+    )
+    def test_counts_below_one_are_rejected(self, argv, capsys):
+        err = self.fails_with(argv, capsys)
+        assert "must be at least 1" in err
+
+    def test_non_integer_count_is_rejected(self, capsys):
+        err = self.fails_with(["table4", "--attempts", "many"], capsys)
+        assert "invalid int value: 'many'" in err
+
+    def test_positive_int_type(self):
+        import argparse
+
+        from repro.harness.cli import positive_int
+
+        assert positive_int("1") == 1
+        assert positive_int("15") == 15
+        for bad in ("0", "-2", "1.5", ""):
+            with pytest.raises(argparse.ArgumentTypeError):
+                positive_int(bad)
