@@ -15,13 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from ..sim.instrument import AccessEvent
 from .candidates import CandidateSet
 from .config import WaffleConfig
 from .interference import InterferencePair, build_interference_set
-from .nearmiss import NearMissTracker
+from .nearmiss import NearMissTracker, fork_ordered
 from .trace import Trace
-from .vector_clock import ordered
 
 
 @dataclass
@@ -114,16 +112,11 @@ class InjectionPlan:
         return plan
 
 
-def _parent_child_filter(earlier: AccessEvent, later: AccessEvent) -> bool:
-    """Prune when the two operations' vector clocks are comparable."""
-    return ordered(earlier.vc_snapshot, later.vc_snapshot)
-
-
 def analyze_trace(trace: Trace, config: WaffleConfig) -> InjectionPlan:
     """Build the injection plan from a preparation-run trace."""
     events = trace.sorted_events()
 
-    order_filter = _parent_child_filter if config.parent_child_analysis else None
+    order_filter = fork_ordered if config.parent_child_analysis else None
     tracker = NearMissTracker(
         window_ms=config.near_miss_window_ms,
         order_filter=order_filter,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, KeysView, List, Optional, Set, Tuple
 
 from ..sim.instrument import AccessType, Location
 
@@ -57,7 +57,9 @@ class CandidatePair:
     other_location: Location
 
     def key(self) -> Tuple[str, str, str]:
-        return (self.kind.value, self.delay_location.site, self.other_location.site)
+        # ``_value_`` is the member's raw value; ``value`` is a property
+        # and this runs several times per near-miss match.
+        return (self.kind._value_, self.delay_location.site, self.other_location.site)
 
     def __str__(self) -> str:
         return "%s{delay@%s, vs %s}" % (
@@ -194,9 +196,23 @@ class CandidateSet:
         """O(1) hot-path check: is any pair injecting at ``location``?"""
         return location.site in self._by_delay
 
+    @property
+    def delay_sites(self) -> KeysView[str]:
+        """Live view of the injection sites (the delay-site index's
+        keys): hooks bind it once and test ``site in`` per operation."""
+        return self._by_delay.keys()
+
     def pairs_for_delay_location(self, location: Location) -> List[CandidatePair]:
         bucket = self._by_delay.get(location.site)
         return list(bucket.values()) if bucket else []
+
+    def pairs_between(self, delay_site: str, other_site: str) -> List[CandidatePair]:
+        """Pairs delaying at ``delay_site`` against ``other_site``, in
+        index order (one per candidate kind at most)."""
+        bucket = self._by_delay.get(delay_site)
+        if not bucket:
+            return []
+        return [pair for key, pair in bucket.items() if key[2] == other_site]
 
     def pairs_watching(self, location: Location) -> List[CandidatePair]:
         """Pairs whose *other* location is ``location``."""

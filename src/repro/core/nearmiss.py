@@ -27,6 +27,7 @@ from typing import Callable, Deque, Dict, List, Optional
 from .. import obs
 from ..sim.instrument import AccessEvent, AccessType
 from .candidates import CandidateKind, CandidatePair, CandidateSet, GapObservation
+from .vector_clock import ordered
 
 #: Optional filter deciding whether a would-be pair is already ordered
 #: (and must be pruned). Receives (earlier_event, later_event); returns
@@ -35,6 +36,13 @@ OrderFilter = Callable[[AccessEvent, AccessEvent], bool]
 
 #: Callback fired when a pair is added; receives (pair, is_new).
 PairSink = Callable[[CandidatePair, bool], None]
+
+
+def fork_ordered(earlier: AccessEvent, later: AccessEvent) -> bool:
+    """The parent-child :data:`OrderFilter`: prune when the two
+    operations' clock snapshots are comparable (fork-ordered)."""
+    return ordered(earlier.vc_snapshot, later.vc_snapshot)
+
 
 # Dense access-type codes for the batched sweeps: classifying an
 # (earlier, later) pair becomes one table lookup instead of an enum
@@ -53,9 +61,24 @@ _KIND_TABLE: List[Optional[CandidateKind]] = [None] * 16
 _KIND_TABLE[_CODE_INIT * 4 + _CODE_USE] = CandidateKind.USE_BEFORE_INIT
 _KIND_TABLE[_CODE_USE * 4 + _CODE_DISPOSE] = CandidateKind.USE_AFTER_FREE
 
+_INIT = AccessType.INIT
+_USE = AccessType.USE
+_DISPOSE = AccessType.DISPOSE
+_UBI = CandidateKind.USE_BEFORE_INIT
+_UAF = CandidateKind.USE_AFTER_FREE
+
 
 class NearMissTracker:
-    """Incremental MemOrder near-miss matching over an event stream."""
+    """Incremental MemOrder near-miss matching over an event stream.
+
+    Only an INIT or a USE can be the *earlier* side of a pair (INIT ->
+    USE, USE -> DISPOSE), so each object keeps two windows: its recent
+    INITs, scanned by an arriving USE, and its recent USEs, scanned by
+    an arriving DISPOSE. DISPOSEs are never stored and an INIT scans
+    nothing. The incoming access type fixes the candidate kind. On a
+    timestamp-ordered stream this emits exactly the pairs, in exactly
+    the order, of one mixed per-object window scanned in full.
+    """
 
     def __init__(
         self,
@@ -70,8 +93,11 @@ class NearMissTracker:
         self.candidates = candidates if candidates is not None else CandidateSet()
         self.order_filter = order_filter
         self.on_pair = on_pair
-        #: Per-object recent-event windows (object id -> deque).
+        #: Per-object windows, oldest first (object id -> deque): the
+        #: recent USEs in ``_recent`` and the recent INITs in
+        #: ``_recent_inits``.
         self._recent: Dict[int, Deque[AccessEvent]] = {}
+        self._recent_inits: Dict[int, Deque[AccessEvent]] = {}
         #: Near-miss matches emitted over the tracker's lifetime (every
         #: (re)added pair vs. first-time-seen pairs only).
         self.pairs_observed: int = 0
@@ -84,7 +110,20 @@ class NearMissTracker:
 
     def observe(self, event: AccessEvent) -> List[CandidatePair]:
         """Feed one event (in timestamp order); returns pairs (re)added."""
-        if event.access_type is AccessType.UNSAFE_CALL:
+        access_type = event.access_type
+        if access_type is _USE:
+            earlier_windows = self._recent_inits
+            own_windows = self._recent
+            kind = _UBI
+        elif access_type is _DISPOSE:
+            earlier_windows = self._recent
+            own_windows = None
+            kind = _UAF
+        elif access_type is _INIT:
+            earlier_windows = None
+            own_windows = self._recent_inits
+            kind = None
+        else:
             return self._NO_PAIRS
         object_id = event.object_id
         if object_id < 0:
@@ -92,39 +131,49 @@ class NearMissTracker:
             # object identity; it cannot participate in near-miss
             # matching (the bug already manifested anyway).
             return self._NO_PAIRS
-        recent = self._recent
-        window = recent.get(object_id)
-        if window is None:
-            window = recent[object_id] = deque()
-        timestamp = event.timestamp
-        horizon = timestamp - self.window_ms
-        while window and window[0].timestamp < horizon:
-            window.popleft()
+        horizon = event.timestamp - self.window_ms
+        added = self._NO_PAIRS
+        if earlier_windows is not None:
+            window = earlier_windows.get(object_id)
+            if window:
+                while window and window[0].timestamp < horizon:
+                    window.popleft()
+                if window:
+                    added = self._match(window, event, kind)
+        if own_windows is not None:
+            window = own_windows.get(object_id)
+            if window is None:
+                own_windows[object_id] = deque((event,))
+            else:
+                while window and window[0].timestamp < horizon:
+                    window.popleft()
+                window.append(event)
+        return added
 
-        if not window:
-            window.append(event)
-            return self._NO_PAIRS
-
+    def _match(
+        self, window: Deque[AccessEvent], event: AccessEvent, kind: CandidateKind
+    ) -> List[CandidatePair]:
+        """Pair ``event`` with every other-thread entry of ``window``."""
         thread_id = event.thread_id
-        access_type = event.access_type
+        timestamp = event.timestamp
+        object_id = event.object_id
         order_filter = self.order_filter
         candidates = self.candidates
         on_pair = self.on_pair
+        ses = self._obs
+        fr = self._fr
         added: List[CandidatePair] = []
         for earlier in window:
             if earlier.thread_id == thread_id:
                 continue
-            kind = CandidateKind.from_access_pair(earlier.access_type, access_type)
-            if kind is None:
-                continue
             if order_filter is not None and order_filter(earlier, event):
                 candidates.pruned_parent_child += 1
-                if self._obs is not None:
-                    self._obs.c_pruned_parent_child.inc()
-                if self._fr is not None:
+                if ses is not None:
+                    ses.c_pruned_parent_child.inc()
+                if fr is not None:
                     # The verdict plus the vector clocks that justify it
                     # (fork-ordered: vc(earlier) <= vc(later)).
-                    self._fr.record(
+                    fr.record(
                         "prune_parent_child", timestamp,
                         delay_site=earlier.location.site,
                         other_site=event.location.site,
@@ -149,13 +198,13 @@ class NearMissTracker:
             self.pairs_observed += 1
             if is_new:
                 self.pairs_new += 1
-            if self._obs is not None:
-                self._obs.c_pairs_observed.inc()
-                self._obs.h_gap_ms.observe(observation.gap_ms)
+            if ses is not None:
+                ses.c_pairs_observed.inc()
+                ses.h_gap_ms.observe(observation.gap_ms)
                 if is_new:
-                    self._obs.c_pairs_new.inc()
-            if self._fr is not None:
-                self._fr.record(
+                    ses.c_pairs_new.inc()
+            if fr is not None:
+                fr.record(
                     "near_miss", timestamp,
                     kind=kind.value,
                     delay_site=pair.delay_location.site,
@@ -167,8 +216,6 @@ class NearMissTracker:
             if on_pair is not None:
                 on_pair(pair, is_new)
             added.append(pair)
-
-        window.append(event)
         return added
 
     def observe_all(self, events) -> CandidateSet:

@@ -21,14 +21,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, KeysView, List, Optional, Set, Tuple
 
 from .. import obs
 from ..sim.instrument import (
     AccessEvent,
     AccessType,
     InstrumentationHook,
-    Location,
     PendingAccess,
 )
 from .analyzer import InjectionPlan
@@ -41,7 +40,7 @@ from .delay_policy import (
     ProportionalDelayPolicy,
 )
 from .interference import ActiveDelayLedger, DelayInterval, InterferenceIndex
-from .nearmiss import NearMissTracker, TsvNearMissTracker
+from .nearmiss import NearMissTracker, TsvNearMissTracker, fork_ordered
 from .tree_clock import make_clock
 from .vector_clock import TLS_KEY, ThreadVectorClock, ordered  # noqa: F401
 
@@ -204,6 +203,58 @@ class _ScheduleCapture:
         return length
 
 
+class _PairSink:
+    """The online tracker's ``on_pair``: what a (re)discovered pair
+    changes in the engine. Its own object, like :class:`_ScheduleCapture`,
+    so the tracker the hook owns does not refer back to the hook."""
+
+    __slots__ = ("engine", "variable_policy", "thread_recent", "window_ms")
+
+    def __init__(
+        self,
+        engine: InjectionEngine,
+        variable_policy: Optional[ProportionalDelayPolicy],
+        thread_recent: Optional[Dict[int, Deque[Tuple[float, str]]]],
+        window_ms: float,
+    ):
+        self.engine = engine
+        self.variable_policy = variable_policy
+        #: The hook's per-thread recent-operation windows when online
+        #: interference discovery is on, else None.
+        self.thread_recent = thread_recent
+        self.window_ms = window_ms
+
+    def on_pair(self, pair: CandidatePair, is_new: bool) -> None:
+        engine = self.engine
+        # Rediscovered pairs are fresh: no tombstones, probability
+        # resets to 1 (see delay_policy.DecayState.register).
+        engine.decay.register(pair.delay_location.site, reset=is_new)
+        if self.variable_policy is not None:
+            gap = engine.candidates.max_gap(pair)
+            self.variable_policy.update(pair.delay_location.site, gap)
+        if self.thread_recent is not None and engine.interference is not None and is_new:
+            self._discover_interference(pair)
+
+    def _discover_interference(self, pair: CandidatePair) -> None:
+        """Scan l2's thread-recent window for interfering delay sites."""
+        engine = self.engine
+        candidates = engine.candidates
+        observations = candidates.observations(pair)
+        if not observations:
+            return
+        obs = observations[-1]
+        recent = self.thread_recent.get(obs.thread_second, ())
+        delay_sites = candidates.delay_sites
+        window_start = obs.timestamp_first - self.window_ms
+        for ts, site in recent:
+            if ts < window_start or ts > obs.timestamp_second:
+                continue
+            if site in delay_sites:
+                if ts == obs.timestamp_second and site == pair.other_location.site:
+                    continue
+                engine.interference.add(frozenset((pair.delay_location.site, site)))
+
+
 class _BaseInjectionHook(InstrumentationHook):
     """Shared scaffolding: engine wiring, stats, failure capture."""
 
@@ -219,14 +270,19 @@ class _BaseInjectionHook(InstrumentationHook):
         #: deterministically).
         self.injection_schedule: List[Dict[str, object]] = []
         self._capture_schedule = obs.flightrec.recorder() is not None
+        #: Site gate ahead of the engine: the candidate set's live
+        #: delay-site index, or None while a schedule capture must see
+        #: every MemOrder access (it counts each site's occurrences).
+        self._delay_sites: Optional[KeysView[str]] = None
 
     def _bind_decide(self):
         """The per-operation decision, chosen once the engine exists:
-        the bare engine, or one that also captures the schedule. Neither
-        refers back to the hook: a bound method of the hook stored on
-        the hook would be a reference cycle, keeping every finished
-        run's hook alive until the cycle collector runs."""
+        the bare engine behind the site gate, or one that also captures
+        the schedule. Neither refers back to the hook: a bound method of
+        the hook stored on the hook would be a reference cycle, keeping
+        every finished run's hook alive until the cycle collector runs."""
         if not self._capture_schedule:
+            self._delay_sites = self.engine.candidates.delay_sites
             return self.engine.decide
         return _ScheduleCapture(self.engine, self.injection_schedule).decide
 
@@ -324,6 +380,9 @@ class PlannedInjectionHook(_BaseInjectionHook):
     def before_access(self, pending: PendingAccess) -> float:
         if not pending.access_type.is_memorder:
             return 0.0
+        delay_sites = self._delay_sites
+        if delay_sites is not None and pending.location.site not in delay_sites:
+            return 0.0
         return self._decide(pending)
 
 
@@ -388,60 +447,34 @@ class OnlineInjectionHook(_BaseInjectionHook):
             rng=random.Random(seed),
         )
 
-        order_filter = self._vc_filter if parent_child else None
-        if tsv_mode:
-            self._tracker = TsvNearMissTracker(
-                config.near_miss_window_ms,
-                candidates=candidate_set,
-                on_pair=self._on_pair,
-            )
-        else:
-            self._tracker = NearMissTracker(
-                config.near_miss_window_ms,
-                candidates=candidate_set,
-                order_filter=order_filter,
-                on_pair=self._on_pair,
-            )
-
         #: Per-thread recent memorder operations, for online
         #: interference discovery: deque of (timestamp, site).
         self._thread_recent: Dict[int, Deque[Tuple[float, str]]] = {}
         #: HB-inference: open delay windows per delay site:
         #: site -> (start, end, thread_id, sites_seen_during).
         self._windows: Dict[str, Tuple[float, float, int, Set[str]]] = {}
+
+        on_pair = _PairSink(
+            self.engine,
+            self._variable_policy,
+            self._thread_recent if online_interference else None,
+            config.near_miss_window_ms,
+        ).on_pair
+        if tsv_mode:
+            self._tracker = TsvNearMissTracker(
+                config.near_miss_window_ms,
+                candidates=candidate_set,
+                on_pair=on_pair,
+            )
+        else:
+            self._tracker = NearMissTracker(
+                config.near_miss_window_ms,
+                candidates=candidate_set,
+                order_filter=fork_ordered if parent_child else None,
+                on_pair=on_pair,
+            )
+        self._observe = self._tracker.observe
         self._decide = self._bind_decide()
-
-    # -- Candidate bookkeeping ------------------------------------------
-
-    def _on_pair(self, pair: CandidatePair, is_new: bool) -> None:
-        # Rediscovered pairs are fresh: no tombstones, probability
-        # resets to 1 (see delay_policy.DecayState.register).
-        self.engine.decay.register(pair.delay_location.site, reset=is_new)
-        if self._variable_policy is not None:
-            gap = self.engine.candidates.max_gap(pair)
-            self._variable_policy.update(pair.delay_location.site, gap)
-        if self.online_interference and self.engine.interference is not None and is_new:
-            self._discover_interference(pair)
-
-    def _discover_interference(self, pair: CandidatePair) -> None:
-        """Scan l2's thread-recent window for interfering delay sites."""
-        observations = self.engine.candidates.observations(pair)
-        if not observations:
-            return
-        obs = observations[-1]
-        recent = self._thread_recent.get(obs.thread_second, ())
-        delay_sites = {loc.site for loc in self.engine.candidates.delay_locations}
-        window_start = obs.timestamp_first - self.config.near_miss_window_ms
-        for ts, site in recent:
-            if ts < window_start or ts > obs.timestamp_second:
-                continue
-            if site in delay_sites:
-                if ts == obs.timestamp_second and site == pair.other_location.site:
-                    continue
-                self.engine.interference.add(frozenset((pair.delay_location.site, site)))
-
-    def _vc_filter(self, earlier: AccessEvent, later: AccessEvent) -> bool:
-        return ordered(earlier.vc_snapshot, later.vc_snapshot)
 
     # -- Hook callbacks -------------------------------------------------
 
@@ -456,6 +489,9 @@ class OnlineInjectionHook(_BaseInjectionHook):
                 return 0.0
         elif not pending.access_type.is_memorder:
             return 0.0
+        delay_sites = self._delay_sites
+        if delay_sites is not None and pending.location.site not in delay_sites:
+            return 0.0
         return self._decide(pending)
 
     def after_access(self, event: AccessEvent) -> None:
@@ -465,7 +501,8 @@ class OnlineInjectionHook(_BaseInjectionHook):
                 clock = thread.itls.get(TLS_KEY)
                 if clock is not None:
                     event.vc_snapshot = clock.capture()
-        if self.hb_inference:
+        if self._windows:
+            # Windows open only under hb_inference.
             self._hb_observe(event)
         if self.online_interference and event.access_type.is_memorder:
             recent = self._thread_recent.setdefault(event.thread_id, deque())
@@ -482,7 +519,7 @@ class OnlineInjectionHook(_BaseInjectionHook):
                 event.thread_id,
                 set(),
             )
-        self._tracker.observe(event)
+        self._observe(event)
 
     def _hb_observe(self, event: AccessEvent) -> None:
         """Happens-before inference (section 2, 'removing from S').
@@ -495,36 +532,36 @@ class OnlineInjectionHook(_BaseInjectionHook):
         thread produces the same timing signature, so dense injection
         makes this heuristic unreliable.
         """
-        if not self._windows:
-            return
         ts = event.timestamp
+        thread_id = event.thread_id
+        site = event.location.site
         grace = self.config.hb_inference_grace_ms
         stale: List[str] = []
         for l1_site, (start, end, tid, seen_during) in self._windows.items():
             if ts > end + grace:
                 stale.append(l1_site)
                 continue
-            if event.thread_id == tid:
+            if thread_id == tid:
                 continue
             if start <= ts < end:
-                seen_during.add(event.location.site)
-            elif end <= ts <= end + grace and event.location.site not in seen_during:
-                l1 = Location(l1_site)
-                for pair in self.engine.candidates.pairs_for_delay_location(l1):
-                    if pair.other_location == event.location:
-                        self.engine.candidates.remove(pair, reason="hb_inference")
-                        self.engine.candidates.pruned_hb_inference += 1
-                        if self.engine._obs is not None:
-                            self.engine._obs.c_pruned_hb.inc()
-                        if self.engine._fr is not None:
-                            self.engine._fr.record(
-                                "prune_hb", ts,
-                                delay_site=l1_site,
-                                other_site=event.location.site,
-                                window=[round(start, 4), round(end, 4)],
-                            )
-        for site in stale:
-            self._windows.pop(site, None)
+                seen_during.add(site)
+            elif end <= ts and site not in seen_during:
+                engine = self.engine
+                candidates = engine.candidates
+                for pair in candidates.pairs_between(l1_site, site):
+                    candidates.remove(pair, reason="hb_inference")
+                    candidates.pruned_hb_inference += 1
+                    if engine._obs is not None:
+                        engine._obs.c_pruned_hb.inc()
+                    if engine._fr is not None:
+                        engine._fr.record(
+                            "prune_hb", ts,
+                            delay_site=l1_site,
+                            other_site=site,
+                            window=[round(start, 4), round(end, 4)],
+                        )
+        for l1_site in stale:
+            self._windows.pop(l1_site, None)
 
     # -- Exposed for tests ----------------------------------------------
 

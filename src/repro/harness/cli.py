@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, List, NoReturn, Optional
+from typing import Any, List, NoReturn, Optional, Tuple
 
 from .. import obs
 from ..obs import eventbus
@@ -70,6 +70,40 @@ def _resolve_target(args):
             "unknown test %r in app %r (known: %s)"
             % (args.test, app.name, ", ".join(test.name for test in app.tests))
         )
+
+
+def check_selection(args) -> None:
+    """Unknown ``--apps`` keys and ``--bugs`` ids are usage errors."""
+    apps = getattr(args, "apps", None)
+    if apps:
+        known_apps = sorted(all_apps())
+        unknown = [name for name in apps if name not in known_apps]
+        if unknown:
+            _usage_error(
+                "unknown app %s (known: %s)"
+                % (", ".join(map(repr, unknown)), ", ".join(known_apps))
+            )
+    bugs = getattr(args, "bugs", None)
+    if bugs:
+        known_bugs = [bug.bug_id for bug in all_bugs()]
+        unknown = [bug_id for bug_id in bugs if bug_id not in known_bugs]
+        if unknown:
+            _usage_error(
+                "unknown bug %s (known: %s)"
+                % (", ".join(map(repr, unknown)), ", ".join(known_bugs))
+            )
+
+
+def _seed_range(text: str) -> Tuple[int, int]:
+    """Parse ``--seed-range START:STOP`` (half-open, non-empty)."""
+    try:
+        start_text, stop_text = text.split(":", 1)
+        start, stop = int(start_text), int(stop_text)
+    except ValueError:
+        _usage_error("--seed-range expects START:STOP, got %r" % text)
+    if stop <= start:
+        _usage_error("--seed-range: empty range %r" % text)
+    return start, stop
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -207,13 +241,7 @@ def cmd_fuzz(args) -> int:
     """Oracle-verify a range of generated workloads (property suite)."""
     from . import fuzz as fuzz_mod
 
-    try:
-        start_text, stop_text = args.seed_range.split(":", 1)
-        start, stop = int(start_text), int(stop_text)
-    except ValueError:
-        raise SystemExit("--seed-range expects START:STOP, got %r" % args.seed_range)
-    if stop <= start:
-        raise SystemExit("--seed-range: empty range %r" % args.seed_range)
+    start, stop = _seed_range(args.seed_range)
     config = _apply_hb_engine(DEFAULT_CONFIG.with_seed(args.seed), args)
     rows = fuzz_mod.fuzz_range(
         start,
@@ -1122,6 +1150,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     normalize_args(args)
+    check_selection(args)
     if args.command in ("detect", "trace") and not args.bug and not (args.app and args.test):
         parser.error("%s requires --bug or both --app and --test" % args.command)
     if args.events_dir:

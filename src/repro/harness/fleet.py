@@ -752,6 +752,7 @@ def _dispatch_inner(argv: Sequence[str], cache_dir: Path,
     parser = cli_mod.build_parser()
     args = parser.parse_args(list(argv))
     cli_mod.normalize_args(args)
+    cli_mod.check_selection(args)
     if args.command == "campaign":
         raise SystemExit("fleet campaigns cannot nest ('campaign %s' inside run)"
                          % getattr(args, "action", "?"))

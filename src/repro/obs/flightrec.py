@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Environment variable enabling the flight recorder (the propagation
 #: channel to ``--jobs`` pool workers, like ``WAFFLE_OBS_DIR``). The
@@ -71,6 +71,10 @@ class FlightRecorder:
     dossier. ``seq`` is a lifetime sequence number: run boundaries are
     marked by ``run_start`` events and remembered as sequence marks, so
     ``events_for_run`` works even after older events were evicted.
+
+    Context switches, the most frequent kind, are stored compactly as
+    ``(seq, t, tid)`` tuples by :meth:`record_switch`; every inspection
+    method expands them into the dict :meth:`record` would have built.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -80,14 +84,17 @@ class FlightRecorder:
         self._ring: deque = deque(maxlen=capacity)
         #: Lifetime number of events recorded.
         self.recorded: int = 0
-        #: Events evicted from the ring (recorded - retained).
-        self.dropped: int = 0
         #: Sequence number of the most recent ``begin_run``.
         self.run_seq: int = 0
         self._run_marks: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._ring)
+
+    @property
+    def dropped(self) -> int:
+        """Events evicted from the ring (recorded - retained)."""
+        return self.recorded - len(self._ring)
 
     # -- Recording (hot path; callers guard with ``is not None``) ------
 
@@ -98,14 +105,18 @@ class FlightRecorder:
         payload fields may themselves be called ``kind`` -- e.g. the
         candidate kind on ``near_miss``/``pair_removed`` events.
         """
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
         event: Dict[str, Any] = {"seq": self.recorded, "k": k, "t": round(t_ms, 4)}
         if fields:
             event.update(fields)
         self.recorded += 1
         self._ring.append(event)
         return event
+
+    def record_switch(self, t_ms: float, tid: int) -> None:
+        """Append a context switch: ``record("switch", t_ms, tid=tid)``
+        without building the dict (the scheduler calls this per switch)."""
+        self._ring.append((self.recorded, t_ms, tid))
+        self.recorded += 1
 
     def begin_run(self, kind: str = "", test: str = "", seed: int = 0) -> int:
         """Mark the start of a run; subsequent events belong to it."""
@@ -118,12 +129,12 @@ class FlightRecorder:
 
     def snapshot(self) -> List[dict]:
         """Copy of the retained timeline, oldest first."""
-        return list(self._ring)
+        return [_expand(e) if type(e) is tuple else e for e in self._ring]
 
     def events(self, kind: Optional[str] = None) -> List[dict]:
         if kind is None:
             return self.snapshot()
-        return [e for e in self._ring if e["k"] == kind]
+        return [e for e in self.snapshot() if e["k"] == kind]
 
     def events_for_run(self, run_seq: int) -> List[dict]:
         """Retained events of one run (between its mark and the next)."""
@@ -131,7 +142,13 @@ class FlightRecorder:
         if start is None:
             return []
         end = self._run_marks.get(run_seq + 1, self.recorded)
-        return [e for e in self._ring if start <= e["seq"] < end]
+        return [e for e in self.snapshot() if start <= e["seq"] < end]
+
+
+def _expand(entry: Tuple[int, float, int]) -> dict:
+    """The dict form of a compact ``(seq, t, tid)`` switch entry."""
+    seq, t_ms, tid = entry
+    return {"seq": seq, "k": "switch", "t": round(t_ms, 4), "tid": tid}
 
 
 _recorder: Optional[FlightRecorder] = None

@@ -79,8 +79,18 @@ class Simulation:
         self._before_access = hook.before_access
         self._after_access = hook.after_access if consumes_events(hook) else None
         self._op_overhead_ms = float(hook.per_op_overhead_ms)
-        self._sample_op_cost = self.scheduler.cost_model.sample_op_cost
+        cost_model = self.scheduler.cost_model
+        self._sample_op_cost = cost_model.sample_op_cost
         self._rng = self.scheduler.rng
+        # The stock jittered cost model is drawn inline: ``op_cost_ms *
+        # (lo + span * random())`` is ``op_cost_ms * rng.uniform(lo, hi)``
+        # to the bit, minus two calls. Other cost models keep the call.
+        self._op_scale: Optional[float] = None
+        if type(cost_model) is CostModel and cost_model.jitter_frac != 0:
+            self._op_scale = cost_model.op_cost_ms
+            self._op_lo = 1.0 - cost_model.jitter_frac
+            self._op_span = (1.0 + cost_model.jitter_frac) - self._op_lo
+            self._random = self._rng.random
 
     # ------------------------------------------------------------------
     # Introspection
@@ -325,7 +335,11 @@ class Simulation:
             yield injected
         else:
             injected = 0.0
-        cost = self._sample_op_cost(self._rng) + self._op_overhead_ms
+        scale = self._op_scale
+        if scale is None:
+            cost = self._sample_op_cost(self._rng) + self._op_overhead_ms
+        else:
+            cost = scale * (self._op_lo + self._op_span * self._random()) + self._op_overhead_ms
         yield cost if cost > 0.0 else 0.0
         sched.result.op_count += 1
         after = self._after_access
@@ -397,7 +411,11 @@ class Simulation:
         ))
         if injected > 0.0:
             yield injected
-        cost = self._sample_op_cost(self._rng) + self._op_overhead_ms
+        scale = self._op_scale
+        if scale is None:
+            cost = self._sample_op_cost(self._rng) + self._op_overhead_ms
+        else:
+            cost = scale * (self._op_lo + self._op_span * self._random()) + self._op_overhead_ms
         yield cost if cost > 0.0 else 0.0
         start = sched.clock.now
         self._unsafe_calls.begin(collection.oid, thread.tid, location, start, start + duration)
@@ -458,7 +476,11 @@ class Simulation:
             yield injected
         else:
             injected = 0.0
-        cost = self._sample_op_cost(self._rng) + self._op_overhead_ms
+        scale = self._op_scale
+        if scale is None:
+            cost = self._sample_op_cost(self._rng) + self._op_overhead_ms
+        else:
+            cost = scale * (self._op_lo + self._op_span * self._random()) + self._op_overhead_ms
         yield cost if cost > 0.0 else 0.0
         sched.result.op_count += 1
         after = self._after_access

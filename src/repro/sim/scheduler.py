@@ -220,7 +220,7 @@ class Scheduler:
         seq = self._seq
         clock = self.clock
         result = self.result
-        fr = self._fr
+        record_switch = self._fr.record_switch if self._fr is not None else None
         time_limit_ms = self.time_limit_ms
         max_steps = self.max_steps
         last_run = self._last_run
@@ -249,8 +249,8 @@ class Scheduler:
                 if thread is not last_run:
                     result.context_switches += 1
                     self._last_run = last_run = thread
-                    if fr is not None:
-                        fr.record("switch", now, tid=thread.tid)
+                    if record_switch is not None:
+                        record_switch(now, thread.tid)
                 self.current = thread
                 send = thread.gen.send
                 while True:

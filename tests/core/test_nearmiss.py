@@ -1,11 +1,11 @@
 """Near-miss tracking: the candidate-generation heuristic."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.candidates import CandidateKind
-from repro.core.nearmiss import NearMissTracker, TsvNearMissTracker
+from repro.core.candidates import CandidateKind, CandidatePair, CandidateSet, GapObservation
+from repro.core.nearmiss import NearMissTracker, TsvNearMissTracker, fork_ordered
 from repro.sim.instrument import AccessEvent, AccessType, Location
 
 
@@ -117,6 +117,112 @@ class TestMemOrderNearMiss:
         added = tracker.observe(ev("use", AccessType.USE, tid=2, ts=gap))
         assert len(added) == 1
         assert tracker.candidates.max_gap(added[0]) == pytest.approx(gap)
+
+
+def brute_force(events, window_ms, order_filter):
+    """All-pairs reference: every earlier event of the same object, in
+    stream order, is a potential partner of every later one."""
+    candidates = CandidateSet()
+    calls = []
+    observed = new = 0
+    for j, later in enumerate(events):
+        if later.access_type is AccessType.UNSAFE_CALL or later.object_id < 0:
+            continue
+        for earlier in events[:j]:
+            if earlier.object_id != later.object_id:
+                continue
+            if earlier.timestamp < later.timestamp - window_ms:
+                continue
+            if earlier.thread_id == later.thread_id:
+                continue
+            kind = CandidateKind.from_access_pair(earlier.access_type, later.access_type)
+            if kind is None:
+                continue
+            if order_filter is not None and order_filter(earlier, later):
+                candidates.pruned_parent_child += 1
+                continue
+            pair = CandidatePair(kind, earlier.location, later.location)
+            is_new = candidates.add(
+                pair,
+                GapObservation(
+                    gap_ms=later.timestamp - earlier.timestamp,
+                    timestamp_first=earlier.timestamp,
+                    timestamp_second=later.timestamp,
+                    object_id=later.object_id,
+                    thread_first=earlier.thread_id,
+                    thread_second=later.thread_id,
+                ),
+            )
+            observed += 1
+            new += is_new
+            calls.append((pair.key(), is_new))
+    return candidates, observed, new, calls
+
+
+_ACCESS_TYPES = list(AccessType)
+_event_specs = st.lists(
+    st.tuples(
+        # Gap to the previous event: whole multiples of the windows
+        # below, so equal timestamps and gaps of exactly one window
+        # (the inclusive boundary) are common.
+        st.sampled_from([0.0, 0.5, 0.5, 1.0]),
+        st.sampled_from(_ACCESS_TYPES),
+        st.integers(min_value=-1, max_value=2),  # object id
+        st.integers(min_value=1, max_value=3),  # thread id
+        st.integers(min_value=0, max_value=1),  # static site
+        st.dictionaries(st.integers(1, 3), st.integers(0, 3), max_size=3),  # clock
+    ),
+    max_size=40,
+)
+
+
+class TestTypeIndexedWindows:
+    """The INIT/USE windows match a brute-force all-pairs scan exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        specs=_event_specs,
+        window_ms=st.sampled_from([0.5, 1.0, 2.0]),
+        filtered=st.booleans(),
+    )
+    def test_matches_all_pairs_reference(self, specs, window_ms, filtered):
+        events = []
+        ts = 0.0
+        for gap, access, oid, tid, site, clock in specs:
+            ts += gap
+            event = ev("%s.%d" % (access.value, site), access, oid=oid, tid=tid, ts=ts)
+            event.vc_snapshot = clock
+            events.append(event)
+        order_filter = fork_ordered if filtered else None
+
+        calls = []
+        tracker = NearMissTracker(
+            window_ms,
+            order_filter=order_filter,
+            on_pair=lambda pair, is_new: calls.append((pair.key(), is_new)),
+        )
+        returned = []
+        for event in events:
+            returned.extend(pair.key() for pair in tracker.observe(event))
+
+        expected, observed, new, expected_calls = brute_force(events, window_ms, order_filter)
+        # Pairs in insertion order, every gap observation, prune count.
+        assert tracker.candidates.to_dict() == expected.to_dict()
+        assert tracker.pairs_observed == observed
+        assert tracker.pairs_new == new
+        assert calls == expected_calls
+        assert returned == [key for key, _ in expected_calls]
+
+        offline = NearMissTracker(window_ms, order_filter=order_filter).observe_all(events)
+        assert offline.to_dict() == expected.to_dict()
+
+    def test_disposes_are_never_stored(self):
+        tracker = NearMissTracker(window_ms=100.0)
+        tracker.observe(ev("d", AccessType.DISPOSE, tid=1, ts=0.0))
+        tracker.observe(ev("i", AccessType.INIT, tid=1, ts=1.0))
+        tracker.observe(ev("u", AccessType.USE, tid=1, ts=2.0))
+        assert [e.location.site for e in tracker._recent_inits[1]] == ["i"]
+        assert [e.location.site for e in tracker._recent[1]] == ["u"]
 
 
 class TestTsvNearMiss:

@@ -1,6 +1,8 @@
 """Injection runtimes: the delay-or-not engine, planned and online hooks."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -248,3 +250,87 @@ class TestOnlineInjectionHook:
         # The fork-ordered (init, use) pair was pruned online.
         assert len(hook.candidates) == 0
         assert hook.candidates.pruned_parent_child >= 1
+
+
+def gated_rounds(sim, rounds=4):
+    """Sibling producer/consumer rounds: the consumer's use waits for the
+    producer's init, so a delayed init never crashes the run."""
+    ref = sim.ref("r")
+
+    def producer(sim, gate):
+        yield from sim.assign(ref, sim.new("T"), loc="gc.init:1")
+        gate.set()
+
+    def consumer(sim, gate):
+        yield from gate.wait()
+        yield from sim.use(ref, member="M", loc="gc.use:2")
+
+    def main(sim):
+        for _ in range(rounds):
+            gate = sim.event("gate")
+            threads = [sim.fork(consumer(sim, gate)), sim.fork(producer(sim, gate))]
+            yield from sim.join_all(threads)
+
+    return main(sim)
+
+
+class TestHookWiring:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            # WaffleBasic.
+            dict(hb_inference=True),
+            # The no-preparation-run ablation: parent-child pruning,
+            # learned delays and online interference discovery.
+            dict(
+                variable_delays=True,
+                hb_inference=False,
+                parent_child=True,
+                online_interference=True,
+            ),
+        ],
+        ids=["wafflebasic", "parent_child"],
+    )
+    def test_finished_run_is_freed_by_refcounting(self, config, options):
+        """Nothing the hook owns refers back to it, so a finished run's
+        hook, tracker and windowed events die without the collector."""
+        gc.disable()
+        try:
+            hook = OnlineInjectionHook(config, DecayState(config.decay_lambda), seed=1, **options)
+            sim = Simulation(seed=1, hook=hook)
+            result = sim.run(gated_rounds(sim))
+            assert not result.crashed
+            assert hook._tracker.pairs_observed >= 1
+            assert hook.delays_injected >= 1
+            alive = weakref.ref(hook)
+            del hook, sim, result
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_site_gate_skips_the_engine(self, config):
+        candidates = CandidateSet()
+        candidates.add(make_pair(delay="l1"))
+        hook = OnlineInjectionHook(
+            config, DecayState(config.decay_lambda), candidates=candidates, seed=1
+        )
+        decided = []
+        hook._decide = lambda pending: decided.append(pending.location.site) or 0.0
+        hook.before_access(pending(site="elsewhere"))
+        hook.before_access(pending(site="l1"))
+        assert decided == ["l1"]
+
+    def test_schedule_capture_sees_every_memorder_access(self, config):
+        from repro.obs import flightrec
+
+        flightrec.install()
+        try:
+            hook = OnlineInjectionHook(config, DecayState(config.decay_lambda), seed=1)
+        finally:
+            flightrec.uninstall()
+        hook.candidates.add(make_pair(delay="l1"))
+        hook.before_access(pending(site="elsewhere"))
+        hook.before_access(pending(site="l1"))
+        hook.before_access(pending(site="l1"))
+        assert hook.injection_schedule[0]["nth"] == 0
+        assert hook._decide.__self__.occurrences == {"elsewhere": 1, "l1": 2}

@@ -283,6 +283,31 @@ class TestUsageErrors:
         assert "unknown test 'nosuchtest' in app 'netmq'" in err
         assert "runtime_abrupt_termination" in err
 
+    @pytest.mark.parametrize("command", ["table2", "table5", "all"])
+    def test_unknown_apps_key_lists_the_known_apps(self, command, capsys):
+        err = self.one_line([command, "--apps", "nsubstitute", "nosuchapp"], capsys)
+        assert "unknown app 'nosuchapp'" in err
+        assert "netmq" in err and "sshnet" in err
+
+    @pytest.mark.parametrize("command", ["table4", "related", "stress"])
+    def test_unknown_bugs_id_lists_the_known_bugs(self, command, capsys):
+        err = self.one_line([command, "--bugs", "Bug-99", "Bug-100"], capsys)
+        assert "unknown bug 'Bug-99', 'Bug-100'" in err
+        assert "Bug-1," in err and "Bug-18" in err
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            ("5", "expects START:STOP, got '5'"),
+            ("a:b", "expects START:STOP, got 'a:b'"),
+            ("9:3", "empty range '9:3'"),
+            ("3:3", "empty range '3:3'"),
+        ],
+    )
+    def test_malformed_seed_range(self, value, reason, capsys):
+        err = self.one_line(["fuzz", "--seed-range", value], capsys)
+        assert "--seed-range" in err and reason in err
+
     def test_replay_of_a_missing_dossier(self, tmp_path, capsys):
         missing = tmp_path / "dossier-missing.json"
         err = self.one_line(["replay", str(missing)], capsys)

@@ -71,6 +71,59 @@ class TestRunMarks:
         assert rec.dropped == 2
 
 
+class TestCompactSwitches:
+    """``record_switch`` entries read back exactly like ``record("switch")``."""
+
+    @staticmethod
+    def feed(rec, compact):
+        rec.begin_run(kind="prep", test="t", seed=0)
+        for i in range(6):
+            t = i * 1.234567891
+            if compact:
+                rec.record_switch(t, i % 3)
+            else:
+                rec.record("switch", t, tid=i % 3)
+            if i % 2:
+                rec.record("inject", t, site="s%d" % i)
+        run2 = rec.begin_run(kind="detect", test="t", seed=1)
+        if compact:
+            rec.record_switch(20.000049, 7)
+        else:
+            rec.record("switch", 20.000049, tid=7)
+        return run2
+
+    @pytest.mark.parametrize("capacity", [64, 5])
+    def test_reads_match_dict_records(self, capacity):
+        compact = flightrec.FlightRecorder(capacity=capacity)
+        dicts = flightrec.FlightRecorder(capacity=capacity)
+        run2 = self.feed(compact, True)
+        assert self.feed(dicts, False) == run2
+
+        def keyed(events):
+            return [list(e.items()) for e in events]
+
+        assert keyed(compact.snapshot()) == keyed(dicts.snapshot())
+        assert keyed(compact.events("switch")) == keyed(dicts.events("switch"))
+        assert keyed(compact.events("inject")) == keyed(dicts.events("inject"))
+        for run in (1, run2):
+            assert keyed(compact.events_for_run(run)) == keyed(dicts.events_for_run(run))
+        assert (len(compact), compact.recorded, compact.dropped) == (
+            len(dicts), dicts.recorded, dicts.dropped
+        )
+
+    def test_wrapping_ring_accounting(self):
+        rec = flightrec.FlightRecorder(capacity=3)
+        for i in range(5):
+            rec.record_switch(float(i), i)
+        rec.record("inject", 5.0, site="a")
+        assert (len(rec), rec.recorded, rec.dropped) == (3, 6, 3)
+        assert [e["seq"] for e in rec.snapshot()] == [3, 4, 5]
+        assert rec.events("switch") == [
+            {"seq": 3, "k": "switch", "t": 3.0, "tid": 3},
+            {"seq": 4, "k": "switch", "t": 4.0, "tid": 4},
+        ]
+
+
 class TestActivation:
     def test_install_uninstall(self):
         assert flightrec.recorder() is None

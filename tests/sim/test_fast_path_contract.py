@@ -333,6 +333,42 @@ class TestHookBinding:
         assert set(sim._locations) == {"t.init:1", "t.use:2"}
 
 
+class TestOpCostDraw:
+    """The stock cost model's inline draw equals ``sample_op_cost``."""
+
+    @staticmethod
+    def timestamps(cost_model):
+        hook = Recorder()
+
+        def main(sim):
+            ref = sim.ref("r")
+            yield from sim.assign(ref, sim.new("T"), loc="t.init:1")
+            for _ in range(20):
+                yield from sim.use(ref, loc="t.use:2")
+            yield from sim.unsafe_call(sim.unsafe_dict(), "Add", 1, 2, loc="t.call:3")
+            yield from sim.dispose(ref, loc="t.dispose:4")
+
+        _, result = _run_one(main, hook=hook, cost_model=cost_model)
+        return [e.timestamp for e in hook.events], result.virtual_time
+
+    @pytest.mark.parametrize("jitter", [0.35, 0.1, 0.0])
+    def test_bit_identical_to_the_method(self, jitter):
+        class SameModel(CostModel):
+            """Not the stock type, so operations call sample_op_cost."""
+
+        stock = self.timestamps(CostModel(op_cost_ms=0.3, jitter_frac=jitter))
+        called = self.timestamps(SameModel(op_cost_ms=0.3, jitter_frac=jitter))
+        assert stock == called
+
+    def test_custom_cost_models_are_called(self):
+        class Flat(CostModel):
+            def sample_op_cost(self, rng):
+                return 2.0
+
+        stamps, _ = self.timestamps(Flat())
+        assert stamps[:3] == [2.0, 4.0, 6.0]
+
+
 class TestPrecomputedAttributes:
     def test_is_memorder(self):
         assert [t.is_memorder for t in AccessType] == [True, True, True, False]
