@@ -64,7 +64,9 @@ class InjectionPlan:
         return {
             "candidates": self.candidates.to_dict(),
             "delay_lengths": dict(self.delay_lengths),
-            "interference": [sorted(pair) for pair in self.interference],
+            # Sorted: frozenset iteration order follows PYTHONHASHSEED,
+            # and this dict is what the plan cache stores.
+            "interference": sorted(sorted(pair) for pair in self.interference),
             # Full census round-trip: a plan rehydrated from cache must
             # report the same table numbers as the cold analysis.
             "stats": {
@@ -122,10 +124,7 @@ def analyze_trace(trace: Trace, config: WaffleConfig) -> InjectionPlan:
         order_filter=order_filter,
     )
     memorder_events = [e for e in events if e.access_type.is_memorder]
-    if config.batched_analysis:
-        candidates = tracker.observe_batch(memorder_events)
-    else:
-        candidates = tracker.observe_all(memorder_events)
+    candidates = tracker.observe_all(memorder_events)
 
     delay_lengths: Dict[str, float] = {}
     for pair in candidates:

@@ -63,20 +63,6 @@ class WaffleConfig:
     #: the paper restarts the tool to hunt for further bugs).
     stop_at_first_bug: bool = True
 
-    #: Happens-before engine backing the parent-child analysis:
-    #: ``"vector"`` materializes a ``{tid: counter}`` dict per event
-    #: (the paper's section 4.1 representation); ``"tree"`` captures an
-    #: O(1) structurally-shared tree-clock stamp instead (Mathur et
-    #: al.), which answers ordering queries in O(depth difference).
-    #: Both engines prune exactly the same pairs.
-    hb_engine: str = "vector"
-
-    #: Run the prep-run analyzer (`analyze_trace`) through the batched
-    #: columnar passes instead of per-event ``observe()`` dispatch.
-    #: The two modes produce bit-identical injection plans; the switch
-    #: exists for differential testing and benchmarking.
-    batched_analysis: bool = True
-
     # ---- Design-point switches (Table 7 ablations) -------------------
 
     #: Prune candidate pairs ordered by parent-child fork relationships

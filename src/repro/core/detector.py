@@ -336,7 +336,6 @@ class Waffle(ToolDriver):
             recorder = RecordingHook(
                 record_overhead_ms=config.record_overhead_ms,
                 track_vector_clocks=config.parent_child_analysis,
-                hb_engine=config.hb_engine,
             )
             result = self._simulate(workload, recorder, seed=config.seed)
             outcome.trace = recorder.trace

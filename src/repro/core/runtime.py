@@ -41,8 +41,7 @@ from .delay_policy import (
 )
 from .interference import ActiveDelayLedger, DelayInterval, InterferenceIndex
 from .nearmiss import NearMissTracker, TsvNearMissTracker, fork_ordered
-from .tree_clock import make_clock
-from .vector_clock import TLS_KEY, ThreadVectorClock, ordered  # noqa: F401
+from .vector_clock import TLS_KEY, ThreadVectorClock
 
 
 @dataclass
@@ -481,7 +480,7 @@ class OnlineInjectionHook(_BaseInjectionHook):
     def on_thread_start(self, thread) -> None:
         super().on_thread_start(thread)
         if self.parent_child and TLS_KEY not in thread.itls:
-            thread.itls.set(TLS_KEY, make_clock(self.config.hb_engine, thread.tid))
+            thread.itls.set(TLS_KEY, ThreadVectorClock(thread.tid))
 
     def before_access(self, pending: PendingAccess) -> float:
         if self.tsv_mode:
@@ -500,7 +499,7 @@ class OnlineInjectionHook(_BaseInjectionHook):
             if thread is not None:
                 clock = thread.itls.get(TLS_KEY)
                 if clock is not None:
-                    event.vc_snapshot = clock.capture()
+                    event.vc_snapshot = clock.snapshot()
         if self._windows:
             # Windows open only under hb_inference.
             self._hb_observe(event)

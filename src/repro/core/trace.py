@@ -13,8 +13,7 @@ from typing import IO, Dict, List, Optional, Set
 
 from ..sim.instrument import AccessEvent, AccessType, InstrumentationHook, Location
 from .events import dump_events, load_events
-from .tree_clock import make_clock
-from .vector_clock import TLS_KEY, ThreadVectorClock  # noqa: F401  (re-export)
+from .vector_clock import TLS_KEY, ThreadVectorClock
 
 
 class Trace:
@@ -117,22 +116,17 @@ class RecordingHook(InstrumentationHook):
 
     ``track_vector_clocks`` controls whether the TLS clock machinery is
     installed; the no-parent-child ablation turns it off, which also
-    removes its (small) share of the recording overhead. ``hb_engine``
-    selects the clock representation: ``"vector"`` captures a
-    ``{tid: counter}`` dict per event, ``"tree"`` an O(1) tree-clock
-    stamp (see :mod:`repro.core.tree_clock`).
+    removes its (small) share of the recording overhead.
     """
 
     def __init__(
         self,
         record_overhead_ms: float = 0.02,
         track_vector_clocks: bool = True,
-        hb_engine: str = "vector",
     ):
         self.trace = Trace()
         self.per_op_overhead_ms = record_overhead_ms
         self.track_vector_clocks = track_vector_clocks
-        self.hb_engine = hb_engine
         self._threads: Dict[int, object] = {}
 
     # -- Thread lifecycle -------------------------------------------------
@@ -144,7 +138,7 @@ class RecordingHook(InstrumentationHook):
         if self.track_vector_clocks and TLS_KEY not in thread.itls:
             # Root threads get a fresh clock; children already received
             # theirs through inheritable-TLS propagation at fork.
-            thread.itls.set(TLS_KEY, make_clock(self.hb_engine, thread.tid))
+            thread.itls.set(TLS_KEY, ThreadVectorClock(thread.tid))
 
     # -- Event recording --------------------------------------------------
 
@@ -154,7 +148,7 @@ class RecordingHook(InstrumentationHook):
             if thread is not None:
                 clock = thread.itls.get(TLS_KEY)
                 if clock is not None:
-                    event.vc_snapshot = clock.capture()
+                    event.vc_snapshot = clock.snapshot()
         self.trace.append(event)
 
     def on_run_end(self, sim) -> None:

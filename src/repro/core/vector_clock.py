@@ -79,62 +79,34 @@ class ThreadVectorClock(Inheritable):
     # -- Snapshots and ordering ----------------------------------------
 
     def snapshot(self) -> Dict[int, int]:
-        """Current component values ``{tid: counter}`` for this thread."""
+        """Current component values ``{tid: counter}`` for this thread
+        (what ``AccessEvent.vc_snapshot`` holds)."""
         snap = dict(self.inherited)
         snap[self.tid] = self.own_cell.value
         return snap
-
-    def capture(self) -> Dict[int, int]:
-        """The event-attachable representation (a snapshot dict).
-
-        Uniform entry point shared with
-        :class:`~repro.core.tree_clock.ThreadTreeClock`, whose capture
-        is an O(1) stamp instead of an O(threads) dict.
-        """
-        return self.snapshot()
 
     def __repr__(self) -> str:
         return "ThreadVectorClock(tid=%d, %r)" % (self.tid, self.snapshot())
 
 
-def leq(a, b) -> bool:
-    """Component-wise <= on clock captures (missing entries read as 0).
-
-    Accepts ``{tid: counter}`` snapshot dicts, tree-clock stamps
-    (:class:`~repro.core.tree_clock.TreeClockStamp`), or a mix: stamps
-    compare structurally against each other and fall back to their dict
-    view against dicts, so both representations are interchangeable on
-    ``AccessEvent.vc_snapshot``.
-    """
-    a_is_dict = type(a) is dict
-    b_is_dict = type(b) is dict
-    if a_is_dict and b_is_dict:
-        return all(value <= b.get(tid, 0) for tid, value in a.items())
-    if not a_is_dict and not b_is_dict:
-        return a.leq(b)
-    if a_is_dict:
-        b = b.mapping()
-    else:
-        a = a.mapping()
+def leq(a: Dict[int, int], b: Dict[int, int]) -> bool:
+    """Component-wise <= on snapshots (missing entries read as 0)."""
     return all(value <= b.get(tid, 0) for tid, value in a.items())
 
 
-def ordered(a, b) -> bool:
-    """True when the two captures are comparable (a <= b or b <= a).
+def ordered(a: Optional[Dict[int, int]], b: Optional[Dict[int, int]]) -> bool:
+    """True when the two snapshots are comparable (a <= b or b <= a).
 
-    Comparable captures mean the two operations are ordered by the
+    Comparable snapshots mean the two operations are ordered by the
     parent-child fork relation, so a MemOrder candidate between them is
-    impossible and gets pruned (section 4.1). Missing captures (tools
+    impossible and gets pruned (section 4.1). Missing snapshots (tools
     that do not track clocks) are conservatively treated as unordered.
     """
     if a is None or b is None:
         return False
-    if type(a) is dict or type(b) is dict:
-        return leq(a, b) or leq(b, a)
-    # Tree-clock fast path: one structural query answers both directions.
-    return a.ordered_with(b)
+    return leq(a, b) or leq(b, a)
 
 
-def concurrent(a, b) -> bool:
-    """True when neither capture happens-before the other."""
+def concurrent(a: Optional[Dict[int, int]], b: Optional[Dict[int, int]]) -> bool:
+    """True when neither snapshot happens-before the other."""
     return not ordered(a, b)

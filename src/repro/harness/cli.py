@@ -242,7 +242,7 @@ def cmd_fuzz(args) -> int:
     from . import fuzz as fuzz_mod
 
     start, stop = _seed_range(args.seed_range)
-    config = _apply_hb_engine(DEFAULT_CONFIG.with_seed(args.seed), args)
+    config = DEFAULT_CONFIG.with_seed(args.seed)
     rows = fuzz_mod.fuzz_range(
         start,
         stop,
@@ -322,27 +322,9 @@ def _write_dashboard_artifacts(
     return [str(html_path), str(prom_path), str(series_path)]
 
 
-def _apply_hb_engine(config, args):
-    """Apply the shared --hb-engine switch to a config, when given."""
-    engine = getattr(args, "hb_engine", None)
-    if engine:
-        from ..core.tree_clock import HB_ENGINES
-
-        if engine not in HB_ENGINES:
-            raise SystemExit(
-                "--hb-engine: invalid choice %r (choose from %s)"
-                % (engine, ", ".join(HB_ENGINES))
-            )
-        if engine != config.hb_engine:
-            from dataclasses import replace
-
-            config = replace(config, hb_engine=engine)
-    return config
-
-
 def cmd_detect(args) -> None:
     test = _resolve_target(args)
-    config = _apply_hb_engine(DEFAULT_CONFIG.with_seed(args.seed), args)
+    config = DEFAULT_CONFIG.with_seed(args.seed)
     if getattr(args, "dossier_dir", None) and not obs.flightrec.active():
         # Dossiers need the flight recorder's provenance; install it
         # before the driver constructs its instrumented objects.
@@ -479,7 +461,7 @@ def cmd_trace(args) -> None:
     from .runner import run_recording
 
     test = _resolve_target(args)
-    config = _apply_hb_engine(DEFAULT_CONFIG.with_seed(args.seed), args)
+    config = DEFAULT_CONFIG.with_seed(args.seed)
     run, trace = run_recording(test, config, seed=args.seed)
     print("trace of %r: %d events, %.2f virtual ms" % (test.name, len(trace), run.virtual_time_ms))
     print("  threads: %d (%s)" % (
@@ -729,15 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=argparse.SUPPRESS,
         help="emit machine-readable JSON instead of rendered tables",
-    )
-    shared.add_argument(
-        "--hb-engine",
-        type=str,
-        metavar="{vector,tree}",
-        default=argparse.SUPPRESS,
-        help="happens-before engine for parent-child pruning: 'vector' "
-        "materializes {tid: counter} dicts per event (paper section 4.1), "
-        "'tree' captures O(1) tree-clock stamps; both prune identically",
     )
     shared.add_argument(
         "--jobs",

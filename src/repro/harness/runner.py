@@ -113,7 +113,6 @@ def run_recording(
     hook = RecordingHook(
         record_overhead_ms=config.record_overhead_ms,
         track_vector_clocks=config.parent_child_analysis,
-        hb_engine=config.hb_engine,
     )
     sim = Simulation(
         seed=seed,
@@ -321,10 +320,7 @@ def prepare_test(
     run, trace = run_recording(test, config, seed=seed, time_limit_ms=time_limit_ms)
     plan = analyze_trace(trace, config)
     tsv_tracker = TsvNearMissTracker(config.near_miss_window_ms)
-    if config.batched_analysis:
-        tsv_tracker.observe_batch(trace.sorted_events())
-    else:
-        tsv_tracker.observe_all(trace.sorted_events())
+    tsv_tracker.observe_all(trace.sorted_events())
     prep = PrepResult(
         run=run,
         plan=plan,

@@ -86,7 +86,7 @@ class RealThreadsWaffle:
     def _execute(self, workload: RealWorkload, hook, name: str) -> RealThreadsRuntime:
         from ..harness.faults import HangError
 
-        runtime = RealThreadsRuntime(hook=hook, hb_engine=self.config.hb_engine)
+        runtime = RealThreadsRuntime(hook=hook)
         try:
             workload(runtime)
         except NullReferenceError as exc:
@@ -122,9 +122,7 @@ class RealThreadsWaffle:
         # Preparation run: record, no delays.
         if flight is not None:
             flight.begin_run(kind="prep", test=name, seed=config.seed)
-        recorder = RecordingHook(
-            record_overhead_ms=0.0, track_vector_clocks=True, hb_engine=config.hb_engine
-        )
+        recorder = RecordingHook(record_overhead_ms=0.0, track_vector_clocks=True)
         runtime = self._execute(workload, recorder, name)
         outcome.runs.append(
             RealRunRecord(

@@ -24,8 +24,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import obs
-from ..core.tree_clock import make_clock
-from ..core.vector_clock import ThreadVectorClock  # noqa: F401  (re-export)
+from ..core.vector_clock import ThreadVectorClock
 from ..sim.errors import NullReferenceError, ObjectDisposedError
 from ..sim.instrument import (
     AccessEvent,
@@ -93,14 +92,13 @@ class RealThreadsRuntime:
     language feature would).
     """
 
-    def __init__(self, hook: Optional[InstrumentationHook] = None, hb_engine: str = "vector"):
+    def __init__(self, hook: Optional[InstrumentationHook] = None):
         self.hook = hook if hook is not None else NoopHook()
-        self.hb_engine = hb_engine
         self._origin = time.monotonic()
         self._lock = threading.Lock()
         self._tid_counter = itertools.count(1)
         self._tids: Dict[int, int] = {}  # threading ident -> dense tid
-        self._clocks: Dict[int, Any] = {}  # dense tid -> fork clock
+        self._clocks: Dict[int, ThreadVectorClock] = {}  # dense tid -> fork clock
         self._threads: List[threading.Thread] = []
         #: Last instrumented site each thread touched (dense tid ->
         #: site string), so a hang report can say *where* a stuck
@@ -134,7 +132,7 @@ class RealThreadsRuntime:
             tid = next(self._tid_counter)
             self._tids[ident] = tid
             if parent_tid is None:
-                self._clocks[tid] = make_clock(self.hb_engine, tid)
+                self._clocks[tid] = ThreadVectorClock(tid)
             return tid
 
     def _current_tid(self) -> int:
@@ -302,7 +300,7 @@ class RealThreadsRuntime:
             self.op_count += 1
             clock = self._clocks.get(tid)
             if clock is not None:
-                event.vc_snapshot = clock.capture()
+                event.vc_snapshot = clock.snapshot()
             try:
                 result = action()
             except NullReferenceError:

@@ -92,11 +92,9 @@ class AccessEvent:
     member: str = ""
     duration: float = 0.0
     injected_delay: float = 0.0
-    #: Fork-ordering capture: a ``{tid: counter}`` vector-clock dict or
-    #: a :class:`~repro.core.tree_clock.TreeClockStamp`, depending on
-    #: the configured ``hb_engine`` (``vector_clock.ordered`` accepts
-    #: both).
-    vc_snapshot: Optional[Any] = None
+    #: Fork-ordering capture: the thread's ``{tid: counter}`` vector
+    #: clock at this event (``None`` when clocks are not tracked).
+    vc_snapshot: Optional[Dict[int, int]] = None
     event_id: int = field(default_factory=_next_event_id)
 
     @property

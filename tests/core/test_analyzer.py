@@ -1,5 +1,10 @@
 """Trace analyzer: candidate set, delay lengths, interference, stats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.analyzer import InjectionPlan, analyze_trace
@@ -138,6 +143,33 @@ class TestPlanRoundtrip:
         assert restored.interference == plan.interference
         assert restored.delay_sites == plan.delay_sites
         assert len(restored.candidates) == len(plan.candidates)
+
+    def test_serialisation_independent_of_hash_seed(self):
+        # The plan cache stores these records; the interference set is
+        # a set of frozensets, whose iteration order follows
+        # PYTHONHASHSEED. Apps with several interference pairs expose it.
+        script = (
+            "import json\n"
+            "from repro.apps import get_app\n"
+            "from repro.core.config import WaffleConfig\n"
+            "from repro.harness.cache import prep_to_record\n"
+            "from repro.harness.runner import prepare_test\n"
+            "for name in ('mqttnet', 'npgsql', 'litedb', 'signalr'):\n"
+            "    test = get_app(name).multithreaded_tests[0]\n"
+            "    prep = prepare_test(test, WaffleConfig(seed=0), seed=0)\n"
+            "    print(json.dumps(prep_to_record(prep), sort_keys=True))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = []
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, check=True, timeout=120,
+            )
+            outputs.append(proc.stdout)
+        assert b'"interference": [[' in outputs[0]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestEndToEndAnalysis:

@@ -225,6 +225,76 @@ class TestTypeIndexedWindows:
         assert [e.location.site for e in tracker._recent[1]] == ["u"]
 
 
+def tsv_brute_force(events, window_ms):
+    """All-pairs TSV reference: every earlier UNSAFE_CALL on the same
+    object, in stream order, pairs with every later one, and each match
+    adds both directions."""
+    candidates = CandidateSet()
+    calls = []
+    observed = new = 0
+    unsafe = AccessType.UNSAFE_CALL
+    for j, later in enumerate(events):
+        if later.access_type is not unsafe:
+            continue
+        for earlier in events[:j]:
+            if earlier.access_type is not unsafe or earlier.object_id != later.object_id:
+                continue
+            if earlier.timestamp < later.timestamp - window_ms:
+                continue
+            if earlier.thread_id == later.thread_id:
+                continue
+            observation = GapObservation(
+                gap_ms=later.timestamp - earlier.timestamp,
+                timestamp_first=earlier.timestamp,
+                timestamp_second=later.timestamp,
+                object_id=later.object_id,
+                thread_first=earlier.thread_id,
+                thread_second=later.thread_id,
+            )
+            for delay_loc, other_loc in (
+                (earlier.location, later.location),
+                (later.location, earlier.location),
+            ):
+                pair = CandidatePair(CandidateKind.THREAD_SAFETY, delay_loc, other_loc)
+                is_new = candidates.add(pair, observation)
+                observed += 1
+                new += is_new
+                calls.append((pair.key(), is_new))
+    return candidates, observed, new, calls
+
+
+class TestTsvReference:
+    """The TSV tracker's per-object windows match an all-pairs scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(specs=_event_specs, window_ms=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_matches_all_pairs_reference(self, specs, window_ms):
+        events = []
+        ts = 0.0
+        for gap, access, oid, tid, site, _clock in specs:
+            ts += gap
+            events.append(ev("%s.%d" % (access.value, site), access, oid=oid, tid=tid, ts=ts))
+
+        calls = []
+        tracker = TsvNearMissTracker(
+            window_ms, on_pair=lambda pair, is_new: calls.append((pair.key(), is_new))
+        )
+        returned = []
+        for event in events:
+            returned.extend(pair.key() for pair in tracker.observe(event))
+
+        expected, observed, new, expected_calls = tsv_brute_force(events, window_ms)
+        # Pairs in insertion order with every gap observation.
+        assert tracker.candidates.to_dict() == expected.to_dict()
+        assert tracker.pairs_observed == observed
+        assert tracker.pairs_new == new
+        assert calls == expected_calls
+        assert returned == [key for key, _ in expected_calls]
+
+        offline = TsvNearMissTracker(window_ms).observe_all(events)
+        assert offline.to_dict() == expected.to_dict()
+
+
 class TestTsvNearMiss:
     def test_pair_added_in_both_directions(self):
         tracker = TsvNearMissTracker(window_ms=100.0)

@@ -4,6 +4,8 @@ Includes property-based tests checking the happens-before laws that the
 parent-child pruning of section 4.1 depends on.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +138,106 @@ class TestHypothesisLaws:
         for i in range(len(history)):
             for j in range(i + 1, len(history)):
                 assert leq(history[i], history[j])
+
+
+def grow_fork_tree(seed, n_threads, fork_bias=0.6, captures_per_thread=2):
+    """Grow one random fork tree, capturing snapshots between forks.
+
+    Returns ``(captures, fork_point)``: ``captures`` lists
+    ``(tid, epoch, snapshot)`` triples, where ``epoch`` counts the forks
+    ``tid`` had made when the snapshot was taken; ``fork_point`` maps
+    each child tid to its parent's ``(tid, epoch)`` at the fork.
+    """
+    rng = random.Random(seed)
+    clocks = {1: ThreadVectorClock(1)}
+    epochs = {1: 0}
+    fork_point = {}
+    tids = [1]
+    captures = []
+    newest = 1
+    while len(tids) < n_threads:
+        parent = newest if rng.random() < fork_bias else rng.choice(tids)
+        # Interleave captures with forks so snapshots at different
+        # epochs of the same thread appear.
+        for tid in rng.sample(tids, min(len(tids), captures_per_thread)):
+            captures.append((tid, epochs[tid], clocks[tid].snapshot()))
+        child = len(tids) + 1
+        clocks[child] = clocks[parent].inherit_to(_FakeThread(parent), _FakeThread(child))
+        fork_point[child] = (parent, epochs[parent])
+        epochs[parent] += 1
+        epochs[child] = 0
+        newest = child
+        tids.append(child)
+    for tid in tids:
+        captures.append((tid, epochs[tid], clocks[tid].snapshot()))
+    return captures, fork_point
+
+
+def fork_reaches(a, b, fork_point):
+    """Oracle: does point ``a = (tid, epoch)`` precede or equal ``b``?
+
+    Walk up from ``b`` through the fork points of its ancestors until
+    reaching ``a``'s thread; ``a`` precedes iff it is not later there.
+    """
+    tid_a, epoch_a = a
+    tid_b, epoch_b = b
+    while tid_b != tid_a:
+        if tid_b not in fork_point:
+            return False
+        tid_b, epoch_b = fork_point[tid_b]
+    return epoch_a <= epoch_b
+
+
+def expected_snapshot(tid, epoch, fork_point):
+    """Oracle: a thread's own counter is its epoch + 1, and each
+    ancestor entry is the ancestor's epoch + 1 at the fork below it."""
+    snap = {tid: epoch + 1}
+    while tid in fork_point:
+        tid, epoch = fork_point[tid]
+        snap[tid] = epoch + 1
+    return snap
+
+
+class TestForkTreeOracle:
+    """Snapshots and ``leq`` agree with the fork-tree history itself."""
+
+    @staticmethod
+    def _assert_leq_matches_oracle(captures, fork_point):
+        for tid_a, epoch_a, snap_a in captures:
+            for tid_b, epoch_b, snap_b in captures:
+                expect = fork_reaches((tid_a, epoch_a), (tid_b, epoch_b), fork_point)
+                assert leq(snap_a, snap_b) == expect
+                both = expect and fork_reaches((tid_b, epoch_b), (tid_a, epoch_a), fork_point)
+                either = expect or fork_reaches((tid_b, epoch_b), (tid_a, epoch_a), fork_point)
+                assert ordered(snap_a, snap_b) == either
+                assert concurrent(snap_a, snap_b) == (not either)
+                assert (snap_a == snap_b) == both
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_leq_matches_fork_reachability(self, seed):
+        captures, fork_point = grow_fork_tree(seed, n_threads=24)
+        self._assert_leq_matches_oracle(captures, fork_point)
+
+    def test_deep_spine_matches_fork_reachability(self):
+        # A pure spine maximizes the number of inherited entries.
+        captures, fork_point = grow_fork_tree(11, n_threads=60, fork_bias=1.0)
+        self._assert_leq_matches_oracle(captures, fork_point)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_snapshots_match_fork_history(self, seed):
+        # Checked after the whole tree has grown: a snapshot taken
+        # earlier must not have moved with its thread's later forks.
+        captures, fork_point = grow_fork_tree(seed, n_threads=40)
+        for tid, epoch, snap in captures:
+            assert snap == expected_snapshot(tid, epoch, fork_point)
+
+    def test_same_thread_program_order(self):
+        clock = ThreadVectorClock(5)
+        a = clock.snapshot()
+        clock.inherit_to(_FakeThread(5), _FakeThread(6))
+        b = clock.snapshot()
+        assert leq(a, b) and not leq(b, a)
+        assert ordered(a, b)
 
 
 class TestEndToEndWithSimulation:

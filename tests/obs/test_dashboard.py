@@ -82,12 +82,6 @@ class TestGoldenDeterminism:
         assert (one / "dashboard.html").read_bytes() == (two / "dashboard.html").read_bytes()
         assert (one / "metrics.prom").read_bytes() == (two / "metrics.prom").read_bytes()
 
-    def test_hb_engines_are_byte_identical(self, tmp_path):
-        vector = run_campaign(tmp_path / "vector", "--hb-engine", "vector")
-        tree = run_campaign(tmp_path / "tree", "--hb-engine", "tree")
-        assert (vector / "dashboard.html").read_bytes() == (tree / "dashboard.html").read_bytes()
-        assert (vector / "metrics.prom").read_bytes() == (tree / "metrics.prom").read_bytes()
-
     def test_chaos_deterministic_export_matches_clean(self, tmp_path, monkeypatch):
         clean = run_campaign(tmp_path / "clean", "--jobs", "2")
         monkeypatch.setenv("WAFFLE_CHAOS", "seed=3,worker_crash=0.4")
