@@ -14,7 +14,7 @@ only executor) and once with two spawned workers. Three gates:
   and the gate would only measure the scheduler, so it is reported but
   not enforced;
 * **coordination overhead** -- across all executors, time spent on
-  leases/store/journals must stay within ``MAX_COORDINATION`` of time
+  leases and store reads must stay within ``MAX_COORDINATION`` of time
   spent inside cells (read from the per-worker stats files).
 
 Writes ``BENCH_fleet.json`` at the repo root; exits 2 on gate failure.

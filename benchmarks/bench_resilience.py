@@ -1,9 +1,9 @@
 """Guard the supervisor-inactive hot path against overhead creep.
 
 The campaign supervisor (``repro.harness.supervisor``) is opt-in: with
-no resilience flag and no chaos spec, ``parallel.map_units`` pays one
-``supervisor.current() is None`` check per call and otherwise takes
-its original path untouched. This benchmark enforces that budget: it
+no resilience flag and no chaos spec, the executor slot is empty and
+``parallel.map_units`` pays one ``_executor is not None`` check per
+call and otherwise takes its original path untouched. This benchmark enforces that budget: it
 times the same serial table4 subset as ``bench_harness.py`` with the
 supervisor inactive (min over several repetitions, one untimed
 warm-up) and fails if the result exceeds the ``serial_cold_s``
@@ -31,7 +31,7 @@ import pathlib
 import sys
 import time
 
-from repro.harness import experiments, faults, supervisor
+from repro.harness import experiments, faults, parallel, supervisor
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -60,7 +60,7 @@ def _min_of_reps(reps: int = REPS) -> float:
 
 
 def main() -> int:
-    assert supervisor.current() is None, "supervisor must start inactive"
+    assert parallel.current() is None, "the executor slot must start empty"
     assert not faults.active(), "chaos must be off for a clean measurement"
     _cells()  # untimed warm-up (imports, code objects, allocator)
 

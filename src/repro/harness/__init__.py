@@ -4,7 +4,7 @@ from . import experiments, faults, metrics, supervisor, tables
 from .cache import CacheStats, PlanCache, PrepResult, config_hash, open_cache
 from .faults import FAULT_KINDS, HangError, HarnessFault, classify
 from .parallel import map_units, resolve_jobs
-from .supervisor import CampaignJournal, CampaignStats, RetryPolicy, Supervisor, supervised
+from .supervisor import CampaignStats, RetryPolicy, Supervisor, supervised
 from .runner import (
     SingleRun,
     analyze_test,
@@ -28,7 +28,6 @@ __all__ = [
     "HangError",
     "HarnessFault",
     "classify",
-    "CampaignJournal",
     "CampaignStats",
     "RetryPolicy",
     "Supervisor",

@@ -9,16 +9,18 @@ re-execution, which is the correctness anchor the equivalence tests
 guard.
 
 Entries are keyed by a SHA-256 digest over a canonical JSON encoding of
-(kind, test id, config hash, seed, extras) and stored as one JSON file
-per entry via :mod:`repro.core.persistence`. Any change to a config
-field -- delay lengths, windows, design-point flags -- changes the
-config hash and therefore invalidates the entry; bumping
-``persistence.FORMAT_VERSION`` invalidates everything. Records carry a
-SHA-256 payload checksum written at ``put`` time and verified on every
-file read: a corrupt or truncated entry (torn write, bit rot, chaos
-injection) is quarantined (``*.corrupt`` rename) and treated as a
-miss, never a crash -- every cached unit is deterministic, so
-recomputation is always sound.
+(kind, test id, config hash, seed, extras, persistence format version)
+and stored as :mod:`repro.harness.store` records named
+``<kind>-<digest>``. Any change to a config field -- delay lengths,
+windows, design-point flags -- changes the config hash and therefore
+invalidates the entry; bumping ``persistence.FORMAT_VERSION``
+invalidates everything. The store format's checksum is verified on
+every file read: a corrupt or truncated entry (torn write, bit rot,
+chaos injection) is quarantined (``*.corrupt`` rename) and treated as
+a miss, never a crash -- every cached unit is deterministic, so
+recomputation is always sound. Puts fsync before publication while a
+fleet executor is active (its workers may share the cache across
+hosts); see :func:`_durable`.
 
 Cached kinds:
 
@@ -48,17 +50,12 @@ from .. import obs
 from ..obs import eventbus
 from ..core.analyzer import InjectionPlan
 from ..core.config import WaffleConfig
-from ..core.persistence import load_record, save_record
-from . import faults
+from ..core.persistence import FORMAT_VERSION
+from . import faults, parallel
+from .store import quarantine, read_record, record_path, write_record
 
 #: Environment variable consulted for a default cache directory.
 CACHE_DIR_ENV = "WAFFLE_CACHE_DIR"
-
-#: When "1", caches open in *shared* mode: puts fsync before their
-#: atomic rename so a record named in the directory is durably whole
-#: even across host crashes -- the contract fleet workers on a shared
-#: filesystem rely on. The fleet coordinator exports this to workers.
-CACHE_SHARED_ENV = "WAFFLE_CACHE_SHARED"
 
 
 def config_hash(config: WaffleConfig, include_seed: bool = False) -> str:
@@ -101,34 +98,36 @@ class CacheStats:
 GLOBAL_STATS = CacheStats()
 
 
+def _durable() -> bool:
+    """Whether puts fsync: while the active executor's store is durable
+    (a fleet executor's is), so a record another host reads from a
+    shared cache is whole even across a host crash."""
+    store = getattr(parallel.current(), "store", None)
+    return store is not None and store.fsync
+
+
 class PlanCache:
     """File-backed memo table for deterministic harness work units.
 
     A small in-process dict fronts the files so repeated lookups within
     one experiment (e.g. the same preparation trace consulted by
-    Table 2 and Table 6) do not re-read or re-parse JSON.
+    Table 2 and Table 6) do not re-read or re-parse records.
     """
 
-    def __init__(self, directory: os.PathLike, shared: bool = False) -> None:
+    def __init__(self, directory: os.PathLike) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: Shared-store mode: puts fsync before publication (crash-safe
-        #: on a shared filesystem) at ~0.5ms/record; reads are the same
-        #: either way -- the checksum already guards torn content.
-        self.shared = shared
         self.stats = CacheStats()
         self._memo: Dict[str, Any] = {}
         self._obs = obs.session()
         self._bus = eventbus.bus()
 
-    # -- Generic machinery ------------------------------------------------
+    def _name(self, kind: str, key: Dict[str, Any]) -> str:
+        blob = json.dumps({"kind": kind, "format": FORMAT_VERSION, **key}, sort_keys=True)
+        return "%s-%s" % (kind, hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32])
 
-    def _digest(self, kind: str, key: Dict[str, Any]) -> str:
-        blob = json.dumps({"kind": kind, **key}, sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
-
-    def _path(self, kind: str, digest: str) -> Path:
-        return self.directory / ("%s-%s.json" % (kind, digest))
+    def _path(self, name: str) -> Path:
+        return record_path(self.directory, name)
 
     def _hit(self) -> None:
         self.stats.hits += 1
@@ -148,81 +147,47 @@ class PlanCache:
             self._bus.emit("cache", action="miss")
             self._bus.maybe_flush()
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a record that failed integrity validation out of the
-        cache's namespace (``*.corrupt``) so it is never re-read, and
-        count it. A corrupt entry is a miss, never a crash: the work
-        unit is deterministic, so recomputing it is always sound."""
-        self.stats.corrupt += 1
-        GLOBAL_STATS.corrupt += 1
-        if self._obs is not None:
-            self._obs.c_cache_corrupt.inc()
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass  # the quarantine rename itself must never crash a run
-
-    @staticmethod
-    def _payload_checksum(payload: dict) -> str:
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
-
     def get(self, kind: str, key: Dict[str, Any]) -> Optional[dict]:
-        digest = self._digest(kind, key)
-        if digest in self._memo:
+        name = self._name(kind, key)
+        if name in self._memo:
             self._hit()
-            return self._memo[digest]
-        path = self._path(kind, digest)
+            return self._memo[name]
+        path = self._path(name)
         if path.exists():
-            # Chaos site: deterministically corrupt the record before it
-            # is read, exercising the quarantine path below.
-            faults.maybe_corrupt_record(path)
             try:
-                record = load_record(path)
-                payload = record["payload"]
-                if record.get("sha256") != self._payload_checksum(payload):
-                    raise ValueError("cache record failed checksum: %s" % path.name)
-            except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError):
-                # Torn write, stale/un-checksummed format, corrupted
-                # bytes, or an unreadable file (shared-filesystem
-                # hiccup, permissions): quarantine and recompute --
-                # a fetch failure is a miss, never a crash.
-                self._quarantine(path, "integrity validation failed")
+                payload = read_record(path, name).result
+            except faults.CorruptRecordFault:
+                quarantine(path)
+                self.stats.corrupt += 1
+                GLOBAL_STATS.corrupt += 1
+                if self._obs is not None:
+                    self._obs.c_cache_corrupt.inc()
                 self._miss()
                 return None
-            self._memo[digest] = payload
+            self._memo[name] = payload
             self._hit()
             return payload
         self._miss()
         return None
 
     def put(self, kind: str, key: Dict[str, Any], payload: dict) -> None:
-        digest = self._digest(kind, key)
-        self._memo[digest] = payload
-        save_record(
-            {"payload": payload, "sha256": self._payload_checksum(payload)},
-            self._path(kind, digest),
-            fsync=self.shared,
-        )
+        name = self._name(kind, key)
+        self._memo[name] = payload
+        write_record(self._path(name), name, "ok", payload, fsync=_durable())
         self.stats.writes += 1
         GLOBAL_STATS.writes += 1
         if self._obs is not None:
             self._obs.c_cache_writes.inc()
 
 
-def open_cache(
-    cache_dir: Optional[os.PathLike], shared: Optional[bool] = None
-) -> Optional[PlanCache]:
+def open_cache(cache_dir: Optional[os.PathLike]) -> Optional[PlanCache]:
     """A :class:`PlanCache` for ``cache_dir``, the ``WAFFLE_CACHE_DIR``
-    environment default, or None when caching is disabled. ``shared``
-    defaults from ``WAFFLE_CACHE_SHARED`` (fleet campaigns set it)."""
+    environment default, or None when caching is disabled."""
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_DIR_ENV) or None
     if cache_dir is None:
         return None
-    if shared is None:
-        shared = os.environ.get(CACHE_SHARED_ENV) == "1"
-    return PlanCache(cache_dir, shared=shared)
+    return PlanCache(cache_dir)
 
 
 # ----------------------------------------------------------------------

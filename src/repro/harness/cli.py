@@ -26,8 +26,9 @@ from ..apps import all_apps, all_bugs, bug_workload, get_app
 from ..baselines import StressRunner, WaffleBasic
 from ..core.config import DEFAULT_CONFIG
 from ..core.detector import Waffle
-from . import experiments, faults, supervisor, tables
+from . import experiments, faults, parallel, supervisor, tables
 from .cache import GLOBAL_STATS
+from .store import ArtifactStore
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -616,6 +617,9 @@ def cmd_campaign(args) -> int:
     """Inspect or merge campaign event streams (``events-*.jsonl``)."""
     from ..obs import campaign as campaign_mod
 
+    merged_out = getattr(args, "merged_out", None)
+    if args.action == "merge" and not merged_out:
+        _usage_error("campaign merge requires --merged-out PATH")
     streams = []
     for path in args.paths:
         streams.extend(eventbus.load_streams(path))
@@ -624,9 +628,6 @@ def cmd_campaign(args) -> int:
         print("no event streams under %s" % source)
         return 1
     if args.action == "merge":
-        merged_out = getattr(args, "merged_out", None)
-        if not merged_out:
-            raise SystemExit("campaign merge requires --merged-out PATH")
         count = eventbus.write_merged(streams, merged_out)
         print(
             "merged %d event(s) from %d stream(s) into %s"
@@ -654,7 +655,7 @@ def cmd_campaign_run(args) -> int:
     if inner and inner[0] == "--":
         inner = inner[1:]
     if not inner:
-        raise SystemExit(
+        _usage_error(
             "campaign run requires an inner command after --, "
             "e.g.: campaign run --fleet-dir DIR -- fuzz --seed-range 0:40"
         )
@@ -753,9 +754,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=argparse.SUPPRESS,
         metavar="DIR",
-        help="campaign journal directory: completed cells are skipped, the "
-        "failure tail re-attempted; results are bit-identical to an "
-        "uninterrupted run (activates the supervisor)",
+        help="campaign checkpoint directory (an artifact store): completed "
+        "cells are skipped, the failure tail re-attempted; results are "
+        "bit-identical to an uninterrupted run (activates the supervisor)",
     )
     shared.add_argument(
         "--retries",
@@ -968,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="DIR",
         help="the shared coordination directory (manifest, leases, artifact "
-        "store, per-worker journals and event streams)",
+        "store and event streams)",
     )
     cp.add_argument(
         "--workers",
@@ -1126,6 +1127,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     check_selection(args)
     if args.command in ("detect", "trace") and not args.bug and not (args.app and args.test):
         parser.error("%s requires --bug or both --app and --test" % args.command)
+    store = None
+    if args.resume and args.command != "campaign":
+        try:
+            store = ArtifactStore(args.resume, fsync=False)
+        except OSError as exc:
+            _usage_error("--resume %s: %s" % (args.resume, exc.strerror or exc))
     if args.events_dir:
         # Standalone campaign event stream (no telemetry). Like
         # --obs-dir, the environment variable is what pool workers
@@ -1171,13 +1178,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command != "campaign" and (
         args.resume or args.retries or args.cell_timeout or faults.active()
     ):
-        journal = supervisor.CampaignJournal(args.resume) if args.resume else None
         sup = supervisor.Supervisor(
             policy=supervisor.RetryPolicy(max_attempts=args.retries or 3, seed=args.seed),
-            journal=journal,
+            store=store,
             cell_timeout_s=args.cell_timeout,
         )
-        supervisor.activate(sup)
+        parallel.activate(sup)
     hits0, misses0, writes0, corrupt0 = (
         GLOBAL_STATS.hits,
         GLOBAL_STATS.misses,
@@ -1191,7 +1197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         rc = args.func(args)
     finally:
         if sup is not None:
-            supervisor.deactivate()
+            parallel.deactivate()
     summary = _cache_summary_line(hits0, misses0, writes0, corrupt0)
     if summary is not None:
         print(summary)

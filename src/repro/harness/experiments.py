@@ -20,8 +20,9 @@ When a campaign supervisor is active (``--resume``/``--retries``/
 :mod:`repro.harness.supervisor`), ``map_units`` routes every cell
 through its fault boundary: hung or crashed cells are retried with
 backoff, deterministic failures are quarantined (their row degrades to
-``None`` instead of aborting the table), and finished cells are
-journaled for checkpoint-resume. Because cells are deterministic,
+``None`` instead of aborting the table), and with ``--resume`` finished
+cells are published to an artifact store (:mod:`repro.harness.store`)
+for checkpoint-resume. Because cells are deterministic,
 supervised, resumed and chaos-surviving campaigns all produce
 bit-identical tables.
 """

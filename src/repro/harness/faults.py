@@ -109,7 +109,7 @@ class CellHangFault(HarnessFault):
 
 
 class TransientIOFault(HarnessFault):
-    """An I/O hiccup (cache read/write, journal append) that a retry
+    """An I/O hiccup (cache or store read/write) that a retry
     can reasonably expect not to see again."""
 
     kind = TRANSIENT_IO
@@ -168,7 +168,7 @@ def classify(exc: BaseException) -> Tuple[str, bool]:
 
 
 def describe(exc: BaseException) -> Dict[str, object]:
-    """A JSON-safe fault record for journals and crash dossiers."""
+    """A JSON-safe fault record for crash dossiers and ``fault`` events."""
     kind, retryable = classify(exc)
     return {
         "kind": kind,

@@ -24,7 +24,14 @@ on-disk structures, all under the fleet directory:
   (:mod:`repro.harness.store`): finalized cells are published
   atomically and fetched read-through with checksum verification, so
   no cell executes twice on the happy path and a corrupt record is a
-  quarantined miss, never a poisoned result.
+  quarantined miss, never a poisoned result. Crash dossiers of cells
+  that faulted in a fleet executor land next to the records.
+
+Retry verdicts and fault accounting are the supervisor's
+(:class:`~repro.harness.supervisor.FaultBoundary`): a fleet executor
+counts, reports and retries a faulting cell exactly as a supervised
+serial run does. What is fleet-specific -- leases, heartbeats, steals
+and draining -- lives here.
 
 Because every cell is a pure function of its key, the coordinator's
 merged tables, canonical journal and event analytics are **byte
@@ -57,13 +64,12 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
-from .. import obs
 from ..obs import eventbus
-from . import faults
+from . import faults, parallel
 from .store import ArtifactStore
-from .supervisor import RetryPolicy, cell_key
+from .supervisor import RETRY, CampaignStats, FaultBoundary, RetryPolicy, cell_key
 
 #: Fleet directory layout.
 MANIFEST_NAME = "campaign.json"
@@ -87,25 +93,18 @@ class FleetDrained(Exception):
 
 
 @dataclasses.dataclass
-class FleetStats:
-    """One executor's contribution to the campaign."""
+class FleetStats(CampaignStats):
+    """One executor's contribution to the campaign: the supervisor's
+    cell counts plus the fleet's own traffic."""
 
     executed: int = 0
     fetched: int = 0
     stolen: int = 0
-    retried: int = 0
-    quarantined: int = 0
-    failed: int = 0
     reclaimed: int = 0
-    fault_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Wall time inside cell functions vs inside coordination (leases,
-    #: store traffic, journal appends). The bench's overhead gate is
-    #: coordination_s / cell_s.
+    #: store reads). The bench's overhead gate is coordination_s / cell_s.
     cell_s: float = 0.0
     coordination_s: float = 0.0
-
-    def count_fault(self, kind: str) -> None:
-        self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
 
     def summary_line(self) -> str:
         parts = ["%d executed" % self.executed, "%d fetched" % self.fetched]
@@ -174,15 +173,17 @@ class _Heartbeat(threading.Thread):
         self._halt.set()
 
 
-class FleetWorker:
+class FleetWorker(FaultBoundary):
     """One campaign executor (worker or coordinator).
 
-    Activated process-globally (:func:`activate`);
+    Activated in the executor slot of :mod:`repro.harness.parallel`;
     :func:`repro.harness.parallel.map_units` routes every experiment
     fan-out through :meth:`map_cells` while one is active. The
     coordinator is itself an executor -- it runs the same claim loop,
     plus the fanout bookkeeping and the end-of-campaign merge.
     """
+
+    stats_class = FleetStats
 
     def __init__(
         self,
@@ -206,16 +207,12 @@ class FleetWorker:
         self.lease_ttl_s = lease_ttl_s
         self.poll_s = poll_s
         self.drain_timeout_s = drain_timeout_s
-        self.policy = policy or RetryPolicy()
-        self.store = ArtifactStore(self.paths["store"], fsync=True)
-        self.stats = FleetStats()
-        self.shutdown = threading.Event()
+        super().__init__(policy, ArtifactStore(self.paths["store"], fsync=True))
         self.started = time.time()
         #: keys this process currently leases -> authoritative attempt.
         self._held: Dict[str, int] = {}
         self._lease_lock = threading.Lock()
         self._steal_seq = 0
-        self.journal_path = self.paths["root"] / ("journal-%s.jsonl" % self.worker_id)
 
     @property
     def is_coordinator(self) -> bool:
@@ -258,9 +255,6 @@ class FleetWorker:
             wall_s=round(time.time() - self.started, 3),
         )
         eventbus.flush()
-
-    def request_shutdown(self) -> None:
-        self.shutdown.set()
 
     # -- Lease protocol ------------------------------------------------
 
@@ -455,42 +449,16 @@ class FleetWorker:
 
     # -- Cell execution ------------------------------------------------
 
-    def _account_fault(self, exc: BaseException, key: str, attempt: int) -> dict:
-        record = faults.describe(exc)
-        self.stats.count_fault(record["kind"])
-        session = obs.session()
-        if session is not None:
-            counter = session.c_faults.get(record["kind"])
-            if counter is not None:
-                counter.inc()
-        eventbus.emit("fault", cell=key[:16], attempt=attempt,
-                      kind=record["kind"], error=record.get("error", "?"))
-        return record
-
-    def _journal_append(self, key: str, status: str, attempts: int, sha256: str) -> None:
-        started = time.perf_counter()
-        entry = {"key": key, "status": status, "attempts": attempts,
-                 "sha256": sha256, "worker": self.worker_id}
-        with open(self.journal_path, "a") as fp:
-            fp.write(json.dumps(entry, sort_keys=True) + "\n")
-            fp.flush()
-        self.stats.coordination_s += time.perf_counter() - started
-
     def _execute_cell(self, fn: Callable[..., Any], args: Tuple, key: str,
                       attempt: int) -> Any:
         """Run one leased cell to a verdict: retry loop, publication,
-        journal, lease release. The chaos ``worker_crash`` site is the
-        real thing in a worker (``os._exit``: the lease goes stale and
+        lease release. The chaos ``worker_crash`` site is the real
+        thing in a worker (``os._exit``: the lease goes stale and
         another executor steals it) and a raised fault in the
         coordinator (which must survive to merge)."""
-        from .parallel import _call_unit
-
         wall_started = time.perf_counter()
         heartbeat = _Heartbeat(self, key)
         heartbeat.start()
-        fault_list: List[dict] = []
-        status, result = "failed", None
-        final_attempt = attempt
         try:
             while True:
                 eventbus.emit("cell_begin", cell=key[:16], unit=fn.__name__,
@@ -499,26 +467,17 @@ class FleetWorker:
                 try:
                     faults.cell_prelude(key, attempt, in_child=not self.is_coordinator)
                     cell_started = time.perf_counter()
-                    result = _call_unit(fn, args)
+                    result = parallel._call_unit(fn, args)
                     self.stats.cell_s += time.perf_counter() - cell_started
                     status = "ok"
-                    final_attempt = attempt
                     break
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except BaseException as exc:  # noqa: BLE001 - the boundary's job
-                    fault_list.append(self._account_fault(exc, key, attempt))
-                    kind, retryable = faults.classify(exc)
-                    final_attempt = attempt
-                    if not retryable:
-                        status, result = "quarantined", None
+                    status, backoff = self._fault(exc, key, attempt)
+                    result = None
+                    if status != RETRY:
                         break
-                    if attempt >= self.policy.max_attempts:
-                        status, result = "failed", None
-                        break
-                    backoff = self.policy.backoff_s(key, attempt)
-                    eventbus.emit("cell_retry", cell=key[:16], attempt=attempt + 1,
-                                  backoff_s=round(backoff, 4), kind=kind)
                     self.shutdown.wait(backoff)
                     if self.shutdown.is_set():
                         raise FleetDrained(
@@ -533,27 +492,12 @@ class FleetWorker:
             raise
         finally:
             heartbeat.stop()
-        record = self.store.publish(key, status, result,
-                                    attempts=final_attempt, worker=self.worker_id)
-        self._journal_append(key, status, final_attempt, record.sha256)
-        session = obs.session()
-        if status == "ok" and final_attempt > 1:
-            self.stats.retried += 1
-            if session is not None:
-                session.c_cells_retried.inc()
-        elif status == "quarantined":
-            self.stats.quarantined += 1
-            if session is not None:
-                session.c_cells_quarantined.inc()
-        elif status == "failed":
-            self.stats.failed += 1
-        eventbus.emit("cell_end", cell=key[:16], status=status,
-                      attempt=final_attempt,
-                      wall_s=round(time.perf_counter() - wall_started, 4))
+        result = self._finalize(key, status, result, attempt,
+                                time.perf_counter() - wall_started)
         self._release_lease(key)
         eventbus.flush()
         self.stats.executed += 1
-        return result if status == "ok" else None
+        return result
 
     def _accept(self, record) -> Any:
         """Fold a fetched store record into this executor's results."""
@@ -562,8 +506,10 @@ class FleetWorker:
 
     # -- The fan-out entry point (via parallel.map_units) --------------
 
-    def map_cells(self, fn: Callable[..., Any], arg_tuples: Sequence[Tuple]) -> List[Any]:
-        """Fleet equivalent of :func:`repro.harness.parallel.map_units`.
+    def map_cells(self, fn: Callable[..., Any], arg_tuples: Sequence[Tuple],
+                  jobs: Optional[int] = None) -> List[Any]:
+        """Fleet equivalent of :func:`repro.harness.parallel.map_units`
+        (``jobs`` is ignored: the fleet owns parallelism).
 
         Two passes. First, a staggered claim scan: fetch what the fleet
         already published, lease and execute what nobody owns (each
@@ -627,18 +573,10 @@ class FleetWorker:
                             # The fleet as a whole exhausted the budget:
                             # publish the failure verdict so every waiter
                             # sees it instead of stealing forever.
-                            record = self.store.publish(
-                                key, "failed", None, attempts=attempt - 1,
-                                worker=self.worker_id,
-                            )
-                            self._journal_append(key, "failed", attempt - 1,
-                                                 record.sha256)
-                            self.stats.failed += 1
-                            eventbus.emit("cell_end", cell=key[:16], status="failed",
-                                          attempt=attempt - 1)
+                            results[index] = self._finalize(key, "failed", None,
+                                                            attempt - 1, 0.0)
                             self._release_lease(key)
                             eventbus.flush()
-                            results[index] = None
                         else:
                             results[index] = self._execute_cell(
                                 fn, units[index], key, attempt=attempt
@@ -658,6 +596,9 @@ class FleetWorker:
                 self.shutdown.wait(self.poll_s)
         return [results[index] for index in range(len(units))]
 
+    #: The executor-slot entry point (see :func:`repro.harness.parallel.map_units`).
+    map = map_cells
+
     def _fetch(self, key: str, quiet: bool = False):
         """Store read-through. ``quiet`` probes (the wait loop polling
         for another worker's publication) skip the miss accounting so a
@@ -672,45 +613,24 @@ class FleetWorker:
 
 
 # ----------------------------------------------------------------------
-# Process-global activation (consulted by parallel.map_units)
-# ----------------------------------------------------------------------
-
-_active: Optional[FleetWorker] = None
-
-
-def current() -> Optional[FleetWorker]:
-    """The active fleet executor, or None (the non-fleet fast path)."""
-    return _active
-
-
-def activate(worker: FleetWorker) -> FleetWorker:
-    global _active
-    _active = worker
-    eventbus._wire_chaos()
-    return _active
-
-
-def deactivate() -> None:
-    global _active
-    _active = None
-
-
-if hasattr(os, "register_at_fork"):
-    # A forked child of a fleet executor (a --jobs pool, if one ever
-    # runs inside a cell) must execute its work directly, not re-enter
-    # the fleet claim loop it inherited.
-    os.register_at_fork(after_in_child=deactivate)
-
-
-# ----------------------------------------------------------------------
 # Campaign entry points (CLI: campaign run | campaign worker)
 # ----------------------------------------------------------------------
 
 
+def _usage_error(message: str) -> NoReturn:
+    from .cli import _usage_error as cli_usage_error
+
+    cli_usage_error(message)
+
+
 def _load_manifest(path: Path) -> dict:
-    manifest = json.loads(path.read_text())
-    if not isinstance(manifest.get("argv"), list) or not manifest["argv"]:
-        raise SystemExit("fleet manifest %s carries no inner command" % path)
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        _usage_error("fleet manifest %s is not valid JSON: %s" % (path, exc))
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("argv"), list) \
+            or not manifest["argv"]:
+        _usage_error("fleet manifest %s carries no inner command" % path)
     return manifest
 
 
@@ -727,7 +647,7 @@ def _write_manifest(path: Path, argv: Sequence[str], lease_ttl_s: float,
     if path.exists():
         existing = _load_manifest(path)
         if existing["argv"] != list(argv):
-            raise SystemExit(
+            _usage_error(
                 "fleet dir %s already runs %r; refusing to mix campaigns"
                 % (path.parent, " ".join(existing["argv"]))
             )
@@ -741,28 +661,28 @@ def _dispatch_inner(argv: Sequence[str], cache_dir: Path,
     """Parse and run the manifest's inner command in this process.
 
     The fleet owns parallelism and retries, so the inner command is
-    forced serial (``--jobs 1``), pointed at the shared cache in
-    durable mode, and never activates its own supervisor. Workers get
-    their ``--out`` redirected to a worker-local file so only the
-    coordinator writes the user's artifact.
+    forced serial (``--jobs 1``), pointed at the shared cache (durable
+    while the fleet executor is active), and never activates its own
+    supervisor. Workers get their ``--out`` redirected to a
+    worker-local file so only the coordinator writes the user's
+    artifact.
     """
     from . import cli as cli_mod
-    from .cache import CACHE_DIR_ENV, CACHE_SHARED_ENV
+    from .cache import CACHE_DIR_ENV
 
     parser = cli_mod.build_parser()
     args = parser.parse_args(list(argv))
     cli_mod.normalize_args(args)
     cli_mod.check_selection(args)
     if args.command == "campaign":
-        raise SystemExit("fleet campaigns cannot nest ('campaign %s' inside run)"
-                         % getattr(args, "action", "?"))
+        _usage_error("fleet campaigns cannot nest ('campaign %s' inside run)"
+                     % getattr(args, "action", "?"))
     args.jobs = 1
     if not args.cache_dir:
         args.cache_dir = str(cache_dir)
     if out_override is not None:
         args.out = out_override
     os.environ[CACHE_DIR_ENV] = str(args.cache_dir)
-    os.environ[CACHE_SHARED_ENV] = "1"
     rc = args.func(args)
     return int(rc) if rc else 0
 
@@ -826,7 +746,7 @@ def run_campaign(
     processes (remote workers join by running ``campaign worker``
     against the same directory), executes the campaign as one more
     executor, then reaps workers, reclaims stale leases, and merges
-    journals + event streams into the canonical artifacts.
+    the store + event streams into the canonical artifacts.
     """
     paths = _fleet_paths(fleet_dir)
     paths["root"].mkdir(parents=True, exist_ok=True)
@@ -855,11 +775,11 @@ def run_campaign(
         if min_workers > 0:
             _wait_for_registrations(paths["workers"], executor.worker_id,
                                     min_workers, min_workers_wait_s)
-        activate(executor)
+        parallel.activate(executor)
         try:
             rc = _dispatch_inner(manifest["argv"], paths["cache"])
         finally:
-            deactivate()
+            parallel.deactivate()
         for proc in procs:
             try:
                 proc.wait(timeout=drain_timeout_s)
@@ -922,7 +842,6 @@ def run_worker(
     exits with :data:`DRAIN_EXIT`."""
     paths = _fleet_paths(fleet_dir)
     paths["root"].mkdir(parents=True, exist_ok=True)
-    eventbus.configure(paths["root"])
     deadline = time.monotonic() + wait_s
     while not paths["manifest"].exists():
         if time.monotonic() > deadline:
@@ -932,6 +851,7 @@ def run_worker(
             )
         time.sleep(0.1)
     manifest = _load_manifest(paths["manifest"])
+    eventbus.configure(paths["root"])
     worker = FleetWorker(
         paths["root"], worker_id=worker_id, role="worker",
         lease_ttl_s=float(manifest.get("lease_ttl_s", 30.0)),
@@ -944,7 +864,7 @@ def run_worker(
     worker.register()
     drained = False
     rc = 0
-    activate(worker)
+    parallel.activate(worker)
     try:
         rc = _dispatch_inner(
             manifest["argv"], paths["cache"],
@@ -953,7 +873,7 @@ def run_worker(
     except FleetDrained:
         drained = True
     finally:
-        deactivate()
+        parallel.deactivate()
         worker.finish()
         eventbus.flush()
     return DRAIN_EXIT if drained else rc

@@ -7,13 +7,13 @@ is a pure function of ``(seed range, config, budget, replay flag)``:
 bit-identical across ``--jobs 1`` vs ``--jobs N`` (submission-order
 merge in :func:`~repro.harness.parallel.map_units`), across cold and
 warm caches (rows are content-addressed by generator seed + spec hash),
-and across the vector and tree happens-before engines (their plans are
-bit-identical by construction).
+and across serial, fleet and resumed campaigns.
 
 Cells flow through :func:`map_units`, so fuzz campaigns inherit the
-supervisor (watchdogs, retries, checkpoint-resume, chaos) and the
-campaign event bus (one ``fuzz_workload`` event per workload, folded
-into ``obs analytics``'s detection-rate-vs-topology table) for free.
+supervisor (watchdogs, retries, ``--resume`` from its artifact store,
+chaos), the fleet, and the campaign event bus (one ``fuzz_workload``
+event per workload, folded into ``obs analytics``'s
+detection-rate-vs-topology table) for free.
 """
 
 from __future__ import annotations

@@ -14,6 +14,14 @@ must take only picklable arguments: app/test/bug *names* rather than
 objects, the frozen :class:`~repro.core.config.WaffleConfig`, plain
 seeds, and an optional cache directory string. Workers rebuild
 registries and caches on their side.
+
+One process-global *executor slot* can take over every fan-out: while
+a :class:`~repro.harness.supervisor.Supervisor` (watchdogs, retries,
+``--resume``) or a :class:`~repro.harness.fleet.FleetWorker` (a fleet
+campaign's claim loop) is active, :func:`map_units` hands each call to
+its ``map(fn, arg_tuples, jobs)``. With the slot empty the cost is one
+None check per experiment fan-out (``benchmarks/bench_resilience.py``
+guards it).
 """
 
 from __future__ import annotations
@@ -29,6 +37,35 @@ from ..obs import eventbus
 
 #: Sentinel for "use one worker per unit, capped by the machine".
 AUTO_JOBS = 0
+
+#: The active executor (a Supervisor or a FleetWorker), or None.
+_executor: Optional[Any] = None
+
+
+def current() -> Optional[Any]:
+    """The active executor, or None (the plain fan-out path)."""
+    return _executor
+
+
+def activate(executor: Any) -> Any:
+    global _executor
+    _executor = executor
+    # The event bus may have been configured before the harness (and its
+    # fault taxonomy) finished importing; re-wire the chaos observer now
+    # that both sides exist.
+    eventbus._wire_chaos()
+    return executor
+
+
+def deactivate() -> None:
+    global _executor
+    _executor = None
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child (a supervised cell's process, a pool worker) runs
+    # its work directly, not through the executor it inherited.
+    os.register_at_fork(after_in_child=deactivate)
 
 
 def _flush_bus_for_cell() -> None:
@@ -99,22 +136,8 @@ def map_units(
     (or a single unit) bypasses the pool entirely so the serial path is
     byte-for-byte the pre-parallel code path.
     """
-    from . import fleet
-    from . import supervisor
-
-    fleet_worker = fleet.current()
-    if fleet_worker is not None:
-        # Fleet campaign: this process is one executor of a multi-
-        # process campaign; the fan-out becomes a claim scan over the
-        # shared lease/store directory (see repro.harness.fleet). Takes
-        # precedence over the supervisor -- the fleet owns retries.
-        return fleet_worker.map_cells(fn, arg_tuples)
-    active = supervisor.current()
-    if active is not None:
-        # Supervised campaign: watchdogs, retry/backoff, checkpoint-
-        # resume (see repro.harness.supervisor). Off-path cost is this
-        # one None check per experiment fan-out.
-        return active.map(fn, arg_tuples, jobs)
+    if _executor is not None:
+        return _executor.map(fn, arg_tuples, jobs)
     jobs = resolve_jobs(jobs)
     units = list(arg_tuples)
     bus = eventbus.bus()
@@ -122,8 +145,10 @@ def map_units(
     if bus is not None:
         # Cell lifecycle is emitted from the coordinator only (workers
         # would double-count it); cells are identified by the same
-        # content-addressed keys the supervisor and journal use.
-        keys = [supervisor.cell_key(fn, tuple(args)) for args in units]
+        # content-addressed keys the supervisor and store use.
+        from .supervisor import cell_key
+
+        keys = [cell_key(fn, tuple(args)) for args in units]
         bus.emit("fanout", unit=fn.__name__, cells=len(units), jobs=jobs)
     if jobs <= 1 or len(units) <= 1:
         if bus is None:

@@ -22,22 +22,27 @@ supervisor wraps every cell execution in a fault boundary:
   a per-cell attempt budget; *deterministic* ones (assertion failures,
   schema errors) are quarantined immediately -- the same inputs would
   fail identically, so retrying burns budget without information.
-* **Checkpoint-resume** -- an optional :class:`CampaignJournal` records
-  every finalized cell (keyed by the same content-addressed digests the
-  run cache uses) together with a checksummed pickle of its result, so
-  ``--resume`` skips finished work and re-attempts only the failure
-  tail. Because every cell is a deterministic function of its
-  arguments, a resumed campaign is bit-identical to an uninterrupted
-  one -- the property the resume tests guard.
+* **Checkpoint-resume** -- with ``--resume DIR`` the supervisor
+  publishes every finalized cell to an
+  :class:`~repro.harness.store.ArtifactStore` in DIR, keyed by the same
+  content-addressed digests the run cache uses, so a resumed campaign
+  takes the ``ok`` records and re-attempts only the degraded ones.
+  Because every cell is a deterministic function of its arguments, a
+  resumed campaign is bit-identical to an uninterrupted one -- the
+  property the resume tests guard.
 * **Crash dossiers** -- every fault is captured as a JSON dossier
   (fault taxonomy record plus a flight-recorder snapshot when one is
   installed) before the worker is torn down.
 
-The supervisor is **opt-in**: :func:`repro.harness.parallel.map_units`
-consults :func:`current` and takes its historical path when no
-supervisor is active, so the unsupervised hot path pays one function
-call per *experiment* (not per cell). ``benchmarks/bench_resilience.py``
-guards that budget.
+The retry verdict (:meth:`RetryPolicy.verdict`) and the fault and
+cell accounting (:class:`FaultBoundary`) are shared with the fleet's
+executors (:class:`repro.harness.fleet.FleetWorker`), so the serial,
+process-per-cell and fleet paths count and report faults identically.
+
+The supervisor is **opt-in**: it takes the executor slot of
+:mod:`repro.harness.parallel` while active, and
+:func:`repro.harness.parallel.map_units` takes its historical path
+when the slot is empty.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import signal
 import threading
 import time
@@ -57,8 +61,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..obs import eventbus
 from ..core.persistence import save_record
-from . import faults
+from . import faults, parallel
 from .runner import TIMEOUT_FACTOR, TIMEOUT_FLOOR_MS
+from .store import ArtifactStore
 
 #: Watchdog floor, inherited from the per-test timeout convention.
 WATCHDOG_FLOOR_S = TIMEOUT_FLOOR_MS / 1000.0
@@ -72,7 +77,8 @@ WATCHDOG_WARMUP_S = 600.0
 #: replaces the warm-up deadline.
 WATCHDOG_MIN_SAMPLES = 3
 
-JOURNAL_NAME = "journal.jsonl"
+#: The non-terminal verdict of :meth:`RetryPolicy.verdict`.
+RETRY = "retry"
 
 
 def _jsonable(value: Any) -> Any:
@@ -170,93 +176,16 @@ class RetryPolicy:
         """The full retry schedule for ``key`` (one entry per retry)."""
         return [self.backoff_s(key, attempt) for attempt in range(1, self.max_attempts)]
 
-
-# ----------------------------------------------------------------------
-# Campaign journal (checkpoint-resume)
-# ----------------------------------------------------------------------
-
-
-class CampaignJournal:
-    """Append-only ledger of finalized cells plus checksummed results.
-
-    One JSONL line per finalized cell (``ok`` | ``quarantined`` |
-    ``failed``) and, for ``ok`` cells, an atomically-written pickle of
-    the result whose SHA-256 is recorded in the line. On load, a
-    truncated tail line (campaign killed mid-append) is tolerated and
-    an ``ok`` entry whose pickle is missing or fails its checksum is
-    dropped -- the cell simply reruns. Only ``ok`` cells are skipped on
-    resume; the failure tail is always re-attempted.
-    """
-
-    def __init__(self, directory: os.PathLike):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.path = self.directory / JOURNAL_NAME
-        self.entries: Dict[str, dict] = {}
-        self.recovered_truncated = 0
-        self._load()
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        lines = self.path.read_text().splitlines()
-        for index, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    # Torn tail: the campaign died mid-append. The cell
-                    # was never acknowledged, so dropping the line is
-                    # exactly a rerun of that cell.
-                    self.recovered_truncated += 1
-                    continue
-                raise faults.CorruptRecordFault(
-                    "journal %s: undecodable line %d (not the tail)" % (self.path, index + 1)
-                )
-            self.entries[entry["key"]] = entry
-
-    def result_path(self, key: str) -> Path:
-        return self.directory / ("result-%s.pkl" % key)
-
-    def record(self, key: str, status: str, attempts: int, fault_list: List[dict],
-               result: Any = None) -> None:
-        entry: Dict[str, Any] = {"key": key, "status": status, "attempts": attempts}
-        if fault_list:
-            entry["faults"] = fault_list
-        if status == "ok":
-            blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-            entry["sha256"] = hashlib.sha256(blob).hexdigest()
-            target = self.result_path(key)
-            tmp = target.with_name(target.name + ".tmp.%d" % os.getpid())
-            tmp.write_bytes(blob)
-            os.replace(tmp, target)
-        self.entries[key] = entry
-        with open(self.path, "a") as fp:
-            fp.write(json.dumps(entry, sort_keys=True) + "\n")
-            fp.flush()
-        eventbus.emit("checkpoint", cell=key[:16], status=status, attempts=attempts)
-
-    def load_result(self, key: str) -> Any:
-        """The journaled result for an ``ok`` cell, checksum-verified.
-
-        Raises :class:`~repro.harness.faults.CorruptRecordFault` when
-        the pickle is missing, truncated or fails its digest; callers
-        treat that as "not finished" and rerun the cell.
-        """
-        entry = self.entries.get(key)
-        if entry is None or entry.get("status") != "ok":
-            raise faults.CorruptRecordFault("journal has no completed result for %s" % key)
-        path = self.result_path(key)
-        try:
-            blob = path.read_bytes()
-        except OSError as exc:
-            raise faults.CorruptRecordFault("result pickle unreadable: %s" % exc)
-        if hashlib.sha256(blob).hexdigest() != entry.get("sha256"):
-            raise faults.CorruptRecordFault("result pickle failed checksum: %s" % path)
-        return pickle.loads(blob)
+    def verdict(self, exc: BaseException, key: str, attempt: int) -> Tuple[str, float]:
+        """What follows failed attempt ``attempt`` of ``key``:
+        ``("quarantined", 0)`` for a deterministic fault, ``("failed",
+        0)`` once the attempt budget is spent, else ``(RETRY, backoff
+        seconds)``."""
+        if not faults.classify(exc)[1]:
+            return "quarantined", 0.0
+        if attempt >= self.max_attempts:
+            return "failed", 0.0
+        return RETRY, self.backoff_s(key, attempt)
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +199,7 @@ class CampaignStats:
     retried: int = 0  # cells that needed >1 attempt but finished ok
     quarantined: int = 0  # deterministic fault: never retried
     failed: int = 0  # retryable fault that exhausted the attempt budget
-    resumed: int = 0  # cells satisfied from the journal without running
+    resumed: int = 0  # cells satisfied from the resume store without running
     fault_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
 
     @property
@@ -300,6 +229,125 @@ class CampaignStats:
 
 
 # ----------------------------------------------------------------------
+# The shared fault boundary
+# ----------------------------------------------------------------------
+
+
+class FaultBoundary:
+    """Fault accounting and cell finalization for every execution path.
+
+    Subclasses run attempts their own way -- in-process, in a forked
+    child, or under a fleet lease -- and report here: :meth:`_fault`
+    accounts a failed attempt and returns the policy's verdict;
+    :meth:`_finalize` counts a cell's final status in :attr:`stats`,
+    publishes it to :attr:`store` (when there is one) and emits
+    ``cell_end``.
+    """
+
+    #: The ``worker`` field of published store records.
+    worker_id = "local"
+    #: What :attr:`stats` is (a subclass may count more).
+    stats_class = CampaignStats
+
+    def __init__(self, policy: Optional[RetryPolicy], store: Optional[ArtifactStore],
+                 dossier_dir: Optional[os.PathLike] = None):
+        self.policy = policy or RetryPolicy()
+        self.store = store
+        self.stats = self.stats_class()
+        #: Set (from a signal handler or another thread) to drain at the
+        #: next fault boundary instead of sleeping through a backoff.
+        self.shutdown = threading.Event()
+        self._dossier_dir = Path(dossier_dir) if dossier_dir is not None else None
+
+    def request_shutdown(self) -> None:
+        """Ask the executor to drain at the next fault boundary."""
+        self.shutdown.set()
+
+    def _dossier_target(self) -> Optional[Path]:
+        if self._dossier_dir is not None:
+            return self._dossier_dir
+        if self.store is not None:
+            return self.store.directory
+        session = obs.session()
+        return session.directory if session is not None else None
+
+    def _write_dossier(self, key: str, attempt: int, fault_record: dict) -> None:
+        """Capture fault context (including flight-recorder state) as a
+        crash dossier before the cell is finalized or retried."""
+        target = self._dossier_target()
+        if target is None:
+            return
+        flight = obs.flightrec.recorder()
+        payload = {
+            "cell": key,
+            "attempt": attempt,
+            "fault": fault_record,
+            "unix_time": round(time.time(), 3),
+            "flightrec": flight.snapshot()[-256:] if flight is not None else None,
+        }
+        try:
+            save_record(payload, Path(target) / ("crash-%s-a%d.json" % (key[:16], attempt)))
+        except OSError:
+            pass  # a dossier must never take down the campaign
+
+    def _fault(self, exc: BaseException, key: str, attempt: int) -> Tuple[str, float]:
+        """Account one failed attempt (stats, ``faults.<kind>`` counter,
+        ``fault`` event, crash dossier) and return the policy's verdict,
+        announcing a retry with ``cell_retry``."""
+        record = faults.describe(exc)
+        kind = str(record["kind"])
+        self.stats.count_fault(kind)
+        session = obs.session()
+        if session is not None:
+            counter = session.c_faults.get(kind)
+            if counter is not None:
+                counter.inc()
+        flight = obs.flightrec.recorder()
+        if flight is not None:
+            flight.record("cell_fault", cell=key[:16], attempt=attempt, kind=kind)
+        eventbus.emit("fault", cell=key[:16], attempt=attempt, kind=kind,
+                      error=record.get("error", "?"))
+        self._write_dossier(key, attempt, record)
+        verdict, backoff = self.policy.verdict(exc, key, attempt)
+        if verdict == RETRY:
+            eventbus.emit("cell_retry", cell=key[:16], attempt=attempt + 1,
+                          backoff_s=round(backoff, 4), kind=kind)
+        return verdict, backoff
+
+    def _finalize(self, key: str, status: str, result: Any, attempt: int,
+                  wall_s: float) -> Any:
+        """Record a cell's final status; returns its result (None for a
+        degraded cell: graceful degradation)."""
+        session = obs.session()
+        if status == "ok":
+            self.stats.ok += 1
+            if attempt > 1:
+                self.stats.retried += 1
+                if session is not None:
+                    session.c_cells_retried.inc()
+        elif status == "quarantined":
+            self.stats.quarantined += 1
+            if session is not None:
+                session.c_cells_quarantined.inc()
+        else:
+            self.stats.failed += 1
+        self._publish(key, status, result, attempt)
+        bus = eventbus.bus()
+        if bus is not None:
+            bus.emit("cell_end", cell=key[:16], status=status, attempt=attempt,
+                     wall_s=round(wall_s, 4))
+            if status == "ok":
+                bus.maybe_flush()
+            else:
+                bus.flush()  # degraded cells are rare and worth immediate durability
+        return result if status == "ok" else None
+
+    def _publish(self, key: str, status: str, result: Any, attempt: int) -> None:
+        if self.store is not None:
+            self.store.publish(key, status, result, attempts=attempt, worker=self.worker_id)
+
+
+# ----------------------------------------------------------------------
 # The supervisor
 # ----------------------------------------------------------------------
 
@@ -325,9 +373,7 @@ def _child_entry(conn, fn, args, key: str, attempt: int) -> None:
     """
     try:
         faults.cell_prelude(key, attempt, in_child=True)
-        from .parallel import _call_unit
-
-        result = _call_unit(fn, args)
+        result = parallel._call_unit(fn, args)
         conn.send(("ok", result))
     except BaseException as exc:  # noqa: BLE001 - the boundary's job
         try:
@@ -341,40 +387,27 @@ def _child_entry(conn, fn, args, key: str, attempt: int) -> None:
             pass
 
 
-class Supervisor:
+class Supervisor(FaultBoundary):
     """Fault boundary around a campaign's cell executions.
 
-    Activate with :func:`activate` (or the :func:`supervised` context
-    manager); :func:`repro.harness.parallel.map_units` routes through
-    :meth:`map` while one is active.
+    Activate with :func:`repro.harness.parallel.activate` (or the
+    :func:`supervised` context manager); ``map_units`` routes through
+    :meth:`map` while it holds the executor slot. ``store`` is the
+    ``--resume`` directory's :class:`~repro.harness.store.ArtifactStore`.
     """
 
     def __init__(
         self,
         policy: Optional[RetryPolicy] = None,
-        journal: Optional[CampaignJournal] = None,
+        store: Optional[ArtifactStore] = None,
         cell_timeout_s: Optional[float] = None,
         dossier_dir: Optional[os.PathLike] = None,
         sleep: Optional[Callable[[float], None]] = None,
     ):
-        self.policy = policy or RetryPolicy()
-        self.journal = journal
+        super().__init__(policy, store, dossier_dir)
         self.cell_timeout_s = cell_timeout_s
-        self.stats = CampaignStats()
-        #: Set (from a signal handler or another thread) to drain: the
-        #: interruptible backoff sleep returns immediately, the current
-        #: retry tail is finalized as failed, and no new cell starts --
-        #: so a fleet worker can release its lease promptly instead of
-        #: sleeping through a backoff with the lease held.
-        self.shutdown = threading.Event()
         self.sleep = sleep if sleep is not None else self._interruptible_sleep
-        self._dossier_dir = Path(dossier_dir) if dossier_dir is not None else None
         self._wall_times: List[float] = []
-        self._dossiers_written = 0
-
-    def request_shutdown(self) -> None:
-        """Ask the supervisor to drain at the next fault boundary."""
-        self.shutdown.set()
 
     def _interruptible_sleep(self, seconds: float) -> None:
         """The default backoff sleep: wakes early on :attr:`shutdown`."""
@@ -426,155 +459,58 @@ class Supervisor:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
 
-    # -- Dossiers and accounting ---------------------------------------
+    # -- Store ---------------------------------------------------------
 
-    def _dossier_target(self) -> Optional[Path]:
-        if self._dossier_dir is not None:
-            return self._dossier_dir
-        if self.journal is not None:
-            return self.journal.directory
-        session = obs.session()
-        if session is not None:
-            return session.directory
-        return None
-
-    def _write_dossier(self, key: str, attempt: int, fault_record: dict) -> None:
-        """Capture fault context (including flight-recorder state) as a
-        crash dossier before the cell is finalized or retried."""
-        target = self._dossier_target()
-        if target is None:
-            return
-        flight = obs.flightrec.recorder()
-        payload = {
-            "cell": key,
-            "attempt": attempt,
-            "fault": fault_record,
-            "unix_time": round(time.time(), 3),
-            "flightrec": flight.snapshot()[-256:] if flight is not None else None,
-        }
-        self._dossiers_written += 1
-        try:
-            save_record(payload, Path(target) / ("crash-%s-a%d.json" % (key[:16], attempt)))
-        except OSError:
-            pass  # a dossier must never take down the campaign
-
-    def _account_fault(self, exc: BaseException, key: str, attempt: int) -> dict:
-        record = faults.describe(exc)
-        self.stats.count_fault(record["kind"])
-        session = obs.session()
-        if session is not None:
-            counter = session.c_faults.get(record["kind"])
-            if counter is not None:
-                counter.inc()
-        flight = obs.flightrec.recorder()
-        if flight is not None:
-            flight.record("cell_fault", cell=key[:16], attempt=attempt, kind=record["kind"])
-        eventbus.emit(
-            "fault",
-            cell=key[:16],
-            attempt=attempt,
-            kind=record["kind"],
-            error=record.get("error", "?"),
-        )
-        self._write_dossier(key, attempt, record)
-        return record
-
-    def _finalize_ok(self, key: str, result: Any, attempt: int, fault_list: List[dict],
-                     wall_s: Optional[float]) -> Any:
-        self.stats.ok += 1
-        if attempt > 1:
-            self.stats.retried += 1
-            session = obs.session()
-            if session is not None:
-                session.c_cells_retried.inc()
-        if wall_s is not None:
-            self._wall_times.append(wall_s)
-        if self.journal is not None:
-            self.journal.record(key, "ok", attempt, fault_list, result=result)
-        bus = eventbus.bus()
-        if bus is not None:
-            bus.emit("cell_end", cell=key[:16], status="ok", attempt=attempt,
-                     wall_s=round(wall_s, 4) if wall_s is not None else 0.0)
-            bus.maybe_flush()
-        return result
-
-    def _finalize_degraded(self, key: str, status: str, attempt: int,
-                           fault_list: List[dict]) -> None:
-        if status == "quarantined":
-            self.stats.quarantined += 1
-            session = obs.session()
-            if session is not None:
-                session.c_cells_quarantined.inc()
-        else:
-            self.stats.failed += 1
-        if self.journal is not None:
-            self.journal.record(key, status, attempt, fault_list)
-        bus = eventbus.bus()
-        if bus is not None:
-            bus.emit("cell_end", cell=key[:16], status=status, attempt=attempt)
-            bus.flush()  # degraded cells are rare and worth immediate durability
-
-    # -- Resume --------------------------------------------------------
+    def _publish(self, key: str, status: str, result: Any, attempt: int) -> None:
+        if self.store is not None:
+            super()._publish(key, status, result, attempt)
+            eventbus.emit("checkpoint", cell=key[:16], status=status, attempts=attempt)
 
     def _try_resume(self, key: str) -> Tuple[bool, Any]:
-        """(hit, result): satisfy a cell from the journal when possible."""
-        if self.journal is None:
+        """(hit, result): satisfy a cell from an ``ok`` store record.
+        Degraded records are re-attempted; a corrupt one is a
+        quarantined miss, so its cell runs again."""
+        record = self.store.fetch(key) if self.store is not None else None
+        if record is None or not record.ok:
             return False, None
-        entry = self.journal.entries.get(key)
-        if entry is None or entry.get("status") != "ok":
-            return False, None
-        try:
-            result = self.journal.load_result(key)
-        except faults.CorruptRecordFault:
-            return False, None  # rerun; the journal entry is superseded
         self.stats.resumed += 1
         session = obs.session()
         if session is not None:
             session.c_cells_resumed.inc()
         eventbus.emit("cell_resumed", cell=key[:16])
-        return True, result
+        return True, record.result
 
     # -- Serial execution ----------------------------------------------
 
     def _run_cell_serial(self, fn: Callable[..., Any], args: Tuple, key: str) -> Any:
-        from .parallel import _call_unit
-
-        fault_list: List[dict] = []
-        for attempt in range(1, self.policy.max_attempts + 1):
+        attempt = 1
+        while True:
             eventbus.emit("cell_begin", cell=key[:16], unit=fn.__name__, attempt=attempt)
             started = time.perf_counter()
             try:
                 with self._serial_watchdog(self.watchdog_s(), key):
                     faults.cell_prelude(key, attempt, in_child=False)
-                    result = _call_unit(fn, args)
-                return self._finalize_ok(
-                    key, result, attempt, fault_list, time.perf_counter() - started
-                )
+                    result = parallel._call_unit(fn, args)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as exc:  # noqa: BLE001 - the boundary's job
-                fault_list.append(self._account_fault(exc, key, attempt))
-                kind, retryable = faults.classify(exc)
                 if isinstance(exc, faults.CellHangFault):
                     eventbus.emit("watchdog", cell=key[:16],
                                   deadline_s=round(self.watchdog_s(), 3))
-                if not retryable:
-                    self._finalize_degraded(key, "quarantined", attempt, fault_list)
-                    return None
-                if attempt >= self.policy.max_attempts:
-                    self._finalize_degraded(key, "failed", attempt, fault_list)
-                    return None
-                backoff = self.policy.backoff_s(key, attempt)
-                eventbus.emit("cell_retry", cell=key[:16], attempt=attempt + 1,
-                              backoff_s=round(backoff, 4), kind=kind)
-                self.sleep(backoff)
-                if self.shutdown.is_set():
+                verdict, backoff = self._fault(exc, key, attempt)
+                if verdict == RETRY:
+                    self.sleep(backoff)
+                    if not self.shutdown.is_set():
+                        attempt += 1
+                        continue
                     # Draining: finalize the tail as failed rather than
-                    # holding resources (a fleet lease, a terminal)
-                    # through the remaining attempts.
-                    self._finalize_degraded(key, "failed", attempt, fault_list)
-                    return None
-        return None  # unreachable
+                    # holding resources through the remaining attempts.
+                    verdict = "failed"
+                return self._finalize(key, verdict, None, attempt,
+                                      time.perf_counter() - started)
+            wall_s = time.perf_counter() - started
+            self._wall_times.append(wall_s)
+            return self._finalize(key, "ok", result, attempt, wall_s)
 
     # -- Parallel execution --------------------------------------------
 
@@ -598,13 +534,11 @@ class Supervisor:
         from multiprocessing.connection import wait as conn_wait
 
         ctx = multiprocessing.get_context("fork")
-        # (index, attempt, ready_at_monotonic, accumulated fault records)
-        queue: List[Tuple[int, int, float, List[dict]]] = [
-            (index, 1, 0.0, []) for index in pending
-        ]
+        # (index, attempt, ready_at_monotonic)
+        queue: List[Tuple[int, int, float]] = [(index, 1, 0.0) for index in pending]
         inflight: Dict[Any, dict] = {}  # parent conn -> cell state
 
-        def launch(index: int, attempt: int, fault_list: List[dict]) -> None:
+        def launch(index: int, attempt: int) -> None:
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_child_entry,
@@ -620,60 +554,53 @@ class Supervisor:
                 "index": index,
                 "attempt": attempt,
                 "proc": proc,
-                "faults": fault_list,
                 "started": time.monotonic(),
                 "deadline": time.monotonic() + self.watchdog_s(),
             }
+
+        def stop(conn, cell: dict) -> None:
+            proc = cell["proc"]
+            proc.terminate()
+            proc.join(timeout=2.0)
+            if proc.is_alive():
+                proc.kill()
+            conn.close()
 
         def settle(conn, cell: dict, exc: Optional[BaseException], result: Any) -> None:
             index, attempt = cell["index"], cell["attempt"]
             key = keys[index]
             cell["proc"].join(timeout=5.0)
             conn.close()
+            wall_s = time.monotonic() - cell["started"]
             if exc is None:
-                results[index] = self._finalize_ok(
-                    key, result, attempt, cell["faults"],
-                    time.monotonic() - cell["started"],
-                )
+                self._wall_times.append(wall_s)
+                results[index] = self._finalize(key, "ok", result, attempt, wall_s)
                 return
-            cell["faults"].append(self._account_fault(exc, key, attempt))
-            kind, retryable = faults.classify(exc)
-            if not retryable:
-                self._finalize_degraded(key, "quarantined", attempt, cell["faults"])
-            elif attempt >= self.policy.max_attempts:
-                self._finalize_degraded(key, "failed", attempt, cell["faults"])
+            verdict, backoff = self._fault(exc, key, attempt)
+            if verdict == RETRY:
+                queue.append((index, attempt + 1, time.monotonic() + backoff))
             else:
-                backoff = self.policy.backoff_s(key, attempt)
-                eventbus.emit("cell_retry", cell=key[:16], attempt=attempt + 1,
-                              backoff_s=round(backoff, 4), kind=kind)
-                ready_at = time.monotonic() + backoff
-                queue.append((index, attempt + 1, ready_at, cell["faults"]))
+                self._finalize(key, verdict, None, attempt, wall_s)
 
         while queue or inflight:
             if self.shutdown.is_set():
                 # Draining: kill in-flight workers and finalize every
                 # cell still owed a result as failed, promptly.
                 for conn, cell in list(inflight.items()):
-                    proc = cell["proc"]
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-                    if proc.is_alive():
-                        proc.kill()
-                    conn.close()
-                    self._finalize_degraded(
-                        keys[cell["index"]], "failed", cell["attempt"], cell["faults"]
-                    )
+                    stop(conn, cell)
+                    self._finalize(keys[cell["index"]], "failed", None, cell["attempt"],
+                                   time.monotonic() - cell["started"])
                 inflight.clear()
-                for index, attempt, _, fault_list in queue:
-                    self._finalize_degraded(keys[index], "failed", attempt, fault_list)
+                for index, attempt, _ in queue:
+                    self._finalize(keys[index], "failed", None, attempt, 0.0)
                 queue.clear()
                 break
             now = time.monotonic()
             # Launch every ready cell a worker slot exists for.
             queue.sort(key=lambda item: item[2])
             while queue and len(inflight) < workers and queue[0][2] <= now:
-                index, attempt, _, fault_list = queue.pop(0)
-                launch(index, attempt, fault_list)
+                index, attempt, _ = queue.pop(0)
+                launch(index, attempt)
             if not inflight:
                 if queue:  # everything is backing off: sleep to the nearest retry
                     self.sleep(max(0.0, queue[0][2] - time.monotonic()))
@@ -681,8 +608,7 @@ class Supervisor:
             # Wait for messages, worker deaths, or the nearest deadline.
             next_deadline = min(cell["deadline"] for cell in inflight.values())
             timeout = max(0.0, min(0.25, next_deadline - time.monotonic()))
-            ready = conn_wait(list(inflight.keys()), timeout=timeout)
-            for conn in ready:
+            for conn in conn_wait(list(inflight.keys()), timeout=timeout):
                 cell = inflight.pop(conn)
                 try:
                     status, payload = conn.recv()
@@ -690,16 +616,12 @@ class Supervisor:
                     # The pipe died with no message: the worker crashed
                     # (chaos os._exit, OOM kill, segfault).
                     cell["proc"].join(timeout=5.0)
-                    settle(
-                        conn,
-                        cell,
-                        faults.WorkerCrashFault(
-                            "worker for cell %s died without a result (exit %s)"
-                            % (keys[cell["index"]][:12], cell["proc"].exitcode),
-                            exitcode=cell["proc"].exitcode,
-                        ),
-                        None,
+                    crash = faults.WorkerCrashFault(
+                        "worker for cell %s died without a result (exit %s)"
+                        % (keys[cell["index"]][:12], cell["proc"].exitcode),
+                        exitcode=cell["proc"].exitcode,
                     )
+                    settle(conn, cell, crash, None)
                     continue
                 if status == "ok":
                     settle(conn, cell, None, payload)
@@ -709,20 +631,14 @@ class Supervisor:
             now = time.monotonic()
             for conn in [c for c, cell in inflight.items() if cell["deadline"] <= now]:
                 cell = inflight.pop(conn)
-                proc = cell["proc"]
+                deadline_s = cell["deadline"] - cell["started"]
                 hang = faults.CellHangFault(
                     "cell %s exceeded its %.1fs watchdog; worker pid %s killed"
-                    % (keys[cell["index"]][:12], cell["deadline"] - cell["started"], proc.pid)
+                    % (keys[cell["index"]][:12], deadline_s, cell["proc"].pid)
                 )
-                eventbus.emit(
-                    "watchdog",
-                    cell=keys[cell["index"]][:16],
-                    deadline_s=round(cell["deadline"] - cell["started"], 3),
-                )
-                proc.terminate()
-                proc.join(timeout=2.0)
-                if proc.is_alive():
-                    proc.kill()
+                eventbus.emit("watchdog", cell=keys[cell["index"]][:16],
+                              deadline_s=round(deadline_s, 3))
+                stop(conn, cell)
                 settle(conn, cell, hang, None)
 
     # -- Entry point ---------------------------------------------------
@@ -735,12 +651,10 @@ class Supervisor:
         retry-exhausted cell yields ``None`` at its position (graceful
         degradation) and is counted in :attr:`stats`.
         """
-        from .parallel import resolve_jobs
-
         units = [tuple(args) for args in arg_tuples]
         keys = [cell_key(fn, args) for args in units]
-        eventbus.emit("fanout", unit=fn.__name__, cells=len(units),
-                      jobs=resolve_jobs(jobs))
+        jobs = parallel.resolve_jobs(jobs)
+        eventbus.emit("fanout", unit=fn.__name__, cells=len(units), jobs=jobs)
         results: List[Any] = [None] * len(units)
         pending: List[int] = []
         for index, key in enumerate(keys):
@@ -749,9 +663,6 @@ class Supervisor:
                 results[index] = result
             else:
                 pending.append(index)
-        if not pending:
-            return results
-        jobs = resolve_jobs(jobs)
         if jobs <= 1 or len(pending) <= 1:
             for index in pending:
                 results[index] = self._run_cell_serial(fn, units[index], keys[index])
@@ -760,53 +671,19 @@ class Supervisor:
         return results
 
 
-# ----------------------------------------------------------------------
-# Process-global activation (consulted by parallel.map_units)
-# ----------------------------------------------------------------------
-
-_active: Optional[Supervisor] = None
-
-
-def current() -> Optional[Supervisor]:
-    """The active supervisor, or None (the unsupervised fast path)."""
-    return _active
-
-
-def activate(supervisor: Supervisor) -> Supervisor:
-    global _active
-    _active = supervisor
-    # The event bus may have been configured before the harness (and its
-    # fault taxonomy) finished importing; re-wire the chaos observer now
-    # that both sides exist.
-    eventbus._wire_chaos()
-    return _active
-
-
-def deactivate() -> None:
-    global _active
-    _active = None
-
-
 @contextmanager
 def supervised(
     policy: Optional[RetryPolicy] = None,
-    journal: Optional[CampaignJournal] = None,
+    store: Optional[ArtifactStore] = None,
     cell_timeout_s: Optional[float] = None,
     **kwargs: Any,
 ):
     """Scoped activation: every ``map_units`` call inside the block runs
     under this supervisor."""
-    supervisor = Supervisor(
-        policy=policy, journal=journal, cell_timeout_s=cell_timeout_s, **kwargs
-    )
-    activate(supervisor)
+    supervisor = Supervisor(policy=policy, store=store, cell_timeout_s=cell_timeout_s,
+                            **kwargs)
+    parallel.activate(supervisor)
     try:
         yield supervisor
     finally:
-        deactivate()
-
-
-if hasattr(os, "register_at_fork"):
-    # A supervised cell's worker must run its cell directly, not
-    # re-enter the supervisor it inherited over fork.
-    os.register_at_fork(after_in_child=deactivate)
+        parallel.deactivate()

@@ -10,6 +10,7 @@ from repro.core.config import WaffleConfig
 from repro.harness import fuzz
 from repro.harness.cache import PlanCache
 from repro.harness.cli import main
+from repro.harness.store import RESULT_SUFFIX
 from repro.obs import eventbus
 from repro.obs.campaign import fuzz_analytics, load_view
 
@@ -43,14 +44,14 @@ class TestFuzzRange:
         assert fuzz.fuzz_digest(cold) == fuzz.fuzz_digest(warm)
         cache = PlanCache(cache_dir)
         assert cache.stats.hits == 0  # fresh handle: counts only its own traffic
-        assert len(list((tmp_path / "cache").rglob("*.json"))) >= 4
+        assert len(list((tmp_path / "cache").rglob("*" + RESULT_SUFFIX))) >= 4
 
     def test_budget_is_part_of_the_cache_key(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         fuzz.fuzz_range(0, 2, config=CONFIG, budget=8, cache_dir=cache_dir, check_replay=False)
-        before = len(list((tmp_path / "cache").rglob("*.json")))
+        before = len(list((tmp_path / "cache").rglob("*" + RESULT_SUFFIX)))
         fuzz.fuzz_range(0, 2, config=CONFIG, budget=9, cache_dir=cache_dir, check_replay=False)
-        after = len(list((tmp_path / "cache").rglob("*.json")))
+        after = len(list((tmp_path / "cache").rglob("*" + RESULT_SUFFIX)))
         assert after > before
 
     def test_topology_table_rates(self):

@@ -7,12 +7,14 @@ counters), and any config change flips the key.
 """
 
 import json
+import os
+import pickle
 
 import pytest
 
 from repro.core.config import DEFAULT_CONFIG
-from repro.core import persistence
-from repro.harness import faults, runner
+from repro.harness import cache as cache_mod
+from repro.harness import faults, parallel, runner, store
 from repro.harness.cache import PlanCache, config_hash, open_cache
 from repro.harness.runner import baseline_run, online_pair, prepare_test
 from repro.apps import get_app
@@ -58,43 +60,42 @@ class TestConfigHash:
         assert config_hash(changed) != config_hash(DEFAULT_CONFIG)
 
 
-class TestSharedMode:
-    def test_shared_put_roundtrips_identically(self, tmp_path):
-        # Shared (fsync-before-rename) mode changes durability, not
-        # content: the record bytes and the read path are the same.
-        plain = PlanCache(tmp_path / "plain")
-        shared = PlanCache(tmp_path / "shared", shared=True)
-        payload = {"rows": [1, 2, 3], "nested": {"x": 0.5}}
-        plain.put("prep", {"k": 1}, payload)
-        shared.put("prep", {"k": 1}, payload)
-        assert shared.get("prep", {"k": 1}) == payload
-        name = plain._path("prep", plain._digest("prep", {"k": 1})).name
-        assert (tmp_path / "plain" / name).read_bytes() == (
-            tmp_path / "shared" / name
-        ).read_bytes()
+def record_file(cache, kind, key):
+    return cache._path(cache._name(kind, key))
 
-    def test_open_cache_shared_defaults_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WAFFLE_CACHE_SHARED", "1")
-        assert open_cache(tmp_path).shared
-        monkeypatch.delenv("WAFFLE_CACHE_SHARED")
-        assert not open_cache(tmp_path).shared
-        # Explicit argument wins over the environment.
-        monkeypatch.setenv("WAFFLE_CACHE_SHARED", "1")
-        assert not open_cache(tmp_path, shared=False).shared
 
-    def test_unreadable_record_is_a_quarantined_miss(self, cache):
-        # An OSError on read (here: the record path is a directory, as a
-        # stand-in for shared-filesystem permission/stat hiccups) must
-        # degrade to a miss, never crash the campaign.
-        key = {"k": 1}
-        cache.put("prep", key, {"v": 1})
-        path = cache._path("prep", cache._digest("prep", key))
-        path.unlink()
-        path.mkdir()
-        fresh = PlanCache(cache.directory)
-        assert fresh.get("prep", key) is None
-        assert fresh.stats.corrupt == 1
-        assert fresh.stats.misses == 1
+class TestDurability:
+    def test_fsyncs_only_while_a_fleet_executor_is_active(self, tmp_path, monkeypatch):
+        from repro.harness.fleet import FleetWorker
+        from repro.harness.supervisor import Supervisor
+
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+        cache = PlanCache(tmp_path / "cache")
+        payload = {"rows": [1, 2, 3]}
+
+        cache.put("prep", {"k": 1}, payload)
+        assert synced == []  # no executor: a local cache
+        parallel.activate(Supervisor(store=store.ArtifactStore(tmp_path / "resume",
+                                                               fsync=False)))
+        try:
+            cache.put("prep", {"k": 2}, payload)
+        finally:
+            parallel.deactivate()
+        assert synced == []  # a supervised campaign: still local
+        parallel.activate(FleetWorker(tmp_path / "fleet", worker_id="w"))
+        try:
+            cache.put("prep", {"k": 3}, payload)
+        finally:
+            parallel.deactivate()
+        assert synced  # a fleet's workers may share the cache across hosts
+        synced.clear()
+        cache.put("prep", {"k": 4}, payload)
+        assert synced == []
+        # Durability changes nothing about the content.
+        fresh = PlanCache(tmp_path / "cache")
+        assert [fresh.get("prep", {"k": k}) for k in (1, 3)] == [payload, payload]
 
 
 class TestPlanCache:
@@ -117,28 +118,57 @@ class TestPlanCache:
         cache.put("baseline", {"k": 1}, {"v": "base"})
         assert cache.get("prep", {"k": 1}) is None
 
+    def test_entries_are_store_records(self, cache):
+        key = {"k": 1}
+        cache.put("prep", key, {"v": [1, 2]})
+        name = cache._name("prep", key)
+        assert name.startswith("prep-")
+        record = store.read_record(record_file(cache, "prep", key), name)
+        assert (record.status, record.result) == ("ok", {"v": [1, 2]})
+
     def test_torn_file_is_a_miss(self, cache):
         key = {"k": 1}
         cache.put("prep", key, {"v": 1})
-        path = cache._path("prep", cache._digest("prep", key))
+        path = record_file(cache, "prep", key)
         path.write_text("{not json")
         fresh = PlanCache(cache.directory)
         assert fresh.get("prep", key) is None
+        assert fresh.stats.corrupt == 1
 
-    def test_format_version_bump_invalidates(self, cache, monkeypatch, tmp_path):
+    def test_unreadable_record_is_a_quarantined_miss(self, cache):
+        # An OSError on read (here: the record path is a directory, as a
+        # stand-in for shared-filesystem permission/stat hiccups) must
+        # degrade to a miss, never crash the campaign.
         key = {"k": 1}
         cache.put("prep", key, {"v": 1})
-        path = cache._path("prep", cache._digest("prep", key))
-        payload = json.loads(path.read_text())
-        payload["version"] = persistence.FORMAT_VERSION + 1
-        path.write_text(json.dumps(payload))
+        path = record_file(cache, "prep", key)
+        path.unlink()
+        path.mkdir()
         fresh = PlanCache(cache.directory)
         assert fresh.get("prep", key) is None
+        assert fresh.stats.corrupt == 1
+        assert fresh.stats.misses == 1
+
+    def test_format_version_bump_invalidates(self, cache, monkeypatch):
+        key = {"k": 1}
+        cache.put("prep", key, {"v": 1})
+        path = record_file(cache, "prep", key)
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["v"] = store.STORE_FORMAT_VERSION + 1
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        fresh = PlanCache(cache.directory)
+        assert fresh.get("prep", key) is None
+        assert fresh.stats.corrupt == 1
+        # A persistence format bump renames every entry: old ones miss.
+        name = cache._name("prep", key)
+        monkeypatch.setattr(cache_mod, "FORMAT_VERSION", cache_mod.FORMAT_VERSION + 1)
+        assert cache._name("prep", key) != name
 
     def test_corrupted_record_is_quarantined(self, cache):
         key = {"k": 1}
         cache.put("prep", key, {"v": 1})
-        path = cache._path("prep", cache._digest("prep", key))
+        path = record_file(cache, "prep", key)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF  # single flipped bit-rot byte
         path.write_bytes(bytes(blob))
@@ -157,22 +187,21 @@ class TestPlanCache:
     def test_truncated_record_is_quarantined(self, cache):
         key = {"k": 2}
         cache.put("prep", key, {"v": [1, 2, 3]})
-        path = cache._path("prep", cache._digest("prep", key))
+        path = record_file(cache, "prep", key)
         path.write_bytes(path.read_bytes()[:-16])  # torn write
         fresh = PlanCache(cache.directory)
         assert fresh.get("prep", key) is None
         assert fresh.stats.corrupt == 1
         assert path.with_name(path.name + ".corrupt").exists()
 
-    def test_checksum_mismatch_on_valid_json_is_quarantined(self, cache):
-        # The payload parses fine but was silently altered: only the
-        # checksum catches this class.
+    def test_checksum_mismatch_under_a_valid_header_is_quarantined(self, cache):
+        # Header and body both parse fine but the body was silently
+        # altered: only the checksum catches this class.
         key = {"k": 3}
         cache.put("prep", key, {"v": 1})
-        path = cache._path("prep", cache._digest("prep", key))
-        record = json.loads(path.read_text())
-        record["record"]["payload"]["v"] = 2
-        path.write_text(json.dumps(record))
+        path = record_file(cache, "prep", key)
+        head, _, _ = path.read_bytes().partition(b"\n")
+        path.write_bytes(head + b"\n" + pickle.dumps({"v": 2}))
         fresh = PlanCache(cache.directory)
         assert fresh.get("prep", key) is None
         assert fresh.stats.corrupt == 1
@@ -193,7 +222,7 @@ class TestPlanCache:
         # corruption is invisible until a fresh process reads the disk.
         key = {"k": 5}
         cache.put("prep", key, {"v": 1})
-        path = cache._path("prep", cache._digest("prep", key))
+        path = record_file(cache, "prep", key)
         path.write_bytes(b"garbage")
         assert cache.get("prep", key) == {"v": 1}
         assert cache.stats.corrupt == 0

@@ -201,13 +201,13 @@ class TestSupervisedCampaigns:
 
     @pytest.fixture(autouse=True)
     def clean_supervision(self):
-        from repro.harness import faults, supervisor
+        from repro.harness import faults, parallel
 
         faults.disable()
-        supervisor.deactivate()
+        parallel.deactivate()
         yield
         faults.disable()
-        supervisor.deactivate()
+        parallel.deactivate()
 
     @staticmethod
     def table_lines(out):
@@ -239,10 +239,11 @@ class TestSupervisedCampaigns:
         assert self.table_lines(chaotic) == plain.splitlines()
 
     def test_resume_skips_finished_cells(self, tmp_path, capsys):
-        journal = str(tmp_path / "journal")
-        assert main(["table2", "--apps", "nsubstitute", "--resume", journal]) == 0
+        resume = tmp_path / "resume"
+        assert main(["table2", "--apps", "nsubstitute", "--resume", str(resume)]) == 0
         first = capsys.readouterr().out
-        assert main(["table2", "--apps", "nsubstitute", "--resume", journal]) == 0
+        assert list(resume.glob("cell-*.res"))  # an artifact store
+        assert main(["table2", "--apps", "nsubstitute", "--resume", str(resume)]) == 0
         second = capsys.readouterr().out
         assert "resumed from journal" in second
         assert self.table_lines(first) == self.table_lines(second)
@@ -342,6 +343,48 @@ class TestUsageErrors:
     def test_counts_below_one_are_rejected(self, argv, capsys):
         err = self.fails_with(argv, capsys)
         assert "must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "case, reason",
+        [
+            ("corrupt-manifest", "is not valid JSON"),
+            ("manifest-without-argv", "carries no inner command"),
+            ("second-command", "refusing to mix campaigns"),
+            ("run-without-inner", "requires an inner command"),
+            ("merge-without-out", "requires --merged-out"),
+        ],
+    )
+    def test_fleet_and_campaign_input_errors(self, tmp_path, capsys, case, reason):
+        from repro.harness import fleet
+
+        fleet_dir = tmp_path / "fleet"
+        fleet_dir.mkdir()
+        manifest = fleet_dir / fleet.MANIFEST_NAME
+        inner = ["--", "fuzz", "--seed-range", "0:2", "--no-replay"]
+        argv = ["campaign", "run", "--fleet-dir", str(fleet_dir)] + inner
+        if case == "corrupt-manifest":
+            manifest.write_text('{"argv": ["fuzz", ')
+        elif case == "manifest-without-argv":
+            manifest.write_text('{"lease_ttl_s": 1.0}')
+            argv = ["campaign", "worker", "--fleet-dir", str(fleet_dir), "--wait", "1"]
+        elif case == "second-command":
+            fleet._write_manifest(manifest, ["fuzz", "--seed-range", "0:4"], 1.0, 0.1, 3, 60.0)
+        elif case == "run-without-inner":
+            argv = ["campaign", "run", "--fleet-dir", str(fleet_dir)]
+        else:
+            argv = ["campaign", "merge", str(fleet_dir)]
+        err = self.one_line(argv, capsys)
+        assert reason in err
+        assert "Traceback" not in err
+        assert not list(fleet_dir.glob("events-*.jsonl"))
+
+    def test_resume_onto_an_existing_file(self, tmp_path, capsys):
+        path = tmp_path / "not-a-directory"
+        path.write_text("")
+        err = self.one_line(["table2", "--apps", "nsubstitute", "--resume", str(path)],
+                            capsys)
+        assert "--resume %s" % path in err
+        assert "Traceback" not in err
 
     def test_non_integer_count_is_rejected(self, capsys):
         err = self.fails_with(["table4", "--attempts", "many"], capsys)

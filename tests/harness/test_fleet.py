@@ -3,6 +3,7 @@ byte-identity matrix."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -15,17 +16,17 @@ import pytest
 
 from repro.harness import faults, fleet, parallel
 from repro.harness.fleet import FleetDrained, FleetWorker
-from repro.harness.supervisor import RetryPolicy, cell_key
+from repro.harness.supervisor import CampaignStats, RetryPolicy, Supervisor, cell_key
 from repro.obs import eventbus
 
 
 @pytest.fixture(autouse=True)
 def clean_slate():
     faults.disable()
-    fleet.deactivate()
+    parallel.deactivate()
     yield
     faults.disable()
-    fleet.deactivate()
+    parallel.deactivate()
     eventbus.disable()
 
 
@@ -59,6 +60,16 @@ def always_deterministic_failure(x):
 
 def always_transient_failure(x):
     raise OSError("the disk is never there")
+
+
+_TWO_FAULTS = {"n": 0}
+
+
+def transient_then_deterministic(x):
+    _TWO_FAULTS["n"] += 1
+    if _TWO_FAULTS["n"] == 1:
+        raise OSError("transient wobble")
+    raise ValueError("same inputs, same crash")
 
 
 KEY = "f" * 32
@@ -147,15 +158,13 @@ class TestMapCells:
         assert second.stats.executed == 0
         assert second.stats.fetched == 5
 
-    def test_journal_records_every_execution_once(self, tmp_path):
-        worker = make_worker(tmp_path, "journaled")
+    def test_store_records_every_execution_once(self, tmp_path):
+        worker = make_worker(tmp_path, "published")
         worker.map_cells(square, [(x,) for x in range(4)])
-        lines = [json.loads(l) for l in worker.journal_path.read_text().splitlines()]
-        assert len(lines) == 4
-        assert {l["key"] for l in lines} == {
-            cell_key(square, (x,)) for x in range(4)
-        }
-        assert all(l["status"] == "ok" and l["worker"] == "journaled" for l in lines)
+        assert worker.store.stats.publishes == 4
+        assert set(worker.store.keys()) == {cell_key(square, (x,)) for x in range(4)}
+        records = [worker.store.fetch(key) for key in worker.store.keys()]
+        assert all(r.ok and r.worker == "published" for r in records)
 
     def test_transient_failure_retries_to_success(self, tmp_path):
         _FLAKY_CALLS["n"] = 0
@@ -203,11 +212,12 @@ class TestMapCells:
 
     def test_map_units_routes_through_an_active_fleet(self, tmp_path):
         worker = make_worker(tmp_path, "routed")
-        fleet.activate(worker)
+        parallel.activate(worker)
         try:
+            assert parallel.current() is worker
             assert parallel.map_units(square, [(3,)], jobs=4) == [9]
         finally:
-            fleet.deactivate()
+            parallel.deactivate()
         assert worker.stats.executed == 1
 
     def test_steal_resumes_a_dead_workers_cell(self, tmp_path):
@@ -219,6 +229,59 @@ class TestMapCells:
         assert live.map_cells(square, [(5,)]) == [25]
         assert live.stats.stolen == 1
         assert live.store.fetch(key).attempts == 2
+
+
+class TestSharedFaultBoundary:
+    """The supervisor and a fleet executor share one verdict function
+    and one fault-accounting routine."""
+
+    @staticmethod
+    def _run(execute):
+        _TWO_FAULTS["n"] = 0
+        events = []
+        eventbus.configure(None).add_listener(events.append)
+        try:
+            results = execute()
+        finally:
+            eventbus.disable()
+        kept = [
+            {k: v for k, v in e.items() if k not in ("seq", "t", "wall_s")}
+            for e in events if e["type"] in ("fault", "cell_retry", "cell_end")
+        ]
+        return results, kept
+
+    def test_supervisor_and_fleet_account_a_cell_identically(self, tmp_path):
+        units = [(1,)]
+        sup = Supervisor(policy=fast_policy(), sleep=lambda _s: None)
+        sup_results, sup_events = self._run(
+            lambda: sup.map(transient_then_deterministic, units)
+        )
+        worker = make_worker(tmp_path, "fleet")
+        fleet_results, fleet_events = self._run(
+            lambda: worker.map_cells(transient_then_deterministic, units)
+        )
+        assert sup_results == fleet_results == [None]
+
+        def counts(stats):
+            return {f.name: getattr(stats, f.name)
+                    for f in dataclasses.fields(CampaignStats)}
+
+        assert counts(sup.stats) == counts(worker.stats)
+        assert counts(sup.stats)["quarantined"] == 1
+        assert sup.stats.fault_counts == {"deterministic": 1, "transient_io": 1}
+        assert sup_events == fleet_events
+        assert [e["type"] for e in sup_events] == ["fault", "cell_retry", "fault", "cell_end"]
+        assert sup_events[-1]["status"] == "quarantined"
+        assert sup_events[-1]["attempt"] == 2
+
+    def test_fleet_faults_leave_crash_dossiers_next_to_the_store(self, tmp_path):
+        worker = make_worker(tmp_path, "dossiers")
+        worker.map_cells(always_deterministic_failure, [(1,)])
+        dossiers = list(worker.store.directory.glob("crash-*.json"))
+        assert len(dossiers) == 1
+        payload = json.loads(dossiers[0].read_text())["record"]
+        assert payload["fault"]["kind"] == "deterministic"
+        assert list(worker.store.keys()) == [cell_key(always_deterministic_failure, (1,))]
 
 
 class TestLeaseLedger:
@@ -282,8 +345,9 @@ class TestCampaignManifest:
             target, ["fuzz", "--seed-range", "0:4"], 9.0, 0.9, 5, 90.0
         )
         assert reloaded["lease_ttl_s"] == 1.0  # the original manifest stands
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as raised:
             fleet._write_manifest(target, ["fuzz", "--seed-range", "0:8"], 1.0, 0.1, 3, 60.0)
+        assert raised.value.code == 2
 
     def test_nested_fleet_commands_are_refused(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -299,7 +363,6 @@ def _run(argv, cwd, env_extra=None, check=True, timeout=240):
                     env.get("PYTHONPATH", "")) if p
     )
     env.pop("WAFFLE_CHAOS", None)
-    env.pop("WAFFLE_CACHE_SHARED", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -395,19 +458,16 @@ class TestFleetMatrix:
         assert not list((chaos / "fleet" / "leases").iterdir())
         assert len(list((chaos / "fleet" / "expired").iterdir())) == 1
 
-        # -- No cell executed twice: the per-worker journals are the
-        # execution ledger, and each key appears exactly once across
-        # the whole fleet (the chaos kill happened *before* the doomed
-        # worker journaled anything).
+        # -- No cell executed twice: every executor's ``cell_end``
+        # events are the execution ledger, and each cell appears
+        # exactly once across the whole fleet (the chaos kill happened
+        # *before* the doomed worker finalized anything).
         for d in (serial, two, chaos):
-            executed = []
-            for journal in (d / "fleet").glob("journal-*.jsonl"):
-                if journal.name == fleet.MERGED_JOURNAL_NAME:
-                    continue
-                executed.extend(
-                    json.loads(line)["key"]
-                    for line in journal.read_text().splitlines()
-                )
+            executed = [
+                event["cell"]
+                for stream in eventbus.load_streams(d / "fleet")
+                for event in stream.events if event["type"] == "cell_end"
+            ]
             assert len(executed) == len(set(executed)) == 6, d
 
         # -- The ledger reconciliation gate passes on every run.

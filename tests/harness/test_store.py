@@ -63,6 +63,24 @@ class TestPublishFetch:
         assert second.stats.races == 1
         assert second.fetch(KEY).result == "original"
 
+    def test_ok_result_supersedes_a_degraded_tombstone(self, tmp_path):
+        store = ArtifactStore(tmp_path, fsync=False)
+        store.publish(KEY, "failed", None, attempts=3)
+        replaced = store.publish(KEY, "ok", "recovered", attempts=1)
+        assert replaced.result == "recovered"
+        assert store.fetch(KEY).status == "ok"
+        assert store.stats.races == 0
+        # ... but nothing supersedes an ok record.
+        kept = store.publish(KEY, "failed", None, attempts=2)
+        assert kept.ok and kept.result == "recovered"
+        assert store.stats.races == 1
+
+    def test_a_later_tombstone_keeps_the_first(self, tmp_path):
+        store = ArtifactStore(tmp_path, fsync=False)
+        store.publish(KEY, "failed", None, attempts=3, worker="w1")
+        kept = store.publish(KEY, "quarantined", None, attempts=1, worker="w2")
+        assert (kept.status, kept.worker) == ("failed", "w1")
+
     def test_fsync_mode_roundtrips_identically(self, tmp_path):
         store = ArtifactStore(tmp_path, fsync=True)
         store.publish(KEY, "ok", [1.5, "x"])

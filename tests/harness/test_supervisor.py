@@ -17,8 +17,8 @@ import time
 import pytest
 
 from repro.harness import faults, parallel, supervisor
+from repro.harness.store import ArtifactStore
 from repro.harness.supervisor import (
-    CampaignJournal,
     RetryPolicy,
     Supervisor,
     cell_key,
@@ -56,11 +56,15 @@ def sleeper(x, seconds):
 def clean_state():
     ATTEMPTS.clear()
     faults.disable()
-    supervisor.deactivate()
+    parallel.deactivate()
     yield
     ATTEMPTS.clear()
     faults.disable()
-    supervisor.deactivate()
+    parallel.deactivate()
+
+
+def resume_store(directory):
+    return ArtifactStore(directory, fsync=False)
 
 
 def no_sleep(_s):
@@ -239,48 +243,16 @@ class TestWatchdog:
         assert sup.stats.ok == 2
 
 
-class TestJournal:
-    def test_roundtrip_with_checksum(self, tmp_path):
-        journal = CampaignJournal(tmp_path)
-        journal.record("k1", "ok", attempts=1, fault_list=[], result={"rows": [1, 2]})
-        reopened = CampaignJournal(tmp_path)
-        assert reopened.load_result("k1") == {"rows": [1, 2]}
-        assert reopened.entries["k1"]["status"] == "ok"
-
-    def test_corrupt_result_pickle_is_detected(self, tmp_path):
-        journal = CampaignJournal(tmp_path)
-        journal.record("k1", "ok", attempts=1, fault_list=[], result=[1, 2, 3])
-        journal.result_path("k1").write_bytes(b"garbage")
-        reopened = CampaignJournal(tmp_path)
-        with pytest.raises(faults.CorruptRecordFault):
-            reopened.load_result("k1")
-
-    def test_torn_tail_line_is_recovered(self, tmp_path):
-        journal = CampaignJournal(tmp_path)
-        journal.record("k1", "ok", attempts=1, fault_list=[], result=1)
-        with open(journal.path, "a") as fp:
-            fp.write('{"key": "k2", "status"')  # killed mid-append
-        reopened = CampaignJournal(tmp_path)
-        assert reopened.recovered_truncated == 1
-        assert set(reopened.entries) == {"k1"}
-
-    def test_interior_corruption_raises(self, tmp_path):
-        journal = CampaignJournal(tmp_path)
-        journal.path.write_text('not json\n{"key": "k1", "status": "ok", "attempts": 1}\n')
-        with pytest.raises(faults.CorruptRecordFault):
-            CampaignJournal(tmp_path)
-
-
 class TestCheckpointResume:
     def test_resume_completes_exactly_the_remainder(self, tmp_path):
         units = [(x,) for x in range(5)]
         clean = Supervisor(sleep=no_sleep).map(square, units)
 
-        # Campaign "killed" after 3 cells: only those reach the journal.
-        first = Supervisor(journal=CampaignJournal(tmp_path), sleep=no_sleep)
+        # Campaign "killed" after 3 cells: only those reach the store.
+        first = Supervisor(store=resume_store(tmp_path), sleep=no_sleep)
         first.map(square, units[:3])
+        assert len(list(resume_store(tmp_path).keys())) == 3
 
-        ATTEMPTS.clear()
         executed = []
 
         def counting_square(x):
@@ -289,69 +261,105 @@ class TestCheckpointResume:
 
         counting_square.__module__ = square.__module__
         counting_square.__qualname__ = square.__qualname__  # same cell keys
-        resumed = Supervisor(journal=CampaignJournal(tmp_path), sleep=no_sleep)
+        resumed = Supervisor(store=resume_store(tmp_path), sleep=no_sleep)
         results = resumed.map(counting_square, units)
         assert results == clean  # bit-identical to an uninterrupted run
         assert executed == [3, 4]  # exactly the remainder ran
         assert resumed.stats.resumed == 3
         assert resumed.stats.ok == 2
 
-    def test_failure_tail_is_reattempted(self, tmp_path):
-        journal = CampaignJournal(tmp_path)
+    def test_failed_tombstone_is_reattempted_and_superseded(self, tmp_path):
+        key = cell_key(flaky, (7, 1))
         first = Supervisor(
-            policy=RetryPolicy(max_attempts=1), journal=journal, sleep=no_sleep
+            policy=RetryPolicy(max_attempts=1), store=resume_store(tmp_path), sleep=no_sleep
         )
-        assert first.map(flaky, [(7, 99)]) == [None]  # exhausts its budget
+        assert first.map(flaky, [(7, 1)]) == [None]  # exhausts its budget
+        assert resume_store(tmp_path).fetch(key).status == "failed"
 
-        ATTEMPTS.clear()  # the fault was transient: next campaign succeeds
-        second = Supervisor(journal=CampaignJournal(tmp_path), sleep=no_sleep)
-        assert second.map(flaky, [(7, 0)]) == [70]
-        assert second.stats.resumed == 0  # failed cells are never skipped
+        # The fault was transient: the resumed campaign re-attempts the
+        # cell (failed cells are never skipped) and its ok result
+        # replaces the tombstone.
+        second = Supervisor(store=resume_store(tmp_path), sleep=no_sleep)
+        assert second.map(flaky, [(7, 1)]) == [70]
+        assert second.stats.resumed == 0
         assert second.stats.ok == 1
+        record = resume_store(tmp_path).fetch(key)
+        assert record.ok and record.result == 70
 
-    def test_corrupt_journaled_result_reruns_the_cell(self, tmp_path):
-        journal = CampaignJournal(tmp_path)
-        Supervisor(journal=journal, sleep=no_sleep).map(square, [(6,)])
-        journal.result_path(cell_key(square, (6,))).write_bytes(b"rot")
-        resumed = Supervisor(journal=CampaignJournal(tmp_path), sleep=no_sleep)
+        third = Supervisor(store=resume_store(tmp_path), sleep=no_sleep)
+        assert third.map(flaky, [(7, 1)]) == [70]
+        assert third.stats.resumed == 1
+        assert ATTEMPTS[7] == 2  # the third campaign ran nothing
+
+    def test_corrupt_record_reruns_the_cell(self, tmp_path):
+        Supervisor(store=resume_store(tmp_path), sleep=no_sleep).map(square, [(6,)])
+        target = resume_store(tmp_path).path(cell_key(square, (6,)))
+        blob = bytearray(target.read_bytes())
+        blob[-1] ^= 0xFF
+        target.write_bytes(bytes(blob))
+        resumed = Supervisor(store=resume_store(tmp_path), sleep=no_sleep)
         assert resumed.map(square, [(6,)]) == [36]
         assert resumed.stats.resumed == 0
         assert resumed.stats.ok == 1
+        assert resumed.store.stats.corrupt == 1
+        assert target.with_name(target.name + ".corrupt").exists()
+        assert resume_store(tmp_path).fetch(cell_key(square, (6,))).result == 36
+
+    def test_undecodable_record_is_a_miss_not_an_error(self, tmp_path):
+        store = resume_store(tmp_path)
+        store.path(cell_key(square, (4,))).write_bytes(b"not a record\n")
+        resumed = Supervisor(store=resume_store(tmp_path), sleep=no_sleep)
+        assert resumed.map(square, [(3,), (4,)]) == [9, 16]
+        assert resumed.stats.ok == 2
+
+    def test_publication_emits_checkpoint_events(self, tmp_path):
+        from repro.obs import eventbus
+
+        events = []
+        eventbus.configure(None).add_listener(events.append)
+        try:
+            Supervisor(store=resume_store(tmp_path), sleep=no_sleep).map(square, [(1,), (2,)])
+        finally:
+            eventbus.disable()
+        checkpoints = [e for e in events if e["type"] == "checkpoint"]
+        assert [(e["status"], e["attempts"]) for e in checkpoints] == [("ok", 1), ("ok", 1)]
 
     @pytest.mark.tier2
     def test_resume_after_sigkill_is_bit_identical(self, tmp_path):
         """Kill a real campaign process mid-run; resuming completes the
         remainder and the merged results match an uninterrupted run."""
-        journal_dir = tmp_path / "journal"
+        store_dir = tmp_path / "resume"
         out_path = tmp_path / "results.json"
         script = (
             "import json, sys, time\n"
-            "from repro.harness.supervisor import CampaignJournal, Supervisor\n"
+            "from repro.harness.store import ArtifactStore\n"
+            "from repro.harness.supervisor import Supervisor\n"
             "from tests.harness.test_supervisor import slow_square\n"
-            "sup = Supervisor(journal=CampaignJournal(%r))\n"
+            "sup = Supervisor(store=ArtifactStore(%r, fsync=False))\n"
             "results = sup.map(slow_square, [(x,) for x in range(6)])\n"
-            "json.dump(results, open(%r, 'w'))\n" % (str(journal_dir), str(out_path))
+            "json.dump(results, open(%r, 'w'))\n" % (str(store_dir), str(out_path))
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", ".", env.get("PYTHONPATH", "")) if p
         )
         proc = subprocess.Popen([sys.executable, "-c", script], env=env)
-        # Wait until at least one cell is journaled, then kill -9.
+        # Wait until at least one cell is published, then kill -9.
         deadline = time.monotonic() + 30.0
-        journal_path = journal_dir / "journal.jsonl"
         while time.monotonic() < deadline:
-            if journal_path.exists() and journal_path.read_text().count("\n") >= 1:
+            if store_dir.exists() and any(store_dir.glob("cell-*.res")):
                 break
             time.sleep(0.02)
         proc.send_signal(signal.SIGKILL)
         proc.wait()
         assert not out_path.exists()  # the first campaign never finished
 
-        resumed = Supervisor(journal=CampaignJournal(journal_dir))
+        resumed = Supervisor(store=resume_store(store_dir))
         results = resumed.map(slow_square, [(x,) for x in range(6)])
         assert results == [x * x for x in range(6)]
         assert resumed.stats.resumed >= 1  # the killed campaign's progress held
+        clean = Supervisor().map(slow_square, [(x,) for x in range(6)])
+        assert results == clean
 
 
 def slow_square(x):
@@ -389,7 +397,7 @@ class TestChaosCampaign:
     def test_crash_dossiers_are_written(self, tmp_path):
         faults.configure("seed=1,worker_crash=1.0")
         sup = Supervisor(
-            journal=CampaignJournal(tmp_path),
+            store=resume_store(tmp_path),
             policy=RetryPolicy(max_attempts=2, seed=0),
             sleep=no_sleep,
         )
@@ -408,7 +416,7 @@ class TestMapUnitsIntegration:
         assert sup.stats.ok == 2
 
     def test_map_units_unsupervised_path_unchanged(self):
-        assert supervisor.current() is None
+        assert parallel.current() is None
         assert parallel.map_units(square, [(2,), (3,)]) == [4, 9]
 
     def test_summary_line_format(self):
