@@ -2,11 +2,12 @@
 
 Asserts the telemetry contract end to end, from files alone:
 
-* every ``telemetry-*.jsonl`` line parses and carries a known ``type``;
-* every skip event carries a valid reason tag;
-* every ``summary-*.json`` parses and contains the required counters
+* every ``telemetry-*.jsonl`` stream parses (via
+  :func:`repro.obs.eventbus.read_stream`), carries only known record
+  types, and its last ``metrics`` record contains the required counters
   (sessions pre-register them, so the *names* must be present even at
   value 0);
+* every skip event carries a valid reason tag;
 * decision events reconcile with run summaries and merged counters
   (via :func:`repro.obs.report.reconcile`);
 * every ``dossier-*.json`` validates against the dossier schema
@@ -21,9 +22,8 @@ Asserts the telemetry contract end to end, from files alone:
   recovered torn tail lines.
 
 A truncated final JSONL line (no trailing newline -- the artifact a
-killed ``--jobs`` worker leaves) is tolerated, matching
-``load_obs_dir``'s recovery posture; it is reported as a warning, not
-a failure.
+killed ``--jobs`` worker leaves) is tolerated, as ``read_stream``
+recovers it; it is reported as a warning, not a failure.
 
 With a second argument naming a ``BENCH_obs.json`` produced by
 ``benchmarks/bench_obs.py``, also enforces the overhead budgets the
@@ -51,12 +51,13 @@ import sys
 from pathlib import Path
 
 from repro.core import persistence
+from repro.harness.faults import FAULT_KINDS
 from repro.obs import campaign as campaign_mod
 from repro.obs import eventbus
 from repro.obs.coverage import reconcile_coverage
 from repro.obs.dossier import validate_dossier_dict
 from repro.obs.report import load_obs_dir, reconcile
-from repro.obs.telemetry import SKIP_REASONS
+from repro.obs.telemetry import SKIP_REASONS, TELEMETRY_GLOB
 
 REQUIRED_COUNTERS = (
     "inject.considered",
@@ -72,7 +73,7 @@ REQUIRED_COUNTERS = (
     "sched.context_switches",
     "telemetry.runs_recorded",
     # Resilience counters (repro.harness.supervisor / faults taxonomy);
-    # pre-registered at session start so every summary carries them.
+    # pre-registered at session start so every metrics record carries them.
     "faults.worker_crash",
     "faults.hang",
     "faults.transient_io",
@@ -84,51 +85,34 @@ REQUIRED_COUNTERS = (
     "cache.corrupt",
 )
 
-KNOWN_TYPES = {"meta", "inject", "span", "run"}
+KNOWN_TYPES = {"inject", "run", "metrics"}
 
 
 def check(obs_dir: Path) -> list:
     problems = []
-    summaries = sorted(obs_dir.glob("summary-*.json"))
-    events = sorted(obs_dir.glob("telemetry-*.jsonl"))
-    if not summaries:
-        problems.append("no summary-*.json files in %s" % obs_dir)
-    if not events:
+    streams = eventbus.load_streams(obs_dir, TELEMETRY_GLOB)
+    if not streams:
         problems.append("no telemetry-*.jsonl files in %s" % obs_dir)
 
-    for path in summaries:
-        try:
-            payload = json.loads(path.read_text())
-            counters = payload["record"]["metrics"]["counters"]
-        except (ValueError, KeyError) as exc:
-            problems.append("%s: unreadable summary (%s)" % (path.name, exc))
-            continue
-        for name in REQUIRED_COUNTERS:
-            if name not in counters:
-                problems.append("%s: missing counter %r" % (path.name, name))
-
-    for path in events:
-        text = path.read_text()
-        lines = text.splitlines()
-        truncated_tail = bool(lines) and not text.endswith("\n")
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                if truncated_tail and line_no == len(lines):
-                    continue  # killed-worker artifact; load_obs_dir warns
-                problems.append("%s:%d: bad JSON (%s)" % (path.name, line_no, exc))
-                continue
+    for stream in streams:
+        name = Path(stream.path).name
+        metrics = None
+        for record in stream.events:
             kind = record.get("type")
             if kind not in KNOWN_TYPES:
-                problems.append("%s:%d: unknown type %r" % (path.name, line_no, kind))
+                problems.append("%s: unknown type %r" % (name, kind))
+            elif kind == "metrics":
+                metrics = record.get("metrics") or {}
             elif kind == "inject" and record.get("action") == "skip":
                 if record.get("reason") not in SKIP_REASONS:
-                    problems.append(
-                        "%s:%d: skip event without a valid reason" % (path.name, line_no)
-                    )
+                    problems.append("%s: skip event without a valid reason" % name)
+        if metrics is None:
+            problems.append("%s: no metrics record" % name)
+            continue
+        counters = metrics.get("counters", {})
+        for counter in REQUIRED_COUNTERS:
+            if counter not in counters:
+                problems.append("%s: missing counter %r" % (name, counter))
 
     for path in sorted(obs_dir.glob("dossier-*.json")):
         try:
@@ -199,11 +183,6 @@ def check_dashboard_artifacts(obs_dir: Path) -> list:
             if heading not in text:
                 problems.append("dashboard.html: missing section %r" % heading)
     return problems
-
-
-#: Campaign-event counts that must match merged telemetry counters
-#: exactly (modulo recovered torn lines): (label, counter name).
-FAULT_KINDS = ("worker_crash", "hang", "transient_io", "corrupt_record", "deterministic")
 
 
 def check_events(obs_dir: Path, data) -> list:
@@ -328,7 +307,7 @@ def main(argv) -> int:
     argv = list(argv)
     # Events-only mode: validate campaign event streams (schema, parse,
     # lease-ledger conservation) in a directory that never had
-    # telemetry -- a fleet dir, a bare --events-dir. The counter
+    # telemetry -- a fleet dir. The counter
     # reconciliation is skipped naturally (there are no counters).
     events_only = "--events-only" in argv
     if events_only:
@@ -370,13 +349,12 @@ def main(argv) -> int:
         return 1
     streams = eventbus.load_streams(obs_dir)
     print(
-        "obs check OK: %d process(es), %d runs, %d decision events, %d spans, "
+        "obs check OK: %d process(es), %d runs, %d decision events, "
         "%d dossier(s), %d coverage record(s), %d campaign event(s) in %d stream(s)"
         % (
             data.processes,
             len(data.runs),
             len(data.inject_events),
-            len(data.spans),
             len(data.dossiers),
             len(data.coverage),
             sum(len(s.events) for s in streams),

@@ -262,7 +262,7 @@ def cmd_fuzz(args) -> int:
         for path in fuzz_mod.shrink_failures(failures, config, args.budget, args.shrink_dir):
             print("regression fixture written: %s" % path)
     if getattr(args, "dashboard", False):
-        target = args.obs_dir or args.events_dir or "waffle-dashboard"
+        target = args.obs_dir or "waffle-dashboard"
         for path in _write_dashboard_artifacts(target, rows=rows, label="fuzz"):
             print("dashboard artifact written: %s" % path)
     return 1 if failures else 0
@@ -731,16 +731,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-dir",
         type=str,
         default=argparse.SUPPRESS,
-        help="enable run telemetry and write it here (also via WAFFLE_OBS_DIR); "
-        "inspect with 'obs report <dir>' afterwards",
-    )
-    shared.add_argument(
-        "--events-dir",
-        type=str,
-        default=argparse.SUPPRESS,
-        help="write the campaign event stream here (also via WAFFLE_EVENTS_DIR; "
-        "--obs-dir co-locates one automatically); inspect with "
-        "'campaign status <dir>' or 'obs analytics <dir>'",
+        help="enable run telemetry and the campaign event stream and write "
+        "both here (also via WAFFLE_OBS_DIR); inspect with 'obs report <dir>', "
+        "'campaign status <dir>' or 'obs analytics <dir>' afterwards",
     )
     shared.add_argument(
         "--progress",
@@ -880,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dashboard",
         action="store_true",
         help="render dashboard.html + metrics.prom and append a "
-        "timeseries.jsonl quality row into --obs-dir / --events-dir "
+        "timeseries.jsonl quality row into --obs-dir "
         "(or ./waffle-dashboard) after the run",
     )
     p.set_defaults(func=cmd_fuzz)
@@ -1108,8 +1101,6 @@ def normalize_args(args) -> None:
         args.cache_dir = None
     if not hasattr(args, "obs_dir"):
         args.obs_dir = None
-    if not hasattr(args, "events_dir"):
-        args.events_dir = None
     if not hasattr(args, "progress"):
         args.progress = False
     if not hasattr(args, "resume"):
@@ -1133,17 +1124,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             store = ArtifactStore(args.resume, fsync=False)
         except OSError as exc:
             _usage_error("--resume %s: %s" % (args.resume, exc.strerror or exc))
-    if args.events_dir:
-        # Standalone campaign event stream (no telemetry). Like
-        # --obs-dir, the environment variable is what pool workers
-        # inherit; configure() activates the bus here right away.
-        os.environ[eventbus.EVENTS_DIR_ENV] = args.events_dir
-        eventbus.configure(args.events_dir)
     if args.obs_dir:
-        # The environment variable is what --jobs pool workers inherit;
-        # configure() activates telemetry in this process right away
-        # (and co-locates a campaign event stream when no --events-dir /
-        # WAFFLE_EVENTS_DIR claimed its own destination).
+        # The environment variable is what spawned processes inherit;
+        # configure() opens telemetry and the campaign event stream in
+        # this process right away.
         os.environ[obs.OBS_DIR_ENV] = args.obs_dir
         obs.configure(args.obs_dir)
     if args.progress:
@@ -1215,11 +1199,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.obs_dir:
         obs.flush()
         print("telemetry written to %s (inspect with: obs report %s)" % (args.obs_dir, args.obs_dir))
-    if args.events_dir:
-        print(
-            "campaign events written to %s (inspect with: campaign status %s)"
-            % (args.events_dir, args.events_dir)
-        )
     return int(rc) if rc else 0
 
 

@@ -85,9 +85,8 @@ def _call_unit(fn: Callable[..., Any], args: Tuple) -> Any:
     """Execute one work unit, wrapped in per-cell telemetry when active.
 
     Module-level so the process pool can pickle it by reference; in a
-    worker process the session comes from the inherited
-    ``WAFFLE_OBS_DIR`` environment variable (and the event bus from
-    ``WAFFLE_EVENTS_DIR`` / the obs directory).
+    worker process the session and the event bus are the ones the fork
+    handler reopened (or that ``WAFFLE_OBS_DIR`` configured).
     """
     session = obs.session()
     if session is None:
@@ -95,15 +94,14 @@ def _call_unit(fn: Callable[..., Any], args: Tuple) -> Any:
         _flush_bus_for_cell()
         return result
     started = time.perf_counter()
-    with session.tracer.span("cell", category="harness", unit=fn.__name__):
-        result = fn(*args)
+    result = fn(*args)
     session.c_cells.inc()
     session.h_cell_wall_ms.observe((time.perf_counter() - started) * 1000.0)
     if multiprocessing.parent_process() is not None:
         # Pool worker: it may be recycled or killed without running
         # atexit hooks, so a per-cell flush is what lands its telemetry
-        # on disk. Cells are coarse enough that one append + summary
-        # rewrite per cell is noise against a worker's wall time.
+        # on disk. Cells are coarse enough that one append per cell is
+        # noise against a worker's wall time.
         session.flush()
     else:
         # Main process: the atexit hook and the CLI's end-of-command
@@ -113,6 +111,15 @@ def _call_unit(fn: Callable[..., Any], args: Tuple) -> Any:
         session.maybe_flush()
     _flush_bus_for_cell()
     return result
+
+
+def _timed_unit(fn: Callable[..., Any], args: Tuple) -> Tuple[Any, float]:
+    """:func:`_call_unit` plus its wall seconds, timed where the cell
+    runs -- in a pool worker, that is the cell's own time, not the time
+    since the fan-out began."""
+    started = time.perf_counter()
+    result = _call_unit(fn, args)
+    return result, round(time.perf_counter() - started, 4)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -156,28 +163,26 @@ def map_units(
         results = []
         for key, args in zip(keys, units):
             bus.emit("cell_begin", cell=key[:16], unit=fn.__name__, attempt=1)
-            started = time.perf_counter()
-            results.append(_call_unit(fn, args))
-            bus.emit("cell_end", cell=key[:16], status="ok", attempt=1,
-                     wall_s=round(time.perf_counter() - started, 4))
+            result, wall_s = _timed_unit(fn, args)
+            results.append(result)
+            bus.emit("cell_end", cell=key[:16], status="ok", attempt=1, wall_s=wall_s)
             bus.maybe_flush()
         return results
     workers = min(jobs, len(units))
     with ProcessPoolExecutor(max_workers=workers) as executor:
-        futures = []
-        for index, args in enumerate(units):
-            if bus is not None:
-                bus.emit("cell_begin", cell=keys[index][:16], unit=fn.__name__, attempt=1)
-            futures.append(executor.submit(_call_unit, fn, args))
         if bus is None:
+            futures = [executor.submit(_call_unit, fn, args) for args in units]
             return [future.result() for future in futures]
+        futures = []
+        for key, args in zip(keys, units):
+            bus.emit("cell_begin", cell=key[:16], unit=fn.__name__, attempt=1)
+            futures.append(executor.submit(_timed_unit, fn, args))
         bus.flush()  # make cell_begin visible to live `campaign status`
-        started = time.perf_counter()
         results = []
-        for index, future in enumerate(futures):
-            results.append(future.result())
-            bus.emit("cell_end", cell=keys[index][:16], status="ok", attempt=1,
-                     wall_s=round(time.perf_counter() - started, 4))
+        for key, future in zip(keys, futures):
+            result, wall_s = future.result()
+            results.append(result)
+            bus.emit("cell_end", cell=key[:16], status="ok", attempt=1, wall_s=wall_s)
             bus.maybe_flush()
         return results
 

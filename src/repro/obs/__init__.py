@@ -6,12 +6,14 @@ skipped (probability decay vs. the interference set of section 4.4),
 what each preparation/detection run actually did. This package makes
 every run explainable from emitted data instead of reruns:
 
-* :mod:`repro.obs.metrics` -- counters/gauges/histograms with a
-  zero-allocation no-op path when telemetry is disabled;
-* :mod:`repro.obs.tracing` -- wall-clock spans (JSONL) plus a Chrome
-  ``trace_event`` export of virtual-time schedules;
+* :mod:`repro.obs.metrics` -- counters/gauges/histograms;
+* :mod:`repro.obs.eventbus` -- the campaign event bus, and the one
+  JSONL stream writer (:class:`~repro.obs.eventbus.Stream`) and reader
+  (:func:`~repro.obs.eventbus.read_stream`) every obs stream uses;
 * :mod:`repro.obs.telemetry` -- the per-process session and the
   per-run :class:`~repro.obs.telemetry.RunTelemetry` summary;
+* :mod:`repro.obs.tracing` -- the Chrome ``trace_event`` export of
+  virtual-time schedules;
 * :mod:`repro.obs.report` -- ``repro obs report``: aggregate an obs
   directory into a human-readable digest;
 * :mod:`repro.obs.flightrec` -- a bounded ring buffer of scheduler /
@@ -24,16 +26,18 @@ every run explainable from emitted data instead of reruns:
 
 Activation model
 ----------------
-Telemetry is **off by default** and controlled by one process-global
-session. ``configure(obs_dir)`` (or the ``WAFFLE_OBS_DIR`` environment
-variable, consulted at import) enables it; instrumented constructors
+Telemetry is **off by default** and controlled by one switch.
+``configure(obs_dir)`` (or the ``WAFFLE_OBS_DIR`` environment
+variable, consulted at import) opens the process session and the
+campaign event bus in the same directory: ``telemetry-*.jsonl`` and
+``events-*.jsonl``, one of each per process. Instrumented constructors
 call :func:`session` once and keep the result, so a disabled process
 pays only a handful of ``is None`` checks per *run*, not per event --
 the bound guarded by ``benchmarks/bench_obs.py``.
 
-The environment variable is also the propagation channel to
-``--jobs`` process-pool workers: they inherit it, auto-configure on
-import, and flush their own telemetry files at exit, which
+A forked ``--jobs`` pool worker reopens both streams under its own
+pid (one fork handler, below); spawned processes inherit the
+environment variable. Workers flush their own streams, which
 ``repro obs report`` merges.
 """
 
@@ -43,21 +47,12 @@ import atexit
 import os
 from typing import Optional
 
-from . import eventbus  # noqa: F401  (re-export; configures from env below)
+from . import eventbus  # noqa: F401  (re-export)
 from . import flightrec  # noqa: F401  (re-export; configures from env below)
 from .eventbus import EventBus  # noqa: F401
 from .flightrec import FlightRecorder  # noqa: F401
-from .metrics import (  # noqa: F401  (public re-exports)
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry  # noqa: F401
 from .telemetry import SKIP_REASONS, RunTelemetry, TelemetrySession, collect_run_telemetry  # noqa: F401
-from .tracing import NULL_SPAN, Span, SpanTracer  # noqa: F401
 
 #: Environment variable holding the default obs directory. Setting it
 #: enables telemetry for this process and every child it spawns.
@@ -65,11 +60,6 @@ OBS_DIR_ENV = "WAFFLE_OBS_DIR"
 
 _session: Optional[TelemetrySession] = None
 _atexit_registered = False
-#: Whether the campaign event bus was co-configured by ``configure``
-#: (as opposed to standalone via ``WAFFLE_EVENTS_DIR`` or an explicit
-#: ``eventbus.configure``); only a co-configured bus is torn down or
-#: redirected by this module.
-_bus_owned = False
 
 
 def session() -> Optional[TelemetrySession]:
@@ -81,28 +71,19 @@ def session() -> Optional[TelemetrySession]:
     return _session
 
 
-def active() -> bool:
-    return _session is not None
-
-
-def configure(obs_dir: os.PathLike, chrome: bool = True) -> TelemetrySession:
-    """Enable telemetry, flushing any previous session first.
+def configure(obs_dir: os.PathLike) -> TelemetrySession:
+    """Enable telemetry and the campaign event bus in ``obs_dir``,
+    flushing any previous session first.
 
     Must run before the instrumented objects (engines, trackers,
     caches, schedulers) are constructed -- they bind the session at
     construction time.
     """
-    global _session, _atexit_registered, _bus_owned
+    global _session, _atexit_registered
     if _session is not None:
         _session.flush()
-    _session = TelemetrySession(obs_dir, chrome=chrome)
-    # The campaign event bus rides along with telemetry: same directory,
-    # same durability conventions. An explicit WAFFLE_EVENTS_DIR (or a
-    # prior eventbus.configure) keeps its own destination.
-    existing = eventbus.bus()
-    if _bus_owned or existing is None or existing.directory is None:
-        eventbus.configure(obs_dir)
-        _bus_owned = True
+    _session = TelemetrySession(obs_dir)
+    eventbus.configure(obs_dir)
     if not _atexit_registered:
         atexit.register(_flush_at_exit)
         _atexit_registered = True
@@ -110,14 +91,12 @@ def configure(obs_dir: os.PathLike, chrome: bool = True) -> TelemetrySession:
 
 
 def disable() -> None:
-    """Flush and drop the active session (used by tests and the CLI)."""
-    global _session, _bus_owned
+    """Flush and drop the session and the bus (used by tests and the CLI)."""
+    global _session
     if _session is not None:
         _session.flush()
     _session = None
-    if _bus_owned:
-        eventbus.disable()
-        _bus_owned = False
+    eventbus.disable()
 
 
 def flush() -> None:
@@ -142,16 +121,14 @@ def _configure_from_env() -> None:
 
 
 def _reset_after_fork() -> None:
-    # A forked pool worker inherits the parent's session object --
-    # including its buffered (unflushed) events and its file token.
-    # Drop it without flushing (those events are the parent's to write)
-    # and open a fresh session keyed by the child's own pid.
+    # A forked pool worker inherits the parent's session and bus --
+    # including their buffered (unflushed) records and file tokens.
+    # Drop them without flushing (those records are the parent's to
+    # write) and reopen both streams keyed by the child's own pid.
     global _session
-    if _session is None:
-        return
-    directory, chrome = _session.directory, _session.chrome
-    _session = None
-    _session = TelemetrySession(directory, chrome=chrome)
+    if _session is not None:
+        _session = TelemetrySession(_session.directory)
+    eventbus._reset_after_fork()
 
 
 if hasattr(os, "register_at_fork"):

@@ -9,17 +9,16 @@ happens. It is what ``campaign status`` renders live, what
 ``campaign merge`` combines across workers, and what ``obs analytics``
 mines across runs.
 
-Durability follows the conventions the telemetry flusher and the
-supervisor journal established:
+The :class:`Stream` writer and :func:`read_stream` reader here are
+also the telemetry session's (``telemetry-<pid>-<token>.jsonl``), so
+both files share one durability model:
 
-* **fork-safe** -- one ``events-<pid>-<token>.jsonl`` file per writing
-  process; a forked worker drops the parent's buffered events (they are
-  the parent's to write) and opens its own stream, so streams never
-  interleave within a file;
-* **batched with hard points** -- events buffer up to
-  :attr:`EventBus.FLUSH_EVERY` records; pool workers hard-flush per
-  cell (they can die without atexit) and the CLI flushes at
-  end-of-command, exactly like telemetry;
+* **fork-safe** -- one file per writing process; a forked worker drops
+  the parent's buffered records (they are the parent's to write) and
+  opens its own stream, so streams never interleave within a file;
+* **batched with hard points** -- records buffer up to
+  :attr:`Stream.FLUSH_EVERY`; pool workers hard-flush per cell (they
+  can die without atexit) and the CLI flushes at end-of-command;
 * **torn-tail tolerant** -- a process killed mid-append commits at most
   one partial final line; readers recover (skip and count) an
   unterminated, undecodable tail instead of raising, and the
@@ -33,8 +32,8 @@ semantics.
 The bus is **off by default**: :func:`bus` returns None and every
 guarded emission site pays one ``is None`` check
 (``benchmarks/bench_obs.py`` keeps that budget honest). It activates
-alongside telemetry (``--obs-dir`` / ``WAFFLE_OBS_DIR``), standalone
-via ``WAFFLE_EVENTS_DIR``, or in-memory only (no directory) for
+with telemetry (``--obs-dir`` / ``WAFFLE_OBS_DIR``, in the same
+directory), on a fleet directory, or in-memory only (no directory) for
 ``--progress`` rendering without an artifact.
 
 Events are strictly observational: nothing reads them back into the
@@ -50,7 +49,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 #: Bump when an event's field semantics change; readers warn on
 #: mismatch instead of misinterpreting old streams. Version 2 added
@@ -63,10 +62,6 @@ EVENT_SCHEMA_VERSION = 2
 #: subset of v2 (no field changed meaning), so old streams fold, merge
 #: and render exactly as they did when written.
 SUPPORTED_EVENT_VERSIONS = (1, 2)
-
-#: Environment variable enabling the bus standalone (without telemetry)
-#: and propagating it to ``--jobs`` pool workers.
-EVENTS_DIR_ENV = "WAFFLE_EVENTS_DIR"
 
 #: Stream file naming convention (distinct from ``telemetry-*.jsonl``).
 STREAM_GLOB = "events-*.jsonl"
@@ -116,7 +111,7 @@ class StreamMeta:
 
 @dataclass
 class EventStream:
-    """One parsed ``events-*.jsonl`` file."""
+    """One parsed stream file (``events-*.jsonl`` or ``telemetry-*.jsonl``)."""
 
     path: str
     meta: StreamMeta
@@ -127,13 +122,19 @@ class EventStream:
     parse_errors: List[str] = field(default_factory=list)
 
 
-class EventBus:
-    """Process-local campaign event writer.
+class Stream:
+    """One process's append-only ``<prefix>-<pid>-<token>.jsonl``
+    stream under ``directory``.
 
-    With a directory, events land in ``events-<pid>-<token>.jsonl``;
-    without one the bus is in-memory only (listeners still fire, which
-    is all ``--progress`` needs). Listeners are called synchronously
-    with each record -- they must never raise into the emitting path.
+    The only JSONL writer in :mod:`repro.obs`: the campaign event bus
+    (``events-<pid>-<token>.jsonl``) and the telemetry session
+    (``telemetry-<pid>-<token>.jsonl``) both write through it, and
+    :func:`read_stream` is the one reader. Records buffer in
+    :attr:`pending` and land as whole lines, one buffer per write, so a
+    killed writer can tear at most the final line. The first write
+    opens the file with a ``meta`` line carrying the stream format
+    version and the writer identity. Without a directory the stream is
+    in-memory only: flushing drops the buffer.
     """
 
     #: Buffered records before :meth:`maybe_flush` actually writes.
@@ -142,32 +143,64 @@ class EventBus:
     #: ``campaign status`` view fresher at negligible cost.
     FLUSH_EVERY = 256
 
-    def __init__(self, directory: Optional[os.PathLike] = None):
+    def __init__(self, prefix: str, directory: Optional[os.PathLike] = None):
         self.directory = Path(directory) if directory is not None else None
         self.started_unix = time.time()
         self.writer = "%d-%d" % (os.getpid(), int(self.started_unix * 1000) % 1_000_000_000)
         self.path: Optional[Path] = None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            self.path = self.directory / ("events-%s.jsonl" % self.writer)
-        self._seq = 0
-        self._listeners: List[Callable[[dict], None]] = []
+            self.path = self.directory / ("%s-%s.jsonl" % (prefix, self.writer))
         # Fleet heartbeat threads emit concurrently with the worker's
         # main thread; a lock keeps seq assignment and the buffer-swap
         # in flush() coherent. Uncontended acquisition is ~100ns --
-        # noise against the bus's per-event JSON encode.
+        # noise against the per-record JSON encode.
         self._lock = threading.Lock()
-        self._pending: List[dict] = [
-            {
-                "type": "meta",
-                "v": EVENT_SCHEMA_VERSION,
-                "writer": self.writer,
-                "pid": os.getpid(),
-                "started_unix": round(self.started_unix, 3),
-            }
-        ]
+        self.pending: List[dict] = []
+        self._meta: Optional[dict] = {
+            "type": "meta",
+            "v": EVENT_SCHEMA_VERSION,
+            "writer": self.writer,
+            "pid": os.getpid(),
+            "started_unix": round(self.started_unix, 3),
+        }
 
-    # -- Emission ------------------------------------------------------
+    def maybe_flush(self) -> None:
+        if len(self.pending) >= self.FLUSH_EVERY:
+            self.flush()
+
+    def flush(self, *lead: dict) -> None:
+        """Append ``lead`` and then the buffered records as whole JSONL
+        lines, in one write (after the ``meta`` line on the first)."""
+        with self._lock:
+            records = self.pending
+            self.pending = []
+            if self.path is None:
+                return
+            head = list(lead)
+            if self._meta is not None:
+                head.insert(0, self._meta)
+                self._meta = None
+        if not head and not records:
+            return
+        dumps = json.dumps
+        with open(self.path, "a") as fp:
+            fp.write("".join(dumps(r, separators=(",", ":")) + "\n" for r in head + records))
+
+
+class EventBus(Stream):
+    """Process-local campaign event writer.
+
+    With a directory, events land in ``events-<pid>-<token>.jsonl``;
+    without one the bus is in-memory only (listeners still fire, which
+    is all ``--progress`` needs). Listeners are called synchronously
+    with each record -- they must never raise into the emitting path.
+    """
+
+    def __init__(self, directory: Optional[os.PathLike] = None):
+        super().__init__("events", directory)
+        self._seq = 0
+        self._listeners: List[Callable[[dict], None]] = []
 
     def emit(self, etype: str, **fields: Any) -> dict:
         """Append one event (timestamped, sequence-numbered) and notify
@@ -176,7 +209,7 @@ class EventBus:
             self._seq += 1
             record: Dict[str, Any] = {"type": etype, "seq": self._seq, "t": round(time.time(), 6)}
             record.update(fields)
-            self._pending.append(record)
+            self.pending.append(record)
         for listener in self._listeners:
             try:
                 listener(record)
@@ -186,26 +219,6 @@ class EventBus:
 
     def add_listener(self, listener: Callable[[dict], None]) -> None:
         self._listeners.append(listener)
-
-    # -- Flushing ------------------------------------------------------
-
-    def maybe_flush(self) -> None:
-        if len(self._pending) >= self.FLUSH_EVERY:
-            self.flush()
-
-    def flush(self) -> None:
-        """Append buffered events as whole JSONL lines (one buffer, one
-        write -- the same torn-tail discipline as telemetry: a kill can
-        cut at most the final line)."""
-        with self._lock:
-            if self.path is None or not self._pending:
-                self._pending = self._pending if self.path is None else []
-                return
-            records = self._pending
-            self._pending = []
-        dumps = json.dumps
-        with open(self.path, "a") as fp:
-            fp.write("".join(dumps(r, separators=(",", ":")) + "\n" for r in records))
 
 
 # ----------------------------------------------------------------------
@@ -256,18 +269,13 @@ def flush() -> None:
         _bus.flush()
 
 
-def _configure_from_env() -> None:
-    directory = os.environ.get(EVENTS_DIR_ENV)
-    if directory:
-        configure(directory)
-
-
 def _reset_after_fork() -> None:
-    # A forked worker inherits the parent's bus -- buffered events and
-    # file token included. The buffered events are the parent's to
-    # write; the child gets a fresh stream keyed by its own pid (or no
-    # bus at all when the parent's was in-memory only: a worker has no
-    # terminal to render progress on).
+    # Called from the obs package's one fork handler. A forked worker
+    # inherits the parent's bus -- buffered events and file token
+    # included. The buffered events are the parent's to write; the
+    # child gets a fresh stream keyed by its own pid (or no bus at all
+    # when the parent's was in-memory only: a worker has no terminal to
+    # render progress on).
     global _bus
     if _bus is None:
         return
@@ -296,20 +304,15 @@ def _wire_chaos() -> None:
         faults_mod.on_chaos_fire = _on_chaos_fire
 
 
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_after_fork)
-
-
 # ----------------------------------------------------------------------
 # Reading streams back
 # ----------------------------------------------------------------------
 
 
 def read_stream(path: os.PathLike) -> EventStream:
-    """Parse one event stream, recovering a torn tail.
+    """Parse one stream (events or telemetry), recovering a torn tail.
 
-    The recovery posture matches :func:`repro.obs.report.load_obs_dir`:
-    an unterminated, undecodable final line is the artifact of a killed
+    An unterminated, undecodable final line is the artifact of a killed
     writer -- counted and skipped, never raised; an undecodable
     *committed* line (newline-terminated, or not the tail) is a parse
     error. A missing or version-skewed ``meta`` line is a warning.
@@ -361,19 +364,19 @@ def read_stream(path: os.PathLike) -> EventStream:
     return stream
 
 
-def stream_paths(path_or_dir: os.PathLike) -> List[Path]:
-    """The event stream files under ``path_or_dir`` (a single stream
-    file, a merged file, or a directory of ``events-*.jsonl``)."""
+def stream_paths(path_or_dir: os.PathLike, pattern: str = STREAM_GLOB) -> List[Path]:
+    """The stream files under ``path_or_dir`` (a single stream file, a
+    merged file, or a directory of ``pattern`` files)."""
     root = Path(path_or_dir)
     if root.is_dir():
-        return sorted(root.glob(STREAM_GLOB))
+        return sorted(root.glob(pattern))
     if root.exists():
         return [root]
     return []
 
 
-def load_streams(path_or_dir: os.PathLike) -> List[EventStream]:
-    return [read_stream(path) for path in stream_paths(path_or_dir)]
+def load_streams(path_or_dir: os.PathLike, pattern: str = STREAM_GLOB) -> List[EventStream]:
+    return [read_stream(path) for path in stream_paths(path_or_dir, pattern)]
 
 
 # ----------------------------------------------------------------------
@@ -443,11 +446,3 @@ def write_merged(streams: Sequence[EventStream], out_path: os.PathLike) -> int:
     tmp.write_text(body)
     os.replace(tmp, target)
     return len(merged)
-
-
-def counts_by_type(events: Iterable[dict]) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for event in events:
-        key = event.get("type", "?")
-        out[key] = out.get(key, 0) + 1
-    return out

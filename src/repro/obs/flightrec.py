@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from contextlib import contextmanager
+from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Environment variable enabling the flight recorder (the propagation
@@ -132,17 +133,33 @@ class FlightRecorder:
         return [_expand(e) if type(e) is tuple else e for e in self._ring]
 
     def events(self, kind: Optional[str] = None) -> List[dict]:
+        """Retained events of one kind (all of them for None), oldest
+        first. Only the returned entries are expanded: a kind other than
+        ``switch`` never touches the compact switch tuples."""
         if kind is None:
             return self.snapshot()
-        return [e for e in self.snapshot() if e["k"] == kind]
+        if kind == "switch":
+            return [
+                _expand(e) if type(e) is tuple else e
+                for e in self._ring
+                if type(e) is tuple or e["k"] == "switch"
+            ]
+        return [e for e in self._ring if type(e) is not tuple and e["k"] == kind]
 
     def events_for_run(self, run_seq: int) -> List[dict]:
-        """Retained events of one run (between its mark and the next)."""
+        """Retained events of one run (between its mark and the next).
+
+        Ring seqs are contiguous (the oldest retained one is
+        ``dropped``), so the run's slice is found by index and only it
+        is expanded.
+        """
         start = self._run_marks.get(run_seq)
         if start is None:
             return []
         end = self._run_marks.get(run_seq + 1, self.recorded)
-        return [e for e in self.snapshot() if start <= e["seq"] < end]
+        first = self.dropped
+        window = islice(self._ring, max(0, start - first), max(0, end - first))
+        return [_expand(e) if type(e) is tuple else e for e in window]
 
 
 def _expand(entry: Tuple[int, float, int]) -> dict:

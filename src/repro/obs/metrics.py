@@ -6,15 +6,13 @@ The registry is the numeric half of the run-telemetry subsystem
 1. **Zero cost when telemetry is disabled.** Instrumented code holds a
    reference to the active :class:`~repro.obs.telemetry.TelemetrySession`
    (or None); with no session the hot paths never touch this module.
-   For call sites that want an instrument unconditionally, the shared
-   :data:`NULL_COUNTER` / :data:`NULL_GAUGE` / :data:`NULL_HISTOGRAM`
-   singletons provide allocation-free no-ops.
 2. **Cheap when enabled.** An increment is one attribute add on a
    ``__slots__`` object; histograms use a precomputed bucket scan.
 3. **Process-local.** The harness fans experiment cells out over a
-   process pool; each worker owns its own registry and flushes it to
-   the obs directory, and :mod:`repro.obs.report` merges the snapshots
-   (counters/histograms sum, gauges keep the latest value).
+   process pool; each worker owns its own registry and writes its
+   snapshots into its telemetry stream, and :mod:`repro.obs.report`
+   merges the last snapshot of each stream (counters/histograms sum,
+   gauges keep the latest value).
 
 Metric names are dotted strings (``inject.skipped.decay``); the
 canonical name list lives in docs/OBSERVABILITY.md.
@@ -157,83 +155,27 @@ def snapshot_percentile(histogram: dict, q: float) -> float:
     )
 
 
-class _NullCounter:
-    __slots__ = ()
-
-    name = "null"
-    value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-
-    name = "null"
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, amount: float) -> None:
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-
-    name = "null"
-    count = 0
-    sum = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def percentile(self, q: float) -> float:
-        return 0.0
-
-
-#: Shared no-op instruments: safe to hand out from a disabled registry
-#: without allocating anything per call site.
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-
-
 class MetricsRegistry:
-    """Name -> instrument map with create-or-return semantics.
+    """Name -> instrument map with create-or-return semantics."""
 
-    A disabled registry (``enabled=False``) hands back the shared null
-    singletons, so code can bind instruments once at construction time
-    and stay no-op without re-checking a flag.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER  # type: ignore[return-value]
         instrument = self._counters.get(name)
         if instrument is None:
             instrument = self._counters[name] = Counter(name)
         return instrument
 
     def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE  # type: ignore[return-value]
         instrument = self._gauges.get(name)
         if instrument is None:
             instrument = self._gauges[name] = Gauge(name)
         return instrument
 
     def histogram(self, name: str, buckets: Optional[Sequence[float]] = None) -> Histogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM  # type: ignore[return-value]
         instrument = self._histograms.get(name)
         if instrument is None:
             instrument = self._histograms[name] = Histogram(name, buckets)

@@ -29,9 +29,11 @@ disk; nothing feeds back into the simulation.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from . import eventbus
+from .telemetry import TELEMETRY_GLOB
 
 #: Gap-bin upper edges (virtual ms) for the sensitivity curve. The
 #: generator's bands -- detectable [4, 40] (racy publication down to 2),
@@ -280,23 +282,12 @@ def load_run_ledger(directory: Any) -> dict:
         return ledger
     seen: Dict[Tuple, int] = {}
     entries: List[Tuple[Tuple, dict, List[dict]]] = []
-    for path in sorted(root.glob("telemetry-*.jsonl")):
-        text = path.read_text()
-        lines = text.splitlines()
-        truncated_tail = bool(lines) and not text.endswith("\n")
+    for stream in eventbus.load_streams(root, TELEMETRY_GLOB):
+        ledger["recovered_lines"] += stream.recovered
+        ledger["warnings"].extend(stream.parse_errors)
         runs_in_file: List[dict] = []
         decisions_by_seq: Dict[int, List[dict]] = {}
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                if truncated_tail and line_no == len(lines):
-                    ledger["recovered_lines"] += 1
-                    continue
-                ledger["warnings"].append("%s:%d: unparseable line" % (path.name, line_no))
-                continue
+        for record in stream.events:
             kind = record.get("type")
             if kind == "run":
                 runs_in_file.append(record)

@@ -1,9 +1,10 @@
 """Aggregate an obs directory into a human-readable run digest.
 
-``repro obs report <dir>`` reads every ``telemetry-*.jsonl`` and
-``summary-*.json`` the telemetry sessions wrote (one pair per
-participating process -- the CLI process plus any ``--jobs`` workers),
-merges the metrics, reconciles injection-decision events against the
+``repro obs report <dir>`` reads every ``telemetry-*.jsonl`` stream the
+telemetry sessions wrote (one per participating process -- the CLI
+process plus any ``--jobs`` workers) through
+:func:`repro.obs.eventbus.read_stream`, merges the last ``metrics``
+record of each, reconciles injection-decision events against the
 per-run summaries, and renders a digest that answers the debugging
 questions the subsystem exists for: how many delays were planned,
 injected, and skipped -- and *why* -- plus cache effectiveness and
@@ -20,7 +21,7 @@ from typing import Any, Dict, List
 
 from . import eventbus
 from .metrics import merge_snapshots
-from .telemetry import SKIP_REASONS
+from .telemetry import SKIP_REASONS, TELEMETRY_GLOB
 from .tracing import chrome_trace_events
 
 
@@ -33,7 +34,6 @@ class ObsData:
     metrics: Dict[str, Any] = field(default_factory=dict)
     runs: List[dict] = field(default_factory=list)
     inject_events: List[dict] = field(default_factory=list)
-    spans: List[dict] = field(default_factory=list)
     parse_errors: List[str] = field(default_factory=list)
     #: Recoverable oddities: a missing directory, a truncated final
     #: JSONL line from a killed worker, an unreadable coverage/dossier
@@ -57,7 +57,7 @@ class ObsData:
 
 
 def load_obs_dir(directory: os.PathLike) -> ObsData:
-    """Parse and merge every telemetry file under ``directory``.
+    """Parse and merge every telemetry stream under ``directory``.
 
     Tolerant by design: an empty or missing directory, and the
     partially-written files a killed ``--jobs`` worker leaves behind
@@ -70,43 +70,22 @@ def load_obs_dir(directory: os.PathLike) -> ObsData:
         data.warnings.append("obs directory %s does not exist" % root)
         return data
     snapshots: List[dict] = []
-    for path in sorted(root.glob("summary-*.json")):
-        try:
-            payload = json.loads(path.read_text())
-            snapshots.append(payload["record"]["metrics"])
-            data.processes += 1
-        except (ValueError, KeyError) as exc:
-            data.parse_errors.append("%s: %s" % (path.name, exc))
-    for path in sorted(root.glob("telemetry-*.jsonl")):
-        text = path.read_text()
-        lines = text.splitlines()
-        # A file not ending in a newline was cut off mid-append (the
-        # writer flushes whole lines): the unterminated tail is a
-        # truncation artifact, not corrupt committed data.
-        truncated_tail = bool(lines) and not text.endswith("\n")
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            is_tail = truncated_tail and line_no == len(lines)
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                if is_tail:
-                    data.recovered_lines += 1
-                    data.warnings.append(
-                        "%s: truncated final line recovered [corrupt_record] "
-                        "(killed worker?)" % path.name
-                    )
-                else:
-                    data.parse_errors.append("%s:%d: %s" % (path.name, line_no, exc))
-                continue
+    for stream in eventbus.load_streams(root, TELEMETRY_GLOB):
+        data.warnings.extend(stream.warnings)
+        data.parse_errors.extend(stream.parse_errors)
+        data.recovered_lines += stream.recovered
+        snapshot = None
+        for record in stream.events:
             kind = record.get("type")
             if kind == "run":
                 data.runs.append(record)
             elif kind == "inject":
                 data.inject_events.append(record)
-            elif kind == "span":
-                data.spans.append(record)
+            elif kind == "metrics":
+                snapshot = record.get("metrics")
+        if snapshot is not None:
+            snapshots.append(snapshot)
+            data.processes += 1
     from ..core import persistence
 
     for path in sorted(root.glob("coverage-*.json")):
@@ -136,8 +115,7 @@ def load_obs_dir(directory: os.PathLike) -> ObsData:
     if not data.event_streams and data.metrics.get("counters", {}).get("harness.cells", 0):
         data.warnings.append(
             "harness cells were recorded but no campaign event stream "
-            "(events-*.jsonl) is present -- run with --events-dir or a "
-            "current --obs-dir to capture one"
+            "(events-*.jsonl) is present"
         )
     return data
 
@@ -269,8 +247,8 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
     lines: List[str] = []
     lines.append("Telemetry digest — %s" % data.directory)
     lines.append(
-        "processes: %d   runs recorded: %d   decision events: %d   spans: %d"
-        % (data.processes, len(data.runs), len(data.inject_events), len(data.spans))
+        "processes: %d   runs recorded: %d   decision events: %d"
+        % (data.processes, len(data.runs), len(data.inject_events))
     )
     if data.parse_errors:
         lines.append("PARSE ERRORS (%d):" % len(data.parse_errors))

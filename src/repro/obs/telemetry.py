@@ -1,23 +1,18 @@
 """The per-process telemetry session and per-run summaries.
 
-A :class:`TelemetrySession` owns one metrics registry, one span tracer,
-a buffer of injection-decision events and a buffer of per-run
-:class:`RunTelemetry` summaries, and flushes all of it to the obs
-directory:
+A :class:`TelemetrySession` owns one metrics registry and one
+``telemetry-<pid>-<token>.jsonl`` stream, written through the event
+bus's :class:`~repro.obs.eventbus.Stream` (one ``meta`` line, then one
+JSON object per line, discriminated by ``type``):
 
-* ``telemetry-<pid>-<token>.jsonl`` -- append-only event log: one JSON
-  object per line, discriminated by ``type`` (``meta`` | ``inject`` |
-  ``span`` | ``run``). This is the raw, replayable record of what the
-  process did.
-* ``summary-<pid>-<token>.json`` -- the final metrics snapshot plus
-  session metadata, written atomically via
-  :func:`repro.core.persistence.save_record` so a torn write can never
-  corrupt aggregation.
+* ``inject`` -- one injection decision (inject, or skip with a reason);
+* ``run`` -- one simulated run's :class:`RunTelemetry` summary;
+* ``metrics`` -- the metrics snapshot, written at the head of each
+  flush whose counters moved. Readers take the last one per stream.
 
-The harness's process-pool workers each get their own session (enabled
-through the ``WAFFLE_OBS_DIR`` environment variable they inherit), so
-``repro obs report`` merges one pair of files per participating
-process.
+The harness's process-pool workers each get their own session (a fork
+reopens it; spawned processes inherit ``WAFFLE_OBS_DIR``), so
+``repro obs report`` merges one stream per participating process.
 
 Everything here is observational: sessions never feed values back into
 the simulation, so runs stay bit-identical with telemetry on or off.
@@ -25,15 +20,15 @@ the simulation, so runs stay bit-identical with telemetry on or off.
 
 from __future__ import annotations
 
-import json
 import os
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from .eventbus import Stream
 from .metrics import MetricsRegistry
-from .tracing import SpanTracer
+
+#: Telemetry stream file naming convention (``events-*.jsonl`` is the bus's).
+TELEMETRY_GLOB = "telemetry-*.jsonl"
 
 #: Injection-skip reason tags (the explainability contract): ``decay``
 #: -- the probability-decay draw failed; ``interference`` -- an ongoing
@@ -144,37 +139,24 @@ class TelemetrySession:
     session their hot paths reduce to a single ``is not None`` check.
     """
 
-    #: ``maybe_flush`` batching threshold: buffered records (pending
-    #: events plus finished spans) before a flush actually happens. At
-    #: per-cell cadence the JSON encode was the largest single item of
-    #: enabled-path overhead; batching amortizes it into a few large
-    #: appends, with the atexit hook (and the CLI's end-of-command
-    #: ``obs.flush()``) landing the tail.
+    #: ``maybe_flush`` batching threshold: buffered records before a
+    #: flush actually happens. At per-cell cadence the JSON encode was
+    #: the largest single item of enabled-path overhead; batching
+    #: amortizes it into a few large appends, with the atexit hook (and
+    #: the CLI's end-of-command ``obs.flush()``) landing the tail.
     FLUSH_EVERY = 4096
 
-    def __init__(self, directory: os.PathLike, chrome: bool = True):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.chrome = chrome
+    def __init__(self, directory: os.PathLike):
+        self.stream = Stream("telemetry", directory)
+        self.directory = self.stream.directory
         self.registry = MetricsRegistry()
-        self.tracer = SpanTracer()
-        self.started_unix = time.time()
-        token = "%d-%d" % (os.getpid(), int(self.started_unix * 1000) % 1_000_000_000)
-        self.events_path = self.directory / ("telemetry-%s.jsonl" % token)
-        self.summary_path = self.directory / ("summary-%s.json" % token)
-        self._pending: List[dict] = [
-            {
-                "type": "meta",
-                "pid": os.getpid(),
-                "started_unix": round(self.started_unix, 3),
-            }
-        ]
         self._coverage_pending: List[dict] = []
+        self._last_metrics: Optional[dict] = None
         self._run_seq = 0
 
         # Pre-bound instruments for the hot layers. Pre-registering also
-        # guarantees the counter *names* appear in every summary, which
-        # the CI telemetry check asserts.
+        # guarantees the counter *names* appear in every metrics record,
+        # which the CI telemetry check asserts.
         registry = self.registry
         self.c_considered = registry.counter("inject.considered")
         self.c_injected = registry.counter("inject.injected")
@@ -213,33 +195,6 @@ class TelemetrySession:
         self._run_seq += 1
         return self._run_seq
 
-    def inject_event(
-        self,
-        run_seq: int,
-        action: str,
-        site: str,
-        t_ms: float,
-        reason: Optional[str] = None,
-        length_ms: Optional[float] = None,
-        detail: Optional[str] = None,
-    ) -> None:
-        """One injection decision: ``action`` is ``inject`` or ``skip``;
-        skips always carry a ``reason`` tag from :data:`SKIP_REASONS`."""
-        record: Dict[str, Any] = {
-            "type": "inject",
-            "run": run_seq,
-            "action": action,
-            "site": site,
-            "t_ms": round(t_ms, 4),
-        }
-        if reason is not None:
-            record["reason"] = reason
-        if length_ms is not None:
-            record["len_ms"] = round(length_ms, 4)
-        if detail is not None:
-            record["detail"] = detail
-        self._pending.append(record)
-
     def decision(
         self,
         run_seq: int,
@@ -251,12 +206,10 @@ class TelemetrySession:
     ) -> None:
         """Count and buffer one injection decision in a single call.
 
-        The fused form of ``c_considered.inc()`` + outcome counter +
-        :meth:`inject_event` that the engine's ``decide`` hot path uses:
         ``reason is None`` means an injection (with ``length_ms``), a
         reason tag from :data:`SKIP_REASONS` means a skip. One call per
-        decision instead of three keeps the per-decision overhead at one
-        dict build plus two counter bumps.
+        decision keeps the engine's ``decide`` hot path at one dict
+        build plus two counter bumps.
         """
         self.c_considered.inc()
         record: Dict[str, Any] = {
@@ -274,11 +227,11 @@ class TelemetrySession:
             record["reason"] = reason
         if detail is not None:
             record["detail"] = detail
-        self._pending.append(record)
+        self.stream.pending.append(record)
 
     def record_run(self, run: RunTelemetry) -> None:
         self.c_runs_recorded.inc()
-        self._pending.append(run.to_record())
+        self.stream.pending.append(run.to_record())
 
     def queue_coverage(self, record: dict) -> None:
         """Buffer a candidate-pair coverage record until the next flush.
@@ -298,35 +251,29 @@ class TelemetrySession:
 
         The batching valve for hot callers (the per-cell hook in
         :mod:`repro.harness.parallel`): below the :data:`FLUSH_EVERY`
-        threshold this is two ``len`` calls, so frequent call sites do
-        not pay JSON-encode and summary-rewrite cost per call. Callers
-        that need durability *now* (pool workers about to lose the
-        process, end-of-command handlers) use :meth:`flush` directly.
+        threshold this is one ``len`` call. Callers that need durability
+        *now* (pool workers about to lose the process, end-of-command
+        handlers) use :meth:`flush` directly.
         """
-        if len(self._pending) + len(self.tracer.finished) >= self.FLUSH_EVERY:
+        if len(self.stream.pending) >= self.FLUSH_EVERY:
             self.flush()
 
     def flush(self) -> None:
-        """Append buffered events/spans to the JSONL log and rewrite the
-        summary snapshot. Safe to call repeatedly; crash-safe in the
-        sense that the JSONL holds everything flushed so far and the
-        summary is replaced atomically."""
-        records = self._pending
-        self._pending = []
-        records.extend(self.tracer.drain())
-        if records:
-            # One buffer, one write: per-record fp.write calls showed up
-            # as measurable syscall churn at per-cell flush cadence. All
-            # records are hand-built dicts with stable insertion order,
-            # so skipping the sort and separator whitespace keeps the
-            # output deterministic while roughly halving encode time.
-            dumps = json.dumps
-            with open(self.events_path, "a") as fp:
-                fp.write(
-                    "".join(
-                        dumps(record, separators=(",", ":")) + "\n" for record in records
-                    )
-                )
+        """Append the buffered records to the stream, led by a
+        ``metrics`` record when the counters moved since the last one.
+
+        The snapshot counts every record in the same write, and leads
+        it: a torn tail can then only cut records the snapshot already
+        counts (counters ahead of events, the deficit the reconcilers
+        tolerate) or the snapshot itself, which takes its whole batch
+        with it and leaves the previous snapshot matching what remains.
+        """
+        snapshot = self.registry.snapshot()
+        if snapshot != self._last_metrics:
+            self._last_metrics = snapshot
+            self.stream.flush({"type": "metrics", "metrics": snapshot})
+        else:
+            self.stream.flush()
         if self._coverage_pending:
             from .coverage import write_coverage
 
@@ -334,17 +281,6 @@ class TelemetrySession:
             self._coverage_pending = []
             for record in queued:
                 write_coverage(record, self.directory)
-        from ..core.persistence import save_record
-
-        save_record(
-            {
-                "pid": os.getpid(),
-                "started_unix": round(self.started_unix, 3),
-                "runs_recorded": self._run_seq,
-                "metrics": self.registry.snapshot(),
-            },
-            self.summary_path,
-        )
 
 
 def collect_run_telemetry(
@@ -393,15 +329,14 @@ def collect_run_telemetry(
         run.pruned_parent_child = getattr(candidates, "pruned_parent_child", 0)
         run.pruned_hb_inference = getattr(candidates, "pruned_hb_inference", 0)
         run.candidates_final = len(candidates)
-        if session.chrome:
-            run.vt_delays = [
-                {"site": i.site, "tid": i.thread_id, "start": i.start, "end": i.end}
-                for i in ledger.history
-            ]
+        run.vt_delays = [
+            {"site": i.site, "tid": i.thread_id, "start": i.start, "end": i.end}
+            for i in ledger.history
+        ]
     if tracker is not None:
         run.pairs_observed = getattr(tracker, "pairs_observed", 0)
         run.pairs_new = getattr(tracker, "pairs_new", 0)
-    if session.chrome and scheduler is not None:
+    if scheduler is not None:
         threads = getattr(scheduler, "threads", {})
         run.vt_threads = [
             {

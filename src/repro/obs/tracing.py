@@ -1,120 +1,17 @@
-"""Span-based structured tracing with JSONL and Chrome trace export.
+"""Chrome ``trace_event`` export of virtual-time schedules.
 
-Two time domains coexist in this reproduction and the tracer keeps them
-apart explicitly:
-
-* **wall time** -- how long harness work (a cell, a preparation run, a
-  cache lookup) actually took on the host. Spans measure this with
-  ``time.perf_counter``.
-* **virtual time** -- the simulated clock inside a run. Injection
-  decisions and thread schedules happen here; they are recorded as
-  *virtual events* attached to a run's telemetry and can be exported as
-  a Chrome ``trace_event`` file (chrome://tracing, Perfetto) where each
-  run becomes a process row and each simulated thread a track.
-
-Like the metrics registry, the tracer is process-local and buffered;
-the owning :class:`~repro.obs.telemetry.TelemetrySession` drains
-:meth:`SpanTracer.drain` into the telemetry JSONL on flush.
+Injection decisions and thread schedules happen on the simulated
+clock. Each run's telemetry record carries them as *virtual events*
+(``vt_threads``, ``vt_delays``), which :func:`chrome_trace_events`
+turns into a Chrome ``trace_event`` file (chrome://tracing, Perfetto)
+where each run becomes a process row and each simulated thread a
+track. Wall-clock cell time is not traced here: ``cell_end.wall_s``
+on the event bus and the ``harness.cell_wall_ms`` histogram carry it.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Optional
-
-
-class Span:
-    """One timed operation (wall clock), with free-form attributes."""
-
-    __slots__ = ("name", "category", "start_s", "duration_ms", "attrs")
-
-    def __init__(self, name: str, category: str, attrs: Optional[Dict[str, Any]] = None):
-        self.name = name
-        self.category = category
-        self.start_s = 0.0
-        self.duration_ms = 0.0
-        self.attrs = attrs
-
-    def set(self, **attrs: Any) -> None:
-        if self.attrs is None:
-            self.attrs = {}
-        self.attrs.update(attrs)
-
-    def to_record(self) -> dict:
-        record = {
-            "type": "span",
-            "name": self.name,
-            "cat": self.category,
-            "start_s": round(self.start_s, 6),
-            "dur_ms": round(self.duration_ms, 4),
-        }
-        if self.attrs:
-            record["attrs"] = self.attrs
-        return record
-
-
-class _ActiveSpan:
-    """Context manager driving one :class:`Span`."""
-
-    __slots__ = ("tracer", "span")
-
-    def __init__(self, tracer: "SpanTracer", span: Span):
-        self.tracer = tracer
-        self.span = span
-
-    def __enter__(self) -> Span:
-        self.span.start_s = time.perf_counter()
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        span = self.span
-        span.duration_ms = (time.perf_counter() - span.start_s) * 1000.0
-        if exc_type is not None:
-            span.set(error=exc_type.__name__)
-        self.tracer.finished.append(span)
-
-
-class _NullSpanContext:
-    """Allocation-free stand-in when tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpanContext":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-    def set(self, **attrs: Any) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpanContext()
-
-
-class SpanTracer:
-    """Collects finished spans until the session drains them."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.finished: List[Span] = []
-
-    def span(self, name: str, category: str = "harness", **attrs: Any):
-        """``with tracer.span("cell", table="table4", ...):`` -- times
-        the body and buffers the finished span."""
-        if not self.enabled:
-            return NULL_SPAN
-        return _ActiveSpan(self, Span(name, category, attrs or None))
-
-    def drain(self) -> List[dict]:
-        records = [span.to_record() for span in self.finished]
-        self.finished.clear()
-        return records
-
-
-# ----------------------------------------------------------------------
-# Chrome trace_event export of virtual-time schedules
-# ----------------------------------------------------------------------
+from typing import List
 
 
 def chrome_trace_events(runs: List[dict]) -> dict:

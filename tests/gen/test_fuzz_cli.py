@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from repro import obs
 from repro.core.config import WaffleConfig
 from repro.harness import fuzz
 from repro.harness.cache import PlanCache
 from repro.harness.cli import main
 from repro.harness.store import RESULT_SUFFIX
-from repro.obs import eventbus
 from repro.obs.campaign import fuzz_analytics, load_view
 
 CONFIG = WaffleConfig(seed=0)
@@ -19,9 +20,11 @@ CONFIG = WaffleConfig(seed=0)
 
 @pytest.fixture(autouse=True)
 def _quiet_bus():
-    """CLI invocations configure the process-global bus; always reset."""
+    """CLI invocations configure the process-global session and bus;
+    always reset."""
     yield
-    eventbus.disable()
+    obs.disable()
+    os.environ.pop(obs.OBS_DIR_ENV, None)
 
 
 class TestFuzzRange:
@@ -107,7 +110,7 @@ class TestCli:
     def test_events_stream_feeds_analytics(self, tmp_path, capsys):
         events_dir = str(tmp_path / "events")
         rc = main(["fuzz", "--seed-range", "0:4", "--no-replay",
-                   "--events-dir", events_dir])
+                   "--obs-dir", events_dir])
         assert rc == 0
         capsys.readouterr()
         view, streams = load_view(events_dir)
@@ -120,8 +123,8 @@ class TestCli:
         events_dir = str(tmp_path / "events")
         for _ in range(2):
             assert main(["fuzz", "--seed-range", "0:3", "--no-replay",
-                         "--events-dir", events_dir]) == 0
-            eventbus.disable()
+                         "--obs-dir", events_dir]) == 0
+            obs.disable()
         capsys.readouterr()
         view, _ = load_view(events_dir)
         assert fuzz_analytics(view)["workloads"] == 3

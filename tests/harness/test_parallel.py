@@ -5,12 +5,20 @@ and results merge in submission order, so ``jobs=4`` must reproduce the
 ``jobs=1`` tables bit for bit.
 """
 
+import time
+
 from repro.harness import experiments
 from repro.harness.parallel import chunked, map_units, resolve_jobs
+from repro.obs import eventbus
 
 
 def _square(x):
     return x * x
+
+
+def _sleep_cell(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 class TestMapUnits:
@@ -40,6 +48,27 @@ class TestMapUnits:
     def test_chunked(self):
         assert chunked(range(5), 2) == [[0, 1], [2, 3], [4]]
         assert chunked([], 3) == []
+
+
+class TestCellWallTime:
+    def test_pool_cell_end_reports_each_cells_own_wall_time(self):
+        """Under ``--jobs 2`` each ``cell_end.wall_s`` is the cell's own
+        time, not the time since the fan-out began: the short cells
+        queued behind the long one must not inherit its duration."""
+        bus = eventbus.configure(None)
+        ends = []
+        bus.add_listener(lambda event: event["type"] == "cell_end" and ends.append(event))
+        sleeps = [0.6, 0.02, 0.02, 0.02]
+        try:
+            started = time.perf_counter()
+            assert map_units(_sleep_cell, [(s,) for s in sleeps], jobs=2) == sleeps
+            total = time.perf_counter() - started
+        finally:
+            eventbus.disable()
+        assert len(ends) == len(sleeps)
+        for event, sleep in zip(ends, sleeps):
+            assert sleep <= event["wall_s"] < sleep + 0.3, (event, sleep)
+            assert event["wall_s"] < total
 
 
 class TestSerialParallelIdentity:

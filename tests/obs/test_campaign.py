@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import obs
 from repro.harness import faults
 from repro.harness.cli import main
 from repro.obs import campaign, eventbus
@@ -15,8 +16,8 @@ from repro.obs import campaign, eventbus
 @pytest.fixture(autouse=True)
 def clean_bus_state():
     yield
-    eventbus.disable()
-    os.environ.pop(eventbus.EVENTS_DIR_ENV, None)
+    obs.disable()
+    os.environ.pop(obs.OBS_DIR_ENV, None)
     faults.disable()
     faults.on_chaos_fire = None
 
@@ -260,9 +261,9 @@ class TestCliIntegration:
 
     def test_events_dir_then_campaign_status(self, tmp_path, capsys):
         events_dir = tmp_path / "ev"
-        assert main(TABLE4 + ["--events-dir", str(events_dir)]) == 0
-        os.environ.pop(eventbus.EVENTS_DIR_ENV, None)
-        eventbus.disable()
+        assert main(TABLE4 + ["--obs-dir", str(events_dir)]) == 0
+        os.environ.pop(obs.OBS_DIR_ENV, None)
+        obs.disable()
         capsys.readouterr()
         assert main(["campaign", "status", str(events_dir)]) == 0
         out = capsys.readouterr().out
@@ -275,9 +276,9 @@ class TestCliIntegration:
         # table2 across two apps fans enough cells out that the pool
         # engages and each worker opens its own stream.
         assert main(["table2", "--apps", "netmq", "mqttnet", "--jobs", "2",
-                     "--events-dir", str(events_dir)]) == 0
-        os.environ.pop(eventbus.EVENTS_DIR_ENV, None)
-        eventbus.disable()
+                     "--obs-dir", str(events_dir)]) == 0
+        os.environ.pop(obs.OBS_DIR_ENV, None)
+        obs.disable()
         streams = sorted(str(p) for p in events_dir.glob("events-*.jsonl"))
         assert len(streams) >= 2  # coordinator + workers
         out1, out2 = tmp_path / "m1.jsonl", tmp_path / "m2.jsonl"
@@ -293,16 +294,16 @@ class TestCliIntegration:
         """The acceptance identity: a chaos-disrupted campaign's analytics
         report equals the clean campaign's, byte for byte."""
         clean_dir, chaos_dir = tmp_path / "clean", tmp_path / "chaos"
-        assert main(TABLE4 + ["--events-dir", str(clean_dir)]) == 0
-        os.environ.pop(eventbus.EVENTS_DIR_ENV, None)
-        eventbus.disable()
+        assert main(TABLE4 + ["--obs-dir", str(clean_dir)]) == 0
+        os.environ.pop(obs.OBS_DIR_ENV, None)
+        obs.disable()
         faults.configure("seed=7,worker_crash=1.0")
         try:
-            assert main(TABLE4 + ["--events-dir", str(chaos_dir), "--retries", "4"]) == 0
+            assert main(TABLE4 + ["--obs-dir", str(chaos_dir), "--retries", "4"]) == 0
         finally:
             faults.disable()
-        os.environ.pop(eventbus.EVENTS_DIR_ENV, None)
-        eventbus.disable()
+        os.environ.pop(obs.OBS_DIR_ENV, None)
+        obs.disable()
         clean_view, _ = campaign.load_view(clean_dir)
         chaos_view, _ = campaign.load_view(chaos_dir)
         assert chaos_view.retries > 0  # chaos actually disrupted it
@@ -310,9 +311,9 @@ class TestCliIntegration:
 
     def test_obs_analytics_cli_renders(self, tmp_path, capsys):
         events_dir = tmp_path / "ev"
-        assert main(TABLE4 + ["--events-dir", str(events_dir)]) == 0
-        os.environ.pop(eventbus.EVENTS_DIR_ENV, None)
-        eventbus.disable()
+        assert main(TABLE4 + ["--obs-dir", str(events_dir)]) == 0
+        os.environ.pop(obs.OBS_DIR_ENV, None)
+        obs.disable()
         capsys.readouterr()
         assert main(["obs", "analytics", str(events_dir)]) == 0
         out = capsys.readouterr().out

@@ -2,13 +2,19 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.harness.cache import GLOBAL_STATS
 from repro.harness.cli import main
-from repro.obs.telemetry import SKIP_REASONS
+from repro.obs import eventbus
+from repro.obs.telemetry import SKIP_REASONS, TELEMETRY_GLOB
+
+REPO = Path(__file__).resolve().parents[2]
 
 DETECT = ["detect", "--bug", "Bug-11", "--tool", "waffle", "--budget", "5"]
 
@@ -23,13 +29,11 @@ def clean_obs_state():
 
 
 def read_events(obs_dir):
-    records = []
-    for name in sorted(os.listdir(obs_dir)):
-        if name.startswith("telemetry-") and name.endswith(".jsonl"):
-            with open(os.path.join(obs_dir, name)) as fp:
-                for line in fp:
-                    records.append(json.loads(line))
-    return records
+    return [
+        record
+        for stream in eventbus.load_streams(obs_dir, TELEMETRY_GLOB)
+        for record in stream.events
+    ]
 
 
 class TestObsDirOption:
@@ -56,6 +60,32 @@ class TestObsDirOption:
             assert sum(1 for e in events if e["action"] == "skip") == (
                 run["skipped_decay"] + run["skipped_interference"] + run["skipped_budget"]
             )
+
+    def test_one_switch_writes_both_streams_and_no_summary_files(self, tmp_path):
+        obs_dir = tmp_path / "obs"
+        assert main(["table2", "--apps", "netmq", "--jobs", "2",
+                     "--obs-dir", str(obs_dir)]) == 0
+        obs.disable()
+        names = os.listdir(obs_dir)
+        assert not [n for n in names if n.startswith("summary-")]
+        telemetry = eventbus.load_streams(obs_dir, TELEMETRY_GLOB)
+        events = eventbus.load_streams(obs_dir)
+        # The CLI process and each pool worker write one of each.
+        assert len(telemetry) == len(events) >= 2
+        for stream in telemetry:
+            assert stream.meta.version == eventbus.EVENT_SCHEMA_VERSION
+            assert stream.warnings == [] and stream.parse_errors == []
+            assert stream.events[0]["type"] == "metrics"
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "check_obs.py"), str(obs_dir)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_events_dir_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["table2", "--apps", "netmq", "--events-dir", str(tmp_path)])
 
     def test_obs_report_renders_and_reconciles(self, tmp_path, capsys):
         obs_dir = tmp_path / "obs"

@@ -32,9 +32,7 @@ HEADINGS = (
 def clean_state():
     yield
     obs.disable()
-    eventbus.disable()
     os.environ.pop(obs.OBS_DIR_ENV, None)
-    os.environ.pop(eventbus.EVENTS_DIR_ENV, None)
 
 
 def run_campaign(directory, *extra):

@@ -112,6 +112,47 @@ class TestSerialization:
         assert any("not_a_kind" in p for p in problems)
 
 
+class ReferenceRecorder(flightrec.FlightRecorder):
+    """Reads by filtering the whole expanded snapshot -- the behaviour
+    the sliced ``events``/``events_for_run`` must equal."""
+
+    def events(self, kind=None):
+        return [e for e in self.snapshot() if kind is None or e["k"] == kind]
+
+    def events_for_run(self, run_seq):
+        start = self._run_marks.get(run_seq)
+        if start is None:
+            return []
+        end = self._run_marks.get(run_seq + 1, self.recorded)
+        return [e for e in self.snapshot() if start <= e["seq"] < end]
+
+
+class TestSlicedRecorderReads:
+    # Bug-16 and Bug-17 record 1.4k and 344 events at seed 21; at these
+    # capacities the ring evicts, down into the final run's own slice.
+    @pytest.mark.parametrize("bug_id,capacity", [
+        ("Bug-16", 16), ("Bug-16", 256), ("Bug-17", 64),
+    ])
+    def test_dossier_after_eviction_matches_the_snapshot_reference(self, bug_id, capacity):
+        import json
+
+        payloads = []
+        for recorder_cls in (flightrec.FlightRecorder, ReferenceRecorder):
+            flightrec._recorder = recorder_cls(capacity)
+            try:
+                outcome = Waffle(WaffleConfig(seed=21)).detect(
+                    bug_workload(bug_id), max_detection_runs=8
+                )
+                assert flightrec.recorder().dropped > 0
+            finally:
+                flightrec.uninstall()
+            assert outcome.dossiers
+            payloads.append(
+                [json.dumps(d.to_dict(), sort_keys=True) for d in outcome.dossiers]
+            )
+        assert payloads[0] == payloads[1]
+
+
 class TestRendering:
     def test_text_digest_sections(self, sessions):
         _, dossier = _any_dossier(sessions)

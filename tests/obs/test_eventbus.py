@@ -11,10 +11,9 @@ from repro.obs import eventbus
 
 @pytest.fixture(autouse=True)
 def clean_bus_state():
-    """The bus is a module global activated via env var; never leak it."""
+    """The bus is a module global; never leak it."""
     yield
     eventbus.disable()
-    os.environ.pop(eventbus.EVENTS_DIR_ENV, None)
     faults.on_chaos_fire = None
 
 
@@ -37,14 +36,15 @@ class TestWriter:
 
     def test_batched_flush_commits_at_threshold(self, tmp_path):
         bus = eventbus.configure(tmp_path)
-        for _ in range(bus.FLUSH_EVERY - 2):  # meta occupies one slot
+        for _ in range(bus.FLUSH_EVERY - 1):
             bus.emit("cache", action="hit")
             bus.maybe_flush()
         assert not bus.path.exists()  # still buffered
         bus.emit("cache", action="hit")
         bus.maybe_flush()
         assert bus.path.exists()
-        assert len(bus.path.read_text().splitlines()) == bus.FLUSH_EVERY
+        # The meta line opens the file on its first write.
+        assert len(bus.path.read_text().splitlines()) == bus.FLUSH_EVERY + 1
 
     def test_in_memory_bus_writes_no_files(self, tmp_path):
         bus = eventbus.configure(None)
@@ -64,12 +64,6 @@ class TestWriter:
         assert eventbus.bus() is None
         eventbus.emit("cache", action="hit")  # must not raise
 
-    def test_env_var_activates_standalone(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(eventbus.EVENTS_DIR_ENV, str(tmp_path))
-        eventbus._configure_from_env()
-        assert eventbus.bus() is not None
-        assert eventbus.bus().directory == tmp_path
-
     def test_fork_reset_gives_the_child_a_fresh_stream(self, tmp_path):
         parent = eventbus.configure(tmp_path)
         parent.emit("cache", action="hit")  # buffered, the parent's to write
@@ -77,7 +71,10 @@ class TestWriter:
         child = eventbus.bus()
         assert child is not parent
         assert child.directory == tmp_path
-        assert [r["type"] for r in child._pending] == ["meta"]
+        assert child.pending == []
+        child.flush()
+        (meta,) = [json.loads(l) for l in child.path.read_text().splitlines()]
+        assert meta["type"] == "meta" and meta["writer"] == child.writer
 
     def test_fork_reset_drops_an_in_memory_bus(self):
         eventbus.configure(None)

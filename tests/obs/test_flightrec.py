@@ -124,6 +124,53 @@ class TestCompactSwitches:
         ]
 
 
+def reference_events(rec, kind=None):
+    """The filter-the-snapshot reading of ``events(kind)``."""
+    return [e for e in rec.snapshot() if kind is None or e["k"] == kind]
+
+
+def reference_events_for_run(rec, run_seq):
+    """The filter-the-snapshot reading of ``events_for_run(run_seq)``."""
+    start = rec._run_marks.get(run_seq)
+    if start is None:
+        return []
+    end = rec._run_marks.get(run_seq + 1, rec.recorded)
+    return [e for e in rec.snapshot() if start <= e["seq"] < end]
+
+
+class TestSlicedReads:
+    """``events``/``events_for_run`` expand only what they return; after
+    eviction they still equal filtering the expanded snapshot."""
+
+    @staticmethod
+    def feed(rec, rng, n=300):
+        for _ in range(n):
+            roll = rng.random()
+            if roll < 0.05:
+                rec.begin_run(kind="detect", test="t", seed=rng.randrange(9))
+            elif roll < 0.6:
+                rec.record_switch(rng.random() * 100.0, rng.randrange(4))
+            elif roll < 0.65:
+                rec.record("switch", rng.random() * 100.0, tid=rng.randrange(4))
+            else:
+                k = rng.choice(("inject", "skip", "near_miss", "prune_hb", "pair_removed"))
+                rec.record(k, rng.random() * 100.0, site="s%d" % rng.randrange(5))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("capacity", [7, 64, 4096])
+    def test_match_the_snapshot_reference(self, seed, capacity):
+        import random
+
+        rec = flightrec.FlightRecorder(capacity=capacity)
+        self.feed(rec, random.Random(seed))
+        if capacity < 300:
+            assert rec.dropped > 0
+        for kind in (None,) + flightrec.EVENT_KINDS:
+            assert rec.events(kind) == reference_events(rec, kind), kind
+        for run in range(0, rec.run_seq + 2):
+            assert rec.events_for_run(run) == reference_events_for_run(rec, run), run
+
+
 class TestActivation:
     def test_install_uninstall(self):
         assert flightrec.recorder() is None

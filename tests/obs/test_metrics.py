@@ -1,11 +1,8 @@
-"""Metrics primitives: registry semantics, null path, snapshot merging."""
+"""Metrics primitives: registry semantics, snapshot merging."""
 
 import pytest
 
 from repro.obs.metrics import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     Histogram,
     MetricsRegistry,
     merge_snapshots,
@@ -28,17 +25,6 @@ class TestRegistry:
         gauge.set(2.5)
         gauge.add(1.5)
         assert gauge.value == 4.0
-
-    def test_disabled_registry_hands_out_null_singletons(self):
-        registry = MetricsRegistry(enabled=False)
-        assert registry.counter("x") is NULL_COUNTER
-        assert registry.gauge("x") is NULL_GAUGE
-        assert registry.histogram("x") is NULL_HISTOGRAM
-        # Null instruments swallow writes without state.
-        registry.counter("x").inc()
-        registry.gauge("x").set(9.0)
-        registry.histogram("x").observe(1.0)
-        assert NULL_COUNTER.value == 0
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
@@ -166,6 +152,3 @@ class TestHistogramPercentile:
         assert isinstance(snap, dict)
         for q in (0.1, 0.5, 0.9):
             assert snapshot_percentile(payload, q) == hist.percentile(q)
-
-    def test_null_histogram_percentile_is_zero(self):
-        assert NULL_HISTOGRAM.percentile(0.9) == 0.0

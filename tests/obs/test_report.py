@@ -5,11 +5,28 @@ import json
 import pytest
 
 from repro import obs
+from repro.obs import eventbus
 from repro.obs.report import load_obs_dir, reconcile, render_report, write_chrome_trace
 
 
 def write_jsonl(path, records):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def meta(pid):
+    return {"type": "meta", "v": eventbus.EVENT_SCHEMA_VERSION, "writer": "%d-1" % pid, "pid": pid}
+
+
+def update_counters(obs_dir, pid, **changes):
+    """Rewrite the counters of one stream's (only) metrics record."""
+    path = obs_dir / ("telemetry-%d-1.jsonl" % pid)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        if record["type"] == "metrics":
+            counters = record["metrics"]["counters"]
+            for name, value in changes.items():
+                counters[name.replace("__", ".")] = value
+    write_jsonl(path, records)
 
 
 @pytest.fixture
@@ -32,41 +49,37 @@ def obs_dir(tmp_path):
             "gauges": {"sched.virtual_time_ms_total": 12.5},
             "histograms": {},
         }
-        (root / ("summary-%d-1.json" % pid)).write_text(
-            json.dumps({"record": {"metrics": snapshot}})
-        )
-    write_jsonl(
-        root / "telemetry-100-1.jsonl",
-        [
-            {"type": "meta", "pid": 100},
-            {"type": "inject", "run": 1, "action": "inject", "site": "l1", "t_ms": 0.0},
-            {"type": "inject", "run": 1, "action": "skip", "site": "l1", "t_ms": 1.0, "reason": "decay"},
-            {
-                "type": "inject",
-                "run": 1,
-                "action": "skip",
-                "site": "l1",
-                "t_ms": 2.0,
-                "reason": "interference",
-            },
-            {
-                "type": "run",
-                "run_seq": 1,
-                "kind": "detect",
-                "test": "t",
-                "wall_ms": 5.0,
-                "virtual_ms": 10.0,
-                "considered": 3,
-                "injected": 1,
-                "skipped_decay": 1,
-                "skipped_interference": 1,
-                "skipped_budget": 0,
-                "candidates_final": 2,
-                "crashed": True,
-            },
-            {"type": "span", "name": "cell", "cat": "harness", "start_s": 0.0, "dur_ms": 5.0},
-        ],
-    )
+        records = [meta(pid), {"type": "metrics", "metrics": snapshot}]
+        if considered:
+            records += [
+                {"type": "inject", "run": 1, "action": "inject", "site": "l1", "t_ms": 0.0},
+                {"type": "inject", "run": 1, "action": "skip", "site": "l1", "t_ms": 1.0,
+                 "reason": "decay"},
+                {
+                    "type": "inject",
+                    "run": 1,
+                    "action": "skip",
+                    "site": "l1",
+                    "t_ms": 2.0,
+                    "reason": "interference",
+                },
+                {
+                    "type": "run",
+                    "run_seq": 1,
+                    "kind": "detect",
+                    "test": "t",
+                    "wall_ms": 5.0,
+                    "virtual_ms": 10.0,
+                    "considered": 3,
+                    "injected": 1,
+                    "skipped_decay": 1,
+                    "skipped_interference": 1,
+                    "skipped_budget": 0,
+                    "candidates_final": 2,
+                    "crashed": True,
+                },
+            ]
+        write_jsonl(root / ("telemetry-%d-1.jsonl" % pid), records)
     return root
 
 
@@ -77,15 +90,20 @@ class TestLoad:
         assert data.metrics["counters"]["cache.hits"] == 8
         assert len(data.runs) == 1
         assert len(data.inject_events) == 3
-        assert len(data.spans) == 1
         assert data.parse_errors == []
+
+    def test_last_metrics_record_per_stream_wins(self, obs_dir):
+        path = obs_dir / "telemetry-101-1.jsonl"
+        later = {"counters": {"cache.hits": 10}, "gauges": {}, "histograms": {}}
+        with open(path, "a") as fp:
+            fp.write(json.dumps({"type": "metrics", "metrics": later}) + "\n")
+        assert load_obs_dir(obs_dir).metrics["counters"]["cache.hits"] == 14
 
     def test_parse_errors_are_collected_not_fatal(self, obs_dir):
         (obs_dir / "telemetry-999-1.jsonl").write_text('{"type": "inject"\nnot json\n')
-        (obs_dir / "summary-999-1.json").write_text("{broken")
         data = load_obs_dir(obs_dir)
-        assert len(data.parse_errors) == 3
-        assert data.processes == 2  # the broken summary is not counted
+        assert len(data.parse_errors) == 2
+        assert data.processes == 2  # a stream without a metrics record is not counted
 
     def test_empty_directory(self, tmp_path):
         data = load_obs_dir(tmp_path)
@@ -105,7 +123,7 @@ class TestRecovery:
         assert len(data.runs) == 1  # the committed lines still load
 
     def test_interior_bad_line_stays_a_parse_error(self, obs_dir):
-        (obs_dir / "telemetry-999-1.jsonl").write_text('not json\n{"type": "meta"}')
+        (obs_dir / "telemetry-999-1.jsonl").write_text('not json\n' + json.dumps(meta(999)))
         data = load_obs_dir(obs_dir)
         assert len(data.parse_errors) == 1
 
@@ -165,9 +183,7 @@ class TestEventStreamSurface:
         # The fixture has no harness.cells counter: silence is correct
         # (pre-event-bus artifacts must not suddenly warn).
         assert load_obs_dir(obs_dir).warnings == []
-        payload = json.loads((obs_dir / "summary-100-1.json").read_text())
-        payload["record"]["metrics"]["counters"]["harness.cells"] = 3
-        (obs_dir / "summary-100-1.json").write_text(json.dumps(payload))
+        update_counters(obs_dir, 100, harness__cells=3)
         data = load_obs_dir(obs_dir)
         assert any("no campaign event stream" in w for w in data.warnings)
 
@@ -279,14 +295,7 @@ class TestRecoveredLineTolerance:
         # The lost tail line was a skip event: counters and the run
         # summary now lead the events by one. With one recovered line
         # that is expected degradation, not an inconsistency.
-        for pid in (100, 101):
-            path = obs_dir / ("summary-%d-1.json" % pid)
-            snapshot = json.loads(path.read_text())
-            counters = snapshot["record"]["metrics"]["counters"]
-            if counters["inject.considered"]:
-                counters["inject.considered"] += 1
-                counters["inject.skipped.decay"] += 1
-                path.write_text(json.dumps(snapshot))
+        update_counters(obs_dir, 100, inject__considered=4, inject__skipped__decay=2)
         with open(obs_dir / "telemetry-100-1.jsonl") as fp:
             lines = fp.read().splitlines()
         rewritten = []
@@ -305,14 +314,7 @@ class TestRecoveredLineTolerance:
 
     def test_deficit_beyond_recovered_lines_still_flags(self, obs_dir):
         # Two events missing but only one recovered line: a real hole.
-        for pid in (100, 101):
-            path = obs_dir / ("summary-%d-1.json" % pid)
-            snapshot = json.loads(path.read_text())
-            counters = snapshot["record"]["metrics"]["counters"]
-            if counters["inject.considered"]:
-                counters["inject.considered"] += 2
-                counters["inject.skipped.decay"] += 2
-                path.write_text(json.dumps(snapshot))
+        update_counters(obs_dir, 100, inject__considered=5, inject__skipped__decay=3)
         self.append_lines(obs_dir, [])
         data = load_obs_dir(obs_dir)
         assert data.recovered_lines == 1
@@ -337,19 +339,16 @@ class TestResilienceSection:
         assert "resilience" not in render_report(load_obs_dir(obs_dir))
 
     def test_fault_counters_render(self, obs_dir):
-        path = obs_dir / "summary-100-1.json"
-        snapshot = json.loads(path.read_text())
-        snapshot["record"]["metrics"]["counters"].update(
-            {
-                "faults.worker_crash": 2,
-                "faults.hang": 1,
-                "cells.retried": 3,
-                "cells.quarantined": 1,
-                "cells.resumed": 4,
-                "cache.corrupt": 1,
-            }
+        update_counters(
+            obs_dir,
+            100,
+            faults__worker_crash=2,
+            faults__hang=1,
+            cells__retried=3,
+            cells__quarantined=1,
+            cells__resumed=4,
+            cache__corrupt=1,
         )
-        path.write_text(json.dumps(snapshot))
         text = render_report(load_obs_dir(obs_dir))
         assert "resilience" in text
         assert "worker_crash 2" in text
@@ -398,17 +397,67 @@ class TestSessionRoundTrip:
         try:
             session.c_cache_hits.inc(3)
             session.c_cache_misses.inc()
-            with session.tracer.span("cell", unit="test"):
-                pass
             session.flush()
         finally:
             obs.disable()
         data = load_obs_dir(tmp_path / "live")
         assert data.processes == 1
         assert data.metrics["counters"]["cache.hits"] == 3
-        assert len(data.spans) == 1
+        assert data.warnings == [] and data.parse_errors == []
         assert reconcile(data) == []
         assert "hit rate 75.0%" in render_report(data)
+
+
+class TestForkHandler:
+    def test_reopens_the_session_and_the_bus(self, tmp_path):
+        parent = obs.configure(tmp_path / "live")
+        parent_bus = eventbus.bus()
+        try:
+            parent.decision(1, "l1", 0.0, reason="decay")  # the parent's to write
+            obs._reset_after_fork()
+            child, child_bus = obs.session(), eventbus.bus()
+            assert child is not parent and child_bus is not parent_bus
+            assert child.stream.pending == [] and child.c_considered.value == 0
+            assert child.directory == child_bus.directory == parent.directory
+        finally:
+            obs.disable()
+
+
+class TestTornTailOrdering:
+    """A flush writes its metrics snapshot ahead of the records it counts,
+    so a torn final write leaves counters ahead of events, never behind."""
+
+    def write_two_batches(self, directory):
+        session = obs.configure(directory)
+        try:
+            for t in range(3):
+                session.decision(1, "l1", float(t), reason="decay")
+            session.flush()
+            first_write_ends = session.stream.path.stat().st_size
+            for t in range(3, 6):
+                session.decision(1, "l1", float(t), reason="decay")
+            session.flush()
+        finally:
+            obs.disable()
+        return session.stream.path, first_write_ends
+
+    @pytest.mark.parametrize("cut", ["snapshot", "final_line"])
+    def test_torn_last_write_still_reconciles(self, tmp_path, cut):
+        path, first_write_ends = self.write_two_batches(tmp_path / "obs")
+        text = path.read_text()
+        if cut == "snapshot":
+            # Cut inside the metrics record leading the second write:
+            # its whole batch is lost with it.
+            torn = text[: first_write_ends + 20]
+        else:
+            torn = text[: len(text) - 5]
+        path.write_text(torn)
+        data = load_obs_dir(path.parent)
+        assert data.recovered_lines == 1
+        assert data.processes == 1
+        skips = data.metrics["counters"]["inject.skipped.decay"]
+        assert skips - len(data.inject_events) in (0, 1)
+        assert reconcile(data) == []
 
 
 class TestFuzzSection:

@@ -61,7 +61,7 @@ def make_engine(config=None, pairs=(), interference=None, decay=None, rng=None):
 
 
 def skip_events(session):
-    return [e for e in session._pending if e.get("type") == "inject" and e["action"] == "skip"]
+    return [e for e in session.stream.pending if e.get("type") == "inject" and e["action"] == "skip"]
 
 
 class TestInterferenceSuppression:
@@ -148,10 +148,16 @@ class TestReasonTaxonomy:
         assert event["detail"] == "zero_length"
 
     def test_inject_event_carries_length(self, session):
+        session.decision(7, "l1", 1.23456, length_ms=12.345678)
+        (event,) = [e for e in session.stream.pending if e.get("type") == "inject"]
+        assert event == {"type": "inject", "run": 7, "action": "inject", "site": "l1",
+                         "t_ms": 1.2346, "len_ms": 12.3457}
+        assert (session.c_considered.value, session.c_injected.value) == (1, 1)
+        # The engine's decide() emits through the same call.
         engine = make_engine(pairs=[make_pair()])
         length = engine.decide(pending())
         assert length > 0.0
-        (event,) = [e for e in session._pending if e.get("type") == "inject"]
+        event = session.stream.pending[-1]
         assert event["action"] == "inject"
         assert event["len_ms"] == length
 
@@ -170,7 +176,7 @@ class TestReconciliation:
         for ts in (210.0, 220.0, 230.0):  # draws under p=0.9 still pass
             engine.decide(pending(site="A", ts=ts))  # interference skips
 
-        events = [e for e in session._pending if e.get("type") == "inject"]
+        events = [e for e in session.stream.pending if e.get("type") == "inject"]
         injected = sum(1 for e in events if e["action"] == "inject")
         skipped = sum(1 for e in events if e["action"] == "skip")
         assert injected == engine.ledger.count
@@ -188,7 +194,7 @@ class TestReconciliation:
         for ts in (1.0, 2.0, 3.0):
             engine.decide(pending(site="A", ts=ts))
         session.flush()
-        lines = [json.loads(line) for line in session.events_path.read_text().splitlines()]
+        lines = [json.loads(line) for line in session.stream.path.read_text().splitlines()]
         skips = [r for r in lines if r.get("type") == "inject" and r["action"] == "skip"]
         assert len(skips) == 3
         assert all(r["reason"] in obs.SKIP_REASONS for r in skips)

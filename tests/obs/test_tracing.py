@@ -1,45 +1,6 @@
-"""Span tracing and the Chrome trace_event export."""
+"""The Chrome trace_event export."""
 
-from repro.obs.tracing import NULL_SPAN, SpanTracer, chrome_trace_events
-
-
-class TestSpanTracer:
-    def test_span_records_duration_and_attrs(self):
-        tracer = SpanTracer()
-        with tracer.span("cell", category="harness", table="table2") as span:
-            span.set(extra=1)
-        records = tracer.drain()
-        assert len(records) == 1
-        record = records[0]
-        assert record["type"] == "span"
-        assert record["name"] == "cell"
-        assert record["cat"] == "harness"
-        assert record["dur_ms"] >= 0.0
-        assert record["attrs"] == {"table": "table2", "extra": 1}
-
-    def test_drain_clears(self):
-        tracer = SpanTracer()
-        with tracer.span("a"):
-            pass
-        assert len(tracer.drain()) == 1
-        assert tracer.drain() == []
-
-    def test_exception_tags_span_and_propagates(self):
-        tracer = SpanTracer()
-        try:
-            with tracer.span("boom"):
-                raise ValueError("x")
-        except ValueError:
-            pass
-        (record,) = tracer.drain()
-        assert record["attrs"]["error"] == "ValueError"
-
-    def test_disabled_tracer_returns_null_span(self):
-        tracer = SpanTracer(enabled=False)
-        assert tracer.span("anything") is NULL_SPAN
-        with tracer.span("anything") as span:
-            span.set(ignored=True)
-        assert tracer.drain() == []
+from repro.obs.tracing import chrome_trace_events
 
 
 class TestChromeTrace:
