@@ -93,7 +93,7 @@ class CacheStats:
 
 #: Process-wide totals across every cache instance, so the CLI can print
 #: one end-of-run summary line without threading cache objects through
-#: each experiment. (Pool workers accumulate their own copy; their
+#: each experiment. (Forked workers accumulate their own copy; their
 #: numbers surface through the obs telemetry files instead.)
 GLOBAL_STATS = CacheStats()
 

@@ -8,8 +8,8 @@ EXPERIMENTS.md tables can be regenerated mechanically.
 Each driver decomposes into independent *cells* -- one (app, test,
 seed) or (bug, tool, seed) unit implemented as a module-level worker
 function -- mapped through :func:`repro.harness.parallel.map_units`.
-Cells take only picklable arguments (names, configs, seeds, a cache
-directory) so ``jobs > 1`` fans them out over a process pool; results
+Cells take only plain arguments (names, configs, seeds, a cache
+directory) and ``jobs > 1`` fans them out over forked workers; results
 merge in submission order, so parallel runs are bit-identical to serial
 ones. ``cache_dir`` enables the content-addressed trace/plan cache
 (:mod:`repro.harness.cache`): preparation traces are recorded once and

@@ -6,7 +6,7 @@ outcome. This module is the vocabulary the campaign supervisor
 (:mod:`repro.harness.supervisor`) speaks:
 
 * a **taxonomy** of faults a cell execution can suffer, split into
-  *retryable* faults (a killed pool worker, a wedged cell, transient
+  *retryable* faults (a killed worker, a wedged cell, transient
   cache I/O, a torn or corrupted record) and *deterministic* ones
   (assertion failures, schema errors) that would fail identically on
   every retry and are quarantined instead;
@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 #: Environment variable holding the chaos spec. Present-and-non-empty
-#: means chaos is on for this process and every pool worker it forks.
+#: means chaos is on for this process and every worker it forks.
 CHAOS_ENV = "WAFFLE_CHAOS"
 
 #: Canonical fault kinds. ``repro.obs.telemetry`` mirrors this tuple
@@ -69,7 +69,7 @@ FAULT_KINDS = (WORKER_CRASH, HANG, TRANSIENT_IO, CORRUPT_RECORD, DETERMINISTIC)
 CHAOS_SITES = ("worker_crash", "hang", "cache_corrupt", "truncate")
 
 #: Exit code a chaos-crashed worker dies with (mimics an OOM-kill /
-#: SIGKILL'd pool worker: no result, no traceback, nonzero exit).
+#: SIGKILL'd worker: no result, no traceback, nonzero exit).
 CHAOS_CRASH_EXIT = 66
 
 
@@ -90,7 +90,7 @@ class HarnessFault(Exception):
 
 
 class WorkerCrashFault(HarnessFault):
-    """A pool worker died without delivering a result (OOM kill,
+    """A worker died without delivering a result (OOM kill,
     segfault, chaos crash). The work itself may be fine: retryable."""
 
     kind = WORKER_CRASH
@@ -303,12 +303,16 @@ def should_fire(site: str, key: str, attempt: int = 1) -> bool:
 def cell_prelude(key: str, attempt: int, in_child: bool) -> None:
     """The cell fault boundary's chaos hook: maybe crash or wedge.
 
-    In a pool worker a crash is the real thing (``os._exit`` with no
-    result, like an OOM-killed worker); on the serial path it is
-    simulated by raising :class:`WorkerCrashFault`, which exercises the
-    same retry machinery without taking down the campaign process. An
-    injected hang sleeps for ``hang_s``; the supervisor's watchdog is
-    expected to kill it.
+    Both cell loops of :mod:`repro.harness.supervisor` call it before
+    each cell. On a forked worker (``in_child``) a crash is the real
+    thing: ``os._exit`` with no reply, like an OOM-killed worker, which
+    the worker pool reads as a :class:`WorkerCrashFault` and replaces.
+    In-process it is simulated by raising :class:`WorkerCrashFault`,
+    which exercises the same retry machinery without taking down the
+    campaign process. An injected hang sleeps for ``hang_s``; the
+    supervisor's watchdog is expected to kill it. With the executor
+    slot empty there is no fault boundary, so an injected crash reaches
+    the caller and an injected hang is waited out.
     """
     config = _chaos
     if config is None:

@@ -4,17 +4,17 @@ Waffle's evaluation is a long campaign, and delay injection
 deliberately drives target programs into crashes, deadlocks and
 timeouts. The harness fans cells out across processes
 (:mod:`repro.harness.parallel`), so a single hung detection run,
-OOM-killed pool worker or torn cache record must degrade one cell --
-not take down or silently poison the whole ``--jobs`` campaign. The
+OOM-killed worker or torn cache record must degrade one cell -- not
+take down or silently poison the whole ``--jobs`` campaign. The
 supervisor wraps every cell execution in a fault boundary:
 
 * **Watchdog** -- each cell gets a wall-clock deadline derived from the
   same ``TIMEOUT_FACTOR`` logic :mod:`repro.harness.runner` applies to
   individual simulated tests (factor x the median observed cell time,
   floored), so a wedged worker is killed rather than waited on forever.
-  Serially the watchdog is a SIGALRM timer; under ``--jobs`` each cell
-  runs in its own forked process that can be terminated individually
-  (a pool executor cannot kill one hung member).
+  Serially the watchdog is a SIGALRM timer; under ``--jobs`` the cells
+  run on ``min(jobs, cells)`` reused forked workers, and a worker past
+  its cell's deadline is killed and replaced by a fresh fork.
 * **Retry with backoff** -- faults are classified by
   :func:`repro.harness.faults.classify`: *retryable* ones (worker
   crash, hang, transient I/O, corrupt record) are re-attempted under an
@@ -37,12 +37,13 @@ supervisor wraps every cell execution in a fault boundary:
 The retry verdict (:meth:`RetryPolicy.verdict`) and the fault and
 cell accounting (:class:`FaultBoundary`) are shared with the fleet's
 executors (:class:`repro.harness.fleet.FleetWorker`), so the serial,
-process-per-cell and fleet paths count and report faults identically.
+worker-pool and fleet paths count and report faults identically.
 
 The supervisor is **opt-in**: it takes the executor slot of
-:mod:`repro.harness.parallel` while active, and
-:func:`repro.harness.parallel.map_units` takes its historical path
-when the slot is empty.
+:mod:`repro.harness.parallel` while active. With the slot empty,
+:func:`repro.harness.parallel.map_units` runs the same two loops
+through :class:`Unsupervised`, which has no fault boundary: no
+watchdog, no retry, and the first failing cell's exception propagates.
 """
 
 from __future__ import annotations
@@ -50,10 +51,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
+import traceback
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -219,7 +224,7 @@ class CampaignStats:
         if self.failed:
             parts.append("%d failed" % self.failed)
         if self.resumed:
-            parts.append("%d resumed from journal" % self.resumed)
+            parts.append("%d resumed from store" % self.resumed)
         line = "supervisor: " + ", ".join(parts)
         if self.fault_counts:
             line += " (faults: %s)" % ", ".join(
@@ -236,8 +241,8 @@ class CampaignStats:
 class FaultBoundary:
     """Fault accounting and cell finalization for every execution path.
 
-    Subclasses run attempts their own way -- in-process, in a forked
-    child, or under a fleet lease -- and report here: :meth:`_fault`
+    Subclasses run attempts their own way -- in-process, on a forked
+    worker, or under a fleet lease -- and report here: :meth:`_fault`
     accounts a failed attempt and returns the policy's verdict;
     :meth:`_finalize` counts a cell's final status in :attr:`stats`,
     publishes it to :attr:`store` (when there is one) and emits
@@ -353,8 +358,8 @@ class FaultBoundary:
 
 
 class _RemoteFault(faults.HarnessFault):
-    """A fault that occurred in a worker process, rehydrated from its
-    JSON description (arbitrary exceptions do not pickle reliably)."""
+    """A fault that occurred in a worker process and did not survive
+    pickling, rehydrated from its JSON description."""
 
     def __init__(self, record: Dict[str, Any]):
         super().__init__("%s: %s" % (record.get("error", "?"), record.get("detail", "")))
@@ -362,29 +367,51 @@ class _RemoteFault(faults.HarnessFault):
         self.retryable = bool(record.get("retryable", False))
 
 
-def _child_entry(conn, fn, args, key: str, attempt: int) -> None:
-    """Worker body for one supervised parallel cell.
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as the ``__cause__`` of
+    the fault it shipped (as ``concurrent.futures`` chains it), so the
+    caller's traceback shows where in the cell it failed."""
 
-    Runs the chaos prelude (an injected crash here is a real
-    ``os._exit`` with no result, exactly like an OOM-killed worker),
-    executes the cell through the same ``_call_unit`` wrapper the pool
-    path uses (per-cell telemetry + flush), and ships back either the
-    result or a JSON-safe fault description.
-    """
+
+def _portable(exc: BaseException) -> Any:
+    """What a worker ships for a failed cell: the exception itself when
+    it survives a pickle round trip, else its JSON-safe description."""
     try:
-        faults.cell_prelude(key, attempt, in_child=True)
-        result = parallel._call_unit(fn, args)
-        conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - the boundary's job
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return faults.describe(exc)
+    return exc
+
+
+def _worker(conn, inherited: List[Any], fn: Callable[..., Any], units: List[Tuple],
+            keys: List[str]) -> None:
+    """Body of one reused worker: run ``(index, attempt)`` requests until
+    EOF, replying ``("ok", result)`` or ``("err", (the exception or its
+    description, formatted traceback))``.
+
+    ``inherited`` holds the parent's pipe ends the fork copied; closing
+    them lets EOF reach this worker once the parent closes its end. The
+    chaos prelude's injected crash is a real ``os._exit`` with no reply,
+    exactly like an OOM-killed worker.
+    """
+    for end in inherited:
+        end.close()
+    while True:
         try:
-            conn.send(("err", faults.describe(exc)))
-        except Exception:
-            pass
-    finally:
+            index, attempt = conn.recv()
+        except EOFError:
+            return
         try:
-            conn.close()
-        except Exception:
-            pass
+            faults.cell_prelude(keys[index], attempt, in_child=True)
+            reply = ("ok", parallel._call_unit(fn, units[index]))
+        except BaseException as exc:  # noqa: BLE001 - the boundary's job
+            reply = ("err", (_portable(exc), traceback.format_exc()))
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # the parent hung up
+        except Exception as exc:  # noqa: BLE001 - an unpicklable result
+            conn.send(("err", (faults.describe(exc), traceback.format_exc())))
 
 
 class Supervisor(FaultBoundary):
@@ -416,8 +443,8 @@ class Supervisor(FaultBoundary):
 
     # -- Watchdog ------------------------------------------------------
 
-    def watchdog_s(self) -> float:
-        """Per-cell wall-clock deadline.
+    def watchdog_s(self) -> Optional[float]:
+        """Per-cell wall-clock deadline (None: no watchdog).
 
         An explicit ``--cell-timeout`` wins; otherwise the deadline
         adapts to the campaign: ``TIMEOUT_FACTOR`` x the median
@@ -435,11 +462,12 @@ class Supervisor(FaultBoundary):
         return max(WATCHDOG_FLOOR_S, TIMEOUT_FACTOR * median)
 
     @contextmanager
-    def _serial_watchdog(self, deadline_s: float, key: str):
+    def _serial_watchdog(self, deadline_s: Optional[float], key: str):
         """SIGALRM-based deadline for the serial path (main thread only;
-        elsewhere the cell runs unguarded rather than unsupervised)."""
+        elsewhere, or with no deadline, the cell runs unguarded)."""
         usable = (
-            hasattr(signal, "SIGALRM")
+            deadline_s is not None
+            and hasattr(signal, "SIGALRM")
             and threading.current_thread() is threading.main_thread()
         )
         if not usable:
@@ -523,54 +551,63 @@ class Supervisor(FaultBoundary):
         results: List[Any],
         workers: int,
     ) -> None:
-        """Own process-per-cell fan-out (bounded by ``workers``).
+        """Fan ``pending`` out over at most ``workers`` reused forked
+        workers, one cell at a time each.
 
-        A ``ProcessPoolExecutor`` cannot kill one wedged member, so the
-        supervised path runs each cell in its own forked process with a
-        pipe back; a cell past its deadline is terminated individually
-        and the rest of the campaign proceeds.
+        A cell past its deadline is killed with its worker, and a worker
+        that dies mid-cell is a :class:`~repro.harness.faults.WorkerCrashFault`;
+        either way the next dispatch forks a fresh worker, so no more
+        than ``workers`` are alive at once. Every worker is joined or
+        killed before this returns or raises.
         """
-        import multiprocessing
         from multiprocessing.connection import wait as conn_wait
 
         ctx = multiprocessing.get_context("fork")
         # (index, attempt, ready_at_monotonic)
         queue: List[Tuple[int, int, float]] = [(index, 1, 0.0) for index in pending]
-        inflight: Dict[Any, dict] = {}  # parent conn -> cell state
+        idle: List[Tuple[Any, Any]] = []  # (process, conn) awaiting a cell
+        inflight: Dict[Any, dict] = {}  # conn -> cell state
 
-        def launch(index: int, attempt: int) -> None:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_child_entry,
-                args=(child_conn, fn, units[index], keys[index], attempt),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
+        def dispatch(index: int, attempt: int) -> None:
+            if idle:
+                proc, conn = idle.pop()
+            else:
+                conn, child_conn = ctx.Pipe()
+                inherited = [conn, *inflight, *(end for _, end in idle)]
+                proc = ctx.Process(target=_worker,
+                                   args=(child_conn, inherited, fn, units, keys), daemon=True)
+                proc.start()
+                child_conn.close()
+            try:
+                conn.send((index, attempt))
+            except OSError:
+                pass  # it died idle: the EOF below reads as a crash and the cell retries
             eventbus.emit("cell_begin", cell=keys[index][:16], unit=fn.__name__,
                           attempt=attempt)
             eventbus.flush()  # visible to live `campaign status` immediately
-            inflight[parent_conn] = {
+            deadline_s = self.watchdog_s()
+            started = time.monotonic()
+            inflight[conn] = {
                 "index": index,
                 "attempt": attempt,
                 "proc": proc,
-                "started": time.monotonic(),
-                "deadline": time.monotonic() + self.watchdog_s(),
+                "started": started,
+                "deadline": math.inf if deadline_s is None else started + deadline_s,
             }
 
-        def stop(conn, cell: dict) -> None:
-            proc = cell["proc"]
-            proc.terminate()
+        def stop(conn, proc, kill: bool) -> None:
+            """Retire a worker: kill it, or let it end at EOF."""
+            if kill:
+                proc.terminate()
+            conn.close()
             proc.join(timeout=2.0)
             if proc.is_alive():
                 proc.kill()
-            conn.close()
+                proc.join()
 
-        def settle(conn, cell: dict, exc: Optional[BaseException], result: Any) -> None:
+        def settle(cell: dict, exc: Optional[BaseException], result: Any) -> None:
             index, attempt = cell["index"], cell["attempt"]
             key = keys[index]
-            cell["proc"].join(timeout=5.0)
-            conn.close()
             wall_s = time.monotonic() - cell["started"]
             if exc is None:
                 self._wall_times.append(wall_s)
@@ -582,70 +619,80 @@ class Supervisor(FaultBoundary):
             else:
                 self._finalize(key, verdict, None, attempt, wall_s)
 
-        while queue or inflight:
-            if self.shutdown.is_set():
-                # Draining: kill in-flight workers and finalize every
-                # cell still owed a result as failed, promptly.
-                for conn, cell in list(inflight.items()):
-                    stop(conn, cell)
-                    self._finalize(keys[cell["index"]], "failed", None, cell["attempt"],
-                                   time.monotonic() - cell["started"])
-                inflight.clear()
-                for index, attempt, _ in queue:
-                    self._finalize(keys[index], "failed", None, attempt, 0.0)
-                queue.clear()
-                break
-            now = time.monotonic()
-            # Launch every ready cell a worker slot exists for.
-            queue.sort(key=lambda item: item[2])
-            while queue and len(inflight) < workers and queue[0][2] <= now:
-                index, attempt, _ = queue.pop(0)
-                launch(index, attempt)
-            if not inflight:
-                if queue:  # everything is backing off: sleep to the nearest retry
-                    self.sleep(max(0.0, queue[0][2] - time.monotonic()))
-                continue
-            # Wait for messages, worker deaths, or the nearest deadline.
-            next_deadline = min(cell["deadline"] for cell in inflight.values())
-            timeout = max(0.0, min(0.25, next_deadline - time.monotonic()))
-            for conn in conn_wait(list(inflight.keys()), timeout=timeout):
-                cell = inflight.pop(conn)
-                try:
-                    status, payload = conn.recv()
-                except (EOFError, OSError):
-                    # The pipe died with no message: the worker crashed
-                    # (chaos os._exit, OOM kill, segfault).
-                    cell["proc"].join(timeout=5.0)
-                    crash = faults.WorkerCrashFault(
-                        "worker for cell %s died without a result (exit %s)"
-                        % (keys[cell["index"]][:12], cell["proc"].exitcode),
-                        exitcode=cell["proc"].exitcode,
-                    )
-                    settle(conn, cell, crash, None)
+        try:
+            while queue or inflight:
+                if self.shutdown.is_set():
+                    # Draining: finalize every cell still owed a result
+                    # as failed, promptly; busy workers are killed below.
+                    for cell in inflight.values():
+                        self._finalize(keys[cell["index"]], "failed", None, cell["attempt"],
+                                       time.monotonic() - cell["started"])
+                    for index, attempt, _ in queue:
+                        self._finalize(keys[index], "failed", None, attempt, 0.0)
+                    break
+                now = time.monotonic()
+                # Dispatch every ready cell a worker slot exists for.
+                queue.sort(key=lambda item: item[2])
+                while queue and len(inflight) < workers and queue[0][2] <= now:
+                    index, attempt, _ = queue.pop(0)
+                    dispatch(index, attempt)
+                if not inflight:
+                    if queue:  # everything is backing off: sleep to the nearest retry
+                        self.sleep(max(0.0, queue[0][2] - time.monotonic()))
                     continue
-                if status == "ok":
-                    settle(conn, cell, None, payload)
-                else:
-                    settle(conn, cell, _RemoteFault(payload), None)
-            # Enforce deadlines on whatever is still in flight.
-            now = time.monotonic()
-            for conn in [c for c, cell in inflight.items() if cell["deadline"] <= now]:
-                cell = inflight.pop(conn)
-                deadline_s = cell["deadline"] - cell["started"]
-                hang = faults.CellHangFault(
-                    "cell %s exceeded its %.1fs watchdog; worker pid %s killed"
-                    % (keys[cell["index"]][:12], deadline_s, cell["proc"].pid)
-                )
-                eventbus.emit("watchdog", cell=keys[cell["index"]][:16],
-                              deadline_s=round(deadline_s, 3))
-                stop(conn, cell)
-                settle(conn, cell, hang, None)
+                # Wait for replies, worker deaths, or the nearest deadline.
+                next_deadline = min(cell["deadline"] for cell in inflight.values())
+                timeout = max(0.0, min(0.25, next_deadline - time.monotonic()))
+                for conn in conn_wait(list(inflight), timeout=timeout):
+                    cell = inflight.pop(conn)
+                    try:
+                        status, payload = conn.recv()
+                    except (EOFError, OSError):
+                        # The pipe died with no reply: the worker crashed
+                        # (chaos os._exit, OOM kill, segfault).
+                        stop(conn, cell["proc"], kill=False)
+                        settle(cell, faults.WorkerCrashFault(
+                            "worker for cell %s died without a result (exit %s)"
+                            % (keys[cell["index"]][:12], cell["proc"].exitcode),
+                            exitcode=cell["proc"].exitcode,
+                        ), None)
+                        continue
+                    idle.append((cell["proc"], conn))
+                    if status == "ok":
+                        settle(cell, None, payload)
+                        continue
+                    error, remote_tb = payload
+                    exc = error if isinstance(error, BaseException) else _RemoteFault(error)
+                    exc.__cause__ = _RemoteTraceback("\n" + remote_tb)
+                    settle(cell, exc, None)
+                # Enforce deadlines on whatever is still in flight.
+                now = time.monotonic()
+                for conn in [c for c, cell in inflight.items() if cell["deadline"] <= now]:
+                    cell = inflight.pop(conn)
+                    deadline_s = cell["deadline"] - cell["started"]
+                    hang = faults.CellHangFault(
+                        "cell %s exceeded its %.1fs watchdog; worker pid %s killed"
+                        % (keys[cell["index"]][:12], deadline_s, cell["proc"].pid)
+                    )
+                    eventbus.emit("watchdog", cell=keys[cell["index"]][:16],
+                                  deadline_s=round(deadline_s, 3))
+                    stop(conn, cell["proc"], kill=True)
+                    settle(cell, hang, None)
+        finally:
+            for conn, cell in inflight.items():
+                stop(conn, cell["proc"], kill=True)
+            for proc, conn in idle:
+                conn.close()  # EOF ends each idle worker's loop
+            for proc, conn in idle:
+                stop(conn, proc, kill=False)
 
     # -- Entry point ---------------------------------------------------
 
     def map(self, fn: Callable[..., Any], arg_tuples: Sequence[Tuple],
             jobs: Optional[int] = 1) -> List[Any]:
-        """Supervised equivalent of :func:`repro.harness.parallel.map_units`.
+        """The fan-out behind :func:`repro.harness.parallel.map_units`:
+        serially in this process for ``jobs <= 1`` or a single pending
+        cell, else over ``min(jobs, pending)`` reused forked workers.
 
         Results come back in submission order; a quarantined or
         retry-exhausted cell yields ``None`` at its position (graceful
@@ -669,6 +716,23 @@ class Supervisor(FaultBoundary):
         else:
             self._run_parallel(fn, units, keys, pending, results, min(jobs, len(pending)))
         return results
+
+
+class Unsupervised(Supervisor):
+    """What :func:`repro.harness.parallel.map_units` runs while the
+    executor slot is empty: the supervisor's serial loop and worker pool
+    with no fault boundary.
+
+    The first failing cell's exception propagates to the caller; there
+    is no watchdog, no retry, no ``fault`` event and no dossier. It never
+    takes the slot, so :func:`repro.harness.parallel.current` stays None.
+    """
+
+    def watchdog_s(self) -> Optional[float]:
+        return None
+
+    def _fault(self, exc: BaseException, key: str, attempt: int) -> Tuple[str, float]:
+        raise exc
 
 
 @contextmanager

@@ -35,7 +35,7 @@ call :func:`session` once and keep the result, so a disabled process
 pays only a handful of ``is None`` checks per *run*, not per event --
 the bound guarded by ``benchmarks/bench_obs.py``.
 
-A forked ``--jobs`` pool worker reopens both streams under its own
+A forked ``--jobs`` worker reopens both streams under its own
 pid (one fork handler, below); spawned processes inherit the
 environment variable. Workers flush their own streams, which
 ``repro obs report`` merges.
@@ -121,7 +121,7 @@ def _configure_from_env() -> None:
 
 
 def _reset_after_fork() -> None:
-    # A forked pool worker inherits the parent's session and bus --
+    # A forked worker inherits the parent's session and bus --
     # including their buffered (unflushed) records and file tokens.
     # Drop them without flushing (those records are the parent's to
     # write) and reopen both streams keyed by the child's own pid.

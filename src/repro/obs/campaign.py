@@ -524,7 +524,7 @@ class ProgressRenderer:
                 prefix, str(event.get("cell", "?"))[:12], event.get("attempt", "?"),
                 event.get("kind", "?"), float(event.get("backoff_s", 0.0)))
         elif etype == "cell_resumed":
-            line = "%s  cell %s resumed from journal" % (
+            line = "%s  cell %s resumed from store" % (
                 prefix, str(event.get("cell", "?"))[:12])
         elif etype == "watchdog":
             line = "%s  watchdog killed %s after %ss" % (

@@ -17,7 +17,7 @@ both files share one durability model:
   the parent's buffered records (they are the parent's to write) and
   opens its own stream, so streams never interleave within a file;
 * **batched with hard points** -- records buffer up to
-  :attr:`Stream.FLUSH_EVERY`; pool workers hard-flush per cell (they
+  :attr:`Stream.FLUSH_EVERY`; forked workers hard-flush per cell (they
   can die without atexit) and the CLI flushes at end-of-command;
 * **torn-tail tolerant** -- a process killed mid-append commits at most
   one partial final line; readers recover (skip and count) an

@@ -33,7 +33,7 @@ from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Environment variable enabling the flight recorder (the propagation
-#: channel to ``--jobs`` pool workers, like ``WAFFLE_OBS_DIR``). The
+#: channel to ``--jobs`` workers, like ``WAFFLE_OBS_DIR``). The
 #: value is the ring capacity; any non-integer truthy value means the
 #: default capacity.
 FLIGHTREC_ENV = "WAFFLE_FLIGHTREC"
@@ -224,7 +224,7 @@ def _configure_from_env() -> None:
 
 
 def _reset_after_fork() -> None:
-    # A forked pool worker inherits the parent's ring; its contents are
+    # A forked worker inherits the parent's ring; its contents are
     # the parent's story. Start the child with a fresh ring of the same
     # capacity so per-run marks and sequence numbers stay coherent.
     global _recorder

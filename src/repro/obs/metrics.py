@@ -8,8 +8,8 @@ The registry is the numeric half of the run-telemetry subsystem
    (or None); with no session the hot paths never touch this module.
 2. **Cheap when enabled.** An increment is one attribute add on a
    ``__slots__`` object; histograms use a precomputed bucket scan.
-3. **Process-local.** The harness fans experiment cells out over a
-   process pool; each worker owns its own registry and writes its
+3. **Process-local.** The harness fans experiment cells out over
+   forked workers; each worker owns its own registry and writes its
    snapshots into its telemetry stream, and :mod:`repro.obs.report`
    merges the last snapshot of each stream (counters/histograms sum,
    gauges keep the latest value).

@@ -54,6 +54,9 @@ class ObsData:
     dossiers: List[dict] = field(default_factory=list)
     #: Campaign event streams (``events-*.jsonl``, repro.obs.eventbus).
     event_streams: List[Any] = field(default_factory=list)
+    #: Telemetry streams, one per process. ``run_seq`` is process-local,
+    #: so :func:`reconcile` matches runs to decision events per stream.
+    telemetry_streams: List[Any] = field(default_factory=list)
 
 
 def load_obs_dir(directory: os.PathLike) -> ObsData:
@@ -70,7 +73,8 @@ def load_obs_dir(directory: os.PathLike) -> ObsData:
         data.warnings.append("obs directory %s does not exist" % root)
         return data
     snapshots: List[dict] = []
-    for stream in eventbus.load_streams(root, TELEMETRY_GLOB):
+    data.telemetry_streams = eventbus.load_streams(root, TELEMETRY_GLOB)
+    for stream in data.telemetry_streams:
         data.warnings.extend(stream.warnings)
         data.parse_errors.extend(stream.parse_errors)
         data.recovered_lines += stream.recovered
@@ -143,14 +147,23 @@ def reconcile(data: ObsData) -> List[str]:
         problems.append(
             "skip events (%d) != skip counters (%d)" % (len(skip_events), total_skips)
         )
+    for stream in data.telemetry_streams:
+        problems.extend(_reconcile_runs(stream.events, data.recovered_lines))
+    return problems
+
+
+def _reconcile_runs(records: List[dict], recovered_lines: int) -> List[str]:
+    """Match one process's run summaries to its decision events."""
+    problems: List[str] = []
     run_totals = {
         run["run_seq"]: run
-        for run in data.runs
-        if run.get("considered", 0) or run.get("injected", 0)
+        for run in records
+        if run.get("type") == "run" and (run.get("considered", 0) or run.get("injected", 0))
     }
     events_by_run: Dict[int, List[dict]] = {}
-    for event in data.inject_events:
-        events_by_run.setdefault(event.get("run", 0), []).append(event)
+    for event in records:
+        if event.get("type") == "inject":
+            events_by_run.setdefault(event.get("run", 0), []).append(event)
     for run_seq, events in events_by_run.items():
         run = run_totals.get(run_seq)
         if run is None:
@@ -164,9 +177,9 @@ def reconcile(data: ObsData) -> List[str]:
         )
         inject_deficit = run.get("injected", 0) - injected
         skip_run_deficit = expected_skips - skipped
-        if data.recovered_lines and (
+        if recovered_lines and (
             0 <= inject_deficit and 0 <= skip_run_deficit
-            and 0 < inject_deficit + skip_run_deficit <= data.recovered_lines
+            and 0 < inject_deficit + skip_run_deficit <= recovered_lines
         ):
             # The missing events are exactly the ones lost to recovered
             # truncated lines: expected degradation, not inconsistency.

@@ -10,7 +10,7 @@ JSON object per line, discriminated by ``type``):
 * ``metrics`` -- the metrics snapshot, written at the head of each
   flush whose counters moved. Readers take the last one per stream.
 
-The harness's process-pool workers each get their own session (a fork
+The harness's forked workers each get their own session (a fork
 reopens it; spawned processes inherit ``WAFFLE_OBS_DIR``), so
 ``repro obs report`` merges one stream per participating process.
 
@@ -252,7 +252,7 @@ class TelemetrySession:
         The batching valve for hot callers (the per-cell hook in
         :mod:`repro.harness.parallel`): below the :data:`FLUSH_EVERY`
         threshold this is one ``len`` call. Callers that need durability
-        *now* (pool workers about to lose the process, end-of-command
+        *now* (forked workers about to lose the process, end-of-command
         handlers) use :meth:`flush` directly.
         """
         if len(self.stream.pending) >= self.FLUSH_EVERY:

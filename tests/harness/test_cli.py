@@ -245,7 +245,7 @@ class TestSupervisedCampaigns:
         assert list(resume.glob("cell-*.res"))  # an artifact store
         assert main(["table2", "--apps", "nsubstitute", "--resume", str(resume)]) == 0
         second = capsys.readouterr().out
-        assert "resumed from journal" in second
+        assert "resumed from store" in second
         assert self.table_lines(first) == self.table_lines(second)
 
 

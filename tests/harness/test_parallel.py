@@ -5,10 +5,15 @@ and results merge in submission order, so ``jobs=4`` must reproduce the
 ``jobs=1`` tables bit for bit.
 """
 
+import multiprocessing
 import time
+import traceback
+
+import pytest
 
 from repro.harness import experiments
-from repro.harness.parallel import chunked, map_units, resolve_jobs
+from repro.harness.parallel import current, map_units, resolve_jobs
+from repro.harness.supervisor import cell_key
 from repro.obs import eventbus
 
 
@@ -19,6 +24,12 @@ def _square(x):
 def _sleep_cell(seconds):
     time.sleep(seconds)
     return seconds
+
+
+def _fail_on_two(x):
+    if x == 2:
+        raise ValueError("cell %d is broken" % x)
+    return x
 
 
 class TestMapUnits:
@@ -45,9 +56,26 @@ class TestMapUnits:
         assert resolve_jobs(7) == 7
         assert resolve_jobs(0) >= 1  # AUTO_JOBS -> cpu count
 
-    def test_chunked(self):
-        assert chunked(range(5), 2) == [[0, 1], [2, 3], [4]]
-        assert chunked([], 3) == []
+
+class TestNoBoundary:
+    """With the executor slot empty there is no fault boundary: a
+    failing cell's exception reaches the caller, and no worker outlives
+    the fan-out either way."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cell_exception_propagates(self, jobs):
+        assert current() is None
+        with pytest.raises(ValueError, match="cell 2 is broken") as info:
+            map_units(_fail_on_two, [(x,) for x in range(6)], jobs=jobs)
+        # A worker's traceback comes along, chained as the cause.
+        assert "in _fail_on_two" in "".join(traceback.format_exception(info.value))
+        assert multiprocessing.active_children() == []
+
+    def test_workers_are_gone_after_a_normal_return(self):
+        assert map_units(_square, [(i,) for i in range(8)], jobs=2) == [
+            i * i for i in range(8)
+        ]
+        assert multiprocessing.active_children() == []
 
 
 class TestCellWallTime:
@@ -65,10 +93,37 @@ class TestCellWallTime:
             total = time.perf_counter() - started
         finally:
             eventbus.disable()
+        # cell_end arrives in completion order: pair each with its cell.
+        sleep_of = {cell_key(_sleep_cell, (s,))[:16]: s for s in sleeps}
         assert len(ends) == len(sleeps)
-        for event, sleep in zip(ends, sleeps):
+        for event in ends:
+            sleep = sleep_of[event["cell"]]
             assert sleep <= event["wall_s"] < sleep + 0.3, (event, sleep)
             assert event["wall_s"] < total
+
+
+class TestLiveView:
+    def test_no_more_cells_running_than_workers(self):
+        """``cell_begin`` marks a cell's dispatch to a worker, so a live
+        view never shows more cells running than there are workers."""
+        bus = eventbus.configure(None)
+        running, peak = set(), []
+
+        def track(event):
+            if event["type"] == "cell_begin":
+                running.add(event["cell"])
+            elif event["type"] == "cell_end":
+                running.discard(event["cell"])
+            peak.append(len(running))
+
+        bus.add_listener(track)
+        try:
+            assert map_units(_sleep_cell, [(0.01 * i,) for i in range(8)], jobs=2) == [
+                0.01 * i for i in range(8)
+            ]
+        finally:
+            eventbus.disable()
+        assert max(peak) == 2
 
 
 class TestSerialParallelIdentity:

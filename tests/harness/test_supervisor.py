@@ -7,6 +7,7 @@ driver lives in the CLI tests and CI's chaos smoke cell.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -24,6 +25,7 @@ from repro.harness.supervisor import (
     cell_key,
     supervised,
 )
+from repro.obs import eventbus
 
 # Serial-path failure scripting: cells run in-process, so a module
 # global can count attempts per key.
@@ -377,11 +379,21 @@ class TestChaosCampaign:
             cell_timeout_s=1.0,
             sleep=no_sleep,
         )
-        results = sup.map(square, units, jobs=4)
+        # The live workers at every dispatch: killed ones are replaced.
+        alive = []
+        eventbus.configure(None).add_listener(
+            lambda event: event["type"] == "cell_begin"
+            and alive.append({p.pid for p in multiprocessing.active_children()})
+        )
+        try:
+            results = sup.map(square, units, jobs=4)
+        finally:
+            eventbus.disable()
         assert results == clean
         assert sup.stats.ok == 8
         assert sup.stats.retried >= 1  # the chaos spec guarantees firings
         assert set(sup.stats.fault_counts) <= {"worker_crash", "hang"}
+        assert max(map(len, alive)) <= 4 < len(set().union(*alive))
 
     def test_serial_chaos_campaign_is_bit_identical(self):
         units = [(x,) for x in range(8)]

@@ -28,6 +28,15 @@ def clean_obs_state():
     os.environ.pop(obs.OBS_DIR_ENV, None)
 
 
+def check_obs(obs_dir):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "check_obs.py"), str(obs_dir)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def read_events(obs_dir):
     return [
         record
@@ -70,18 +79,26 @@ class TestObsDirOption:
         assert not [n for n in names if n.startswith("summary-")]
         telemetry = eventbus.load_streams(obs_dir, TELEMETRY_GLOB)
         events = eventbus.load_streams(obs_dir)
-        # The CLI process and each pool worker write one of each.
+        # The CLI process and each worker write one of each.
         assert len(telemetry) == len(events) >= 2
         for stream in telemetry:
             assert stream.meta.version == eventbus.EVENT_SCHEMA_VERSION
             assert stream.warnings == [] and stream.parse_errors == []
             assert stream.events[0]["type"] == "metrics"
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "check_obs.py"), str(obs_dir)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        check_obs(obs_dir)
+
+    def test_one_stream_pair_per_worker(self, tmp_path):
+        """A supervised ``--jobs 2`` campaign reuses its two workers, so
+        it leaves the CLI's stream pair plus one per worker, not one per
+        cell."""
+        obs_dir = tmp_path / "obs"
+        assert main(["--obs-dir", str(obs_dir), "table6", "--apps", "nsubstitute",
+                     "--jobs", "2", "--retries", "1"]) == 0
+        obs.disable()
+        names = os.listdir(obs_dir)
+        assert 1 <= len([n for n in names if n.startswith("events-")]) <= 3
+        assert 1 <= len([n for n in names if n.startswith("telemetry-")]) <= 3
+        check_obs(obs_dir)
 
     def test_events_dir_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -272,6 +272,14 @@ class TestReconcile:
         problems = reconcile(load_obs_dir(obs_dir))
         assert any("run 1" in p for p in problems)
 
+    def test_run_seq_is_matched_within_its_own_process(self, obs_dir):
+        """Two workers both number their first run 1: each summary is
+        reconciled against its own process's decision events only."""
+        path = obs_dir / "telemetry-100-1.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        write_jsonl(obs_dir / "telemetry-102-1.jsonl", [meta(102)] + records[1:])
+        assert reconcile(load_obs_dir(obs_dir)) == []
+
 
 class TestRecoveredLineTolerance:
     """Truncated-tail losses are corrupt_record faults the reconciler
