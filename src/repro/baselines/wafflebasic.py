@@ -41,6 +41,7 @@ class WaffleBasic(ToolDriver):
         candidates = CandidateSet()
         decay = DecayState(config.decay_lambda)
         flight = obs.flightrec.recorder()
+        session_start_seq = flight.recorded if flight is not None else 0
         site_injections: Dict[str, int] = {}
 
         for attempt in range(1, budget + 1):
@@ -68,7 +69,9 @@ class WaffleBasic(ToolDriver):
                 outcome.reports.append(report)
                 if flight is not None:
                     outcome.dossiers.append(
-                        self._assemble_dossier(workload, report, hook, sim_seed, flight)
+                        self._assemble_dossier(
+                            workload, report, hook, sim_seed, flight, session_start_seq
+                        )
                     )
                 if config.stop_at_first_bug:
                     break

@@ -248,8 +248,13 @@ class ToolDriver:
         hook: _BaseInjectionHook,
         sim_seed: int,
         recorder,
+        session_start_seq: int,
     ):
-        """Build a replay-verified bug dossier (flight recorder on)."""
+        """Build a replay-verified bug dossier (flight recorder on).
+
+        ``session_start_seq`` is ``recorder.recorded`` when ``detect``
+        began, so the dossier's pruning verdicts are this session's
+        alone, not those of earlier sessions in the same process."""
         from ..obs import dossier as dossier_mod
 
         built = dossier_mod.assemble_dossier(
@@ -261,6 +266,7 @@ class ToolDriver:
             sim_seed=sim_seed,
             recorder=recorder,
             build=workload.build,
+            session_start_seq=session_start_seq,
         )
         session = obs.session()
         if session is not None:
@@ -326,6 +332,7 @@ class Waffle(ToolDriver):
         decay = DecayState(config.decay_lambda)
         run_index = 0
         flight = obs.flightrec.recorder()
+        session_start_seq = flight.recorded if flight is not None else 0
         site_injections: Dict[str, int] = {}
 
         plan: Optional[InjectionPlan] = None
@@ -391,7 +398,9 @@ class Waffle(ToolDriver):
                 outcome.reports.append(report)
                 if flight is not None:
                     outcome.dossiers.append(
-                        self._assemble_dossier(workload, report, hook, sim_seed, flight)
+                        self._assemble_dossier(
+                            workload, report, hook, sim_seed, flight, session_start_seq
+                        )
                     )
                 if config.stop_at_first_bug:
                     break

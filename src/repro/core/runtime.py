@@ -274,14 +274,22 @@ class _BaseInjectionHook(InstrumentationHook):
         #: every MemOrder access (it counts each site's occurrences).
         self._delay_sites: Optional[KeysView[str]] = None
 
+    #: Whether the site gate may stay up while the schedule is captured:
+    #: true only for hooks whose candidate set gains no delay site
+    #: during a run, so every site that can still be delayed has had
+    #: each of its accesses counted.
+    _gate_while_capturing = False
+
     def _bind_decide(self):
         """The per-operation decision, chosen once the engine exists:
         the bare engine behind the site gate, or one that also captures
-        the schedule. Neither refers back to the hook: a bound method of
+        the schedule, gated only under ``_gate_while_capturing``.
+        Neither refers back to the hook: a bound method of
         the hook stored on the hook would be a reference cycle, keeping
         every finished run's hook alive until the cycle collector runs."""
-        if not self._capture_schedule:
+        if not self._capture_schedule or self._gate_while_capturing:
             self._delay_sites = self.engine.candidates.delay_sites
+        if not self._capture_schedule:
             return self.engine.decide
         return _ScheduleCapture(self.engine, self.injection_schedule).decide
 
@@ -347,6 +355,9 @@ class PlannedInjectionHook(_BaseInjectionHook):
     runs. The hook performs no identification work of its own, which is
     why its per-operation overhead is the low proxy-dispatch cost.
     """
+
+    # The plan's candidate set only shrinks within a run.
+    _gate_while_capturing = True
 
     def __init__(
         self,

@@ -7,13 +7,14 @@ engine/candidate state of the crashing run:
 * full candidate-pair provenance for every matched pair -- the
   near-miss gap history that created it, the planned ``alpha * len``
   delay, the decay probability it ended the run with, and every pruning
-  verdict recorded (parent-child with vector clocks, happens-before
-  inference windows, retirement);
+  verdict the detection session recorded (parent-child with vector
+  clocks, happens-before inference windows, retirement);
 * a virtual-time swimlane of all threads with injected delays and the
   faulting access highlighted (ASCII and HTML renderings);
 * a **minimal reproducing schedule**: the per-site, per-occurrence
-  delays the run actually injected, greedily minimized by actual
-  replay through the deterministic simulator, so
+  delays the run actually injected, minimized by actual replay through
+  the deterministic simulator -- the delays at the report's matched
+  delay sites are tried alone first, then greedy drop-one -- so
   ``repro replay <dossier.json>`` re-manifests the same error at the
   same location.
 
@@ -49,8 +50,8 @@ from . import flightrec
 #: the schedule (``_BaseInjectionHook.before_access``).
 SCHEDULE_MODES = ("memorder", "tsv")
 
-#: Default replay budget for greedy schedule minimization: one
-#: verification replay plus at most this many drop-one trials.
+#: Default replay budget for schedule minimization: the verification
+#: replay, the suspects trial and the drop-one trials together.
 DEFAULT_MAX_REPLAYS = 24
 
 
@@ -180,13 +181,26 @@ def minimize_schedule(
     error_type: str,
     fault_site: str,
     max_replays: int = DEFAULT_MAX_REPLAYS,
+    suspects: Optional[List[dict]] = None,
 ) -> Tuple[List[dict], int, bool]:
-    """Greedy drop-one minimization verified by actual replay.
+    """Suspects-first, then greedy drop-one minimization, verified by
+    actual replay.
+
+    ``suspects`` is a sub-list of the schedule's delays expected to
+    carry the bug on their own -- :func:`assemble_dossier` passes the
+    delays at the report's matched delay sites. After the full schedule
+    reproduces, the suspects are replayed alone; if they reproduce,
+    the greedy drop-one pass starts from them instead of the full
+    schedule. A k-delay schedule whose one suspect reproduces thus
+    costs 3 replays instead of k + 1; a failed suspects trial costs
+    one. ``max_replays`` counts every replay, the suspects trial too.
 
     Returns ``(delays, replays_used, verified)``. Invariant: whenever
     ``verified`` is True, the returned delay list has been replayed and
     reproduced the target manifestation; trials that stopped reproducing
-    are discarded, so the result is never an unverified guess.
+    are discarded, so the result is never an unverified guess. When the
+    budget allows the greedy pass to finish, no single delay can be
+    dropped from the result.
     """
     current = list(schedule.get("delays", []))
     replays = 0
@@ -202,6 +216,10 @@ def minimize_schedule(
         # under the determinism contract); report it unverified rather
         # than shrinking from a broken baseline.
         return current, replays, False
+
+    if suspects and len(suspects) < len(current) and replays < max_replays:
+        if reproduces(suspects):
+            current = list(suspects)
 
     index = 0
     while index < len(current) and replays < max_replays:
@@ -237,7 +255,8 @@ class BugDossier:
     replays_used: int = 0
     #: Per matched pair: gap history, planned delay, decay state.
     provenance: List[dict] = field(default_factory=list)
-    #: Pruning verdicts retained in the flight ring (whole session).
+    #: Pruning verdicts of the whole detection session still retained
+    #: in the flight ring.
     prunes: List[dict] = field(default_factory=list)
     #: Injection decisions (inject/skip) of the crashing run.
     decisions: List[dict] = field(default_factory=list)
@@ -318,16 +337,21 @@ def assemble_dossier(
     sim_seed: int,
     recorder: Optional[flightrec.FlightRecorder] = None,
     build: Optional[Callable[[Simulation], Generator]] = None,
-    minimize: bool = True,
     max_replays: int = DEFAULT_MAX_REPLAYS,
+    session_start_seq: int = 0,
 ) -> BugDossier:
     """Build a dossier for ``report`` from the crashing run's state.
 
     ``hook`` is the injection hook of the crashing run (its engine,
     candidate set, ledger, threads and captured schedule are mined for
     provenance); ``build`` is the workload's generator factory -- when
-    given, the embedded schedule is verified and greedily minimized by
-    actual replay, otherwise it is stored as captured (unverified).
+    given, the embedded schedule is verified and minimized by actual
+    replay (the delays at the report's matched delay sites first, see
+    :func:`minimize_schedule`), otherwise it is stored as captured
+    (unverified). ``session_start_seq`` is the recorder's ``recorded``
+    count when the detection session began: pruning verdicts older than
+    that belong to earlier sessions run in the same process and are
+    left out.
     """
     engine = hook.engine
     candidates = engine.candidates
@@ -350,12 +374,14 @@ def assemble_dossier(
     verified = False
     replays_used = 0
     if build is not None and schedule["delays"]:
+        suspect_sites = {pair.delay_location.site for pair in report.matched_pairs}
         delays, replays_used, verified = minimize_schedule(
             build,
             schedule,
             report.error_type,
             report.fault_site,
             max_replays=max_replays,
+            suspects=[d for d in schedule["delays"] if d["site"] in suspect_sites],
         )
         if verified:
             minimized = len(delays) < len(schedule["delays"])
@@ -422,6 +448,7 @@ def assemble_dossier(
     if recorder is not None:
         prunes = recorder.events("prune_parent_child") + recorder.events("prune_hb")
         prunes += [e for e in recorder.events("pair_removed") if e.get("reason")]
+        prunes = [e for e in prunes if e["seq"] >= session_start_seq]
         flight_events = recorder.events_for_run(recorder.run_seq)
         decisions = [e for e in flight_events if e["k"] in ("inject", "skip")]
         flight_dropped = recorder.dropped

@@ -334,3 +334,53 @@ class TestHookWiring:
         hook.before_access(pending(site="l1"))
         assert hook.injection_schedule[0]["nth"] == 0
         assert hook._decide.__self__.occurrences == {"elsewhere": 1, "l1": 2}
+
+
+def _planned_schedules(monkeypatch, workload, gate):
+    """Each detection run's captured schedule for one Waffle session,
+    flight recorder on, with the planned hook's site gate up or down."""
+    from repro.core.detector import Waffle
+    from repro.obs import flightrec
+
+    hooks = []
+    simulate = Waffle._simulate
+
+    def spy(self, workload, hook, seed, kind=None):
+        if isinstance(hook, PlannedInjectionHook):
+            hooks.append(hook)
+        return simulate(self, workload, hook, seed, kind)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Waffle, "_simulate", spy)
+        patch.setattr(PlannedInjectionHook, "_gate_while_capturing", gate)
+        flightrec.install()
+        try:
+            Waffle(WaffleConfig(seed=3)).detect(workload, max_detection_runs=8)
+        finally:
+            flightrec.uninstall()
+    assert hooks and all((hook._delay_sites is not None) is gate for hook in hooks)
+    return [hook.injection_schedule for hook in hooks]
+
+
+class TestPlannedCaptureGate:
+    """The planned hook keeps its site gate while capturing a schedule:
+    its candidate set only shrinks within a run, so every site still
+    delayable has had each MemOrder access counted."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["Bug-1", "Bug-5", "Bug-11", "Bug-16"] + ["gen-%d" % seed for seed in range(10)],
+    )
+    def test_gated_capture_equals_ungated_capture(self, monkeypatch, name):
+        if name.startswith("gen-"):
+            from repro.gen.registry import gen_app
+
+            workload = gen_app(int(name[4:])).tests[0]
+        else:
+            from repro.apps import bug_workload
+
+            workload = bug_workload(name)
+        gated = _planned_schedules(monkeypatch, workload, gate=True)
+        ungated = _planned_schedules(monkeypatch, workload, gate=False)
+        assert gated == ungated
+        assert any(gated)

@@ -7,6 +7,13 @@ deterministically. The module-scoped fixture runs that campaign once
 (flight recorder installed) and the tests assert over it.
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apps import all_bugs, bug_workload
@@ -153,6 +160,48 @@ class TestSlicedRecorderReads:
         assert payloads[0] == payloads[1]
 
 
+def _strip_run_numbering(value):
+    """Drop the fields that number events and runs within a process
+    (``seq``, ``run``) and the ring's eviction count."""
+    if isinstance(value, dict):
+        return {
+            k: _strip_run_numbering(v)
+            for k, v in value.items()
+            if k not in ("seq", "run", "flight_dropped")
+        }
+    if isinstance(value, list):
+        return [_strip_run_numbering(v) for v in value]
+    return value
+
+
+class TestSessionScopedPrunes:
+    """A reused ``--jobs`` worker's ring still holds the pruning
+    verdicts of the cells it ran before; a dossier keeps only those of
+    its own detection session, so which worker ran a cell no longer
+    shows in the dossier."""
+
+    def test_dossiers_equal_across_job_counts(self, tmp_path):
+        repo = Path(__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": str(repo / "src"), "WAFFLE_FLIGHTREC": "4096"}
+        env.pop("WAFFLE_OBS_DIR", None)
+        payloads = []
+        for jobs in (1, 2):
+            obs_dir = tmp_path / ("jobs%d" % jobs)
+            subprocess.run(
+                [sys.executable, "-m", "repro", "--obs-dir", str(obs_dir),
+                 "--jobs", str(jobs), "fuzz", "--seed-range", "0:12", "--seed", "2"],
+                env=env, capture_output=True, check=True,
+            )
+            payloads.append(sorted(
+                json.dumps(_strip_run_numbering(dossier_mod.load_dossier(path).to_dict()),
+                           sort_keys=True)
+                for path in obs_dir.glob("dossier-*.json")
+            ))
+        assert len(payloads[0]) > 1
+        assert any(json.loads(p)["prunes"] for p in payloads[0])
+        assert payloads[0] == payloads[1]
+
+
 class TestRendering:
     def test_text_digest_sections(self, sessions):
         _, dossier = _any_dossier(sessions)
@@ -215,3 +264,98 @@ class TestMinimization:
         assert not verified
         assert replays == 1
         assert delays == []
+
+    @staticmethod
+    def _full_schedule(dossier):
+        schedule = dict(dossier.schedule)
+        schedule["delays"] = [
+            {"site": e["site"], "nth": e["nth"], "len_ms": e["len_ms"]}
+            for e in dossier.schedule_original
+        ]
+        return schedule
+
+    @staticmethod
+    def _suspects(dossier, schedule):
+        sites = {pair.delay_location.site for pair in dossier.report.matched_pairs}
+        return [d for d in schedule["delays"] if d["site"] in sites]
+
+    def test_reproducing_suspect_costs_three_replays(self, sessions):
+        checked = 0
+        for bug_id, (test, outcome) in sessions.items():
+            for dossier in outcome.dossiers:
+                schedule = self._full_schedule(dossier)
+                suspects = self._suspects(dossier, schedule)
+                if len(schedule["delays"]) < 3 or len(suspects) != 1:
+                    continue
+                greedy, _, _ = dossier_mod.minimize_schedule(
+                    test.build, schedule, dossier.error_type, dossier.fault_site,
+                    max_replays=10**6,
+                )
+                delays, replays, verified = dossier_mod.minimize_schedule(
+                    test.build, schedule, dossier.error_type, dossier.fault_site,
+                    suspects=suspects,
+                )
+                assert (delays, replays, verified) == (greedy, 3, True), bug_id
+                assert dossier.replays_used == 3, bug_id
+                checked += 1
+        assert checked, "no session dossier with 3+ delays and one suspect"
+
+    def test_failed_suspects_fall_back_to_the_greedy_at_one_extra_replay(
+        self, monkeypatch
+    ):
+        # The bug needs both a and c; the lone suspect a cannot carry it.
+        def replay(build, schedule, delays=None, name="replay"):
+            sites = {d["site"] for d in delays}
+            crashed = {"a", "c"} <= sites
+            return dossier_mod.ReplayOutcome(
+                crashed=crashed,
+                error_type="E" if crashed else None,
+                fault_site="f" if crashed else None,
+                fault_time_ms=0.0,
+                virtual_time_ms=0.0,
+                timed_out=False,
+                delays_injected=len(delays),
+            )
+
+        monkeypatch.setattr(dossier_mod, "replay_schedule", replay)
+        schedule = {
+            "sim_seed": 0,
+            "delays": [{"site": s, "nth": 0, "len_ms": 1.0} for s in "abcd"],
+        }
+        greedy = dossier_mod.minimize_schedule(None, schedule, "E", "f")
+        guided = dossier_mod.minimize_schedule(
+            None, schedule, "E", "f", suspects=schedule["delays"][:1]
+        )
+        assert [d["site"] for d in greedy[0]] == ["a", "c"]
+        assert greedy[1:] == (5, True)
+        assert guided == (greedy[0], greedy[1] + 1, True)
+
+    def test_verified_results_are_one_minimal(self, sessions):
+        for bug_id, (test, outcome) in sessions.items():
+            for dossier in outcome.dossiers:
+                assert dossier.verified, bug_id
+                delays = dossier.schedule["delays"]
+                for index in range(len(delays)):
+                    trial = delays[:index] + delays[index + 1 :]
+                    replay = dossier_mod.replay_schedule(
+                        test.build, dossier.schedule, delays=trial
+                    )
+                    assert not replay.matches(dossier.error_type, dossier.fault_site), (
+                        bug_id, index,
+                    )
+
+    def test_minimized_schedules_are_pinned(self, sessions):
+        """The hash was computed with the plain greedy drop-one minimizer
+        (no suspects trial) run without a replay budget. For every bug
+        but Bug-17 that is the schedule the greedy's dossiers held under
+        the default budget too; Bug-17's 33 captured delays exhausted
+        that budget at 11 delays, where the suspects trial reaches the
+        greedy's final single delay in 4 replays."""
+        rows = [
+            [bug_id, dossier.schedule["delays"]]
+            for bug_id, (_, outcome) in sessions.items()
+            for dossier in outcome.dossiers
+        ]
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert len(rows) == 18
+        assert digest == "dcc2ad5fc15a28dd7cf51da0b6a3011b00f41dd6ae4b68e22658b84bdb4cde67"
