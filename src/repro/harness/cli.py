@@ -284,7 +284,6 @@ def _write_dashboard_artifacts(
     (``fuzz --dashboard``) see their own data on disk; every input is
     optional, so the artifacts always render (with empty sections
     standing in for absent sources)."""
-    from ..obs import campaign as campaign_mod
     from ..obs import dashboard as dashboard_mod
     from ..obs import openmetrics as openmetrics_mod
     from ..obs import quality as quality_mod
@@ -294,14 +293,9 @@ def _write_dashboard_artifacts(
     eventbus.flush()
     obs.flush()
     os.makedirs(directory, exist_ok=True)
-    view, streams = campaign_mod.load_view(directory)
-    if not streams:
-        view = None
     data = load_obs_dir(directory)
-    snapshot = data.metrics or None
-    quality = quality_mod.build_quality(
-        view=view, rows=rows, obs_data=data, obs_dir=directory
-    )
+    view, snapshot = data.view, data.metrics or None
+    quality = quality_mod.build_quality(data, rows=rows)
     row = timeseries_mod.build_row(
         view=view, quality=quality, bench_paths=bench_paths or (), label=label
     )
@@ -511,6 +505,7 @@ def cmd_obs(args) -> int:
     bug dossiers, Chrome trace export, or campaign analytics."""
     from ..obs.report import load_obs_dir, render_report, write_chrome_trace
 
+    data = load_obs_dir(args.obs_path)  # parses each file on first use
     if args.action == "dashboard":
         for path in _write_dashboard_artifacts(
             args.obs_path,
@@ -523,21 +518,13 @@ def cmd_obs(args) -> int:
             print("dashboard artifact written: %s" % path)
         return 0
     if args.action == "metrics":
-        from ..obs import campaign as campaign_mod
         from ..obs import openmetrics as openmetrics_mod
         from ..obs import quality as quality_mod
 
-        view, streams = campaign_mod.load_view(args.obs_path)
-        if not streams:
-            view = None
-        data = load_obs_dir(args.obs_path)
-        quality = quality_mod.build_quality(
-            view=view, obs_data=data, obs_dir=args.obs_path
-        )
         text = openmetrics_mod.render_openmetrics(
             snapshot=data.metrics or None,
-            view=view,
-            quality=quality,
+            view=data.view,
+            quality=quality_mod.build_quality(data),
             deterministic_only=args.deterministic,
         )
         target = args.metrics_out or os.path.join(args.obs_path, "metrics.prom")
@@ -557,14 +544,12 @@ def cmd_obs(args) -> int:
     if args.action == "analytics":
         from ..obs import campaign as campaign_mod
 
-        view, streams = campaign_mod.load_view(args.obs_path)
-        if not streams:
+        if data.view is None:
             print("no event streams under %s" % args.obs_path)
             return 1
-        data = load_obs_dir(args.obs_path) if os.path.isdir(args.obs_path) else None
         _emit(
             campaign_mod.render_analytics(
-                view,
+                data.view,
                 obs_data=data,
                 bench_paths=_bench_history(args.bench),
                 source=args.obs_path,
@@ -575,7 +560,9 @@ def cmd_obs(args) -> int:
     if args.action == "coverage":
         from ..obs import coverage as coverage_mod
 
-        records = coverage_mod.load_coverage_dir(args.obs_path)
+        records = data.coverage
+        for warning in data.unreadable("coverage"):
+            print("warning: %s" % warning, file=sys.stderr)
         if not records:
             print("no coverage records under %s" % args.obs_path)
             return 1
@@ -591,19 +578,20 @@ def cmd_obs(args) -> int:
     if args.action == "dossier":
         from ..obs import dossier as dossier_mod
 
-        paths = sorted(Path(args.obs_path).glob("dossier-*.json"))
-        if not paths:
+        dossiers = data.dossiers
+        for warning in data.unreadable("dossier"):
+            print("warning: %s" % warning, file=sys.stderr)
+        if not dossiers:
             print("no dossiers under %s" % args.obs_path)
             return 1
-        for path in paths:
-            dossier = dossier_mod.load_dossier(path)
+        for item in dossiers:
+            dossier = dossier_mod.BugDossier.from_dict(item["dossier"])
             _emit(dossier_mod.render_dossier(dossier), args.out)
             if args.html:
-                html_path = path.with_suffix(".html")
+                html_path = (data.root / item["file"]).with_suffix(".html")
                 html_path.write_text(dossier_mod.render_swimlane_html(dossier))
                 print("swimlane written to %s" % html_path)
         return 0
-    data = load_obs_dir(args.obs_path)
     if args.action == "chrome":
         out = args.trace_out or os.path.join(args.obs_path, "trace.json")
         count = write_chrome_trace(data, out)
@@ -634,10 +622,7 @@ def cmd_campaign(args) -> int:
             % (count, len(streams), merged_out)
         )
         return 0
-    view = campaign_mod.fold_events(eventbus.merge_events(streams))
-    for stream in streams:
-        view.warnings.extend(stream.warnings)
-        view.warnings.extend(stream.parse_errors)
+    view = campaign_mod.fold_streams(streams)
     _emit(
         campaign_mod.render_status(
             view, source=source, max_cells=getattr(args, "max_cells", 8)

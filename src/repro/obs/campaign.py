@@ -303,14 +303,19 @@ def fold_events(events: Iterable[dict]) -> CampaignView:
     return view
 
 
-def load_view(path_or_dir: os.PathLike) -> Tuple[CampaignView, List[eventbus.EventStream]]:
-    """Load and fold every stream under a path (file or directory)."""
-    streams = eventbus.load_streams(path_or_dir)
+def fold_streams(streams: Sequence[eventbus.EventStream]) -> CampaignView:
+    """Fold parsed streams into a view that carries their warnings."""
     view = fold_events(eventbus.merge_events(streams))
     for stream in streams:
         view.warnings.extend(stream.warnings)
         view.warnings.extend(stream.parse_errors)
-    return view, streams
+    return view
+
+
+def load_view(path_or_dir: os.PathLike) -> Tuple[CampaignView, List[eventbus.EventStream]]:
+    """Load and fold every stream under a path (file or directory)."""
+    streams = eventbus.load_streams(path_or_dir)
+    return fold_streams(streams), streams
 
 
 # ----------------------------------------------------------------------

@@ -166,8 +166,9 @@ _file_seq = itertools.count()
 def write_coverage(record: dict, directory) -> Path:
     """Persist one session's coverage record into an obs directory.
 
-    File-per-record (like summaries) so concurrent ``--jobs`` workers
-    never interleave writes; ``repro obs coverage`` globs them back.
+    One file per record, so concurrent ``--jobs`` workers
+    never interleave writes; :func:`repro.obs.report.load_obs_dir` reads
+    them back.
     """
     from ..core import persistence
 
@@ -178,29 +179,6 @@ def write_coverage(record: dict, directory) -> Path:
     )
     persistence.save_record(record, path)
     return path
-
-
-def load_coverage_dir(directory) -> List[dict]:
-    """Load every coverage record in an obs directory (sorted by name).
-
-    Tolerant of partially-written files from killed workers: unreadable
-    records are skipped (the caller can warn via the empty-vs-found
-    counts), matching ``load_obs_dir``'s recovery posture.
-    """
-    from ..core import persistence
-
-    records: List[dict] = []
-    directory = Path(directory)
-    if not directory.is_dir():
-        return records
-    for path in sorted(directory.glob("coverage-*.json")):
-        try:
-            record = persistence.load_record(path)
-        except (ValueError, KeyError, OSError):
-            continue
-        if record.get("type") == RECORD_TYPE:
-            records.append(record)
-    return records
 
 
 def reconcile_coverage(record: dict) -> List[str]:

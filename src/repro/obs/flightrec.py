@@ -33,9 +33,9 @@ from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Environment variable enabling the flight recorder (the propagation
-#: channel to ``--jobs`` workers, like ``WAFFLE_OBS_DIR``). The
-#: value is the ring capacity; any non-integer truthy value means the
-#: default capacity.
+#: channel to ``--jobs`` workers, like ``WAFFLE_OBS_DIR``). The value
+#: is the ring capacity, so ``WAFFLE_FLIGHTREC=1`` keeps one event; a
+#: non-integer or non-positive value means the default capacity.
 FLIGHTREC_ENV = "WAFFLE_FLIGHTREC"
 
 DEFAULT_CAPACITY = 4096

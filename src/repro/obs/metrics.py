@@ -201,9 +201,10 @@ class MetricsRegistry:
 
 
 def merge_snapshots(snapshots: Sequence[dict]) -> dict:
-    """Merge per-process snapshots: counters and histograms sum, gauges
-    keep the last non-default value seen (processes report independent
-    instants; "latest wins" is the only coherent cross-process gauge)."""
+    """Merge per-process snapshots: counters and histograms sum. A gauge
+    named ``*_total`` is a per-process running total and sums too; any
+    other gauge keeps the last snapshot's value (processes report
+    independent instants)."""
     counters: Dict[str, int] = {}
     gauges: Dict[str, float] = {}
     histograms: Dict[str, dict] = {}
@@ -211,6 +212,8 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
         for name, value in snap.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + value
         for name, value in snap.get("gauges", {}).items():
+            if name.endswith("_total"):
+                value += gauges.get(name, 0.0)
             gauges[name] = value
         for name, hist in snap.get("histograms", {}).items():
             merged = histograms.get(name)

@@ -13,9 +13,9 @@ ground truth instead of estimated. This module performs the joins:
 * :func:`sensitivity_curve` -- detection rate per gap bin, overall and
   per topology / per bug kind, plus the detectable/undetectable band
   rollup the acceptance gate pins;
-* :func:`load_run_ledger` -- per-site injection/skip/delay aggregation
-  out of an obs directory's telemetry, deduplicated by deterministic
-  run identity (the same convention :mod:`repro.obs.campaign` applies
+* :func:`load_run_ledger` -- the runs and decision events of an obs
+  directory's telemetry streams, deduplicated by deterministic run
+  identity (the same convention :mod:`repro.obs.campaign` applies
   to work-product events) so chaos-retried and resumed campaigns
   attribute identically to clean ones;
 * :func:`site_attribution` -- which sites consumed delay budget and
@@ -23,17 +23,14 @@ ground truth instead of estimated. This module performs the joins:
   bug dossier's candidate pair (or a planted bug's racing pair) is a
   skip that could have cost or delayed a detection.
 
-Everything here is pure observation over rows/events/files already on
-disk; nothing feeds back into the simulation.
+Everything here is pure observation over rows, events and streams
+already parsed (:func:`repro.obs.report.load_obs_dir`); nothing feeds
+back into the simulation.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-from . import eventbus
-from .telemetry import TELEMETRY_GLOB
 
 #: Gap-bin upper edges (virtual ms) for the sensitivity curve. The
 #: generator's bands -- detectable [4, 40] (racy publication down to 2),
@@ -256,8 +253,8 @@ def reconcile_records(records: Sequence[dict], rows: Sequence[dict]) -> List[str
 # ----------------------------------------------------------------------
 
 
-def load_run_ledger(directory: Any) -> dict:
-    """Deduplicated (run, decisions) ledger out of an obs directory.
+def load_run_ledger(streams: Sequence[Any]) -> dict:
+    """Deduplicated (run, decisions) ledger out of telemetry streams.
 
     Raw telemetry double-counts under chaos: a retried cell re-runs the
     same pure function in another worker and appends an identical run
@@ -268,23 +265,10 @@ def load_run_ledger(directory: Any) -> dict:
     work-product events, so a clean, a chaos-retried, and a resumed
     campaign produce the same ledger.
     """
-    root = Path(directory)
-    ledger = {
-        "runs": 0,
-        "duplicates": 0,
-        "decisions": 0,
-        "recovered_lines": 0,
-        "warnings": [],
-        "entries": [],  # (run dict, [decision dicts]) in identity order
-    }
-    if not root.is_dir():
-        ledger["warnings"].append("obs directory %s does not exist" % root)
-        return ledger
-    seen: Dict[Tuple, int] = {}
+    duplicates = 0
+    seen: Set[Tuple] = set()
     entries: List[Tuple[Tuple, dict, List[dict]]] = []
-    for stream in eventbus.load_streams(root, TELEMETRY_GLOB):
-        ledger["recovered_lines"] += stream.recovered
-        ledger["warnings"].extend(stream.parse_errors)
+    for stream in streams:
         runs_in_file: List[dict] = []
         decisions_by_seq: Dict[int, List[dict]] = {}
         for record in stream.events:
@@ -297,15 +281,19 @@ def load_run_ledger(directory: Any) -> dict:
             decisions = decisions_by_seq.get(int(run.get("run_seq", 0)), [])
             identity = _run_identity(run, decisions)
             if identity in seen:
-                ledger["duplicates"] += 1
+                duplicates += 1
                 continue
-            seen[identity] = 1
+            seen.add(identity)
             entries.append((identity, run, decisions))
     entries.sort(key=lambda item: item[0])
-    ledger["entries"] = [(run, decisions) for _identity, run, decisions in entries]
-    ledger["runs"] = len(entries)
-    ledger["decisions"] = sum(len(d) for _i, _r, d in entries)
-    return ledger
+    return {
+        "runs": len(entries),
+        "duplicates": duplicates,
+        "decisions": sum(len(d) for _i, _r, d in entries),
+        "recovered_lines": sum(stream.recovered for stream in streams),
+        # (run dict, [decision dicts]) in identity order
+        "entries": [(run, decisions) for _identity, run, decisions in entries],
+    }
 
 
 def _run_identity(run: dict, decisions: Sequence[dict]) -> Tuple:
@@ -422,36 +410,29 @@ def skip_rollup(attribution: Sequence[dict]) -> dict:
 
 
 def build_quality(
-    view: Any = None,
+    obs_data: Any,
     rows: Optional[Sequence[dict]] = None,
-    obs_data: Any = None,
-    obs_dir: Any = None,
     near_miss_window_ms: float = DEFAULT_WINDOW_MS,
 ) -> dict:
-    """Assemble the full quality picture one call site at a time needs.
+    """Assemble the full quality picture of a loaded obs directory.
 
-    ``rows`` (fuzz-table rows, id-carrying) win over ``view`` events;
-    the ledger comes from ``obs_dir`` when given. Every component is
-    optional -- the dashboard renders its headings with empty sections
-    rather than hiding them, so a census of what's absent is part of
-    the artifact.
+    ``rows`` (fuzz-table rows, id-carrying) win over the directory's
+    campaign-view events; the attribution comes from its run ledger
+    and dossiers. Every component may be empty -- the dashboard renders
+    its headings with empty sections rather than hiding them, so a
+    census of what's absent is part of the artifact.
     """
+    view = obs_data.view
     source_rows = list(rows) if rows is not None else (
         rows_from_view(view) if view is not None else []
     )
     records, problems = workload_records(source_rows, near_miss_window_ms)
-    curve = sensitivity_curve(records) if records else None
-    ledger = load_run_ledger(obs_dir) if obs_dir is not None else None
-    dossiers = list(getattr(obs_data, "dossiers", ()) or ())
-    attribution = (
-        site_attribution(ledger, dossiers=dossiers, records=records)
-        if ledger is not None
-        else []
+    attribution = site_attribution(
+        obs_data.ledger, dossiers=obs_data.dossiers, records=records
     )
     return {
         "records": records,
-        "curve": curve,
-        "ledger": ledger,
+        "curve": sensitivity_curve(records) if records else None,
         "attribution": attribution,
         "rollup": skip_rollup(attribution) if attribution else None,
         "problems": problems,

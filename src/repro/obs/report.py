@@ -1,13 +1,15 @@
-"""Aggregate an obs directory into a human-readable run digest.
+"""Read an obs directory, check its laws, and render its digest.
 
-``repro obs report <dir>`` reads every ``telemetry-*.jsonl`` stream the
-telemetry sessions wrote (one per participating process -- the CLI
-process plus any ``--jobs`` workers) through
-:func:`repro.obs.eventbus.read_stream`, merges the last ``metrics``
-record of each, reconciles injection-decision events against the
-per-run summaries, and renders a digest that answers the debugging
-questions the subsystem exists for: how many delays were planned,
-injected, and skipped -- and *why* -- plus cache effectiveness and
+:func:`load_obs_dir` is the one reader of an obs directory. Every
+``repro obs`` command and ``scripts/check_obs.py`` are functions of
+the :class:`ObsData` it returns, which parses each source -- the
+``telemetry-*.jsonl`` and ``events-*.jsonl`` streams (through
+:func:`repro.obs.eventbus.read_stream`), the ``coverage-*.json``
+records and the ``dossier-*.json`` bug dossiers -- at most once, and
+only when a consumer asks for it. :func:`check` holds every
+consistency law CI applies to the recorded data; ``repro obs report``
+renders its verdict next to the digest of how many delays were
+planned, injected and skipped (and *why*), cache effectiveness and
 where the wall time went.
 """
 
@@ -15,125 +17,269 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, List
 
 from . import eventbus
 from .metrics import merge_snapshots
-from .telemetry import SKIP_REASONS, TELEMETRY_GLOB
+from .telemetry import FAULT_KINDS, SKIP_REASONS, TELEMETRY_GLOB
 from .tracing import chrome_trace_events
 
+#: Counters every telemetry stream's last ``metrics`` record must name.
+#: Sessions pre-register them, so the names are present even at 0.
+REQUIRED_COUNTERS = (
+    "inject.considered", "inject.injected", "inject.skipped.decay",
+    "inject.skipped.interference", "inject.skipped.budget",
+    "nearmiss.pairs_observed", "candidates.added", "cache.hits", "cache.misses",
+    "sched.runs", "sched.context_switches", "telemetry.runs_recorded",
+) + tuple("faults.%s" % kind for kind in FAULT_KINDS) + (
+    "cells.retried", "cells.quarantined", "cells.resumed", "cache.corrupt",
+)
 
-@dataclass
+#: Record types a telemetry stream may carry (after its ``meta`` line).
+TELEMETRY_TYPES = ("inject", "run", "metrics")
+
+
 class ObsData:
-    """Everything parsed out of one obs directory."""
+    """One obs directory, parsed lazily: each source at most once.
 
-    directory: str
-    processes: int = 0
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    runs: List[dict] = field(default_factory=list)
-    inject_events: List[dict] = field(default_factory=list)
-    parse_errors: List[str] = field(default_factory=list)
-    #: Recoverable oddities: a missing directory, a truncated final
-    #: JSONL line from a killed worker, an unreadable coverage/dossier
-    #: file. Unlike ``parse_errors`` (malformed data *inside* a file's
-    #: committed content) these are expected operational noise and are
-    #: reported as warnings, never raised.
-    warnings: List[str] = field(default_factory=list)
-    #: Truncated-tail JSONL lines recovered (skipped) during loading.
-    #: These are ``corrupt_record`` faults in the harness taxonomy
-    #: (``repro.harness.faults``): a worker killed mid-append commits a
-    #: partial line, losing at most one event record per file. The
-    #: count feeds :func:`reconcile`, which tolerates exactly this many
-    #: missing events so chaos-run artifacts still reconcile.
-    recovered_lines: int = 0
-    #: Coverage records (``coverage-*.json``, repro.obs.coverage).
-    coverage: List[dict] = field(default_factory=list)
-    #: Bug dossiers, as ``{"file": name, "dossier": payload}``.
-    dossiers: List[dict] = field(default_factory=list)
-    #: Campaign event streams (``events-*.jsonl``, repro.obs.eventbus).
-    event_streams: List[Any] = field(default_factory=list)
-    #: Telemetry streams, one per process. ``run_seq`` is process-local,
-    #: so :func:`reconcile` matches runs to decision events per stream.
-    telemetry_streams: List[Any] = field(default_factory=list)
+    Unreadable files have one policy: a warning naming the file, and
+    the rest of the directory loads. Warnings cover a missing
+    directory, the torn final JSONL line a killed worker leaves, and an
+    unreadable coverage record or dossier; :attr:`parse_errors` are
+    malformed *committed* stream lines, which :func:`check` fails on.
+    """
+
+    def __init__(self, directory: os.PathLike):
+        self.root = Path(directory)
+        self.directory = str(self.root)
+        self._loaded: Dict[str, tuple] = {}
+
+    # -- sources ---------------------------------------------------------
+
+    @cached_property
+    def telemetry_streams(self) -> List[eventbus.EventStream]:
+        """One stream per process. ``run_seq`` is process-local, so runs
+        are matched to their decision events per stream."""
+        if not self.root.is_dir():
+            return []
+        return eventbus.load_streams(self.root, TELEMETRY_GLOB)
+
+    @cached_property
+    def event_streams(self) -> List[eventbus.EventStream]:
+        """Campaign event streams (a directory's, or one stream file)."""
+        return eventbus.load_streams(self.root)
+
+    def _files(self, kind: str) -> tuple:
+        """``([(file name, record)], [unreadable-file warnings])`` for
+        the ``<kind>-*.json`` records, parsed on the first call."""
+        if kind not in self._loaded:
+            from ..core import persistence
+
+            loaded, unreadable = [], []
+            for path in sorted(self.root.glob("%s-*.json" % kind)):
+                try:
+                    record = persistence.load_record(path)
+                    loaded.append((path.name, record["dossier"] if kind == "dossier" else record))
+                except (ValueError, KeyError, OSError) as exc:
+                    label = "coverage record" if kind == "coverage" else kind
+                    unreadable.append("%s: unreadable %s (%s)" % (path.name, label, exc))
+            self._loaded[kind] = (loaded, unreadable)
+        return self._loaded[kind]
+
+    def unreadable(self, kind: str) -> List[str]:
+        """Warnings for the ``coverage`` or ``dossier`` files that could
+        not be read."""
+        return self._files(kind)[1]
+
+    @cached_property
+    def coverage_files(self) -> List[tuple]:
+        """``(file name, record)`` per coverage record, ordered by tool,
+        test and content, so worker pids never decide the order."""
+        return sorted(
+            ((name, record) for name, record in self._files("coverage")[0]
+             if record.get("type") == "coverage"),
+            key=lambda item: (str(item[1].get("tool")), str(item[1].get("test")),
+                              json.dumps(item[1], sort_keys=True)),
+        )
+
+    @property
+    def coverage(self) -> List[dict]:
+        return [record for _name, record in self.coverage_files]
+
+    @cached_property
+    def dossiers(self) -> List[dict]:
+        """Bug dossiers, as ``{"file": name, "dossier": payload}``."""
+        return [{"file": name, "dossier": payload}
+                for name, payload in self._files("dossier")[0]]
+
+    # -- folds -----------------------------------------------------------
+
+    def _telemetry(self, kind: str) -> List[dict]:
+        return [r for s in self.telemetry_streams for r in s.events if r.get("type") == kind]
+
+    @cached_property
+    def runs(self) -> List[dict]:
+        return self._telemetry("run")
+
+    @cached_property
+    def inject_events(self) -> List[dict]:
+        return self._telemetry("inject")
+
+    @cached_property
+    def snapshots(self) -> List[dict]:
+        """The last ``metrics`` record of each stream that has one."""
+        out = []
+        for stream in self.telemetry_streams:
+            metrics = [r.get("metrics") for r in stream.events if r.get("type") == "metrics"]
+            if metrics and metrics[-1] is not None:
+                out.append(metrics[-1])
+        return out
+
+    @property
+    def processes(self) -> int:
+        return len(self.snapshots)
+
+    @cached_property
+    def metrics(self) -> Dict[str, Any]:
+        return merge_snapshots(self.snapshots)
+
+    @property
+    def recovered_lines(self) -> int:
+        """Torn telemetry tail lines recovered (skipped) while loading:
+        ``corrupt_record`` faults, at most one lost record per file,
+        which the run and skip laws tolerate."""
+        return sum(s.recovered for s in self.telemetry_streams)
+
+    @cached_property
+    def events(self) -> List[dict]:
+        """The event streams merged into one deterministic timeline."""
+        return eventbus.merge_events(self.event_streams)
+
+    @cached_property
+    def view(self):
+        """The folded campaign view, or None without event streams."""
+        from .campaign import fold_events
+
+        return fold_events(self.events) if self.event_streams else None
+
+    @cached_property
+    def ledger(self) -> dict:
+        """The de-duplicated run ledger (:func:`quality.load_run_ledger`)."""
+        from .quality import load_run_ledger
+
+        return load_run_ledger(self.telemetry_streams)
+
+    # -- diagnostics -----------------------------------------------------
+
+    @property
+    def parse_errors(self) -> List[str]:
+        return [e for s in self.telemetry_streams + self.event_streams for e in s.parse_errors]
+
+    @property
+    def warnings(self) -> List[str]:
+        """Every recoverable oddity in the directory (parses it all)."""
+        out = [] if self.root.is_dir() else ["obs directory %s does not exist" % self.root]
+        out += [w for s in self.telemetry_streams for w in s.warnings]
+        out += self.unreadable("coverage") + self.unreadable("dossier")
+        out += [w for s in self.event_streams for w in s.warnings]
+        if not self.event_streams and self.metrics["counters"].get("harness.cells", 0):
+            out.append(
+                "harness cells were recorded but no campaign event stream "
+                "(events-*.jsonl) is present"
+            )
+        return out
 
 
 def load_obs_dir(directory: os.PathLike) -> ObsData:
-    """Parse and merge every telemetry stream under ``directory``.
+    """The one reader of an obs directory; parses nothing until asked."""
+    return ObsData(directory)
 
-    Tolerant by design: an empty or missing directory, and the
-    partially-written files a killed ``--jobs`` worker leaves behind
-    (most commonly a truncated final JSONL line with no newline), are
-    reported in :attr:`ObsData.warnings` instead of raising.
+
+def check(data: ObsData, events_only: bool = False) -> List[str]:
+    """Every consistency law CI applies to recorded data; [] = consistent.
+
+    The telemetry laws: streams exist, carry only known record types and
+    tagged skips, and end in a ``metrics`` record naming every
+    :data:`REQUIRED_COUNTERS` entry; dossiers validate against the
+    dossier schema; coverage records reconcile with their own engine
+    counters; committed lines parse; decision events reconcile with
+    the run summaries and the merged skip counters. The event laws
+    (all that ``events_only`` runs, for a fleet directory): known event
+    types at a supported schema version, a balanced lease ledger, and
+    event counts equal to their telemetry counters. Events lost to
+    recovered torn tail lines are the only tolerated deficit; a surplus
+    never is.
     """
-    root = Path(directory)
-    data = ObsData(directory=str(root))
-    if not root.is_dir():
-        data.warnings.append("obs directory %s does not exist" % root)
-        return data
-    snapshots: List[dict] = []
-    data.telemetry_streams = eventbus.load_streams(root, TELEMETRY_GLOB)
+    problems: List[str] = []
+    if not events_only:
+        problems += _telemetry_laws(data)
+        problems += _dossier_laws(data) + _coverage_laws(data)
+        problems += [e for s in data.telemetry_streams for e in s.parse_errors]
+        problems += _decision_laws(data)
+    problems += _event_laws(data)
+    if events_only and not data.event_streams:
+        problems.append("no events-*.jsonl streams in %s" % data.directory)
+    return problems
+
+
+def _telemetry_laws(data: ObsData) -> List[str]:
+    problems: List[str] = []
+    if not data.telemetry_streams:
+        problems.append("no telemetry-*.jsonl files in %s" % data.directory)
     for stream in data.telemetry_streams:
-        data.warnings.extend(stream.warnings)
-        data.parse_errors.extend(stream.parse_errors)
-        data.recovered_lines += stream.recovered
-        snapshot = None
+        name = Path(stream.path).name
+        metrics = None
         for record in stream.events:
             kind = record.get("type")
-            if kind == "run":
-                data.runs.append(record)
-            elif kind == "inject":
-                data.inject_events.append(record)
+            if kind not in TELEMETRY_TYPES:
+                problems.append("%s: unknown type %r" % (name, kind))
             elif kind == "metrics":
-                snapshot = record.get("metrics")
-        if snapshot is not None:
-            snapshots.append(snapshot)
-            data.processes += 1
-    from ..core import persistence
-
-    for path in sorted(root.glob("coverage-*.json")):
-        try:
-            record = persistence.load_record(path)
-        except (ValueError, KeyError, OSError) as exc:
-            data.warnings.append("%s: unreadable coverage record (%s)" % (path.name, exc))
+                metrics = record.get("metrics") or {}
+            elif kind == "inject" and record.get("action") == "skip":
+                if record.get("reason") not in SKIP_REASONS:
+                    problems.append("%s: skip event without a valid reason" % name)
+        if metrics is None:
+            problems.append("%s: no metrics record" % name)
             continue
-        if record.get("type") == "coverage":
-            data.coverage.append(record)
-    for path in sorted(root.glob("dossier-*.json")):
-        try:
-            payload = persistence.load_record(path)["dossier"]
-        except (ValueError, KeyError, OSError) as exc:
-            data.warnings.append("%s: unreadable dossier (%s)" % (path.name, exc))
-            continue
-        data.dossiers.append({"file": path.name, "dossier": payload})
-    data.metrics = merge_snapshots(snapshots)
-    # Campaign event streams ride in the same directory when the bus is
-    # active; their anomalies (empty stream, missing meta line, schema
-    # version skew, torn tails) surface through the same warning /
-    # parse-error channels as telemetry's.
-    data.event_streams = eventbus.load_streams(root)
-    for stream in data.event_streams:
-        data.warnings.extend(stream.warnings)
-        data.parse_errors.extend(stream.parse_errors)
-    if not data.event_streams and data.metrics.get("counters", {}).get("harness.cells", 0):
-        data.warnings.append(
-            "harness cells were recorded but no campaign event stream "
-            "(events-*.jsonl) is present"
-        )
-    return data
+        counters = metrics.get("counters", {})
+        problems += [
+            "%s: missing counter %r" % (name, counter)
+            for counter in REQUIRED_COUNTERS
+            if counter not in counters
+        ]
+    return problems
 
 
-def reconcile(data: ObsData) -> List[str]:
-    """Cross-check decision events against run summaries and counters.
+def _dossier_laws(data: ObsData) -> List[str]:
+    from .dossier import validate_dossier_dict
 
-    Returns a list of discrepancy descriptions (empty = consistent).
-    Only runs that have matching per-decision events are checked; a
-    summary alone (e.g. from a process whose events were disabled) is
-    not an inconsistency. Events lost to recovered truncated tail lines
-    (:attr:`ObsData.recovered_lines`, the ``corrupt_record`` fault
-    class) are accounted for: counters may exceed events by at most
-    that many records, so a chaos run's artifacts reconcile exactly.
+    problems = [
+        "%s: %s" % (item["file"], issue)
+        for item in data.dossiers
+        for issue in validate_dossier_dict(item["dossier"])
+    ]
+    return data.unreadable("dossier") + problems
+
+
+def _coverage_laws(data: ObsData) -> List[str]:
+    from .coverage import reconcile_coverage
+
+    problems = [
+        "%s: %s" % (name, issue)
+        for name, record in data.coverage_files
+        for issue in reconcile_coverage(record)
+    ]
+    return data.unreadable("coverage") + problems
+
+
+def _decision_laws(data: ObsData) -> List[str]:
+    """Decision events against run summaries and the skip counters.
+
+    Only runs with matching per-decision events are checked; a summary
+    alone is not an inconsistency. Counters may lead events by at most
+    the recovered torn lines, so a chaos run's artifacts reconcile.
     """
     problems: List[str] = []
     counters = data.metrics.get("counters", {})
@@ -193,6 +339,85 @@ def _reconcile_runs(records: List[dict], recovered_lines: int) -> List[str]:
     return problems
 
 
+def _event_laws(data: ObsData) -> List[str]:
+    """Event streams: schema, the lease ledger, event == counter.
+
+    Every emission site increments its telemetry counter and emits its
+    bus event in the same code path, so any divergence is an
+    instrumentation bug; the one tolerated deficit is the recovered
+    torn tail lines (at most one per killed writer).
+    """
+    if not data.event_streams:
+        return []
+    problems: List[str] = []
+    recovered = sum(s.recovered for s in data.event_streams)
+    for stream in data.event_streams:
+        name = Path(stream.path).name
+        problems.extend(stream.parse_errors)
+        if (
+            stream.meta.version is not None
+            and stream.meta.version not in eventbus.SUPPORTED_EVENT_VERSIONS
+        ):
+            problems.append(
+                "%s: event schema version %r not in supported %s"
+                % (name, stream.meta.version, list(eventbus.SUPPORTED_EVENT_VERSIONS))
+            )
+        problems += [
+            "%s: unknown event type %r (seq %s)" % (name, event.get("type"), event.get("seq"))
+            for event in stream.events
+            if event.get("type") not in eventbus.EVENT_TYPES
+        ]
+    view = data.view
+    # Lease events are hard-flushed at emission, so creations (acquire,
+    # steal) and terminations (release, expire) balance exactly, modulo
+    # torn lines in either direction.
+    creations = view.lease_acquired + view.lease_stolen
+    terminations = view.lease_released + view.lease_expired
+    if abs(creations - terminations) > recovered:
+        problems.append(
+            "events: lease ledger unbalanced: %d acquire + %d steal != "
+            "%d release + %d expire (|diff| %d > %d recovered torn line(s))"
+            % (view.lease_acquired, view.lease_stolen, view.lease_released,
+               view.lease_expired, abs(creations - terminations), recovered)
+        )
+    counters = data.metrics.get("counters", {})
+    if not counters:
+        return problems
+
+    def exact(label: str, observed: int, expected: int) -> None:
+        if observed > expected:
+            problems.append(
+                "events: %d %s event(s) exceed the counter value %d"
+                % (observed, label, expected)
+            )
+        elif expected - observed > recovered:
+            problems.append(
+                "events: %d %s event(s) vs counter %d (deficit %d > %d "
+                "recovered torn line(s))"
+                % (observed, label, expected, expected - observed, recovered)
+            )
+
+    exact("cache-hit", view.cache_hits, counters.get("cache.hits", 0))
+    exact("cache-miss", view.cache_misses, counters.get("cache.misses", 0))
+    for kind in FAULT_KINDS:
+        exact("fault[%s]" % kind, view.faults.get(kind, 0),
+              counters.get("faults.%s" % kind, 0))
+    cell_ends = [e for e in data.events if e.get("type") == "cell_end"]
+    exact(
+        "quarantined cell_end",
+        sum(1 for e in cell_ends if e.get("status") == "quarantined"),
+        counters.get("cells.quarantined", 0),
+    )
+    exact(
+        "retried-ok cell_end",
+        sum(1 for e in cell_ends
+            if e.get("status") == "ok" and int(e.get("attempt", 1)) > 1),
+        counters.get("cells.retried", 0),
+    )
+    exact("cell_resumed", view.resumed, counters.get("cells.resumed", 0))
+    return problems
+
+
 def _fmt_count(value: float) -> str:
     if value >= 1_000_000:
         return "%.1fM" % (value / 1_000_000)
@@ -201,10 +426,10 @@ def _fmt_count(value: float) -> str:
     return "%d" % value
 
 
-def _fuzz_section(event_streams: List[Any]) -> List[str]:
+def _fuzz_section(view) -> List[str]:
     """Generated-workload digest from ``fuzz_workload`` events.
 
-    Folds through the campaign view so retried/resumed/cache-hit
+    Reads the folded campaign view, so retried/resumed/cache-hit
     re-emissions collapse, then checks each workload's oracle is still
     *resolvable*: ``generate_spec(seed)`` must hash to the spec prefix
     the event recorded, else the ground truth regenerated today is not
@@ -213,7 +438,6 @@ def _fuzz_section(event_streams: List[Any]) -> List[str]:
     """
     from . import campaign as campaign_mod
 
-    view = campaign_mod.fold_events(eventbus.merge_events(event_streams))
     if not view.fuzz:
         return []
     from .quality import resolvable_fuzz_events
@@ -390,11 +614,7 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
                 merged["bugs_found"],
             )
         )
-        coverage_problems = [
-            "%s/%s: %s" % (rec.get("tool", "?"), rec.get("test", "?"), problem)
-            for rec in data.coverage
-            for problem in coverage_mod.reconcile_coverage(rec)
-        ]
+        coverage_problems = _coverage_laws(data)
         if coverage_problems:
             lines.append("  COVERAGE RECONCILIATION: %d problem(s)" % len(coverage_problems))
             lines.extend("    " + p for p in coverage_problems[:10])
@@ -403,7 +623,7 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
         lines.append("  full digest: repro obs coverage %s" % data.directory)
 
     if data.event_streams:
-        lines.extend(_fuzz_section(data.event_streams))
+        lines.extend(_fuzz_section(data.view))
         events_total = sum(len(s.events) for s in data.event_streams)
         recovered = sum(s.recovered for s in data.event_streams)
         lines.append("campaign events (%d stream(s))" % len(data.event_streams))
@@ -434,7 +654,7 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
             )
         lines.append("  inspect one: repro obs dossier %s" % data.directory)
 
-    problems = reconcile(data)
+    problems = check(data, events_only=not data.telemetry_streams)
     lines.append("")
     if problems:
         lines.append("RECONCILIATION: %d problem(s)" % len(problems))

@@ -1,0 +1,365 @@
+"""The obs-directory contract: one negative fixture per law, one parse
+per file per reader, and tolerant readers.
+
+Every law is exercised through ``scripts/check_obs.py`` (exit 1 plus
+the law's message) on a copy of a real ``fuzz --obs-dir`` directory
+with one defect planted. The parse-count tests wrap the two file
+parsers (:func:`repro.obs.eventbus.read_stream` and
+:func:`repro.core.persistence.load_record`) and assert that each
+``obs`` command reads every file it renders exactly once and no file
+it does not render.
+"""
+
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from repro import obs
+from repro.core import persistence
+from repro.harness.cli import main
+from repro.obs import eventbus
+
+REPO = Path(__file__).resolve().parents[2]
+ENV = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONHASHSEED": "0"}
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location(
+        "check_obs_script", REPO / "scripts" / "check_obs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check_obs = _load_script()
+
+
+def fuzz_obs_dir(target, *extra):
+    subprocess.run(
+        [sys.executable, "-m", "repro", "fuzz", "--obs-dir", str(target)] + list(extra),
+        env=ENV, check=True, capture_output=True, text=True,
+    )
+    return target
+
+
+@pytest.fixture(scope="module")
+def base_dir(tmp_path_factory):
+    """One process's telemetry, events, coverage records and dossiers."""
+    return fuzz_obs_dir(tmp_path_factory.mktemp("base") / "obs", "--seed-range", "0:2")
+
+
+@pytest.fixture(autouse=True)
+def clean_obs_state():
+    yield
+    obs.disable()
+    os.environ.pop(obs.OBS_DIR_ENV, None)
+
+
+@pytest.fixture
+def obs_dir(base_dir, tmp_path):
+    return Path(shutil.copytree(base_dir, tmp_path / "obs"))
+
+
+def only(directory, pattern):
+    paths = sorted(directory.glob(pattern))
+    assert paths, pattern
+    return paths[0]
+
+
+def read_lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_lines(path, records):
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+
+def edit_metrics(path, **counters):
+    records = read_lines(path)
+    for record in records:
+        if record["type"] == "metrics":
+            for name, value in counters.items():
+                name = name.replace("__", ".")
+                if value is None:
+                    record["metrics"]["counters"].pop(name, None)
+                else:
+                    record["metrics"]["counters"][name] = value
+    write_lines(path, records)
+
+
+def append_event(path, **event):
+    records = read_lines(path)
+    seq = max(r.get("seq", 0) for r in records) + 1
+    write_lines(path, records + [dict({"seq": seq, "t": 1e12}, **event)])
+
+
+def run_check(capsys, *argv):
+    code = check_obs.main(["check_obs.py"] + [str(a) for a in argv])
+    return code, capsys.readouterr().out
+
+
+def assert_fails_with(capsys, message, *argv):
+    code, out = run_check(capsys, *argv)
+    assert code == 1, out
+    assert message in out, out
+
+
+class TestBaseDirectory:
+    def test_unmodified_directory_passes(self, obs_dir, capsys):
+        code, out = run_check(capsys, obs_dir)
+        assert code == 0, out
+        assert out.startswith("obs check OK: 1 process(es)")
+
+    def test_events_only_passes(self, obs_dir, capsys):
+        code, out = run_check(capsys, "--events-only", obs_dir)
+        assert code == 0, out
+        assert "lease ledger 0 acquired + 0 stolen == 0 released + 0 expired" in out
+
+
+class TestLaws:
+    """Each law's parent message, on a directory with one defect."""
+
+    def test_missing_telemetry(self, obs_dir, capsys):
+        only(obs_dir, "telemetry-*.jsonl").unlink()
+        assert_fails_with(capsys, "no telemetry-*.jsonl files in %s" % obs_dir, obs_dir)
+
+    def test_unknown_record_type(self, obs_dir, capsys):
+        path = only(obs_dir, "telemetry-*.jsonl")
+        write_lines(path, read_lines(path) + [{"type": "bogus"}])
+        assert_fails_with(capsys, "%s: unknown type 'bogus'" % path.name, obs_dir)
+
+    def test_untagged_skip(self, obs_dir, capsys):
+        path = only(obs_dir, "telemetry-*.jsonl")
+        skip = {"type": "inject", "run": 999, "action": "skip", "site": "x", "t_ms": 0.0}
+        write_lines(path, read_lines(path) + [skip])
+        assert_fails_with(capsys, "%s: skip event without a valid reason" % path.name, obs_dir)
+        assert_fails_with(capsys, "1 skip events missing a valid reason tag", obs_dir)
+
+    def test_missing_metrics_record(self, obs_dir, capsys):
+        path = only(obs_dir, "telemetry-*.jsonl")
+        write_lines(path, [r for r in read_lines(path) if r["type"] != "metrics"])
+        assert_fails_with(capsys, "%s: no metrics record" % path.name, obs_dir)
+
+    def test_missing_required_counter(self, obs_dir, capsys):
+        path = only(obs_dir, "telemetry-*.jsonl")
+        edit_metrics(path, cache__hits=None)
+        assert_fails_with(capsys, "%s: missing counter 'cache.hits'" % path.name, obs_dir)
+
+    def test_unreadable_dossier(self, obs_dir, capsys):
+        path = only(obs_dir, "dossier-*.json")
+        path.write_text(path.read_text()[:40])
+        assert_fails_with(capsys, "%s: unreadable dossier (" % path.name, obs_dir)
+
+    def test_invalid_dossier(self, obs_dir, capsys):
+        path = only(obs_dir, "dossier-*.json")
+        record = persistence.load_record(path)
+        del record["dossier"]["schedule"]
+        persistence.save_record(record, path)
+        assert_fails_with(capsys, "%s: missing key 'schedule'" % path.name, obs_dir)
+
+    def test_unreadable_coverage(self, obs_dir, capsys):
+        path = only(obs_dir, "coverage-*.json")
+        path.write_text(path.read_text()[:40])
+        assert_fails_with(capsys, "%s: unreadable coverage record (" % path.name, obs_dir)
+
+    def test_unreconciled_coverage(self, obs_dir, capsys):
+        path = only(obs_dir, "coverage-*.json")
+        record = persistence.load_record(path)
+        record["pairs_total"] += 1
+        persistence.save_record(record, path)
+        assert_fails_with(
+            capsys,
+            "%s: pairs_total=%d but %d pairs listed"
+            % (path.name, record["pairs_total"], record["pairs_total"] - 1),
+            obs_dir,
+        )
+
+    def test_committed_parse_error(self, obs_dir, capsys):
+        path = only(obs_dir, "telemetry-*.jsonl")
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + ["not json\n"] + lines[2:]))
+        assert_fails_with(
+            capsys, "%s:3: Expecting value: line 1 column 1 (char 0)" % path.name, obs_dir
+        )
+
+    def test_skip_events_vs_counters(self, obs_dir, capsys):
+        path = only(obs_dir, "telemetry-*.jsonl")
+        records = read_lines(path)
+        counters = [r for r in records if r["type"] == "metrics"][-1]["metrics"]["counters"]
+        skips = sum(counters["inject.skipped.%s" % r] for r in ("decay", "interference", "budget"))
+        edit_metrics(path, inject__skipped__budget=counters["inject.skipped.budget"] + 2)
+        assert_fails_with(
+            capsys, "skip events (%d) != skip counters (%d)" % (skips, skips + 2), obs_dir
+        )
+
+    def test_run_inject_skip_vs_summary(self, obs_dir, capsys):
+        path = only(obs_dir, "telemetry-*.jsonl")
+        records = read_lines(path)
+        decided = {r["run"] for r in records if r["type"] == "inject"}
+        run = next(r for r in records if r["type"] == "run" and r["run_seq"] in decided)
+        run["injected"] += 5
+        write_lines(path, records)
+        assert_fails_with(capsys, "run %d (%s): events inject/skip" % (run["run_seq"], run["test"]),
+                          obs_dir)
+
+    def test_unknown_event_type(self, obs_dir, capsys):
+        path = only(obs_dir, "events-*.jsonl")
+        append_event(path, type="bogus_event")
+        seq = read_lines(path)[-1]["seq"]
+        assert_fails_with(
+            capsys, "%s: unknown event type 'bogus_event' (seq %d)" % (path.name, seq), obs_dir
+        )
+
+    def test_unsupported_event_version(self, obs_dir, capsys):
+        path = only(obs_dir, "events-*.jsonl")
+        records = read_lines(path)
+        records[0]["v"] = 99
+        write_lines(path, records)
+        assert_fails_with(
+            capsys,
+            "%s: event schema version 99 not in supported %s"
+            % (path.name, list(eventbus.SUPPORTED_EVENT_VERSIONS)),
+            obs_dir,
+        )
+
+    def test_event_surplus_vs_counter(self, obs_dir, capsys):
+        append_event(only(obs_dir, "events-*.jsonl"), type="cache", action="hit")
+        assert_fails_with(capsys, "events: 1 cache-hit event(s) exceed the counter value 0",
+                          obs_dir)
+
+    def test_event_deficit_vs_counter(self, obs_dir, capsys):
+        edit_metrics(only(obs_dir, "telemetry-*.jsonl"), cache__misses=1)
+        assert_fails_with(
+            capsys,
+            "events: 0 cache-miss event(s) vs counter 1 (deficit 1 > 0 recovered torn line(s))",
+            obs_dir,
+        )
+
+    @pytest.mark.parametrize("events_only", [False, True])
+    def test_unbalanced_lease_ledger(self, obs_dir, capsys, events_only):
+        append_event(only(obs_dir, "events-*.jsonl"), type="lease_acquire", cell="c", worker="w")
+        argv = ["--events-only", obs_dir] if events_only else [obs_dir]
+        assert_fails_with(
+            capsys,
+            "events: lease ledger unbalanced: 1 acquire + 0 steal != 0 release + 0 expire "
+            "(|diff| 1 > 0 recovered torn line(s))",
+            *argv,
+        )
+
+    def test_events_only_without_streams(self, tmp_path, capsys):
+        assert_fails_with(capsys, "no events-*.jsonl streams in %s" % tmp_path,
+                          "--events-only", tmp_path)
+
+
+class TestOneParsePerFile:
+    """Each reader parses every file it renders once, and no other."""
+
+    KINDS = ("telemetry", "events", "coverage", "dossier")
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        counts = Counter()
+        read_stream, load_record = eventbus.read_stream, persistence.load_record
+
+        def counting_read_stream(path):
+            counts[Path(path).name] += 1
+            return read_stream(path)
+
+        def counting_load_record(path):
+            counts[Path(path).name] += 1
+            return load_record(path)
+
+        monkeypatch.setattr(eventbus, "read_stream", counting_read_stream)
+        monkeypatch.setattr(persistence, "load_record", counting_load_record)
+        return counts
+
+    def expect(self, obs_dir, counts, kinds):
+        expected = {
+            path.name: 1
+            for kind in kinds
+            for path in obs_dir.glob(kind + "-*.json*")
+        }
+        assert dict(counts) == expected
+
+    def test_check_obs(self, obs_dir, reads, capsys):
+        assert run_check(capsys, obs_dir)[0] == 0
+        self.expect(obs_dir, reads, self.KINDS)
+
+    @pytest.mark.parametrize(
+        "action, kinds",
+        [
+            ("report", KINDS),
+            ("analytics", ("telemetry", "events")),
+            ("metrics", ("telemetry", "events", "dossier")),
+            ("dashboard", ("telemetry", "events", "dossier")),
+            ("chrome", ("telemetry",)),
+            ("coverage", ("coverage",)),
+            ("dossier", ("dossier",)),
+        ],
+    )
+    def test_obs_command(self, obs_dir, reads, capsys, action, kinds):
+        assert main(["obs", action, str(obs_dir)]) == 0
+        self.expect(obs_dir, reads, kinds)
+
+
+class TestTruncatedFile:
+    """A torn file is a warning naming it; the readable rest renders."""
+
+    @pytest.mark.parametrize("action, pattern", [
+        ("dossier", "dossier-*.json"), ("coverage", "coverage-*.json"),
+    ])
+    def test_warns_and_renders_the_rest(self, obs_dir, capsys, action, pattern):
+        torn = only(obs_dir, pattern)
+        torn.write_text(torn.read_text()[:40])
+        assert main(["obs", action, str(obs_dir)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "%s: unreadable" % torn.name in captured.err
+        if action == "dossier":
+            rendered = captured.out.count("BUG DOSSIER")
+            assert rendered == len(list(obs_dir.glob(pattern))) - 1
+        else:
+            assert "per session:" in captured.out
+
+
+@pytest.fixture(scope="module")
+def jobs_pair(tmp_path_factory):
+    root = tmp_path_factory.mktemp("jobs")
+    return [
+        fuzz_obs_dir(root / ("jobs%d" % jobs), "--seed-range", "0:6", "--jobs", str(jobs))
+        for jobs in (1, 2)
+    ]
+
+
+def obs_stdout(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "obs"] + [str(a) for a in argv],
+        env=ENV, check=True, capture_output=True, text=True,
+    )
+    return proc.stdout
+
+
+class TestJobsInvariance:
+    def test_scheduler_line_sums_per_process_virtual_time(self, jobs_pair):
+        lines = []
+        for directory in jobs_pair:
+            report = obs_stdout("report", directory).splitlines()
+            lines.append(report[report.index("scheduler") + 1])
+        assert lines[0] == lines[1]
+        assert "virtual time 0.0 ms" not in lines[0]
+
+    def test_coverage_order_is_independent_of_worker_pids(self, jobs_pair):
+        outputs = [
+            obs_stdout("coverage", directory).replace(str(directory), "DIR")
+            for directory in jobs_pair
+        ]
+        assert "per session:" in outputs[0]
+        assert outputs[0] == outputs[1]

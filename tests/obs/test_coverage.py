@@ -9,6 +9,7 @@ from repro.baselines import WaffleBasic
 from repro.core.config import WaffleConfig
 from repro.core.detector import Waffle
 from repro.obs import coverage as coverage_mod
+from repro.obs.report import load_obs_dir
 
 
 @pytest.fixture(scope="module")
@@ -72,17 +73,17 @@ class TestPersistence:
     def test_write_then_load_round_trips(self, outcome, tmp_path):
         path = coverage_mod.write_coverage(outcome.coverage, tmp_path)
         assert path.name.startswith("coverage-")
-        records = coverage_mod.load_coverage_dir(tmp_path)
+        records = load_obs_dir(tmp_path).coverage
         assert records == [outcome.coverage]
 
     def test_load_skips_partially_written_files(self, outcome, tmp_path):
         coverage_mod.write_coverage(outcome.coverage, tmp_path)
         (tmp_path / "coverage-999-0.json").write_text('{"version": 1, "rec')
-        records = coverage_mod.load_coverage_dir(tmp_path)
+        records = load_obs_dir(tmp_path).coverage
         assert len(records) == 1
 
     def test_load_missing_directory_is_empty(self, tmp_path):
-        assert coverage_mod.load_coverage_dir(tmp_path / "nope") == []
+        assert load_obs_dir(tmp_path / "nope").coverage == []
 
 
 class TestMergeAndRender:

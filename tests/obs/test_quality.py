@@ -15,6 +15,7 @@ from repro.gen.builder import planted_oracle
 from repro.gen.spec import DETECTABLE_GAP_MS, UNDETECTABLE_GAP_MS, generate_spec, spec_hash
 from repro.harness import fuzz as fuzz_mod
 from repro.obs import quality
+from repro.obs.report import load_obs_dir
 
 
 def oracle_row(seed, ok=True, with_found_list=True, spec_prefix=None):
@@ -136,7 +137,7 @@ class TestRunLedger:
         # worker: same run record, same decisions, different file/seq.
         self.write_telemetry(tmp_path / "telemetry-1-a.jsonl", [(0, self.DECISIONS)])
         self.write_telemetry(tmp_path / "telemetry-2-b.jsonl", [(7, self.DECISIONS)])
-        ledger = quality.load_run_ledger(tmp_path)
+        ledger = quality.load_run_ledger(load_obs_dir(tmp_path).telemetry_streams)
         assert ledger["runs"] == 1
         assert ledger["duplicates"] == 1
         assert ledger["decisions"] == 2
@@ -145,19 +146,19 @@ class TestRunLedger:
         self.write_telemetry(tmp_path / "telemetry-1-a.jsonl", [(0, self.DECISIONS)])
         text = (tmp_path / "telemetry-1-a.jsonl").read_text()
         (tmp_path / "telemetry-2-b.jsonl").write_text(text.replace('5.0', '9.25'))
-        assert quality.load_run_ledger(tmp_path)["runs"] == 1
+        assert quality.load_run_ledger(load_obs_dir(tmp_path).telemetry_streams)["runs"] == 1
 
     def test_different_decisions_are_distinct_runs(self, tmp_path):
         other = [dict(self.DECISIONS[0], len_ms=8.0)]
         self.write_telemetry(tmp_path / "telemetry-1-a.jsonl",
                              [(0, self.DECISIONS), (1, other)])
-        assert quality.load_run_ledger(tmp_path)["runs"] == 2
+        assert quality.load_run_ledger(load_obs_dir(tmp_path).telemetry_streams)["runs"] == 2
 
     def test_torn_tail_recovered(self, tmp_path):
         self.write_telemetry(tmp_path / "telemetry-1-a.jsonl", [(0, self.DECISIONS)])
         with open(tmp_path / "telemetry-1-a.jsonl", "a") as fp:
             fp.write('{"type": "run", "run_se')
-        ledger = quality.load_run_ledger(tmp_path)
+        ledger = quality.load_run_ledger(load_obs_dir(tmp_path).telemetry_streams)
         assert ledger["recovered_lines"] == 1
         assert ledger["runs"] == 1
 

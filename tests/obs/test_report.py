@@ -6,7 +6,13 @@ import pytest
 
 from repro import obs
 from repro.obs import eventbus
-from repro.obs.report import load_obs_dir, reconcile, render_report, write_chrome_trace
+from repro.obs.report import (
+    REQUIRED_COUNTERS,
+    check,
+    load_obs_dir,
+    render_report,
+    write_chrome_trace,
+)
 
 
 def write_jsonl(path, records):
@@ -31,12 +37,14 @@ def update_counters(obs_dir, pid, **changes):
 
 @pytest.fixture
 def obs_dir(tmp_path):
-    """A hand-built two-process obs directory with consistent data."""
+    """A hand-built two-process obs directory with consistent data
+    (every required counter registered, as live sessions do)."""
     root = tmp_path / "obs"
     root.mkdir()
     for pid, considered in ((100, 3), (101, 0)):
         snapshot = {
             "counters": {
+                **dict.fromkeys(REQUIRED_COUNTERS, 0),
                 "inject.considered": considered,
                 "inject.injected": 1 if considered else 0,
                 "inject.skipped.decay": 1 if considered else 0,
@@ -246,12 +254,12 @@ class TestCoverageAndDossierSections:
 
 class TestReconcile:
     def test_consistent_directory_has_no_problems(self, obs_dir):
-        assert reconcile(load_obs_dir(obs_dir)) == []
+        assert check(load_obs_dir(obs_dir)) == []
 
     def test_untagged_skip_is_flagged(self, obs_dir):
         with open(obs_dir / "telemetry-100-1.jsonl", "a") as fp:
             fp.write(json.dumps({"type": "inject", "run": 2, "action": "skip", "site": "x"}) + "\n")
-        problems = reconcile(load_obs_dir(obs_dir))
+        problems = check(load_obs_dir(obs_dir))
         assert any("missing a valid reason" in p for p in problems)
 
     def test_run_summary_mismatch_is_flagged(self, obs_dir):
@@ -269,7 +277,7 @@ class TestReconcile:
                 )
                 + "\n"
             )
-        problems = reconcile(load_obs_dir(obs_dir))
+        problems = check(load_obs_dir(obs_dir))
         assert any("run 1" in p for p in problems)
 
     def test_run_seq_is_matched_within_its_own_process(self, obs_dir):
@@ -278,7 +286,7 @@ class TestReconcile:
         path = obs_dir / "telemetry-100-1.jsonl"
         records = [json.loads(line) for line in path.read_text().splitlines()]
         write_jsonl(obs_dir / "telemetry-102-1.jsonl", [meta(102)] + records[1:])
-        assert reconcile(load_obs_dir(obs_dir)) == []
+        assert check(load_obs_dir(obs_dir)) == []
 
 
 class TestRecoveredLineTolerance:
@@ -318,7 +326,7 @@ class TestRecoveredLineTolerance:
 
         data = load_obs_dir(obs_dir)
         assert data.recovered_lines == 1
-        assert reconcile(data) == []
+        assert check(data) == []
 
     def test_deficit_beyond_recovered_lines_still_flags(self, obs_dir):
         # Two events missing but only one recovered line: a real hole.
@@ -326,7 +334,7 @@ class TestRecoveredLineTolerance:
         self.append_lines(obs_dir, [])
         data = load_obs_dir(obs_dir)
         assert data.recovered_lines == 1
-        problems = reconcile(data)
+        problems = check(data)
         assert any("skip events" in p for p in problems)
 
     def test_event_surplus_is_never_excused(self, obs_dir):
@@ -338,7 +346,7 @@ class TestRecoveredLineTolerance:
         )
         data = load_obs_dir(obs_dir)
         assert data.recovered_lines == 1
-        problems = reconcile(data)
+        problems = check(data)
         assert any("run 1" in p for p in problems)
 
 
@@ -405,14 +413,17 @@ class TestSessionRoundTrip:
         try:
             session.c_cache_hits.inc(3)
             session.c_cache_misses.inc()
+            for action in ("hit", "hit", "hit", "miss"):  # the cache's paired events
+                eventbus.emit("cache", action=action)
             session.flush()
+            eventbus.flush()
         finally:
             obs.disable()
         data = load_obs_dir(tmp_path / "live")
         assert data.processes == 1
         assert data.metrics["counters"]["cache.hits"] == 3
         assert data.warnings == [] and data.parse_errors == []
-        assert reconcile(data) == []
+        assert check(data) == []
         assert "hit rate 75.0%" in render_report(data)
 
 
@@ -465,7 +476,7 @@ class TestTornTailOrdering:
         assert data.processes == 1
         skips = data.metrics["counters"]["inject.skipped.decay"]
         assert skips - len(data.inject_events) in (0, 1)
-        assert reconcile(data) == []
+        assert check(data) == []
 
 
 class TestFuzzSection:
