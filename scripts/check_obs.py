@@ -6,17 +6,15 @@ Runs every consistency law on the recorded data through
 
 * every ``telemetry-*.jsonl`` stream parses, carries only known record
   types and tagged skips, and its last ``metrics`` record names every
-  required counter (sessions pre-register them, so the *names* must be
-  present even at value 0);
-* decision events reconcile with run summaries and merged counters;
+  stored counter in ``REQUIRED_COUNTERS`` (sessions pre-register them,
+  so the *names* must be present even at value 0);
+* each run's decision events reconcile with its run summary (the
+  counts of records -- decisions, cache, fault and cell events -- are
+  computed from the records, so there is no second copy to compare);
 * every ``dossier-*.json`` validates against the dossier schema;
 * every ``coverage-*.json`` reconciles with its own engine counters;
-* every co-located ``events-*.jsonl`` campaign stream parses, carries
-  only known event types at the supported schema version, and its
-  folded counts reconcile **exactly** with the merged telemetry
-  counters (cache hits/misses, faults by kind, retried/quarantined/
-  resumed cells) -- the only tolerated deficit is the number of
-  recovered torn tail lines;
+* every co-located ``events-*.jsonl`` campaign stream parses and
+  carries only known event types at the supported schema version;
 * fleet campaigns add the lease-ledger conservation law: every lease
   creation (``lease_acquire`` or ``lease_steal``) is matched by exactly
   one termination (``lease_release`` or ``lease_expire``), modulo

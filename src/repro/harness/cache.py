@@ -132,8 +132,6 @@ class PlanCache:
     def _hit(self) -> None:
         self.stats.hits += 1
         GLOBAL_STATS.hits += 1
-        if self._obs is not None:
-            self._obs.c_cache_hits.inc()
         if self._bus is not None:
             self._bus.emit("cache", action="hit")
             self._bus.maybe_flush()
@@ -141,8 +139,6 @@ class PlanCache:
     def _miss(self) -> None:
         self.stats.misses += 1
         GLOBAL_STATS.misses += 1
-        if self._obs is not None:
-            self._obs.c_cache_misses.inc()
         if self._bus is not None:
             self._bus.emit("cache", action="miss")
             self._bus.maybe_flush()

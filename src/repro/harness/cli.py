@@ -505,6 +505,8 @@ def cmd_obs(args) -> int:
     bug dossiers, Chrome trace export, or campaign analytics."""
     from ..obs.report import load_obs_dir, render_report, write_chrome_trace
 
+    if not os.path.exists(args.obs_path):
+        _usage_error("obs path %s does not exist" % args.obs_path)
     data = load_obs_dir(args.obs_path)  # parses each file on first use
     if args.action == "dashboard":
         for path in _write_dashboard_artifacts(

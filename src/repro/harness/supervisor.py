@@ -296,17 +296,12 @@ class FaultBoundary:
             pass  # a dossier must never take down the campaign
 
     def _fault(self, exc: BaseException, key: str, attempt: int) -> Tuple[str, float]:
-        """Account one failed attempt (stats, ``faults.<kind>`` counter,
-        ``fault`` event, crash dossier) and return the policy's verdict,
-        announcing a retry with ``cell_retry``."""
+        """Account one failed attempt (stats, ``fault`` event, crash
+        dossier) and return the policy's verdict, announcing a retry
+        with ``cell_retry``."""
         record = faults.describe(exc)
         kind = str(record["kind"])
         self.stats.count_fault(kind)
-        session = obs.session()
-        if session is not None:
-            counter = session.c_faults.get(kind)
-            if counter is not None:
-                counter.inc()
         flight = obs.flightrec.recorder()
         if flight is not None:
             flight.record("cell_fault", cell=key[:16], attempt=attempt, kind=kind)
@@ -323,17 +318,12 @@ class FaultBoundary:
                   wall_s: float) -> Any:
         """Record a cell's final status; returns its result (None for a
         degraded cell: graceful degradation)."""
-        session = obs.session()
         if status == "ok":
             self.stats.ok += 1
             if attempt > 1:
                 self.stats.retried += 1
-                if session is not None:
-                    session.c_cells_retried.inc()
         elif status == "quarantined":
             self.stats.quarantined += 1
-            if session is not None:
-                session.c_cells_quarantined.inc()
         else:
             self.stats.failed += 1
         self._publish(key, status, result, attempt)
@@ -502,9 +492,6 @@ class Supervisor(FaultBoundary):
         if record is None or not record.ok:
             return False, None
         self.stats.resumed += 1
-        session = obs.session()
-        if session is not None:
-            session.c_cells_resumed.inc()
         eventbus.emit("cell_resumed", cell=key[:16])
         return True, record.result
 

@@ -156,13 +156,11 @@ class TelemetrySession:
 
         # Pre-bound instruments for the hot layers. Pre-registering also
         # guarantees the counter *names* appear in every metrics record,
-        # which the CI telemetry check asserts.
+        # which the CI telemetry check asserts. Counts of the records
+        # the directory already holds (decisions, runs, cache, fault and
+        # cell events) are not counters: readers fold them from the
+        # records (:attr:`repro.obs.report.ObsData.metrics`).
         registry = self.registry
-        self.c_considered = registry.counter("inject.considered")
-        self.c_injected = registry.counter("inject.injected")
-        self.c_skip = {
-            reason: registry.counter("inject.skipped.%s" % reason) for reason in SKIP_REASONS
-        }
         self.c_pairs_observed = registry.counter("nearmiss.pairs_observed")
         self.c_pairs_new = registry.counter("nearmiss.pairs_new")
         self.h_gap_ms = registry.histogram("nearmiss.gap_ms", GAP_BUCKETS)
@@ -170,23 +168,12 @@ class TelemetrySession:
         self.c_cand_removed = registry.counter("candidates.removed")
         self.c_pruned_parent_child = registry.counter("candidates.pruned_parent_child")
         self.c_pruned_hb = registry.counter("candidates.pruned_hb_inference")
-        self.c_cache_hits = registry.counter("cache.hits")
-        self.c_cache_misses = registry.counter("cache.misses")
         self.c_cache_writes = registry.counter("cache.writes")
         self.c_sched_runs = registry.counter("sched.runs")
         self.c_context_switches = registry.counter("sched.context_switches")
-        self.g_virtual_ms = registry.gauge("sched.virtual_time_ms")
         self.g_virtual_ms_total = registry.gauge("sched.virtual_time_ms_total")
         self.c_cells = registry.counter("harness.cells")
         self.h_cell_wall_ms = registry.histogram("harness.cell_wall_ms")
-        self.c_runs_recorded = registry.counter("telemetry.runs_recorded")
-        # Resilience accounting (the campaign supervisor's dialect).
-        self.c_faults = {
-            kind: registry.counter("faults.%s" % kind) for kind in FAULT_KINDS
-        }
-        self.c_cells_retried = registry.counter("cells.retried")
-        self.c_cells_quarantined = registry.counter("cells.quarantined")
-        self.c_cells_resumed = registry.counter("cells.resumed")
         self.c_cache_corrupt = registry.counter("cache.corrupt")
 
     # -- Event emission (hot-ish; bounded by decision/run counts) -------
@@ -204,14 +191,13 @@ class TelemetrySession:
         length_ms: Optional[float] = None,
         detail: Optional[str] = None,
     ) -> None:
-        """Count and buffer one injection decision in a single call.
+        """Buffer one injection decision.
 
         ``reason is None`` means an injection (with ``length_ms``), a
         reason tag from :data:`SKIP_REASONS` means a skip. One call per
         decision keeps the engine's ``decide`` hot path at one dict
-        build plus two counter bumps.
+        build.
         """
-        self.c_considered.inc()
         record: Dict[str, Any] = {
             "type": "inject",
             "run": run_seq,
@@ -220,17 +206,14 @@ class TelemetrySession:
             "t_ms": round(t_ms, 4),
         }
         if reason is None:
-            self.c_injected.inc()
             record["len_ms"] = round(length_ms, 4)
         else:
-            self.c_skip[reason].inc()
             record["reason"] = reason
         if detail is not None:
             record["detail"] = detail
         self.stream.pending.append(record)
 
     def record_run(self, run: RunTelemetry) -> None:
-        self.c_runs_recorded.inc()
         self.stream.pending.append(run.to_record())
 
     def queue_coverage(self, record: dict) -> None:
@@ -260,14 +243,7 @@ class TelemetrySession:
 
     def flush(self) -> None:
         """Append the buffered records to the stream, led by a
-        ``metrics`` record when the counters moved since the last one.
-
-        The snapshot counts every record in the same write, and leads
-        it: a torn tail can then only cut records the snapshot already
-        counts (counters ahead of events, the deficit the reconcilers
-        tolerate) or the snapshot itself, which takes its whole batch
-        with it and leaves the previous snapshot matching what remains.
-        """
+        ``metrics`` record when the counters moved since the last one."""
         snapshot = self.registry.snapshot()
         if snapshot != self._last_metrics:
             self._last_metrics = snapshot

@@ -305,7 +305,6 @@ class Scheduler:
             if self._obs is not None:
                 self._obs.c_sched_runs.inc()
                 self._obs.c_context_switches.inc(result.context_switches)
-                self._obs.g_virtual_ms.set(result.virtual_time)
                 self._obs.g_virtual_ms_total.add(result.virtual_time)
         return result
 

@@ -330,6 +330,16 @@ class TestUsageErrors:
         assert reason in err
 
     @pytest.mark.parametrize(
+        "action",
+        ["report", "chrome", "coverage", "dossier", "analytics", "dashboard", "metrics", "trend"],
+    )
+    def test_obs_on_a_missing_path(self, action, tmp_path, capsys):
+        missing = tmp_path / "never-written"
+        err = self.one_line(["obs", action, str(missing)], capsys)
+        assert "obs path %s does not exist" % missing in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["table4", "--attempts", "0"],

@@ -1,18 +1,27 @@
 """Obs-directory aggregation: loading, reconciliation, rendering."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.harness.cli import main
 from repro.obs import eventbus
 from repro.obs.report import (
+    RECORD_COUNTERS,
     REQUIRED_COUNTERS,
     check,
     load_obs_dir,
     render_report,
     write_chrome_trace,
 )
+from repro.obs.telemetry import FAULT_KINDS, SKIP_REASONS
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def write_jsonl(path, records):
@@ -21,6 +30,15 @@ def write_jsonl(path, records):
 
 def meta(pid):
     return {"type": "meta", "v": eventbus.EVENT_SCHEMA_VERSION, "writer": "%d-1" % pid, "pid": pid}
+
+
+def write_events(obs_dir, events):
+    """One event stream holding ``events`` (seq and t filled in)."""
+    write_jsonl(
+        obs_dir / "events-7-7.jsonl",
+        [{"type": "meta", "v": eventbus.EVENT_SCHEMA_VERSION}]
+        + [dict({"seq": seq, "t": float(seq)}, **event) for seq, event in enumerate(events, 1)],
+    )
 
 
 def update_counters(obs_dir, pid, **changes):
@@ -45,13 +63,7 @@ def obs_dir(tmp_path):
         snapshot = {
             "counters": {
                 **dict.fromkeys(REQUIRED_COUNTERS, 0),
-                "inject.considered": considered,
-                "inject.injected": 1 if considered else 0,
-                "inject.skipped.decay": 1 if considered else 0,
-                "inject.skipped.interference": 1 if considered else 0,
-                "inject.skipped.budget": 0,
-                "cache.hits": 4,
-                "cache.misses": 1,
+                "sched.runs": 2,
                 "cache.writes": 1,
             },
             "gauges": {"sched.virtual_time_ms_total": 12.5},
@@ -95,17 +107,18 @@ class TestLoad:
     def test_merges_processes_and_buckets_records(self, obs_dir):
         data = load_obs_dir(obs_dir)
         assert data.processes == 2
-        assert data.metrics["counters"]["cache.hits"] == 8
+        assert data.metrics["counters"]["sched.runs"] == 4
+        assert data.metrics["counters"]["inject.considered"] == 3
         assert len(data.runs) == 1
         assert len(data.inject_events) == 3
         assert data.parse_errors == []
 
     def test_last_metrics_record_per_stream_wins(self, obs_dir):
         path = obs_dir / "telemetry-101-1.jsonl"
-        later = {"counters": {"cache.hits": 10}, "gauges": {}, "histograms": {}}
+        later = {"counters": {"sched.runs": 10}, "gauges": {}, "histograms": {}}
         with open(path, "a") as fp:
             fp.write(json.dumps({"type": "metrics", "metrics": later}) + "\n")
-        assert load_obs_dir(obs_dir).metrics["counters"]["cache.hits"] == 14
+        assert load_obs_dir(obs_dir).metrics["counters"]["sched.runs"] == 12
 
     def test_parse_errors_are_collected_not_fatal(self, obs_dir):
         (obs_dir / "telemetry-999-1.jsonl").write_text('{"type": "inject"\nnot json\n')
@@ -308,10 +321,9 @@ class TestRecoveredLineTolerance:
         assert data.parse_errors == []
 
     def test_deficit_within_recovered_lines_reconciles(self, obs_dir):
-        # The lost tail line was a skip event: counters and the run
-        # summary now lead the events by one. With one recovered line
-        # that is expected degradation, not an inconsistency.
-        update_counters(obs_dir, 100, inject__considered=4, inject__skipped__decay=2)
+        # The lost tail line was a skip event: the run summary now
+        # leads the events by one. With one recovered line that is
+        # expected degradation, not an inconsistency.
         with open(obs_dir / "telemetry-100-1.jsonl") as fp:
             lines = fp.read().splitlines()
         rewritten = []
@@ -330,12 +342,18 @@ class TestRecoveredLineTolerance:
 
     def test_deficit_beyond_recovered_lines_still_flags(self, obs_dir):
         # Two events missing but only one recovered line: a real hole.
-        update_counters(obs_dir, 100, inject__considered=5, inject__skipped__decay=3)
+        path = obs_dir / "telemetry-100-1.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            if record["type"] == "run":
+                record["considered"] += 2
+                record["skipped_decay"] += 2
+        write_jsonl(path, records)
         self.append_lines(obs_dir, [])
         data = load_obs_dir(obs_dir)
         assert data.recovered_lines == 1
         problems = check(data)
-        assert any("skip events" in p for p in problems)
+        assert any("run 1 (t): events inject/skip 1/2 vs summary 1/4" in p for p in problems)
 
     def test_event_surplus_is_never_excused(self, obs_dir):
         # More events than counters can't be explained by lost lines.
@@ -355,15 +373,15 @@ class TestResilienceSection:
         assert "resilience" not in render_report(load_obs_dir(obs_dir))
 
     def test_fault_counters_render(self, obs_dir):
-        update_counters(
+        update_counters(obs_dir, 100, cache__corrupt=1)
+        write_events(
             obs_dir,
-            100,
-            faults__worker_crash=2,
-            faults__hang=1,
-            cells__retried=3,
-            cells__quarantined=1,
-            cells__resumed=4,
-            cache__corrupt=1,
+            [{"type": "fault", "cell": "c1", "attempt": 1, "kind": "worker_crash"}] * 2
+            + [{"type": "fault", "cell": "c2", "attempt": 1, "kind": "hang"}]
+            + [{"type": "cell_end", "cell": "c%d" % i, "status": "ok", "attempt": 2}
+               for i in range(3)]
+            + [{"type": "cell_end", "cell": "c9", "status": "quarantined", "attempt": 3}]
+            + [{"type": "cell_resumed", "cell": "r%d" % i} for i in range(4)],
         )
         text = render_report(load_obs_dir(obs_dir))
         assert "resilience" in text
@@ -383,6 +401,8 @@ class TestResilienceSection:
 
 class TestRender:
     def test_report_sections(self, obs_dir):
+        write_events(obs_dir, [{"type": "cache", "action": "hit"}] * 8
+                     + [{"type": "cache", "action": "miss"}] * 2)
         text = render_report(load_obs_dir(obs_dir))
         assert "injection decisions" in text
         assert "decay 1" in text
@@ -411,9 +431,7 @@ class TestSessionRoundTrip:
     def test_live_session_files_load_and_reconcile(self, tmp_path):
         session = obs.configure(tmp_path / "live")
         try:
-            session.c_cache_hits.inc(3)
-            session.c_cache_misses.inc()
-            for action in ("hit", "hit", "hit", "miss"):  # the cache's paired events
+            for action in ("hit", "hit", "hit", "miss"):
                 eventbus.emit("cache", action=action)
             session.flush()
             eventbus.flush()
@@ -436,15 +454,15 @@ class TestForkHandler:
             obs._reset_after_fork()
             child, child_bus = obs.session(), eventbus.bus()
             assert child is not parent and child_bus is not parent_bus
-            assert child.stream.pending == [] and child.c_considered.value == 0
+            assert len(parent.stream.pending) == 1 and child.stream.pending == []
             assert child.directory == child_bus.directory == parent.directory
         finally:
             obs.disable()
 
 
 class TestTornTailOrdering:
-    """A flush writes its metrics snapshot ahead of the records it counts,
-    so a torn final write leaves counters ahead of events, never behind."""
+    """A torn final write loses at most its own batch: what remains
+    still reconciles."""
 
     def write_two_batches(self, directory):
         session = obs.configure(directory)
@@ -474,8 +492,7 @@ class TestTornTailOrdering:
         data = load_obs_dir(path.parent)
         assert data.recovered_lines == 1
         assert data.processes == 1
-        skips = data.metrics["counters"]["inject.skipped.decay"]
-        assert skips - len(data.inject_events) in (0, 1)
+        assert data.metrics["counters"]["inject.skipped.decay"] == len(data.inject_events)
         assert check(data) == []
 
 
@@ -518,3 +535,79 @@ class TestFuzzSection:
         self.write_fuzz_stream(obs_dir, spec_prefix="deadbeef0000")
         text = render_report(load_obs_dir(obs_dir))
         assert "WARNING: 1 fuzz event(s) but no oracle rows are resolvable" in text
+
+
+def read_records(directory, pattern):
+    return [
+        json.loads(line)
+        for path in sorted(directory.glob(pattern))
+        for line in path.read_text().splitlines()
+    ]
+
+
+@pytest.fixture(scope="module")
+def live_dir(tmp_path_factory):
+    """One obs directory over a chaos fuzz campaign, its resumed rerun
+    and a rerun against the warm cache: decisions, runs, cache hits and
+    misses, faults, retried and resumed cells."""
+    root = tmp_path_factory.mktemp("live")
+    env = {k: v for k, v in os.environ.items() if k not in ("WAFFLE_CHAOS", obs.OBS_DIR_ENV)}
+    env.update(PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED="0")
+    argv = [sys.executable, "-m", "repro", "fuzz", "--seed-range", "0:4", "--budget", "4",
+            "--no-replay", "--jobs", "2", "--cache-dir", "cache", "--obs-dir", "obs"]
+    for extra, chaos in ((["--resume", "journal"], "seed=3,worker_crash=0.4"),
+                         (["--resume", "journal"], None), ([], None)):
+        run_env = dict(env, WAFFLE_CHAOS=chaos) if chaos else env
+        subprocess.run(argv + extra, cwd=root, env=run_env, check=True, capture_output=True)
+    return root / "obs"
+
+
+class TestRecordCounters:
+    """Counts of records the directory holds are folded, never stored."""
+
+    def test_live_metrics_store_none_and_fold_each(self, live_dir):
+        records = read_records(live_dir, "telemetry-*.jsonl")
+        events = read_records(live_dir, "events-*.jsonl")
+        stored = [r["metrics"]["counters"] for r in records if r["type"] == "metrics"]
+        assert stored and not any(set(RECORD_COUNTERS) & set(c) for c in stored)
+
+        decisions = [r for r in records if r["type"] == "inject"]
+        cell_ends = [e for e in events if e["type"] == "cell_end"]
+        expected = {
+            "inject.considered": len(decisions),
+            "inject.injected": sum(r["action"] == "inject" for r in decisions),
+            "telemetry.runs_recorded": sum(r["type"] == "run" for r in records),
+            "cache.hits": sum(e["type"] == "cache" and e["action"] == "hit" for e in events),
+            "cache.misses": sum(e["type"] == "cache" and e["action"] == "miss" for e in events),
+            "cells.retried": sum(e["status"] == "ok" and e["attempt"] > 1 for e in cell_ends),
+            "cells.quarantined": sum(e["status"] == "quarantined" for e in cell_ends),
+            "cells.resumed": sum(e["type"] == "cell_resumed" for e in events),
+        }
+        for reason in SKIP_REASONS:
+            expected["inject.skipped.%s" % reason] = sum(
+                r["action"] == "skip" and r["reason"] == reason for r in decisions)
+        for kind in FAULT_KINDS:
+            expected["faults.%s" % kind] = sum(
+                e["type"] == "fault" and e["kind"] == kind for e in events)
+
+        data = load_obs_dir(live_dir)
+        assert {name: data.metrics["counters"][name] for name in RECORD_COUNTERS} == expected
+        for name in ("inject.injected", "inject.skipped.decay", "telemetry.runs_recorded",
+                     "cache.hits", "cache.misses", "faults.worker_crash", "cells.retried",
+                     "cells.resumed"):
+            assert expected[name] > 0, name
+        assert check(data) == []
+
+    def test_stale_stored_values_are_ignored(self, obs_dir, tmp_path, capsys):
+        update_counters(obs_dir, 100, **{n.replace(".", "__"): 99 for n in RECORD_COUNTERS})
+        text = render_report(load_obs_dir(obs_dir))
+        assert "considered 3   injected 1   skipped 2 (decay 1, interference 1, budget 0)" in text
+        assert "hits 0   misses 0" in text
+        assert "resilience" not in text
+        prom = tmp_path / "metrics.prom"
+        assert main(["obs", "metrics", str(obs_dir), "--metrics-out", str(prom)]) == 0
+        exported = prom.read_text()
+        assert "waffle_inject_considered_total 3\n" in exported
+        assert "waffle_cache_hits_total 0\n" in exported
+        assert "waffle_faults_hang_total 0\n" in exported
+        assert " 99\n" not in exported

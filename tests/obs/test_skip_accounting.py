@@ -60,8 +60,12 @@ def make_engine(config=None, pairs=(), interference=None, decay=None, rng=None):
     )
 
 
+def decisions(session):
+    return [e for e in session.stream.pending if e.get("type") == "inject"]
+
+
 def skip_events(session):
-    return [e for e in session.stream.pending if e.get("type") == "inject" and e["action"] == "skip"]
+    return [e for e in decisions(session) if e["action"] == "skip"]
 
 
 class TestInterferenceSuppression:
@@ -83,8 +87,7 @@ class TestInterferenceSuppression:
         assert engine.skipped_budget == 0
         # The suppressing site is named, making the decision explainable.
         assert skips[0]["detail"] == "B"
-        assert session.c_skip["interference"].value == 1
-        assert session.c_skip["decay"].value == 0
+        assert len(decisions(session)) == engine.considered == 1
 
     def test_no_event_without_session(self):
         # Engines constructed with telemetry disabled still count.
@@ -149,10 +152,9 @@ class TestReasonTaxonomy:
 
     def test_inject_event_carries_length(self, session):
         session.decision(7, "l1", 1.23456, length_ms=12.345678)
-        (event,) = [e for e in session.stream.pending if e.get("type") == "inject"]
+        (event,) = decisions(session)
         assert event == {"type": "inject", "run": 7, "action": "inject", "site": "l1",
                          "t_ms": 1.2346, "len_ms": 12.3457}
-        assert (session.c_considered.value, session.c_injected.value) == (1, 1)
         # The engine's decide() emits through the same call.
         engine = make_engine(pairs=[make_pair()])
         length = engine.decide(pending())
@@ -160,6 +162,8 @@ class TestReasonTaxonomy:
         event = session.stream.pending[-1]
         assert event["action"] == "inject"
         assert event["len_ms"] == length
+        assert len(decisions(session)) == 1 + engine.considered == 2
+        assert engine.ledger.count == 1
 
 
 class TestReconciliation:
@@ -176,16 +180,16 @@ class TestReconciliation:
         for ts in (210.0, 220.0, 230.0):  # draws under p=0.9 still pass
             engine.decide(pending(site="A", ts=ts))  # interference skips
 
-        events = [e for e in session.stream.pending if e.get("type") == "inject"]
+        events = decisions(session)
         injected = sum(1 for e in events if e["action"] == "inject")
-        skipped = sum(1 for e in events if e["action"] == "skip")
-        assert injected == engine.ledger.count
-        assert skipped == engine.skipped_total
-        assert engine.considered == injected + skipped
+        assert injected == engine.ledger.count == 2
+        assert len(events) == engine.considered
         assert all(e["run"] == engine.obs_run_seq for e in events)
-        # Counter totals agree with the plain-int accounting.
-        assert session.c_considered.value == engine.considered
-        assert session.c_injected.value == engine.ledger.count
+        # Each skip counter equals the records tagged with its reason.
+        for reason in obs.SKIP_REASONS:
+            tagged = sum(1 for e in skip_events(session) if e["reason"] == reason)
+            assert tagged == getattr(engine, "skipped_%s" % reason)
+        assert engine.skipped_interference == 3
 
     def test_flushed_jsonl_skips_all_carry_valid_reasons(self, session, tmp_path):
         index = InterferenceIndex([frozenset({"A", "B"})])
