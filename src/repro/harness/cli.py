@@ -262,59 +262,40 @@ def cmd_fuzz(args) -> int:
         for path in fuzz_mod.shrink_failures(failures, config, args.budget, args.shrink_dir):
             print("regression fixture written: %s" % path)
     if getattr(args, "dashboard", False):
-        target = args.obs_dir or "waffle-dashboard"
-        for path in _write_dashboard_artifacts(target, rows=rows, label="fuzz"):
-            print("dashboard artifact written: %s" % path)
+        path = _write_dashboard_artifact(args.obs_dir or "waffle-dashboard", rows=rows)
+        print("dashboard artifact written: %s" % path)
     return 1 if failures else 0
 
 
-def _write_dashboard_artifacts(
+def _write_dashboard_artifact(
     directory: str,
     rows: Optional[List[dict]] = None,
-    bench_paths: Optional[List[Any]] = None,
-    deterministic: bool = False,
-    label: str = "campaign",
     dashboard_out: Optional[str] = None,
-    metrics_out: Optional[str] = None,
-) -> List[str]:
-    """Render ``dashboard.html`` + ``metrics.prom`` and append one
-    quality row to ``timeseries.jsonl`` under ``directory``.
+) -> str:
+    """Render ``dashboard.html`` (or ``dashboard_out``) from the obs
+    data under ``directory`` and return its path.
 
     Flushes telemetry and the event bus first so same-process campaigns
     (``fuzz --dashboard``) see their own data on disk; every input is
-    optional, so the artifacts always render (with empty sections
+    optional, so the dashboard always renders (with empty sections
     standing in for absent sources)."""
     from ..obs import dashboard as dashboard_mod
-    from ..obs import openmetrics as openmetrics_mod
     from ..obs import quality as quality_mod
-    from ..obs import timeseries as timeseries_mod
     from ..obs.report import load_obs_dir
 
     eventbus.flush()
     obs.flush()
     os.makedirs(directory, exist_ok=True)
     data = load_obs_dir(directory)
-    view, snapshot = data.view, data.metrics or None
-    quality = quality_mod.build_quality(data, rows=rows)
-    row = timeseries_mod.build_row(
-        view=view, quality=quality, bench_paths=bench_paths or (), label=label
-    )
-    series_path = timeseries_mod.append_row(directory, row)
-    trend_rows, _trend_warnings = timeseries_mod.load_series(directory)
     html_path = Path(dashboard_out or os.path.join(directory, "dashboard.html"))
     html_path.write_text(
         dashboard_mod.render_dashboard(
-            view=view, quality=quality, snapshot=snapshot, trend_rows=trend_rows
+            view=data.view,
+            quality=quality_mod.build_quality(data, rows=rows),
+            snapshot=data.metrics,
         )
     )
-    prom_path = Path(metrics_out or os.path.join(directory, "metrics.prom"))
-    prom_path.write_text(
-        openmetrics_mod.render_openmetrics(
-            snapshot=snapshot, view=view, quality=quality,
-            deterministic_only=deterministic,
-        )
-    )
-    return [str(html_path), str(prom_path), str(series_path)]
+    return str(html_path)
 
 
 def cmd_detect(args) -> None:
@@ -509,39 +490,8 @@ def cmd_obs(args) -> int:
         _usage_error("obs path %s does not exist" % args.obs_path)
     data = load_obs_dir(args.obs_path)  # parses each file on first use
     if args.action == "dashboard":
-        for path in _write_dashboard_artifacts(
-            args.obs_path,
-            bench_paths=_bench_history(args.bench),
-            deterministic=args.deterministic,
-            label="obs-dashboard",
-            dashboard_out=args.dashboard_out,
-            metrics_out=args.metrics_out,
-        ):
-            print("dashboard artifact written: %s" % path)
-        return 0
-    if args.action == "metrics":
-        from ..obs import openmetrics as openmetrics_mod
-        from ..obs import quality as quality_mod
-
-        text = openmetrics_mod.render_openmetrics(
-            snapshot=data.metrics or None,
-            view=data.view,
-            quality=quality_mod.build_quality(data),
-            deterministic_only=args.deterministic,
-        )
-        target = args.metrics_out or os.path.join(args.obs_path, "metrics.prom")
-        with open(target, "w") as fp:
-            fp.write(text)
-        print("openmetrics export written to %s" % target)
-        return 0
-    if args.action == "trend":
-        from ..obs import timeseries as timeseries_mod
-
-        rows, warnings = timeseries_mod.load_series(args.obs_path)
-        text = timeseries_mod.render_trend(rows)
-        if warnings:
-            text += "\n" + "\n".join("  warning: %s" % w for w in warnings)
-        _emit(text, args.out)
+        path = _write_dashboard_artifact(args.obs_path, dashboard_out=args.dashboard_out)
+        print("dashboard artifact written: %s" % path)
         return 0
     if args.action == "analytics":
         from ..obs import campaign as campaign_mod
@@ -859,9 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dashboard",
         action="store_true",
-        help="render dashboard.html + metrics.prom and append a "
-        "timeseries.jsonl quality row into --obs-dir "
-        "(or ./waffle-dashboard) after the run",
+        help="render dashboard.html into --obs-dir (or ./waffle-dashboard) "
+        "after the run",
     )
     p.set_defaults(func=cmd_fuzz)
 
@@ -881,12 +830,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "action",
         choices=[
-            "report", "chrome", "coverage", "dossier", "analytics",
-            "dashboard", "metrics", "trend",
+            "report", "chrome", "coverage", "dossier", "analytics", "dashboard",
         ],
         help="digest, trace_event export, coverage observatory, dossier dump, "
-        "cross-run campaign analytics, self-contained HTML dashboard, "
-        "OpenMetrics export, or the quality time-series trend",
+        "cross-run campaign analytics, or self-contained HTML dashboard",
     )
     p.add_argument("obs_path", type=str, help="the obs directory to aggregate")
     p.add_argument("--max-runs", type=int, default=20, help="rows in the slowest-runs table")
@@ -903,8 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=None,
         metavar="PATH",
-        help="analytics/dashboard: BENCH_*.json snapshots (or directories of "
-        "them) for the perf-regression tracker",
+        help="analytics: BENCH_*.json snapshots (or directories of them) "
+        "for the perf-regression tracker",
     )
     p.add_argument(
         "--dashboard-out",
@@ -912,20 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="dashboard: output path (default <dir>/dashboard.html)",
-    )
-    p.add_argument(
-        "--metrics-out",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="dashboard/metrics: output path (default <dir>/metrics.prom)",
-    )
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="dashboard/metrics: export only data derived from deduplicated "
-        "work products, so chaos / resumed / cached campaigns export "
-        "byte-identically to clean ones",
     )
     p.set_defaults(func=cmd_obs)
 

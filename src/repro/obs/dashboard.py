@@ -1,13 +1,13 @@
 """Self-contained campaign dashboard (single HTML file, inline SVG).
 
 ``render_dashboard`` turns the deduplicated campaign view, the
-ground-truth quality joins (:mod:`repro.obs.quality`), the merged
-telemetry snapshot, and the quality time series into one HTML document
-with **no external assets**: styles inline, charts as inline SVG, data
-tables beside every chart so nothing is color-alone. Sections render
-their headings even when their data source is absent -- an empty
-section is a census of what the campaign did not produce, and the
-stable structure is what the CI smoke test greps for.
+ground-truth quality joins (:mod:`repro.obs.quality`) and the merged
+telemetry snapshot into one HTML document with **no external assets**:
+styles inline, charts as inline SVG, data tables beside every chart so
+nothing is color-alone. Sections render their headings even when their
+data source is absent -- an empty section is a census of what the
+campaign did not produce, and the stable structure is what the CI smoke
+test greps for.
 
 Determinism is a feature, not an accident: the document carries no
 timestamps, hostnames, or source paths; every iteration is over sorted
@@ -476,40 +476,10 @@ def _section_fuzz(view) -> str:
     return "".join(out)
 
 
-def _section_trend(trend_rows: Sequence[dict]) -> str:
-    out = ["<h2>Quality trend</h2>"]
-    if not trend_rows:
-        out.append('<p class="muted">no time series yet; rows accumulate in '
-                   '<code>timeseries.jsonl</code></p>')
-        return "".join(out)
-    window = list(trend_rows[-20:])
-    out.append('<table><tr><th class="l">label</th><th>detectable rate</th>'
-               '<th>undetectable rate</th><th>detected</th>'
-               '<th>bench regressions</th></tr>')
-    for row in window:
-        bands = row.get("bands") or {}
-        out.append(
-            '<tr><td class="l">%s</td><td>%s</td><td>%s</td><td>%s</td>'
-            '<td>%s</td></tr>'
-            % (_e(row.get("label", "-")),
-               _rate((bands.get("detectable") or {}).get("rate")),
-               _rate((bands.get("undetectable") or {}).get("rate")),
-               _num((row.get("funnel") or {}).get("detected")),
-               _num((row.get("bench") or {}).get("regressions", 0)))
-        )
-    out.append("</table>")
-    if len(trend_rows) > len(window):
-        out.append('<p class="muted">%d earlier row(s) not shown; see '
-                   '<code>repro obs trend</code></p>'
-                   % (len(trend_rows) - len(window)))
-    return "".join(out)
-
-
 def render_dashboard(
     view=None,
     quality: Optional[dict] = None,
     snapshot: Optional[dict] = None,
-    trend_rows: Sequence[dict] = (),
     title: str = "WAFFLE detection-quality dashboard",
 ) -> str:
     """The whole document. Every argument optional; every section's
@@ -526,7 +496,6 @@ def render_dashboard(
         _section_gaps(snapshot),
         _section_fuzz(view),
         _section_census(view),
-        _section_trend(trend_rows),
     ]
     return (
         "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n"

@@ -331,7 +331,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "action",
-        ["report", "chrome", "coverage", "dossier", "analytics", "dashboard", "metrics", "trend"],
+        ["report", "chrome", "coverage", "dossier", "analytics", "dashboard"],
     )
     def test_obs_on_a_missing_path(self, action, tmp_path, capsys):
         missing = tmp_path / "never-written"

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.harness.cli import main
 from repro.obs import eventbus
 from repro.obs.report import (
     RECORD_COUNTERS,
@@ -598,16 +597,15 @@ class TestRecordCounters:
             assert expected[name] > 0, name
         assert check(data) == []
 
-    def test_stale_stored_values_are_ignored(self, obs_dir, tmp_path, capsys):
+    def test_stale_stored_values_are_ignored(self, obs_dir):
         update_counters(obs_dir, 100, **{n.replace(".", "__"): 99 for n in RECORD_COUNTERS})
-        text = render_report(load_obs_dir(obs_dir))
+        data = load_obs_dir(obs_dir)
+        text = render_report(data)
         assert "considered 3   injected 1   skipped 2 (decay 1, interference 1, budget 0)" in text
         assert "hits 0   misses 0" in text
         assert "resilience" not in text
-        prom = tmp_path / "metrics.prom"
-        assert main(["obs", "metrics", str(obs_dir), "--metrics-out", str(prom)]) == 0
-        exported = prom.read_text()
-        assert "waffle_inject_considered_total 3\n" in exported
-        assert "waffle_cache_hits_total 0\n" in exported
-        assert "waffle_faults_hang_total 0\n" in exported
-        assert " 99\n" not in exported
+        counters = data.metrics["counters"]
+        assert counters["inject.considered"] == 3
+        assert counters["cache.hits"] == 0
+        assert counters["faults.hang"] == 0
+        assert 99 not in counters.values()
