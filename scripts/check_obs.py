@@ -14,11 +14,11 @@ Runs every consistency law on the recorded data through
 * every ``dossier-*.json`` validates against the dossier schema;
 * every ``coverage-*.json`` reconciles with its own engine counters;
 * every co-located ``events-*.jsonl`` campaign stream parses and
-  carries only known event types at the supported schema version;
-* fleet campaigns add the lease-ledger conservation law: every lease
-  creation (``lease_acquire`` or ``lease_steal``) is matched by exactly
-  one termination (``lease_release`` or ``lease_expire``), modulo
-  recovered torn lines.
+  carries only known event types at the supported schema version.
+
+Events of the retired lease-based fleet (worker and lease types, in a
+fleet directory written before it was retired) are dropped by the
+reader; the script names them in a note and checks the rest.
 
 A truncated final JSONL line (no trailing newline -- the artifact a
 killed ``--jobs`` worker leaves) is tolerated and reported as a
@@ -32,7 +32,7 @@ overhead budgets the benchmark recorded (the disabled path within
 ``max_enabled_overhead_pct`` of the in-process baseline).
 
 ``--events-only`` validates a directory that has event streams but no
-telemetry (a fleet dir): the event laws alone.
+telemetry (a ``campaign run`` fleet dir): the event laws alone.
 
 Usage::
 
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from repro.obs.report import check, load_obs_dir
@@ -112,6 +113,13 @@ def main(argv) -> int:
     obs_dir = Path(argv[1])
     data = load_obs_dir(obs_dir)
     problems = check(data, events_only=events_only)
+    retired = Counter()
+    for stream in data.event_streams:
+        retired.update(stream.retired)
+    if retired:
+        print("note: ignored %d event(s) of retired types: %s" % (
+            sum(retired.values()),
+            ", ".join("%s %d" % item for item in sorted(retired.items()))))
     if not events_only:
         problems.extend(check_dashboard(obs_dir))
         if len(argv) == 3:
@@ -125,13 +133,8 @@ def main(argv) -> int:
         return 1
     events = sum(len(s.events) for s in data.event_streams)
     if events_only:
-        view = data.view
-        print(
-            "obs check OK (events only): %d event(s) in %d stream(s); "
-            "lease ledger %d acquired + %d stolen == %d released + %d expired"
-            % (events, len(data.event_streams), view.lease_acquired,
-               view.lease_stolen, view.lease_released, view.lease_expired)
-        )
+        print("obs check OK (events only): %d event(s) in %d stream(s)"
+              % (events, len(data.event_streams)))
         return 0
     print(
         "obs check OK: %d process(es), %d runs, %d decision events, "

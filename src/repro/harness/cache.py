@@ -18,9 +18,9 @@ invalidates everything. The store format's checksum is verified on
 every file read: a corrupt or truncated entry (torn write, bit rot,
 chaos injection) is quarantined (``*.corrupt`` rename) and treated as
 a miss, never a crash -- every cached unit is deterministic, so
-recomputation is always sound. Puts fsync before publication while a
-fleet executor is active (its workers may share the cache across
-hosts); see :func:`_durable`.
+recomputation is always sound. Puts fsync before publication while the
+active supervisor's store is durable (``campaign run``); see
+:func:`_durable`.
 
 Cached kinds:
 
@@ -99,9 +99,10 @@ GLOBAL_STATS = CacheStats()
 
 
 def _durable() -> bool:
-    """Whether puts fsync: while the active executor's store is durable
-    (a fleet executor's is), so a record another host reads from a
-    shared cache is whole even across a host crash."""
+    """Whether puts fsync: while the active supervisor's store is
+    durable (``campaign run``'s is), so the cache next to that store
+    survives a host crash as whole records. Forked workers run with the
+    slot empty, so only the campaign process's own puts fsync."""
     store = getattr(parallel.current(), "store", None)
     return store is not None and store.fsync
 

@@ -149,7 +149,8 @@ def _emit_rows(name: str, rows: Any, text: str, args) -> None:
 
 
 def cmd_table1(args) -> None:
-    _emit(tables.design_matrix(), args.out)
+    table = {"header": tables.TABLE1_HEADER, "rows": tables.TABLE1_ROWS}
+    _emit_rows("table1", table, tables.design_matrix(), args)
 
 
 def cmd_table2(args) -> None:
@@ -180,7 +181,8 @@ def cmd_dynamic(args) -> None:
     rows, overall = experiments.dynamic_instances(
         apps=args.apps, seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir
     )
-    _emit(tables.render_dynamic_instances(rows, overall), args.out)
+    _emit_rows("dynamic", {"rows": rows, "overall": overall},
+               tables.render_dynamic_instances(rows, overall), args)
 
 
 def cmd_table4(args) -> None:
@@ -584,10 +586,44 @@ def cmd_campaign(args) -> int:
     return 0
 
 
-def cmd_campaign_run(args) -> int:
-    """Coordinate a fleet campaign (see :mod:`repro.harness.fleet`)."""
-    from . import fleet as fleet_mod
+#: ``campaign run``'s files in its fleet directory.
+MANIFEST_NAME = "campaign.json"
+MERGED_JOURNAL_NAME = "journal-merged.jsonl"
+#: Deliberately NOT matching ``events-*.jsonl``: the merged stream must
+#: not be re-merged (double-counted) by ``campaign status <fleet-dir>``.
+MERGED_EVENTS_NAME = "merged-events.jsonl"
 
+
+def _claim_fleet_dir(fleet_dir: Path, inner: List[str]) -> None:
+    """Record the inner command in ``<fleet-dir>/campaign.json``, or
+    refuse a directory that already records a different one."""
+    manifest = fleet_dir / MANIFEST_NAME
+    if manifest.exists():
+        try:
+            existing = json.loads(manifest.read_text())
+        except ValueError as exc:
+            _usage_error("fleet manifest %s is not valid JSON: %s" % (manifest, exc))
+        if not isinstance(existing, dict) or not isinstance(existing.get("argv"), list) \
+                or not existing["argv"]:
+            _usage_error("fleet manifest %s carries no inner command" % manifest)
+        if existing["argv"] != inner:
+            _usage_error(
+                "fleet dir %s already runs %r; refusing to mix campaigns"
+                % (fleet_dir, " ".join(existing["argv"]))
+            )
+        return
+    fleet_dir.mkdir(parents=True, exist_ok=True)
+    tmp = manifest.with_name(manifest.name + ".tmp")
+    tmp.write_text(json.dumps({"argv": inner}, indent=2, sort_keys=True))
+    os.replace(tmp, manifest)
+
+
+def _campaign_run_args(parser: argparse.ArgumentParser, args) -> argparse.Namespace:
+    """``campaign run --fleet-dir D --workers N -- CMD`` as the parsed
+    arguments of ``CMD --jobs N+1 --resume D/store``, with ``D/cache``
+    as the default cache. Shared options given before ``--`` apply
+    unless CMD sets them itself. :func:`main` then runs CMD supervised
+    over a durable store, with the event bus in D, and merges D."""
     inner = list(args.inner)
     if inner and inner[0] == "--":
         inner = inner[1:]
@@ -596,25 +632,41 @@ def cmd_campaign_run(args) -> int:
             "campaign run requires an inner command after --, "
             "e.g.: campaign run --fleet-dir DIR -- fuzz --seed-range 0:40"
         )
-    return fleet_mod.run_campaign(
-        args.fleet_dir,
-        inner,
-        workers=args.workers,
-        lease_ttl_s=args.lease_ttl,
-        poll_s=args.poll,
-        retries=args.retries,
-        min_workers=args.min_workers,
-        drain_timeout_s=args.drain_timeout,
-    )
+    inner_args = parser.parse_args(inner)
+    if inner_args.command == "campaign":
+        _usage_error("fleet campaigns cannot nest ('campaign %s' inside run)"
+                     % inner_args.action)
+    fleet_dir = Path(args.fleet_dir)
+    _claim_fleet_dir(fleet_dir, inner)
+    for name in SHARED_DEFAULTS:
+        if not hasattr(inner_args, name) and hasattr(args, name):
+            setattr(inner_args, name, getattr(args, name))
+    inner_args.fleet_dir = fleet_dir
+    inner_args.jobs = args.workers + 1
+    inner_args.resume = str(fleet_dir / "store")
+    inner_args.cache_dir = getattr(inner_args, "cache_dir", None) or str(fleet_dir / "cache")
+    return inner_args
 
 
-def cmd_campaign_worker(args) -> int:
-    """Join a fleet campaign as one worker process."""
-    from . import fleet as fleet_mod
-
-    return fleet_mod.run_worker(
-        args.fleet_dir, wait_s=args.wait, worker_id=args.worker_id
-    )
+def _merge_fleet_dir(fleet_dir: Path, store: ArtifactStore) -> Tuple[int, int]:
+    """``campaign run``'s merge: one canonical journal from the store
+    (sorted by key, deterministic fields only -- ``attempts`` depends on
+    chaos, so a chaos campaign's journal is byte-identical to a clean
+    one's) and one merged stream of the directory's ``events-*.jsonl``."""
+    lines = []
+    for key in store.keys():
+        record = store.fetch(key, count_stats=False)
+        if record is not None:
+            lines.append(json.dumps(
+                {"key": key, "sha256": record.sha256, "status": record.status},
+                sort_keys=True, separators=(",", ":"),
+            ) + "\n")
+    journal = fleet_dir / MERGED_JOURNAL_NAME
+    tmp = journal.with_name(journal.name + ".tmp")
+    tmp.write_text("".join(lines))
+    os.replace(tmp, journal)
+    streams = eventbus.load_streams(fleet_dir)
+    return len(lines), eventbus.write_merged(streams, fleet_dir / MERGED_EVENTS_NAME)
 
 
 def cmd_all(args) -> None:
@@ -864,7 +916,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "campaign",
-        help="run fleet campaigns; inspect or merge campaign event streams",
+        help="run a campaign in a fleet directory; inspect or merge campaign "
+        "event streams",
         parents=[shared],
     )
     campaign_sub = p.add_subparsers(dest="action", required=True)
@@ -872,54 +925,24 @@ def build_parser() -> argparse.ArgumentParser:
     cp = campaign_sub.add_parser(
         "run",
         parents=[shared],
-        help="coordinate a fleet campaign: N worker processes pull leased "
-        "cells from a shared directory; output is byte-identical to a "
-        "serial run",
+        help="run a campaign supervised over a fleet directory's artifact "
+        "store, then merge its journal and event streams; output is "
+        "byte-identical to a serial run",
     )
     cp.add_argument(
         "--fleet-dir",
         type=str,
         required=True,
         metavar="DIR",
-        help="the shared coordination directory (manifest, leases, artifact "
-        "store and event streams)",
+        help="the campaign directory (manifest, artifact store, cache and "
+        "event streams)",
     )
     cp.add_argument(
         "--workers",
         type=int,
         default=0,
-        help="local worker processes to spawn (default 0: the coordinator "
-        "executes alone; remote workers join via 'campaign worker')",
-    )
-    cp.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="heartbeat deadline on cell leases; a worker silent this long "
-        "is presumed dead and its cell is stolen (default 30)",
-    )
-    cp.add_argument(
-        "--poll",
-        type=float,
-        default=0.2,
-        metavar="SECONDS",
-        help="wait-loop poll interval for other workers' results (default 0.2)",
-    )
-    cp.add_argument(
-        "--min-workers",
-        type=int,
-        default=0,
-        help="wait for this many workers to register before starting "
-        "(default 0: start immediately)",
-    )
-    cp.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=600.0,
-        metavar="SECONDS",
-        help="give up waiting for unresolved cells / straggling workers "
-        "after this long (default 600)",
+        help="worker processes beside the campaign process: the inner "
+        "command runs with --jobs N+1 (default 0: serial)",
     )
     cp.add_argument(
         "inner",
@@ -927,26 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="-- COMMAND ...",
         help="the campaign to run, e.g. -- fuzz --seed-range 0:40",
     )
-    cp.set_defaults(func=cmd_campaign_run)
-
-    cp = campaign_sub.add_parser(
-        "worker",
-        parents=[shared],
-        help="join a fleet campaign as one worker (the inner command comes "
-        "from the fleet directory's manifest)",
-    )
-    cp.add_argument("--fleet-dir", type=str, required=True, metavar="DIR")
-    cp.add_argument(
-        "--wait",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="how long to wait for the coordinator's manifest (default 60)",
-    )
-    cp.add_argument(
-        "--worker-id", type=str, default=None, help="stable identity override"
-    )
-    cp.set_defaults(func=cmd_campaign_worker)
 
     for action, help_text in (
         ("status", "render progress/health/funnel from event streams"),
@@ -1000,48 +1003,63 @@ def _cache_summary_line(
     return line
 
 
-def normalize_args(args) -> None:
-    """Fill the shared options' defaults in place.
+#: The shared options' defaults. They parse with ``SUPPRESS`` (so a
+#: value given before the subcommand survives), which leaves unset
+#: options *absent* rather than None.
+SHARED_DEFAULTS = {
+    "seed": 0,
+    "out": None,
+    "json": False,
+    "jobs": 1,
+    "cache_dir": None,
+    "obs_dir": None,
+    "progress": False,
+    "resume": None,
+    "retries": None,
+    "cell_timeout": None,
+}
 
-    The shared flags parse with ``SUPPRESS`` (so a value given before
-    the subcommand survives), which means unset options are *absent*
-    rather than None. Both :func:`main` and the fleet's inner-command
-    dispatch (:func:`repro.harness.fleet._dispatch_inner`) normalize
-    through here so the two entry paths cannot drift.
-    """
-    if not hasattr(args, "seed"):
-        args.seed = 0
-    if not hasattr(args, "out"):
-        args.out = None
-    if not hasattr(args, "json"):
-        args.json = False
-    if not hasattr(args, "jobs"):
-        args.jobs = 1
-    if not hasattr(args, "cache_dir"):
-        args.cache_dir = None
-    if not hasattr(args, "obs_dir"):
-        args.obs_dir = None
-    if not hasattr(args, "progress"):
-        args.progress = False
-    if not hasattr(args, "resume"):
-        args.resume = None
-    if not hasattr(args, "retries"):
-        args.retries = None
-    if not hasattr(args, "cell_timeout"):
-        args.cell_timeout = None
+
+def normalize_args(args) -> None:
+    """Fill the absent shared options with :data:`SHARED_DEFAULTS`, in
+    place (after :func:`_campaign_run_args` has carried ``campaign
+    run``'s own over to its inner command)."""
+    for name, default in SHARED_DEFAULTS.items():
+        if not hasattr(args, name):
+            setattr(args, name, default)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """The CLI entry point: :func:`_run`, quiet when stdout's reader
+    goes away early (``waffle-repro bugs | head``).
+
+    The Python documentation's SIGPIPE recipe: the rest of the output
+    goes to devnull, so the interpreter's final flush cannot raise a
+    second time, and the exit status is 1.
+    """
+    try:
+        rc = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return rc
+
+
+def _run(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "campaign" and args.action == "run":
+        args = _campaign_run_args(parser, args)
     normalize_args(args)
     check_selection(args)
     if args.command in ("detect", "trace") and not args.bug and not (args.app and args.test):
         parser.error("%s requires --bug or both --app and --test" % args.command)
+    fleet_dir = getattr(args, "fleet_dir", None)
     store = None
     if args.resume and args.command != "campaign":
         try:
-            store = ArtifactStore(args.resume, fsync=False)
+            store = ArtifactStore(args.resume, fsync=fleet_dir is not None)
         except OSError as exc:
             _usage_error("--resume %s: %s" % (args.resume, exc.strerror or exc))
     if args.obs_dir:
@@ -1050,6 +1068,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # this process right away.
         os.environ[obs.OBS_DIR_ENV] = args.obs_dir
         obs.configure(args.obs_dir)
+    if fleet_dir is not None:
+        eventbus.configure(fleet_dir)
     if args.progress:
         from ..obs import campaign as campaign_mod
 
@@ -1076,8 +1096,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     # The supervisor activates when any resilience flag is given, or
     # when chaos injection is on (a chaos campaign without the fault
     # boundary would just crash, which is not what chaos is for).
-    # ... except under fleet commands: the fleet owns parallelism,
-    # retries and lease-level crash recovery itself.
     sup = None
     if args.command != "campaign" and (
         args.resume or args.retries or args.cell_timeout or faults.active()
@@ -1116,6 +1134,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             wall_s=round(time.time() - campaign_started, 3),
         )
     eventbus.flush()
+    if fleet_dir is not None:
+        cells, events = _merge_fleet_dir(fleet_dir, store)
+        print(
+            "fleet merge: %d cell(s) -> %s, %d event(s) -> %s"
+            % (cells, fleet_dir / MERGED_JOURNAL_NAME,
+               events, fleet_dir / MERGED_EVENTS_NAME)
+        )
+        eventbus.disable()
     if args.obs_dir:
         obs.flush()
         print("telemetry written to %s (inspect with: obs report %s)" % (args.obs_dir, args.obs_dir))

@@ -12,14 +12,13 @@ guard this property.
 Work-unit functions must be module-level and take only plain
 arguments: app/test/bug *names* rather than objects, the frozen
 :class:`~repro.core.config.WaffleConfig`, plain seeds, and an optional
-cache directory string. Cell keys (for resume records and the fleet's
-leases) hash them, and results travel back from forked workers pickled.
+cache directory string. Cell keys (for resume records) hash them, and
+results travel back from forked workers pickled.
 
 One process-global *executor slot* can take over every fan-out: while
 a :class:`~repro.harness.supervisor.Supervisor` (watchdogs, retries,
-``--resume``) or a :class:`~repro.harness.fleet.FleetWorker` (a fleet
-campaign's claim loop) is active, :func:`map_units` hands each call to
-its ``map(fn, arg_tuples, jobs)``. With the slot empty it runs the
+``--resume``, ``campaign run``) is active, :func:`map_units` hands each
+call to its ``map(fn, arg_tuples, jobs)``. With the slot empty it runs the
 supervisor's own serial loop and reused-worker pool with no fault
 boundary (:class:`~repro.harness.supervisor.Unsupervised`): the first
 failing cell's exception propagates to the caller, and there is no
@@ -40,7 +39,7 @@ from ..obs import eventbus
 #: Sentinel for "use one worker per unit, capped by the machine".
 AUTO_JOBS = 0
 
-#: The active executor (a Supervisor or a FleetWorker), or None.
+#: The active executor (a Supervisor), or None.
 _executor: Optional[Any] = None
 
 

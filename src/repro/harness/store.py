@@ -2,14 +2,13 @@
 
 Every cell is a deterministic function of its content-addressed key
 (see :func:`repro.harness.supervisor.cell_key`), so a stored result is
-bit-identical to re-execution. Three users keep records in this format:
+bit-identical to re-execution. Two users keep records in this format:
 
-* the fleet (:mod:`repro.harness.fleet`) publishes finalized cells to
-  ``<fleet-dir>/store/`` and every other worker (and the coordinator's
-  merge) reads them back instead of re-executing;
 * ``--resume DIR`` opens a store in DIR: the supervisor publishes every
   finalized cell there, and a resumed campaign takes ``ok`` records and
-  re-attempts the degraded ones;
+  re-attempts the degraded ones. ``campaign run --fleet-dir D`` is the
+  same path over a durable ``D/store``, and its merge reads the records
+  back into ``D/journal-merged.jsonl``;
 * the plan cache (:mod:`repro.harness.cache`) keeps its entries as
   records named ``<kind>-<digest>``.
 
@@ -31,11 +30,9 @@ record to ``*.corrupt`` and reports a miss, never an exception: the
 reader recomputes the cell, which is always sound.
 
 Publication is idempotent: when a record already exists it stands
-(another worker won the race; by determinism it is byte-identical),
-except that an ``ok`` result replaces a degraded (``quarantined`` /
-``failed``) tombstone -- the resumed re-attempt of a failed cell.
-Tombstones let workers waiting on a cell another worker gave up on see
-the verdict instead of spinning forever.
+(by determinism it is byte-identical), except that an ``ok`` result
+replaces a degraded (``quarantined`` / ``failed``) tombstone -- the
+resumed re-attempt of a failed cell.
 """
 
 from __future__ import annotations
@@ -157,7 +154,7 @@ class StoreStats:
 
 
 class ArtifactStore:
-    """File-backed result exchange over a (possibly shared) directory."""
+    """File-backed cell records in one directory (see the module doc)."""
 
     def __init__(self, directory: os.PathLike, fsync: bool = True):
         self.directory = Path(directory)
@@ -190,7 +187,7 @@ class ArtifactStore:
         """A published record, checksum-verified; None on a miss or a
         quarantined corrupt record. ``count_stats=False`` suppresses
         the hit/miss accounting for internal probes (publish-race
-        reads, waiters polling)."""
+        reads, the campaign merge)."""
         target = self.path(key)
         record = None
         if target.exists():

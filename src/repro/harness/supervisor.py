@@ -29,15 +29,11 @@ supervisor wraps every cell execution in a fault boundary:
   takes the ``ok`` records and re-attempts only the degraded ones.
   Because every cell is a deterministic function of its arguments, a
   resumed campaign is bit-identical to an uninterrupted one -- the
-  property the resume tests guard.
+  property the resume tests guard. ``campaign run --fleet-dir D`` is
+  this path over ``D/store``, a durable store whose records fsync.
 * **Crash dossiers** -- every fault is captured as a JSON dossier
   (fault taxonomy record plus a flight-recorder snapshot when one is
   installed) before the worker is torn down.
-
-The retry verdict (:meth:`RetryPolicy.verdict`) and the fault and
-cell accounting (:class:`FaultBoundary`) are shared with the fleet's
-executors (:class:`repro.harness.fleet.FleetWorker`), so the serial,
-worker-pool and fleet paths count and report faults identically.
 
 The supervisor is **opt-in**: it takes the executor slot of
 :mod:`repro.harness.parallel` while active. With the slot empty,
@@ -53,7 +49,6 @@ import hashlib
 import json
 import math
 import multiprocessing
-import os
 import pickle
 import signal
 import threading
@@ -138,8 +133,7 @@ class RetryPolicy:
     backoff_max_s: float = 2.0
     #: Cap on the *sum* of a cell's backoff delays, not just each delay.
     #: A generous --retries with an unlucky jitter draw must not turn
-    #: one flaky cell into minutes of accumulated sleeping (a draining
-    #: fleet worker would sit on its lease the whole time). None
+    #: one flaky cell into minutes of accumulated sleeping. None
     #: disables the cap.
     backoff_total_max_s: Optional[float] = 20.0
     jitter: float = 0.25
@@ -234,43 +228,156 @@ class CampaignStats:
 
 
 # ----------------------------------------------------------------------
-# The shared fault boundary
+# The supervisor
 # ----------------------------------------------------------------------
 
 
-class FaultBoundary:
-    """Fault accounting and cell finalization for every execution path.
+class _RemoteFault(faults.HarnessFault):
+    """A fault that occurred in a worker process and did not survive
+    pickling, rehydrated from its JSON description."""
 
-    Subclasses run attempts their own way -- in-process, on a forked
-    worker, or under a fleet lease -- and report here: :meth:`_fault`
-    accounts a failed attempt and returns the policy's verdict;
-    :meth:`_finalize` counts a cell's final status in :attr:`stats`,
-    publishes it to :attr:`store` (when there is one) and emits
-    ``cell_end``.
+    def __init__(self, record: Dict[str, Any]):
+        super().__init__("%s: %s" % (record.get("error", "?"), record.get("detail", "")))
+        self.kind = record.get("kind", faults.DETERMINISTIC)
+        self.retryable = bool(record.get("retryable", False))
+
+
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as the ``__cause__`` of
+    the fault it shipped (as ``concurrent.futures`` chains it), so the
+    caller's traceback shows where in the cell it failed."""
+
+
+def _portable(exc: BaseException) -> Any:
+    """What a worker ships for a failed cell: the exception itself when
+    it survives a pickle round trip, else its JSON-safe description."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return faults.describe(exc)
+    return exc
+
+
+def _worker(conn, inherited: List[Any], fn: Callable[..., Any], units: List[Tuple],
+            keys: List[str]) -> None:
+    """Body of one reused worker: run ``(index, attempt)`` requests until
+    EOF, replying ``("ok", result)`` or ``("err", (the exception or its
+    description, formatted traceback))``.
+
+    ``inherited`` holds the parent's pipe ends the fork copied; closing
+    them lets EOF reach this worker once the parent closes its end. The
+    chaos prelude's injected crash is a real ``os._exit`` with no reply,
+    exactly like an OOM-killed worker.
+    """
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            index, attempt = conn.recv()
+        except EOFError:
+            return
+        try:
+            faults.cell_prelude(keys[index], attempt, in_child=True)
+            reply = ("ok", parallel._call_unit(fn, units[index]))
+        except BaseException as exc:  # noqa: BLE001 - the boundary's job
+            reply = ("err", (_portable(exc), traceback.format_exc()))
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # the parent hung up
+        except Exception as exc:  # noqa: BLE001 - an unpicklable result
+            conn.send(("err", (faults.describe(exc), traceback.format_exc())))
+
+
+class Supervisor:
+    """Fault boundary around a campaign's cell executions.
+
+    Activate with :func:`repro.harness.parallel.activate` (or the
+    :func:`supervised` context manager); ``map_units`` routes through
+    :meth:`map` while it holds the executor slot. ``store`` is the
+    ``--resume`` directory's :class:`~repro.harness.store.ArtifactStore`.
+
+    Both cell loops report here: :meth:`_fault` accounts a failed
+    attempt and returns the policy's verdict; :meth:`_finalize` counts a
+    cell's final status in :attr:`stats`, publishes it to :attr:`store`
+    (when there is one) and emits ``cell_end``.
     """
 
-    #: The ``worker`` field of published store records.
-    worker_id = "local"
-    #: What :attr:`stats` is (a subclass may count more).
-    stats_class = CampaignStats
-
-    def __init__(self, policy: Optional[RetryPolicy], store: Optional[ArtifactStore],
-                 dossier_dir: Optional[os.PathLike] = None):
+    def __init__(
+        self,
+        policy: Optional[RetryPolicy] = None,
+        store: Optional[ArtifactStore] = None,
+        cell_timeout_s: Optional[float] = None,
+        sleep: Optional[Callable[[float], None]] = None,
+    ):
         self.policy = policy or RetryPolicy()
         self.store = store
-        self.stats = self.stats_class()
+        self.stats = CampaignStats()
         #: Set (from a signal handler or another thread) to drain at the
         #: next fault boundary instead of sleeping through a backoff.
         self.shutdown = threading.Event()
-        self._dossier_dir = Path(dossier_dir) if dossier_dir is not None else None
+        self.cell_timeout_s = cell_timeout_s
+        self.sleep = sleep if sleep is not None else self._interruptible_sleep
+        self._wall_times: List[float] = []
 
     def request_shutdown(self) -> None:
-        """Ask the executor to drain at the next fault boundary."""
+        """Ask the supervisor to drain at the next fault boundary."""
         self.shutdown.set()
 
+    def _interruptible_sleep(self, seconds: float) -> None:
+        """The default backoff sleep: wakes early on :attr:`shutdown`."""
+        if seconds > 0.0:
+            self.shutdown.wait(seconds)
+
+    # -- Watchdog ------------------------------------------------------
+
+    def watchdog_s(self) -> Optional[float]:
+        """Per-cell wall-clock deadline (None: no watchdog).
+
+        An explicit ``--cell-timeout`` wins; otherwise the deadline
+        adapts to the campaign: ``TIMEOUT_FACTOR`` x the median
+        completed-cell wall time (floored), the same convention
+        :func:`repro.harness.runner.test_time_limit` applies to
+        individual simulated tests. Until enough cells have completed
+        to estimate, a generous warm-up deadline applies.
+        """
+        if self.cell_timeout_s is not None:
+            return self.cell_timeout_s
+        if len(self._wall_times) < WATCHDOG_MIN_SAMPLES:
+            return WATCHDOG_WARMUP_S
+        ordered = sorted(self._wall_times)
+        median = ordered[len(ordered) // 2]
+        return max(WATCHDOG_FLOOR_S, TIMEOUT_FACTOR * median)
+
+    @contextmanager
+    def _serial_watchdog(self, deadline_s: Optional[float], key: str):
+        """SIGALRM-based deadline for the serial path (main thread only;
+        elsewhere, or with no deadline, the cell runs unguarded)."""
+        usable = (
+            deadline_s is not None
+            and hasattr(signal, "SIGALRM")
+            and threading.current_thread() is threading.main_thread()
+        )
+        if not usable:
+            yield
+            return
+
+        def _on_alarm(signum, frame):
+            raise faults.CellHangFault(
+                "cell %s exceeded its %.1fs watchdog" % (key[:12], deadline_s)
+            )
+
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, deadline_s)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+
+    # -- Fault accounting ----------------------------------------------
+
     def _dossier_target(self) -> Optional[Path]:
-        if self._dossier_dir is not None:
-            return self._dossier_dir
         if self.store is not None:
             return self.store.directory
         session = obs.session()
@@ -337,151 +444,11 @@ class FaultBoundary:
                 bus.flush()  # degraded cells are rare and worth immediate durability
         return result if status == "ok" else None
 
-    def _publish(self, key: str, status: str, result: Any, attempt: int) -> None:
-        if self.store is not None:
-            self.store.publish(key, status, result, attempts=attempt, worker=self.worker_id)
-
-
-# ----------------------------------------------------------------------
-# The supervisor
-# ----------------------------------------------------------------------
-
-
-class _RemoteFault(faults.HarnessFault):
-    """A fault that occurred in a worker process and did not survive
-    pickling, rehydrated from its JSON description."""
-
-    def __init__(self, record: Dict[str, Any]):
-        super().__init__("%s: %s" % (record.get("error", "?"), record.get("detail", "")))
-        self.kind = record.get("kind", faults.DETERMINISTIC)
-        self.retryable = bool(record.get("retryable", False))
-
-
-class _RemoteTraceback(Exception):
-    """A worker's formatted traceback, chained as the ``__cause__`` of
-    the fault it shipped (as ``concurrent.futures`` chains it), so the
-    caller's traceback shows where in the cell it failed."""
-
-
-def _portable(exc: BaseException) -> Any:
-    """What a worker ships for a failed cell: the exception itself when
-    it survives a pickle round trip, else its JSON-safe description."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return faults.describe(exc)
-    return exc
-
-
-def _worker(conn, inherited: List[Any], fn: Callable[..., Any], units: List[Tuple],
-            keys: List[str]) -> None:
-    """Body of one reused worker: run ``(index, attempt)`` requests until
-    EOF, replying ``("ok", result)`` or ``("err", (the exception or its
-    description, formatted traceback))``.
-
-    ``inherited`` holds the parent's pipe ends the fork copied; closing
-    them lets EOF reach this worker once the parent closes its end. The
-    chaos prelude's injected crash is a real ``os._exit`` with no reply,
-    exactly like an OOM-killed worker.
-    """
-    for end in inherited:
-        end.close()
-    while True:
-        try:
-            index, attempt = conn.recv()
-        except EOFError:
-            return
-        try:
-            faults.cell_prelude(keys[index], attempt, in_child=True)
-            reply = ("ok", parallel._call_unit(fn, units[index]))
-        except BaseException as exc:  # noqa: BLE001 - the boundary's job
-            reply = ("err", (_portable(exc), traceback.format_exc()))
-        try:
-            conn.send(reply)
-        except OSError:
-            return  # the parent hung up
-        except Exception as exc:  # noqa: BLE001 - an unpicklable result
-            conn.send(("err", (faults.describe(exc), traceback.format_exc())))
-
-
-class Supervisor(FaultBoundary):
-    """Fault boundary around a campaign's cell executions.
-
-    Activate with :func:`repro.harness.parallel.activate` (or the
-    :func:`supervised` context manager); ``map_units`` routes through
-    :meth:`map` while it holds the executor slot. ``store`` is the
-    ``--resume`` directory's :class:`~repro.harness.store.ArtifactStore`.
-    """
-
-    def __init__(
-        self,
-        policy: Optional[RetryPolicy] = None,
-        store: Optional[ArtifactStore] = None,
-        cell_timeout_s: Optional[float] = None,
-        dossier_dir: Optional[os.PathLike] = None,
-        sleep: Optional[Callable[[float], None]] = None,
-    ):
-        super().__init__(policy, store, dossier_dir)
-        self.cell_timeout_s = cell_timeout_s
-        self.sleep = sleep if sleep is not None else self._interruptible_sleep
-        self._wall_times: List[float] = []
-
-    def _interruptible_sleep(self, seconds: float) -> None:
-        """The default backoff sleep: wakes early on :attr:`shutdown`."""
-        if seconds > 0.0:
-            self.shutdown.wait(seconds)
-
-    # -- Watchdog ------------------------------------------------------
-
-    def watchdog_s(self) -> Optional[float]:
-        """Per-cell wall-clock deadline (None: no watchdog).
-
-        An explicit ``--cell-timeout`` wins; otherwise the deadline
-        adapts to the campaign: ``TIMEOUT_FACTOR`` x the median
-        completed-cell wall time (floored), the same convention
-        :func:`repro.harness.runner.test_time_limit` applies to
-        individual simulated tests. Until enough cells have completed
-        to estimate, a generous warm-up deadline applies.
-        """
-        if self.cell_timeout_s is not None:
-            return self.cell_timeout_s
-        if len(self._wall_times) < WATCHDOG_MIN_SAMPLES:
-            return WATCHDOG_WARMUP_S
-        ordered = sorted(self._wall_times)
-        median = ordered[len(ordered) // 2]
-        return max(WATCHDOG_FLOOR_S, TIMEOUT_FACTOR * median)
-
-    @contextmanager
-    def _serial_watchdog(self, deadline_s: Optional[float], key: str):
-        """SIGALRM-based deadline for the serial path (main thread only;
-        elsewhere, or with no deadline, the cell runs unguarded)."""
-        usable = (
-            deadline_s is not None
-            and hasattr(signal, "SIGALRM")
-            and threading.current_thread() is threading.main_thread()
-        )
-        if not usable:
-            yield
-            return
-
-        def _on_alarm(signum, frame):
-            raise faults.CellHangFault(
-                "cell %s exceeded its %.1fs watchdog" % (key[:12], deadline_s)
-            )
-
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, deadline_s)
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-
     # -- Store ---------------------------------------------------------
 
     def _publish(self, key: str, status: str, result: Any, attempt: int) -> None:
         if self.store is not None:
-            super()._publish(key, status, result, attempt)
+            self.store.publish(key, status, result, attempts=attempt, worker="local")
             eventbus.emit("checkpoint", cell=key[:16], status=status, attempts=attempt)
 
     def _try_resume(self, key: str) -> Tuple[bool, Any]:

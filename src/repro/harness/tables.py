@@ -32,19 +32,24 @@ def _grid(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join([line(header), sep] + [line(r) for r in rows])
 
 
+#: Table 1: the qualitative design-decision matrix (static).
+TABLE1_HEADER = ["Design decision", "RaceFuzzer", "CTrigger", "RaceMob", "DataCollider", "Tsvd",
+                 "Waffle"]
+TABLE1_ROWS = [
+    ["Synchronization analysis?", "yes", "yes", "yes", "no", "no", "partial"],
+    ["Synchronization inference?", "no", "no", "no", "no", "yes", "yes"],
+    ["Identify during injection runs?", "no", "no", "no", "no", "yes", "no"],
+    ["Fixed-length delay?", "yes", "yes", "no", "yes", "yes", "no"],
+    ["Avoid delay interference?", "n/a", "n/a", "n/a", "n/a", "no", "yes"],
+    ["Inject at sampled locations?", "yes", "yes", "yes", "yes", "no", "no"],
+    ["Probabilistic injection?", "no", "no", "yes", "yes", "yes", "yes"],
+]
+
+
 def design_matrix() -> str:
-    """Table 1: the qualitative design-decision matrix (static)."""
-    header = ["Design decision", "RaceFuzzer", "CTrigger", "RaceMob", "DataCollider", "Tsvd", "Waffle"]
-    rows = [
-        ["Synchronization analysis?", "yes", "yes", "yes", "no", "no", "partial"],
-        ["Synchronization inference?", "no", "no", "no", "no", "yes", "yes"],
-        ["Identify during injection runs?", "no", "no", "no", "no", "yes", "no"],
-        ["Fixed-length delay?", "yes", "yes", "no", "yes", "yes", "no"],
-        ["Avoid delay interference?", "n/a", "n/a", "n/a", "n/a", "no", "yes"],
-        ["Inject at sampled locations?", "yes", "yes", "yes", "yes", "no", "no"],
-        ["Probabilistic injection?", "no", "no", "yes", "yes", "yes", "yes"],
-    ]
-    return "Table 1: design decisions of active delay-injection tools\n" + _grid(header, rows)
+    """Table 1, rendered."""
+    return ("Table 1: design decisions of active delay-injection tools\n"
+            + _grid(TABLE1_HEADER, TABLE1_ROWS))
 
 
 def render_table2(rows: List[Table2Row]) -> str:

@@ -79,19 +79,6 @@ class CampaignView:
     detect_runs: Dict[Tuple, dict] = field(default_factory=dict)
     detections: Dict[Tuple, dict] = field(default_factory=dict)
     fuzz: Dict[Tuple, dict] = field(default_factory=dict)
-    #: Fleet plane (schema v2): executor lifecycle, the lease ledger
-    #: and shared-store traffic. Deliberately absent from analytics --
-    #: how work was divided is nondeterministic; what was computed is
-    #: not.
-    workers: Dict[str, dict] = field(default_factory=dict)
-    heartbeats: int = 0
-    lease_acquired: int = 0
-    lease_released: int = 0
-    lease_expired: int = 0
-    lease_stolen: int = 0
-    store_published: int = 0
-    store_hits: int = 0
-    store_corrupt: int = 0
     first_t: float = 0.0
     last_t: float = 0.0
     warnings: List[str] = field(default_factory=list)
@@ -262,35 +249,6 @@ def apply_event(view: CampaignView, event: dict) -> None:
         view.detections[detection_key(event)] = event
     elif etype == "fuzz_workload":
         view.fuzz[_identity(event)] = event
-    elif etype == "worker_begin":
-        worker = str(event.get("worker", "?"))
-        view.workers[worker] = {"role": event.get("role", "?"), "state": "running"}
-    elif etype == "worker_end":
-        worker = str(event.get("worker", "?"))
-        state = view.workers.setdefault(worker, {"role": event.get("role", "?")})
-        state["state"] = "done"
-        state["executed"] = int(event.get("executed", 0))
-        state["fetched"] = int(event.get("fetched", 0))
-        state["stolen"] = int(event.get("stolen", 0))
-        state["wall_s"] = float(event.get("wall_s", 0.0))
-    elif etype == "heartbeat":
-        view.heartbeats += 1
-    elif etype == "lease_acquire":
-        view.lease_acquired += 1
-    elif etype == "lease_release":
-        view.lease_released += 1
-    elif etype == "lease_expire":
-        view.lease_expired += 1
-    elif etype == "lease_steal":
-        view.lease_stolen += 1
-    elif etype == "store":
-        action = event.get("action")
-        if action == "publish":
-            view.store_published += 1
-        elif action == "hit":
-            view.store_hits += 1
-        elif action == "corrupt":
-            view.store_corrupt += 1
     elif etype not in eventbus.EVENT_TYPES:
         view.warnings.append("unknown event type %r" % etype)
 
@@ -406,34 +364,6 @@ def render_status(view: CampaignView, source: str = "", max_cells: int = 8) -> s
             "  faults: %s"
             % ", ".join("%s %d" % (k, n) for k, n in sorted(view.faults.items()))
         )
-    if view.workers or view.lease_acquired:
-        lines.append("")
-        lines.append("fleet")
-        running = sum(1 for w in view.workers.values() if w.get("state") == "running")
-        lines.append(
-            "  workers: %d joined (%d still running)   heartbeats %d"
-            % (len(view.workers), running, view.heartbeats)
-        )
-        lines.append(
-            "  leases: %d acquired + %d stolen / %d released + %d expired"
-            % (view.lease_acquired, view.lease_stolen,
-               view.lease_released, view.lease_expired)
-        )
-        lines.append(
-            "  store: %d published   %d fetched   %d corrupt quarantined"
-            % (view.store_published, view.store_hits, view.store_corrupt)
-        )
-        for name in sorted(view.workers):
-            worker = view.workers[name]
-            if worker.get("state") != "done":
-                lines.append("    %-24s %-12s running" % (name[:24], worker.get("role", "?")))
-            else:
-                lines.append(
-                    "    %-24s %-12s %d executed, %d fetched, %d stolen (%.1fs)"
-                    % (name[:24], worker.get("role", "?"), worker.get("executed", 0),
-                       worker.get("fetched", 0), worker.get("stolen", 0),
-                       worker.get("wall_s", 0.0))
-                )
     lines.append("")
     lines.append("detection funnel")
     lines.append(
@@ -500,8 +430,7 @@ class ProgressRenderer:
     #: Event types worth a line; high-frequency types (cache, prep,
     #: detect_run) only update counters silently.
     RENDERED = ("fanout", "cell_end", "cell_retry", "cell_resumed",
-                "watchdog", "chaos", "detection", "campaign_end",
-                "worker_begin", "worker_end", "lease_steal")
+                "watchdog", "chaos", "detection", "campaign_end")
 
     def __init__(self, stream: TextIO):
         self.stream = stream
@@ -545,17 +474,6 @@ class ProgressRenderer:
         elif etype == "campaign_end":
             line = "%s  campaign finished in %.1fs (%d detection(s))" % (
                 prefix, float(event.get("wall_s", 0.0)), len(view.detected))
-        elif etype == "worker_begin":
-            line = "%s  worker %s joined (%s)" % (
-                prefix, str(event.get("worker", "?"))[:24], event.get("role", "?"))
-        elif etype == "worker_end":
-            line = "%s  worker %s left: %s executed, %s fetched, %s stolen" % (
-                prefix, str(event.get("worker", "?"))[:24], event.get("executed", "?"),
-                event.get("fetched", "?"), event.get("stolen", "?"))
-        elif etype == "lease_steal":
-            line = "%s  lease %s stolen from %s (attempt %s)" % (
-                prefix, str(event.get("cell", "?"))[:12],
-                str(event.get("victim", "?"))[:24], event.get("attempt", "?"))
         else:
             return
         try:

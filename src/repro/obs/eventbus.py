@@ -33,8 +33,8 @@ The bus is **off by default**: :func:`bus` returns None and every
 guarded emission site pays one ``is None`` check
 (``benchmarks/bench_obs.py`` keeps that budget honest). It activates
 with telemetry (``--obs-dir`` / ``WAFFLE_OBS_DIR``, in the same
-directory), on a fleet directory, or in-memory only (no directory) for
-``--progress`` rendering without an artifact.
+directory), on ``campaign run``'s fleet directory, or in-memory only
+(no directory) for ``--progress`` rendering without an artifact.
 
 Events are strictly observational: nothing reads them back into the
 simulation, so campaigns stay bit-identical with the bus on or off.
@@ -53,9 +53,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 #: Bump when an event's field semantics change; readers warn on
 #: mismatch instead of misinterpreting old streams. Version 2 added
-#: the fleet vocabulary (worker lifecycle, lease protocol, artifact
-#: store); every v1 event kept its exact shape, so v1 streams stay
-#: readable (see :data:`SUPPORTED_EVENT_VERSIONS`).
+#: ``store`` and the lease-based fleet's vocabulary, since retired
+#: (:data:`RETIRED_EVENT_TYPES`); every v1 event kept its exact shape,
+#: so v1 streams stay readable (see :data:`SUPPORTED_EVENT_VERSIONS`).
 EVENT_SCHEMA_VERSION = 2
 
 #: Schema versions readers accept without warning. v1 is a strict
@@ -87,15 +87,17 @@ EVENT_TYPES = (
     "detect_run",        # one detection run finished (test, injected, crashed)
     "detection",         # one detection attempt concluded (bug, tool, matched, runs)
     "fuzz_workload",     # one generated workload oracle-verified (seed, topology, ok)
-    # -- v2: fleet vocabulary (lease-based work stealing, shared store) --
-    "worker_begin",      # a fleet executor joined the campaign (worker, role, pid)
-    "worker_end",        # ... and left (executed, fetched, stolen, wall_s)
-    "heartbeat",         # a lease owner refreshed its deadline (cell, worker, beat)
-    "lease_acquire",     # a worker claimed a cell exclusively (cell, worker, attempt)
-    "lease_release",     # ... and released it after finalizing (cell, worker)
-    "lease_expire",      # a lease outlived its heartbeat deadline (cell, worker)
-    "lease_steal",       # an expired lease was reclaimed by another worker
-    "store",             # shared artifact store traffic (action publish|hit|corrupt)
+    # -- v2 --
+    "store",             # artifact store traffic (action publish|hit|corrupt)
+)
+
+#: The v2 worker and lease vocabulary of the retired lease-based fleet.
+#: :func:`read_stream` drops these from streams written before it was
+#: retired (counting them in :attr:`EventStream.retired`), so such a
+#: directory reads as if they had never been written.
+RETIRED_EVENT_TYPES = (
+    "worker_begin", "worker_end", "heartbeat",
+    "lease_acquire", "lease_release", "lease_expire", "lease_steal",
 )
 
 
@@ -118,6 +120,8 @@ class EventStream:
     events: List[dict] = field(default_factory=list)
     #: Torn tail lines recovered (skipped); the reconciliation tolerance.
     recovered: int = 0
+    #: Dropped events of :data:`RETIRED_EVENT_TYPES`, by type.
+    retired: Dict[str, int] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
     parse_errors: List[str] = field(default_factory=list)
 
@@ -151,10 +155,9 @@ class Stream:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             self.path = self.directory / ("%s-%s.jsonl" % (prefix, self.writer))
-        # Fleet heartbeat threads emit concurrently with the worker's
-        # main thread; a lock keeps seq assignment and the buffer-swap
-        # in flush() coherent. Uncontended acquisition is ~100ns --
-        # noise against the per-record JSON encode.
+        # Any thread may emit; a lock keeps seq assignment and the
+        # buffer-swap in flush() coherent. Uncontended acquisition is
+        # ~100ns -- noise against the per-record JSON encode.
         self._lock = threading.Lock()
         self.pending: List[dict] = []
         self._meta: Optional[dict] = {
@@ -357,6 +360,9 @@ def read_stream(path: os.PathLike) -> EventStream:
                     "fields may be misread"
                     % (target.name, record.get("v"), list(SUPPORTED_EVENT_VERSIONS))
                 )
+            continue
+        if record.get("type") in RETIRED_EVENT_TYPES:
+            stream.retired[record["type"]] = stream.retired.get(record["type"], 0) + 1
             continue
         stream.events.append(record)
     if stream.meta.version is None and stream.events:

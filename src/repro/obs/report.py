@@ -243,10 +243,8 @@ def check(data: ObsData, events_only: bool = False) -> List[str]:
     dossier schema; coverage records reconcile with their own engine
     counters; committed lines parse; each run's decision events
     reconcile with its run summary. The event laws (all that
-    ``events_only`` runs, for a fleet directory): known event types at
-    a supported schema version and a balanced lease ledger. Events lost
-    to recovered torn tail lines are the only tolerated deficit; a
-    surplus never is.
+    ``events_only`` runs, for a fleet directory): committed lines parse,
+    and carry known event types at a supported schema version.
     """
     problems: List[str] = []
     if not events_only:
@@ -369,11 +367,8 @@ def _reconcile_runs(records: List[dict], recovered_lines: int) -> List[str]:
 
 
 def _event_laws(data: ObsData) -> List[str]:
-    """Event streams: schema and the lease ledger."""
-    if not data.event_streams:
-        return []
+    """Event streams: committed lines parse, known types and versions."""
     problems: List[str] = []
-    recovered = sum(s.recovered for s in data.event_streams)
     for stream in data.event_streams:
         name = Path(stream.path).name
         problems.extend(stream.parse_errors)
@@ -390,19 +385,6 @@ def _event_laws(data: ObsData) -> List[str]:
             for event in stream.events
             if event.get("type") not in eventbus.EVENT_TYPES
         ]
-    view = data.view
-    # Lease events are hard-flushed at emission, so creations (acquire,
-    # steal) and terminations (release, expire) balance exactly, modulo
-    # torn lines in either direction.
-    creations = view.lease_acquired + view.lease_stolen
-    terminations = view.lease_released + view.lease_expired
-    if abs(creations - terminations) > recovered:
-        problems.append(
-            "events: lease ledger unbalanced: %d acquire + %d steal != "
-            "%d release + %d expire (|diff| %d > %d recovered torn line(s))"
-            % (view.lease_acquired, view.lease_stolen, view.lease_released,
-               view.lease_expired, abs(creations - terminations), recovered)
-        )
     return problems
 
 

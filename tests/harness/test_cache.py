@@ -65,8 +65,7 @@ def record_file(cache, kind, key):
 
 
 class TestDurability:
-    def test_fsyncs_only_while_a_fleet_executor_is_active(self, tmp_path, monkeypatch):
-        from repro.harness.fleet import FleetWorker
+    def test_fsyncs_only_while_a_durable_store_is_active(self, tmp_path, monkeypatch):
         from repro.harness.supervisor import Supervisor
 
         synced = []
@@ -83,13 +82,13 @@ class TestDurability:
             cache.put("prep", {"k": 2}, payload)
         finally:
             parallel.deactivate()
-        assert synced == []  # a supervised campaign: still local
-        parallel.activate(FleetWorker(tmp_path / "fleet", worker_id="w"))
+        assert synced == []  # a --resume campaign: still local
+        parallel.activate(Supervisor(store=store.ArtifactStore(tmp_path / "fleet" / "store")))
         try:
             cache.put("prep", {"k": 3}, payload)
         finally:
             parallel.deactivate()
-        assert synced  # a fleet's workers may share the cache across hosts
+        assert synced  # campaign run's durable store
         synced.clear()
         cache.put("prep", {"k": 4}, payload)
         assert synced == []

@@ -138,6 +138,50 @@ class TestListingAndJson:
         assert row["app"] == "NSubstitute"
         assert row["mo_instr_sites"] > row["tsv_instr_sites"]
 
+    def test_json_dynamic_and_table1_are_data(self, capsys):
+        import json
+
+        from repro.harness import tables
+
+        assert main(["dynamic", "--apps", "nsubstitute", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["dynamic"]
+        (row,) = payload["rows"]
+        assert row["app"] == "NSubstitute"
+        assert row["init_sites"] > 0
+        assert payload["overall"] == row["median_init_instances"]
+        assert main(["table1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["table1"]
+        assert payload["header"] == tables.TABLE1_HEADER
+        assert payload["rows"] == tables.TABLE1_ROWS
+        assert payload["header"][-1] == "Waffle"
+
+    def test_a_closed_stdout_pipe_exits_quietly(self):
+        """``waffle-repro apps -v | head -1``: no BrokenPipeError traceback.
+        The pipe holds one page, less than the listing, so the CLI is
+        still writing when its reader goes away."""
+        import fcntl
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("needs a resizable pipe (Linux)")
+        read_fd, write_fd = os.pipe()
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.Popen([sys.executable, "-m", "repro", "apps", "-v"], stdout=write_fd,
+                                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        os.close(write_fd)
+        line = b""
+        while not line.endswith(b"\n"):
+            line += os.read(read_fd, 1)
+        os.close(read_fd)
+        _, err = proc.communicate(timeout=60)
+        assert line.startswith(b"appinsights")
+        assert err == b""
+        assert proc.returncode == 1
+
     def test_json_table4_serializes_bug_metadata(self, capsys):
         import json
 
@@ -360,25 +404,28 @@ class TestUsageErrors:
             ("corrupt-manifest", "is not valid JSON"),
             ("manifest-without-argv", "carries no inner command"),
             ("second-command", "refusing to mix campaigns"),
+            ("nested-command", "fleet campaigns cannot nest"),
             ("run-without-inner", "requires an inner command"),
             ("merge-without-out", "requires --merged-out"),
         ],
     )
     def test_fleet_and_campaign_input_errors(self, tmp_path, capsys, case, reason):
-        from repro.harness import fleet
+        from repro.harness.cli import MANIFEST_NAME
 
         fleet_dir = tmp_path / "fleet"
         fleet_dir.mkdir()
-        manifest = fleet_dir / fleet.MANIFEST_NAME
+        manifest = fleet_dir / MANIFEST_NAME
         inner = ["--", "fuzz", "--seed-range", "0:2", "--no-replay"]
         argv = ["campaign", "run", "--fleet-dir", str(fleet_dir)] + inner
         if case == "corrupt-manifest":
             manifest.write_text('{"argv": ["fuzz", ')
         elif case == "manifest-without-argv":
             manifest.write_text('{"lease_ttl_s": 1.0}')
-            argv = ["campaign", "worker", "--fleet-dir", str(fleet_dir), "--wait", "1"]
         elif case == "second-command":
-            fleet._write_manifest(manifest, ["fuzz", "--seed-range", "0:4"], 1.0, 0.1, 3, 60.0)
+            manifest.write_text('{"argv": ["fuzz", "--seed-range", "0:4"]}')
+        elif case == "nested-command":
+            argv = ["campaign", "run", "--fleet-dir", str(fleet_dir), "--",
+                    "campaign", "status", str(fleet_dir)]
         elif case == "run-without-inner":
             argv = ["campaign", "run", "--fleet-dir", str(fleet_dir)]
         else:
@@ -387,6 +434,19 @@ class TestUsageErrors:
         assert reason in err
         assert "Traceback" not in err
         assert not list(fleet_dir.glob("events-*.jsonl"))
+
+    def test_campaign_worker_is_gone(self, tmp_path, capsys):
+        err = self.fails_with(["campaign", "worker", "--fleet-dir", str(tmp_path)], capsys)
+        assert "invalid choice: 'worker'" in err
+
+    @pytest.mark.parametrize("flag", ["--lease-ttl", "--poll", "--min-workers",
+                                      "--drain-timeout"])
+    def test_retired_lease_flags_are_refused(self, tmp_path, capsys, flag):
+        fleet_dir = tmp_path / "fleet"
+        err = self.fails_with(["campaign", "run", "--fleet-dir", str(fleet_dir), flag, "1",
+                               "--", "fuzz", "--seed-range", "0:2", "--no-replay"], capsys)
+        assert "unrecognized arguments: %s" % flag in err
+        assert not fleet_dir.exists()
 
     def test_resume_onto_an_existing_file(self, tmp_path, capsys):
         path = tmp_path / "not-a-directory"

@@ -250,14 +250,11 @@ class TestV1Compatibility:
         assert view.retries == 1
         assert view.faults == {"transient_io": 1}
         assert view.finished and view.finished[0]["ok"] is True
-        # No fleet traffic in a v1 stream, by definition.
-        assert view.workers == {}
-        assert view.lease_acquired == view.lease_stolen == 0
 
     def test_fixture_merges_with_a_v2_stream(self, tmp_path):
         bus = eventbus.configure(tmp_path)
-        bus.emit("lease_acquire", cell="0a1b2c3d4e5f6071", worker="w1", attempt=1)
-        bus.emit("lease_release", cell="0a1b2c3d4e5f6071", worker="w1")
+        bus.emit("store", action="publish", cell="0a1b2c3d4e5f6071", status="ok")
+        bus.emit("store", action="hit", cell="0a1b2c3d4e5f6071", status="ok")
         bus.flush()
         eventbus.disable()
         old = eventbus.read_stream(self.FIXTURE)
@@ -268,7 +265,7 @@ class TestV1Compatibility:
         merged = eventbus.read_stream(out)
         assert merged.warnings == []
         types = [e["type"] for e in merged.events]
-        assert "campaign_begin" in types and "lease_acquire" in types
+        assert "campaign_begin" in types and "store" in types
 
 
 class TestThreadSafety:
@@ -280,7 +277,7 @@ class TestThreadSafety:
 
         def hammer(worker):
             for beat in range(per_thread):
-                bus.emit("heartbeat", cell="c", worker="w%d" % worker, beat=beat)
+                bus.emit("chaos", site="w%d" % worker, key="c", attempt=beat)
                 if beat % 50 == 0:
                     bus.flush()
 
@@ -291,7 +288,7 @@ class TestThreadSafety:
             thread.join()
         bus.flush()
         stream = eventbus.read_stream(bus.path)
-        beats = [e for e in stream.events if e["type"] == "heartbeat"]
+        beats = [e for e in stream.events if e["type"] == "chaos"]
         assert len(beats) == per_thread * threads
         seqs = [e["seq"] for e in beats]
         assert len(set(seqs)) == len(seqs)  # no duplicated sequence numbers
