@@ -20,7 +20,14 @@ class StressRunner(ToolDriver):
 
     name = "stress"
 
-    def detect(self, workload: Any, max_detection_runs: Optional[int] = None) -> DetectionOutcome:
+    def detect(
+        self,
+        workload: Any,
+        max_detection_runs: Optional[int] = None,
+        dossiers: bool = False,
+    ) -> DetectionOutcome:
+        """``dossiers`` is accepted for the driver interface only: runs
+        inject no delay, so no crash is claimed and no dossier built."""
         workload = as_workload(workload)
         budget = (
             max_detection_runs

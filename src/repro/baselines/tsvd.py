@@ -42,7 +42,15 @@ class Tsvd(ToolDriver):
 
     name = "tsvd"
 
-    def detect(self, workload: Any, max_detection_runs: Optional[int] = None) -> TsvdOutcome:
+    def detect(
+        self,
+        workload: Any,
+        max_detection_runs: Optional[int] = None,
+        dossiers: bool = False,
+    ) -> TsvdOutcome:
+        """``dossiers`` is accepted for the driver interface only: a
+        thread-safety violation yields no ``BugReport``, so Tsvd
+        assembles no dossier and its hooks capture no schedule."""
         workload = as_workload(workload)
         config = self.config
         budget = max_detection_runs if max_detection_runs is not None else config.max_detection_runs

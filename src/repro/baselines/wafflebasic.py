@@ -31,7 +31,12 @@ class WaffleBasic(ToolDriver):
 
     name = "wafflebasic"
 
-    def detect(self, workload: Any, max_detection_runs: Optional[int] = None) -> DetectionOutcome:
+    def detect(
+        self,
+        workload: Any,
+        max_detection_runs: Optional[int] = None,
+        dossiers: bool = False,
+    ) -> DetectionOutcome:
         workload = as_workload(workload)
         config = self.config
         budget = max_detection_runs if max_detection_runs is not None else config.max_detection_runs
@@ -41,6 +46,7 @@ class WaffleBasic(ToolDriver):
         candidates = CandidateSet()
         decay = DecayState(config.decay_lambda)
         flight = obs.flightrec.recorder()
+        dossiers = dossiers or flight is not None
         session_start_seq = flight.recorded if flight is not None else 0
         site_injections: Dict[str, int] = {}
 
@@ -58,6 +64,7 @@ class WaffleBasic(ToolDriver):
                 hb_inference=True,
                 parent_child=False,
                 online_interference=False,
+                capture_schedule=dossiers,
             )
             result = self._simulate(workload, hook, seed=sim_seed)
             report = self._harvest(workload, hook, result, attempt)
@@ -67,7 +74,7 @@ class WaffleBasic(ToolDriver):
             )
             if report is not None:
                 outcome.reports.append(report)
-                if flight is not None:
+                if dossiers:
                     outcome.dossiers.append(
                         self._assemble_dossier(
                             workload, report, hook, sim_seed, flight, session_start_seq

@@ -88,7 +88,9 @@ class DetectionOutcome:
     plan: Optional[InjectionPlan] = None
     trace: Optional[Trace] = None
     #: One :class:`repro.obs.dossier.BugDossier` per report, assembled
-    #: only while a flight recorder is installed (``obs.flightrec``).
+    #: when ``detect`` was asked for dossiers or a flight recorder is
+    #: installed (``obs.flightrec``); the recorder adds only provenance
+    #: (prunes, decisions, flight events), never the schedule.
     dossiers: List[Any] = field(default_factory=list)
     #: The session's coverage record (``repro.obs.coverage``): which
     #: candidate pairs were delayed vs. planned vs. pruned.
@@ -250,11 +252,13 @@ class ToolDriver:
         recorder,
         session_start_seq: int,
     ):
-        """Build a replay-verified bug dossier (flight recorder on).
+        """Build a replay-verified bug dossier; an obs session keeps it.
 
-        ``session_start_seq`` is ``recorder.recorded`` when ``detect``
-        began, so the dossier's pruning verdicts are this session's
-        alone, not those of earlier sessions in the same process."""
+        ``recorder`` is the installed flight recorder or None; it feeds
+        only the dossier's provenance fields. ``session_start_seq`` is
+        ``recorder.recorded`` when ``detect`` began, so the dossier's
+        pruning verdicts are this session's alone, not those of earlier
+        sessions in the same process."""
         from ..obs import dossier as dossier_mod
 
         built = dossier_mod.assemble_dossier(
@@ -308,7 +312,15 @@ class ToolDriver:
         for interval in hook.engine.ledger.history:
             site_injections[interval.site] = site_injections.get(interval.site, 0) + 1
 
-    def detect(self, workload: Any, max_detection_runs: Optional[int] = None) -> DetectionOutcome:
+    def detect(
+        self,
+        workload: Any,
+        max_detection_runs: Optional[int] = None,
+        dossiers: bool = False,
+    ) -> DetectionOutcome:
+        """Run one detection session. ``dossiers`` asks for one
+        replay-verified dossier per bug report; an installed flight
+        recorder asks for them too, and adds its provenance."""
         raise NotImplementedError
 
 
@@ -324,7 +336,12 @@ class Waffle(ToolDriver):
 
     name = "waffle"
 
-    def detect(self, workload: Any, max_detection_runs: Optional[int] = None) -> DetectionOutcome:
+    def detect(
+        self,
+        workload: Any,
+        max_detection_runs: Optional[int] = None,
+        dossiers: bool = False,
+    ) -> DetectionOutcome:
         workload = as_workload(workload)
         config = self.config
         budget = max_detection_runs if max_detection_runs is not None else config.max_detection_runs
@@ -332,6 +349,7 @@ class Waffle(ToolDriver):
         decay = DecayState(config.decay_lambda)
         run_index = 0
         flight = obs.flightrec.recorder()
+        dossiers = dossiers or flight is not None
         session_start_seq = flight.recorded if flight is not None else 0
         site_injections: Dict[str, int] = {}
 
@@ -374,7 +392,11 @@ class Waffle(ToolDriver):
                 flight.begin_run(kind="detect", test=workload.name, seed=sim_seed)
             if plan is not None:
                 hook: _BaseInjectionHook = PlannedInjectionHook(
-                    plan, config, decay, seed=config.seed * 7919 + attempt
+                    plan,
+                    config,
+                    decay,
+                    seed=config.seed * 7919 + attempt,
+                    capture_schedule=dossiers,
                 )
             else:
                 hook = OnlineInjectionHook(
@@ -387,6 +409,7 @@ class Waffle(ToolDriver):
                     parent_child=config.parent_child_analysis,
                     online_interference=config.interference_control,
                     shared_policy=online_policy,
+                    capture_schedule=dossiers,
                 )
             result = self._simulate(workload, hook, seed=sim_seed)
             report = self._harvest(workload, hook, result, run_index)
@@ -396,7 +419,7 @@ class Waffle(ToolDriver):
             )
             if report is not None:
                 outcome.reports.append(report)
-                if flight is not None:
+                if dossiers:
                     outcome.dossiers.append(
                         self._assemble_dossier(
                             workload, report, hook, sim_seed, flight, session_start_seq

@@ -257,18 +257,18 @@ class _PairSink:
 class _BaseInjectionHook(InstrumentationHook):
     """Shared scaffolding: engine wiring, stats, failure capture."""
 
-    def __init__(self, config: WaffleConfig):
+    def __init__(self, config: WaffleConfig, capture_schedule: bool = False):
         self.config = config
         self.per_op_overhead_ms = config.inject_overhead_ms
         self.failure: Optional[FailureContext] = None
         self._threads: Dict[int, object] = {}
         self.engine: Optional[InjectionEngine] = None
         #: Injection schedule keyed by per-site dynamic occurrence, only
-        #: maintained while a flight recorder is installed at
-        #: construction (the dossier builder replays it
-        #: deterministically).
+        #: maintained under ``capture_schedule``: the tool driver asks
+        #: for it when it will assemble a dossier, whose builder replays
+        #: it deterministically.
         self.injection_schedule: List[Dict[str, object]] = []
-        self._capture_schedule = obs.flightrec.recorder() is not None
+        self._capture_schedule = capture_schedule
         #: Site gate ahead of the engine: the candidate set's live
         #: delay-site index, or None while a schedule capture must see
         #: every MemOrder access (it counts each site's occurrences).
@@ -365,8 +365,9 @@ class PlannedInjectionHook(_BaseInjectionHook):
         config: WaffleConfig,
         decay: DecayState,
         seed: int = 0,
+        capture_schedule: bool = False,
     ):
-        super().__init__(config)
+        super().__init__(config, capture_schedule)
         self.plan = plan
         if config.custom_delay_length:
             policy: DelayLengthPolicy = ProportionalDelayPolicy(
@@ -431,8 +432,9 @@ class OnlineInjectionHook(_BaseInjectionHook):
         parent_child: bool = False,
         online_interference: bool = False,
         shared_policy: Optional[ProportionalDelayPolicy] = None,
+        capture_schedule: bool = False,
     ):
-        super().__init__(config)
+        super().__init__(config, capture_schedule)
         self.tsv_mode = tsv_mode
         self.hb_inference = hb_inference
         self.parent_child = parent_child

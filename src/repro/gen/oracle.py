@@ -16,7 +16,10 @@ spec's planted-bug oracle:
   the near-miss window) must never be found;
 * **replay** (optional) -- every detection's dossier, replayed through
   :func:`repro.obs.dossier.replay_dossier`, reproduces the same error
-  at the same site.
+  at the same site. The detector is asked for dossiers directly: their
+  schedule comes from the injection hook, so no flight recorder is
+  needed. One installed by the caller (the fuzz driver does so when an
+  obs session will keep the dossiers) only adds their provenance.
 
 The result carries only deterministic fields (virtual times, run
 counts, sites), so a fuzz row is a pure function of
@@ -26,7 +29,7 @@ counts, sites), so a fuzz row is a pure function of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..core.config import WaffleConfig
 from ..core.detector import Waffle
@@ -102,70 +105,59 @@ def evaluate_spec(
     by_fault_site = {entry["fault_site"]: entry for entry in oracle}
     detectable_ids = {entry["bug_id"] for entry in oracle if entry["detectable"]}
 
-    recorder = None
-    if check_replay:
-        from ..obs import flightrec
-
-        # Dossiers need the flight recorder's provenance; install it
-        # only for the evaluation (and only if nobody else owns it).
-        if not flightrec.active():
-            recorder = flightrec.install()
-    try:
-        defused: Set[str] = set()
-        max_sessions = len(detectable_ids) + _EXTRA_SESSIONS
-        for session_index in range(1, max_sessions + 1):
-            test = build_workload(spec, frozenset(defused))
-            outcome = Waffle(config).detect(test, max_detection_runs=budget)
-            result.sessions = session_index
-            result.total_runs += len(outcome.runs)
-            result.virtual_ms += outcome.total_time_ms
-            if not outcome.bug_found:
-                break
-            report = outcome.reports[0]
-            entry = by_fault_site.get(report.fault_site)
-            if entry is None:
-                result.violations.append(
-                    "soundness: fault at unplanted site %s (session %d)"
-                    % (report.fault_site, session_index)
-                )
-                break
-            bug_id = entry["bug_id"]
-            if bug_id in defused:
-                result.violations.append(
-                    "soundness: defused bug %s manifested again at %s (session %d)"
-                    % (bug_id, report.fault_site, session_index)
-                )
-                break
-            if not entry["detectable"]:
-                result.violations.append(
-                    "detectability: undetectable bug %s (gap %.1f ms) was found (session %d)"
-                    % (bug_id, entry["gap_ms"], session_index)
-                )
-            result.found[bug_id] = {
-                "session": session_index,
-                "runs_to_expose": outcome.runs_to_expose,
-                "fault_site": report.fault_site,
-            }
-            if check_replay:
-                _check_replay(result, test, outcome, bug_id)
-            defused.add(bug_id)
-        missed = sorted(detectable_ids - set(result.found))
-        for bug_id in missed:
-            entry = next(e for e in oracle if e["bug_id"] == bug_id)
+    defused: Set[str] = set()
+    max_sessions = len(detectable_ids) + _EXTRA_SESSIONS
+    for session_index in range(1, max_sessions + 1):
+        test = build_workload(spec, frozenset(defused))
+        outcome = Waffle(config).detect(
+            test, max_detection_runs=budget, dossiers=check_replay
+        )
+        result.sessions = session_index
+        result.total_runs += len(outcome.runs)
+        result.virtual_ms += outcome.total_time_ms
+        if not outcome.bug_found:
+            break
+        report = outcome.reports[0]
+        entry = by_fault_site.get(report.fault_site)
+        if entry is None:
             result.violations.append(
-                "recall: detectable bug %s (%s, gap %.1f ms) not found within %d run(s)/session"
-                % (bug_id, entry["kind"], entry["gap_ms"], budget)
+                "soundness: fault at unplanted site %s (session %d)"
+                % (report.fault_site, session_index)
             )
-    finally:
-        if recorder is not None:
-            from ..obs import flightrec
-
-            flightrec.uninstall()
+            break
+        bug_id = entry["bug_id"]
+        if bug_id in defused:
+            result.violations.append(
+                "soundness: defused bug %s manifested again at %s (session %d)"
+                % (bug_id, report.fault_site, session_index)
+            )
+            break
+        if not entry["detectable"]:
+            result.violations.append(
+                "detectability: undetectable bug %s (gap %.1f ms) was found (session %d)"
+                % (bug_id, entry["gap_ms"], session_index)
+            )
+        result.found[bug_id] = {
+            "session": session_index,
+            "runs_to_expose": outcome.runs_to_expose,
+            "fault_site": report.fault_site,
+        }
+        if check_replay:
+            _check_replay(result, test, outcome, bug_id)
+        defused.add(bug_id)
+    missed = sorted(detectable_ids - set(result.found))
+    for bug_id in missed:
+        entry = next(e for e in oracle if e["bug_id"] == bug_id)
+        result.violations.append(
+            "recall: detectable bug %s (%s, gap %.1f ms) not found within %d run(s)/session"
+            % (bug_id, entry["kind"], entry["gap_ms"], budget)
+        )
     return result
 
 
 def _check_replay(result: OracleResult, test, outcome, bug_id: str) -> None:
-    """Replay every dossier the session assembled; record the verdict."""
+    """Replay every dossier the session assembled (from the hook's
+    captured schedule, with or without a recorder); record the verdict."""
     from ..obs import dossier as dossier_mod
 
     if not outcome.dossiers:

@@ -303,14 +303,16 @@ def _write_dashboard_artifact(
 def cmd_detect(args) -> None:
     test = _resolve_target(args)
     config = DEFAULT_CONFIG.with_seed(args.seed)
-    if getattr(args, "dossier_dir", None) and not obs.flightrec.active():
-        # Dossiers need the flight recorder's provenance; install it
-        # before the driver constructs its instrumented objects.
+    keep_dossiers = bool(getattr(args, "dossier_dir", None))
+    if keep_dossiers and not obs.flightrec.active():
+        # A dossier written to disk carries the flight recorder's
+        # provenance; install it before the driver constructs its
+        # instrumented objects.
         obs.flightrec.install()
     driver = {"waffle": Waffle, "wafflebasic": WaffleBasic, "stress": StressRunner}[args.tool](
         config
     )
-    outcome = driver.detect(test, max_detection_runs=args.budget)
+    outcome = driver.detect(test, max_detection_runs=args.budget, dossiers=keep_dossiers)
     print("tool=%s workload=%s" % (outcome.tool, outcome.workload))
     for record in outcome.runs:
         print(
@@ -330,7 +332,7 @@ def cmd_detect(args) -> None:
         print("  " + outcome.reports[0].summary())
     else:
         print("no bug exposed within %d runs" % args.budget)
-    if getattr(args, "dossier_dir", None):
+    if keep_dossiers:
         from ..obs import coverage as coverage_mod
         from ..obs import dossier as dossier_mod
 

@@ -226,7 +226,16 @@ def apply_event(view: CampaignView, event: dict) -> None:
     elif etype == "cell_resumed":
         view.resumed += 1
         cell = str(event.get("cell", "?"))
-        view.cells.setdefault(cell, CellState(cell=cell)).status = "resumed"
+        state = view.cells.get(cell)
+        if state is None:
+            view.cells[cell] = CellState(cell=cell, status="resumed")
+        else:
+            # An earlier run in this stream already counted the cell and
+            # its fanout announced it: count it once and keep the status
+            # it first ended with.
+            view.cells_expected -= 1
+            if state.status == "running":
+                state.status = "resumed"
     elif etype == "watchdog":
         view.watchdog_kills += 1
     elif etype == "fault":

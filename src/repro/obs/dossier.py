@@ -1,14 +1,16 @@
 """Bug dossiers: everything needed to understand and replay one bug.
 
-When a detection run manifests a MemOrder bug, the detector assembles a
-*dossier* from the flight recorder (:mod:`repro.obs.flightrec`) and the
-engine/candidate state of the crashing run:
+When a detection run manifests a MemOrder bug and the detector was
+asked for dossiers (or a flight recorder is installed), it assembles a
+*dossier* from the hook and engine/candidate state of the crashing run:
 
 * full candidate-pair provenance for every matched pair -- the
   near-miss gap history that created it, the planned ``alpha * len``
-  delay, the decay probability it ended the run with, and every pruning
+  delay and the decay probability it ended the run with; an installed
+  flight recorder (:mod:`repro.obs.flightrec`) adds every pruning
   verdict the detection session recorded (parent-child with vector
-  clocks, happens-before inference windows, retirement);
+  clocks, happens-before inference windows, retirement), the crashing
+  run's decisions and its raw flight events;
 * a virtual-time swimlane of all threads with injected delays and the
   faulting access highlighted (ASCII and HTML renderings);
 * a **minimal reproducing schedule**: the per-site, per-occurrence
@@ -348,10 +350,11 @@ def assemble_dossier(
     given, the embedded schedule is verified and minimized by actual
     replay (the delays at the report's matched delay sites first, see
     :func:`minimize_schedule`), otherwise it is stored as captured
-    (unverified). ``session_start_seq`` is the recorder's ``recorded``
-    count when the detection session began: pruning verdicts older than
-    that belong to earlier sessions run in the same process and are
-    left out.
+    (unverified). ``recorder`` feeds only ``prunes``, ``decisions`` and
+    the flight events; without one they stay empty. ``session_start_seq``
+    is the recorder's ``recorded`` count when the detection session
+    began: pruning verdicts older than that belong to earlier sessions
+    run in the same process and are left out.
     """
     engine = hook.engine
     candidates = engine.candidates

@@ -209,45 +209,6 @@ def sensitivity_curve(
     }
 
 
-def reconcile_records(records: Sequence[dict], rows: Sequence[dict]) -> List[str]:
-    """Exact reconciliation of join records against their source rows.
-
-    For every row carrying a found-id list (fuzz-table rows do), the
-    per-bug ``found`` flags must reproduce that list exactly, and the
-    planted/detectable counts must match the row's own counts -- any
-    divergence means the join, not the detector, is broken.
-    """
-    problems: List[str] = []
-    by_seed: Dict[int, List[dict]] = {}
-    for record in records:
-        by_seed.setdefault(record["seed"], []).append(record)
-    for row in rows:
-        seed = int(row.get("seed", -1))
-        joined = by_seed.get(seed)
-        if joined is None:
-            continue
-        if len(joined) != int(row.get("planted", len(joined))):
-            problems.append(
-                "seed %d: %d joined bug(s) vs %s planted in the row"
-                % (seed, len(joined), row.get("planted"))
-            )
-        detectable = sum(1 for r in joined if r["detectable"])
-        if detectable != int(row.get("detectable", detectable)):
-            problems.append(
-                "seed %d: %d detectable joined vs %s in the row"
-                % (seed, detectable, row.get("detectable"))
-            )
-        found = row.get("found")
-        if isinstance(found, (list, tuple, set, frozenset)):
-            joined_found = {r["bug_id"] for r in joined if r["found"]}
-            if joined_found != set(str(b) for b in found):
-                problems.append(
-                    "seed %d: joined found set %s != row found set %s"
-                    % (seed, sorted(joined_found), sorted(found))
-                )
-    return problems
-
-
 # ----------------------------------------------------------------------
 # Delay-budget attribution (telemetry side)
 # ----------------------------------------------------------------------

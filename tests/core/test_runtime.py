@@ -321,13 +321,9 @@ class TestHookWiring:
         assert decided == ["l1"]
 
     def test_schedule_capture_sees_every_memorder_access(self, config):
-        from repro.obs import flightrec
-
-        flightrec.install()
-        try:
-            hook = OnlineInjectionHook(config, DecayState(config.decay_lambda), seed=1)
-        finally:
-            flightrec.uninstall()
+        hook = OnlineInjectionHook(
+            config, DecayState(config.decay_lambda), seed=1, capture_schedule=True
+        )
         hook.candidates.add(make_pair(delay="l1"))
         hook.before_access(pending(site="elsewhere"))
         hook.before_access(pending(site="l1"))
@@ -337,10 +333,9 @@ class TestHookWiring:
 
 
 def _planned_schedules(monkeypatch, workload, gate):
-    """Each detection run's captured schedule for one Waffle session,
-    flight recorder on, with the planned hook's site gate up or down."""
+    """Each detection run's captured schedule for one Waffle session
+    asked for dossiers, with the planned hook's site gate up or down."""
     from repro.core.detector import Waffle
-    from repro.obs import flightrec
 
     hooks = []
     simulate = Waffle._simulate
@@ -353,11 +348,7 @@ def _planned_schedules(monkeypatch, workload, gate):
     with monkeypatch.context() as patch:
         patch.setattr(Waffle, "_simulate", spy)
         patch.setattr(PlannedInjectionHook, "_gate_while_capturing", gate)
-        flightrec.install()
-        try:
-            Waffle(WaffleConfig(seed=3)).detect(workload, max_detection_runs=8)
-        finally:
-            flightrec.uninstall()
+        Waffle(WaffleConfig(seed=3)).detect(workload, max_detection_runs=8, dossiers=True)
     assert hooks and all((hook._delay_sites is not None) is gate for hook in hooks)
     return [hook.injection_schedule for hook in hooks]
 

@@ -102,3 +102,47 @@ class TestFixedSeedSweep:
             result = evaluate_spec(spec, _config(seed))
             assert not (undetectable & set(result.found))
         assert hit > 0  # the band must actually exercise the control arm
+
+
+class TestRecorderFreeReplay:
+    """The replay check asks the detector for dossiers directly; it runs
+    without a flight recorder, which only adds dossier provenance."""
+
+    SEEDS = range(0, 10)
+
+    def test_replay_check_never_installs_the_recorder(self, monkeypatch):
+        from repro.core.detector import Waffle
+        from repro.obs import dossier as dossier_mod
+        from repro.obs import flightrec
+
+        seen = []
+        simulate, assemble = Waffle._simulate, dossier_mod.assemble_dossier
+
+        def spy_simulate(self, *args, **kwargs):
+            seen.append(flightrec.active())
+            return simulate(self, *args, **kwargs)
+
+        def spy_assemble(*args, **kwargs):
+            seen.append(flightrec.active())
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(Waffle, "_simulate", spy_simulate)
+        monkeypatch.setattr(dossier_mod, "assemble_dossier", spy_assemble)
+        assert not flightrec.active()
+        result = evaluate_spec(generate_spec(0), _config(0), check_replay=True)
+        assert not flightrec.active()
+        assert result.replays and all(result.replays.values())
+        assert seen and not any(seen)
+
+    def test_rows_equal_the_rows_under_a_recorder(self):
+        from repro.obs import flightrec
+
+        for seed in self.SEEDS:
+            spec = generate_spec(seed)
+            bare = evaluate_spec(spec, _config(seed), check_replay=True).to_row()
+            flightrec.install()
+            try:
+                recorded = evaluate_spec(spec, _config(seed), check_replay=True).to_row()
+            finally:
+                flightrec.uninstall()
+            assert bare == recorded, "seed %d" % seed

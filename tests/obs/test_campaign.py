@@ -93,6 +93,24 @@ class TestFold:
         assert len(view.detect_runs) == 2
         assert view.delays_injected == 3 + 3 + 1
 
+    def test_resumed_cell_counts_once_and_keeps_first_status(self):
+        first = [
+            _ev("fanout", t=1.0, unit="u", cells=2, jobs=1),
+            _ev("cell_begin", t=1.0, cell="c1", unit="u"),
+            _ev("cell_end", t=1.5, cell="c1", status="quarantined", attempt=1),
+            _ev("cell_begin", t=1.5, cell="c2", unit="u"),  # killed mid-cell
+        ]
+        again = [
+            _ev("fanout", t=2.0, unit="u", cells=2, jobs=1),
+            _ev("cell_resumed", t=2.0, cell="c1"),
+            _ev("cell_resumed", t=2.0, cell="c2"),
+        ]
+        view = campaign.fold_events(first + again)
+        assert (view.cells_done, view.cells_total) == (2, 2)
+        assert view.by_status("quarantined") == 1
+        assert view.by_status("resumed") == 1
+        assert view.resumed == 2
+
     def test_unknown_event_type_is_a_warning(self):
         view = campaign.fold_events([_ev("mystery", t=1.0)])
         assert any("unknown event type" in w for w in view.warnings)
@@ -285,6 +303,23 @@ class TestCliIntegration:
         assert main(["campaign", "merge"] + streams + ["--merged-out", str(out1)]) == 0
         assert main(["campaign", "merge"] + streams[::-1] + ["--merged-out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_resumed_campaign_status_counts_each_cell_once(self, tmp_path, capsys):
+        """A campaign run twice against one store into one obs dir:
+        the second run resumes every cell. Status reads 100% with each
+        cell's first terminal status, not the two fanouts' sum."""
+        store, obs_dir = tmp_path / "store", tmp_path / "obs"
+        argv = ["fuzz", "--seed-range", "0:3", "--no-replay", "--budget", "4",
+                "--resume", str(store), "--obs-dir", str(obs_dir)]
+        for _ in range(2):
+            assert main(argv) == 0
+            os.environ.pop(obs.OBS_DIR_ENV, None)
+            obs.disable()
+        capsys.readouterr()
+        assert main(["campaign", "status", str(obs_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "3/3 cells (100%)" in out
+        assert "ok 3   quarantined 0   failed 0   resumed 3" in out
 
     def test_status_on_missing_stream_fails_cleanly(self, tmp_path, capsys):
         assert main(["campaign", "status", str(tmp_path / "nothing")]) == 1

@@ -202,6 +202,70 @@ class TestSessionScopedPrunes:
         assert payloads[0] == payloads[1]
 
 
+#: The dossier fields only the flight recorder feeds.
+RECORDER_FIELDS = ("prunes", "decisions", "flight_events", "flight_dropped")
+
+
+class TestRecorderProvenance:
+    """The schedule, its minimization, pair provenance, interference and
+    the swimlane come from hook and engine state; the recorder adds only
+    the fields in ``RECORDER_FIELDS``, and does so for every dossier an
+    obs session keeps."""
+
+    @pytest.mark.parametrize(
+        "name", ["Bug-1", "Bug-5", "Bug-11", "Bug-16", "gen-0", "gen-3", "gen-7"]
+    )
+    def test_recorder_free_dossier_differs_only_in_provenance(self, name):
+        if name.startswith("gen-"):
+            from repro.gen.registry import gen_app
+
+            test = gen_app(int(name[4:])).tests[0]
+        else:
+            test = bug_workload(name)
+        config = WaffleConfig(seed=3)
+        bare = Waffle(config).detect(test, max_detection_runs=8, dossiers=True)
+        flightrec.install()
+        try:
+            recorded = Waffle(config).detect(test, max_detection_runs=8)
+        finally:
+            flightrec.uninstall()
+        assert bare.dossiers and len(bare.dossiers) == len(recorded.dossiers)
+        for plain, full in zip(bare.dossiers, recorded.dossiers):
+            plain, full = plain.to_dict(), full.to_dict()
+            assert all(not plain[key] for key in RECORDER_FIELDS)
+            assert full["decisions"] and full["flight_events"]
+            for key in RECORDER_FIELDS:
+                plain.pop(key)
+                full.pop(key)
+            assert plain == full
+
+    def test_no_dossier_unless_asked_or_recording(self):
+        outcome = Waffle(WaffleConfig(seed=3)).detect(
+            bug_workload("Bug-11"), max_detection_runs=8
+        )
+        assert outcome.bug_found and outcome.dossiers == []
+
+    def test_fuzz_obs_dir_dossiers_carry_provenance(self, tmp_path):
+        repo = Path(__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        env.pop("WAFFLE_OBS_DIR", None)
+        env.pop(flightrec.FLIGHTREC_ENV, None)
+        obs_dir = tmp_path / "obs"
+        subprocess.run(
+            [sys.executable, "-m", "repro", "--obs-dir", str(obs_dir),
+             "fuzz", "--seed-range", "0:6"],
+            env=env, capture_output=True, check=True,
+        )
+        paths = sorted(obs_dir.glob("dossier-*.json"))
+        assert paths
+        for path in paths:
+            payload = dossier_mod.load_dossier(path).to_dict()
+            assert payload["decisions"], path.name
+            assert payload["flight_events"], path.name
+            faults = [e for e in payload["flight_events"] if e["k"] == "fault"]
+            assert len(faults) == 1, path.name
+
+
 class TestRendering:
     def test_text_digest_sections(self, sessions):
         _, dossier = _any_dossier(sessions)
