@@ -59,8 +59,9 @@ class StressRunner(ToolDriver):
 
 
 def baseline_time_ms(workload: Any, seed: int = 0, config=None) -> float:
-    """Virtual execution time of one uninstrumented run -- the 'Base'
-    column of Table 5 and the denominator of every slowdown figure."""
+    """Virtual execution time of one delay-free stress run: the
+    slowdown denominator of the ``related`` extension table. Tables 4
+    and 5 take theirs from :func:`repro.harness.runner.baseline_run`."""
     from ..core.config import DEFAULT_CONFIG
 
     runner = StressRunner(config if config is not None else DEFAULT_CONFIG.with_seed(seed))

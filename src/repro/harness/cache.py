@@ -84,12 +84,6 @@ class CacheStats:
     #: (renamed to ``*.corrupt``); each also counts as a miss.
     corrupt: int = 0
 
-    def absorb(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.writes += other.writes
-        self.corrupt += other.corrupt
-
 
 #: Process-wide totals across every cache instance, so the CLI can print
 #: one end-of-run summary line without threading cache objects through
@@ -110,16 +104,15 @@ def _durable() -> bool:
 class PlanCache:
     """File-backed memo table for deterministic harness work units.
 
-    A small in-process dict fronts the files so repeated lookups within
-    one experiment (e.g. the same preparation trace consulted by
-    Table 2 and Table 6) do not re-read or re-parse records.
+    Every lookup reads its record file. Each cell opens its own cache
+    (:func:`open_cache`), so an in-process memo in front of the files
+    would never be consulted twice.
     """
 
     def __init__(self, directory: os.PathLike) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
-        self._memo: Dict[str, Any] = {}
         self._obs = obs.session()
         self._bus = eventbus.bus()
 
@@ -146,9 +139,6 @@ class PlanCache:
 
     def get(self, kind: str, key: Dict[str, Any]) -> Optional[dict]:
         name = self._name(kind, key)
-        if name in self._memo:
-            self._hit()
-            return self._memo[name]
         path = self._path(name)
         if path.exists():
             try:
@@ -161,7 +151,6 @@ class PlanCache:
                     self._obs.c_cache_corrupt.inc()
                 self._miss()
                 return None
-            self._memo[name] = payload
             self._hit()
             return payload
         self._miss()
@@ -169,7 +158,6 @@ class PlanCache:
 
     def put(self, kind: str, key: Dict[str, Any], payload: dict) -> None:
         name = self._name(kind, key)
-        self._memo[name] = payload
         write_record(self._path(name), name, "ok", payload, fsync=_durable())
         self.stats.writes += 1
         GLOBAL_STATS.writes += 1

@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, List, NoReturn, Optional, Tuple
+from typing import Any, Callable, List, NoReturn, Optional, Tuple
 
 from .. import obs
 from ..obs import eventbus
@@ -27,7 +27,7 @@ from ..baselines import StressRunner, WaffleBasic
 from ..core.config import DEFAULT_CONFIG
 from ..core.detector import Waffle
 from . import experiments, faults, parallel, supervisor, tables
-from .cache import GLOBAL_STATS
+from .cache import GLOBAL_STATS, CacheStats
 from .store import ArtifactStore
 
 
@@ -45,6 +45,17 @@ def positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
+def positive_seconds(text: str) -> float:
+    """argparse type for a duration that must be a positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError("must be a positive number of seconds, got %s" % text)
     return value
 
 
@@ -148,96 +159,126 @@ def _emit_rows(name: str, rows: Any, text: str, args) -> None:
         _emit(text, args.out)
 
 
-def cmd_table1(args) -> None:
-    table = {"header": tables.TABLE1_HEADER, "rows": tables.TABLE1_ROWS}
-    _emit_rows("table1", table, tables.design_matrix(), args)
+#: The selection options an artifact may read, as argparse settings;
+#: ``--attempts`` takes its default from the artifact.
+SELECTION_OPTIONS = {
+    "apps": dict(nargs="*", default=None, help="restrict to these app keys"),
+    "bugs": dict(nargs="*", default=None, help="restrict to these bug ids"),
+    "attempts": dict(type=positive_int, help="detection attempts per bug"),
+    "budget": dict(type=positive_int, default=50,
+                   help="detection runs per attempt (stress: delay-free runs per bug)"),
+}
+
+#: The shared options every driver call may read.
+DRIVER_OPTIONS = ("seed", "jobs", "cache_dir")
 
 
-def cmd_table2(args) -> None:
-    rows = experiments.table2_sites(
-        apps=args.apps, seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir
-    )
-    _emit_rows("table2", rows, tables.render_table2(rows), args)
+@dataclasses.dataclass(frozen=True)
+class Artifact:
+    """One paper table or figure: the subcommand that regenerates it."""
+
+    #: The subcommand, which is also the ``--json`` key.
+    name: str
+    help: str
+    #: The :data:`SELECTION_OPTIONS` its driver reads; the subcommand
+    #: accepts exactly these.
+    options: Tuple[str, ...]
+    #: The driver call: parsed arguments to rows, a degraded row None.
+    run: Callable[[argparse.Namespace], Any]
+    #: Rows to text, with the degraded rows already left out.
+    render: Callable[[Any], str]
+    attempts: int = 15
+    #: Whether ``all`` runs it.
+    in_all: bool = True
 
 
-def cmd_figure2(args) -> None:
-    points = experiments.figure2_timing_conditions(seed=args.seed, jobs=args.jobs)
-    _emit_rows("figure2", points, tables.render_figure2(points), args)
+def _per_app(driver: Callable[..., Any]) -> Callable[[argparse.Namespace], Any]:
+    """The driver call of a per-app table."""
+    return lambda a: driver(apps=a.apps, seed=a.seed, jobs=a.jobs, cache_dir=a.cache_dir)
 
 
-def cmd_figure5(args) -> None:
-    points = experiments.figure5_interference_window(seed=args.seed, jobs=args.jobs)
-    _emit_rows("figure5", points, tables.render_figure5(points), args)
+def _dynamic(a: argparse.Namespace) -> dict:
+    rows, overall = _per_app(experiments.dynamic_instances)(a)
+    return {"rows": rows, "overall": overall}
 
 
-def cmd_overlap(args) -> None:
-    rows = experiments.overlap_ratios(
-        apps=args.apps, seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir
-    )
-    _emit_rows("overlap", rows, tables.render_overlap(rows), args)
+#: Every paper artifact, in the order ``all`` runs them.
+ARTIFACTS: Tuple[Artifact, ...] = (
+    Artifact("table1", "design-decision matrix (Table 1)", (),
+             lambda a: {"header": tables.TABLE1_HEADER, "rows": tables.TABLE1_ROWS},
+             lambda table: tables.design_matrix()),
+    Artifact("table2", "instrumentation/injection site densities (Table 2)", ("apps",),
+             _per_app(experiments.table2_sites), tables.render_table2),
+    Artifact("figure2", "timing-condition microbenchmark (Figure 2)", (),
+             lambda a: experiments.figure2_timing_conditions(seed=a.seed, jobs=a.jobs),
+             tables.render_figure2),
+    Artifact("figure5", "interference-window microbenchmark (Figure 5)", (),
+             lambda a: experiments.figure5_interference_window(seed=a.seed, jobs=a.jobs),
+             tables.render_figure5),
+    Artifact("overlap", "delay-overlap ratios (section 3.3)", ("apps",),
+             _per_app(experiments.overlap_ratios), tables.render_overlap),
+    Artifact("dynamic", "init-site dynamic-instance census (section 3.3)", ("apps",),
+             _dynamic, lambda p: tables.render_dynamic_instances(p["rows"], p["overall"])),
+    Artifact("table4", "bug detection results (Table 4)", ("bugs", "attempts", "budget"),
+             lambda a: experiments.table4_detection(
+                 attempts=a.attempts, budget=a.budget, bugs=a.bugs, base_seed=a.seed,
+                 jobs=a.jobs, cache_dir=a.cache_dir),
+             tables.render_table4),
+    Artifact("table5", "average overhead per app (Table 5)", ("apps",),
+             _per_app(experiments.table5_overhead), tables.render_table5),
+    Artifact("table6", "cumulative delays injected (Table 6)", ("apps",),
+             _per_app(experiments.table6_delays), tables.render_table6),
+    Artifact("table7", "design-point ablations (Table 7)", ("attempts", "budget"),
+             lambda a: experiments.table7_ablations(
+                 attempts=a.attempts, budget=a.budget, base_seed=a.seed, jobs=a.jobs,
+                 cache_dir=a.cache_dir),
+             tables.render_table7, attempts=5),
+    Artifact("stress", "delay-free control (section 6.2)", ("bugs", "budget"),
+             lambda a: experiments.stress_control(
+                 runs=a.budget, bugs=a.bugs, base_seed=a.seed, jobs=a.jobs),
+             tables.render_stress),
+    Artifact("related", "extension: the full Table 1 design space", ("bugs", "budget"),
+             lambda a: experiments.related_tools_comparison(
+                 bugs=a.bugs, budget=a.budget, base_seed=a.seed, jobs=a.jobs,
+                 cache_dir=a.cache_dir),
+             tables.render_related_tools, in_all=False),
+)
+
+#: ``all``'s ``--attempts`` default: table7's, which it applies to
+#: table4 too.
+ALL_ATTEMPTS = 5
 
 
-def cmd_dynamic(args) -> None:
-    rows, overall = experiments.dynamic_instances(
-        apps=args.apps, seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir
-    )
-    _emit_rows("dynamic", {"rows": rows, "overall": overall},
-               tables.render_dynamic_instances(rows, overall), args)
+def _present(rows: Any) -> Any:
+    """``rows`` without its degraded (None) rows, for rendering."""
+    if isinstance(rows, dict):
+        return {key: _present(value) for key, value in rows.items()}
+    if isinstance(rows, list):
+        return [row for row in rows if row is not None]
+    return rows
 
 
-def cmd_table4(args) -> None:
-    rows = experiments.table4_detection(
-        attempts=args.attempts,
-        budget=args.budget,
-        bugs=args.bugs,
-        base_seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-    )
-    _emit_rows("table4", rows, tables.render_table4(rows), args)
+def cmd_artifacts(args) -> None:
+    """Regenerate each artifact the subcommand names (``all``: every
+    one it runs, in order).
 
-
-def cmd_table5(args) -> None:
-    rows = experiments.table5_overhead(
-        apps=args.apps, seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir
-    )
-    _emit_rows("table5", rows, tables.render_table5(rows), args)
-
-
-def cmd_table6(args) -> None:
-    rows = experiments.table6_delays(
-        apps=args.apps, seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir
-    )
-    _emit_rows("table6", rows, tables.render_table6(rows), args)
-
-
-def cmd_table7(args) -> None:
-    rows = experiments.table7_ablations(
-        attempts=args.attempts,
-        budget=args.budget,
-        base_seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-    )
-    _emit_rows("table7", rows, tables.render_table7(rows), args)
-
-
-def cmd_related(args) -> None:
-    rows = experiments.related_tools_comparison(
-        bugs=args.bugs,
-        budget=args.budget,
-        base_seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-    )
-    _emit_rows("related", rows, tables.render_related_tools(rows), args)
-
-
-def cmd_stress(args) -> None:
-    rows = experiments.stress_control(
-        runs=args.budget, bugs=args.bugs, base_seed=args.seed, jobs=args.jobs
-    )
-    _emit_rows("stress", rows, tables.render_stress(rows), args)
+    A driver sees only :data:`DRIVER_OPTIONS` and its own selection
+    options. A row derived from a degraded cell is None: ``--json``
+    keeps it as ``null``, and the rendered grid leaves it out and ends
+    with one ``quarantined:`` line naming the degraded cells' keys.
+    """
+    for entry in args.artifacts:
+        view = argparse.Namespace(
+            **{name: getattr(args, name) for name in DRIVER_OPTIONS + entry.options}
+        )
+        stats = getattr(parallel.current(), "stats", None)
+        before = len(stats.degraded) if stats is not None else 0
+        rows = entry.run(view)
+        text = entry.render(_present(rows))
+        degraded = stats.degraded[before:] if stats is not None else []
+        if degraded:
+            text += "\nquarantined: %s" % ", ".join(key[:16] for key in degraded)
+        _emit_rows(entry.name, rows, text, args)
 
 
 def cmd_fuzz(args) -> int:
@@ -671,23 +712,6 @@ def _merge_fleet_dir(fleet_dir: Path, store: ArtifactStore) -> Tuple[int, int]:
     return len(lines), eventbus.write_merged(streams, fleet_dir / MERGED_EVENTS_NAME)
 
 
-def cmd_all(args) -> None:
-    for command in (
-        cmd_table1,
-        cmd_table2,
-        cmd_figure2,
-        cmd_figure5,
-        cmd_overlap,
-        cmd_dynamic,
-        cmd_table4,
-        cmd_table5,
-        cmd_table6,
-        cmd_table7,
-        cmd_stress,
-    ):
-        command(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps a subcommand's (unset) copy of a shared option
     # from clobbering a value given before the subcommand.
@@ -744,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--retries",
-        type=int,
+        type=positive_int,
         default=argparse.SUPPRESS,
         help="per-cell attempt budget for retryable faults (worker crash, "
         "hang, transient I/O); deterministic failures are quarantined, "
@@ -752,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--cell-timeout",
-        type=float,
+        type=positive_seconds,
         default=argparse.SUPPRESS,
         metavar="SECONDS",
         help="explicit per-cell watchdog deadline; default adapts from the "
@@ -766,30 +790,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, attempts_default=15, budget_default=50):
-        p.add_argument("--apps", nargs="*", default=None, help="restrict to these app keys")
-        p.add_argument("--bugs", nargs="*", default=None, help="restrict to these bug ids")
-        p.add_argument("--attempts", type=positive_int, default=attempts_default)
-        p.add_argument("--budget", type=positive_int, default=budget_default)
-
-    for name, fn, help_text in (
-        ("table1", cmd_table1, "design-decision matrix (Table 1)"),
-        ("table2", cmd_table2, "instrumentation/injection site densities (Table 2)"),
-        ("figure2", cmd_figure2, "timing-condition microbenchmark (Figure 2)"),
-        ("figure5", cmd_figure5, "interference-window microbenchmark (Figure 5)"),
-        ("overlap", cmd_overlap, "delay-overlap ratios (section 3.3)"),
-        ("dynamic", cmd_dynamic, "init-site dynamic-instance census (section 3.3)"),
-        ("table4", cmd_table4, "bug detection results (Table 4)"),
-        ("table5", cmd_table5, "average overhead per app (Table 5)"),
-        ("table6", cmd_table6, "cumulative delays injected (Table 6)"),
-        ("table7", cmd_table7, "design-point ablations (Table 7)"),
-        ("stress", cmd_stress, "delay-free control (section 6.2)"),
-        ("related", cmd_related, "extension: the full Table 1 design space"),
-        ("all", cmd_all, "everything above"),
-    ):
+    def artifact_parser(name, help_text, artifacts, attempts):
         p = sub.add_parser(name, help=help_text, parents=[shared])
-        common(p, attempts_default=5 if name in ("table7", "all") else 15)
-        p.set_defaults(func=fn)
+        for option, settings in SELECTION_OPTIONS.items():
+            if any(option in entry.options for entry in artifacts):
+                p.add_argument("--" + option, **{"default": attempts, **settings})
+        p.set_defaults(func=cmd_artifacts, artifacts=artifacts)
+
+    for entry in ARTIFACTS:
+        artifact_parser(entry.name, entry.help, (entry,), entry.attempts)
+    artifact_parser("all", "every artifact above but related",
+                    tuple(entry for entry in ARTIFACTS if entry.in_all), ALL_ATTEMPTS)
 
     for name, fn, help_text in (
         ("apps", cmd_apps, "list the benchmark applications"),
@@ -980,25 +991,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cache_summary_line(
-    hits0: int = 0, misses0: int = 0, writes0: int = 0, corrupt0: int = 0
-) -> Optional[str]:
+def _cache_summary_line(before: CacheStats) -> Optional[str]:
     """End-of-run cache effectiveness for this invocation: the delta of
-    the process-wide totals against the counts observed at entry (so
+    the process-wide totals against ``before``, their copy at entry (so
     embedders calling main() repeatedly don't see stale numbers)."""
-    hits = GLOBAL_STATS.hits - hits0
-    misses = GLOBAL_STATS.misses - misses0
-    writes = GLOBAL_STATS.writes - writes0
-    corrupt = GLOBAL_STATS.corrupt - corrupt0
+    hits = GLOBAL_STATS.hits - before.hits
+    misses = GLOBAL_STATS.misses - before.misses
+    writes = GLOBAL_STATS.writes - before.writes
+    corrupt = GLOBAL_STATS.corrupt - before.corrupt
     lookups = hits + misses
     if lookups == 0 and writes == 0:
         return None
     rate = 100.0 * hits / lookups if lookups else 0.0
     line = "cache: %d hits / %d misses (%.1f%% hit rate), %d writes" % (
-        hits,
-        misses,
-        rate,
-        writes,
+        hits, misses, rate, writes
     )
     if corrupt:
         line += ", %d corrupt record(s) quarantined" % corrupt
@@ -1051,6 +1057,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _run(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if faults.ENV_ERROR:
+        _usage_error(faults.ENV_ERROR)
     if args.command == "campaign" and args.action == "run":
         args = _campaign_run_args(parser, args)
     normalize_args(args)
@@ -1108,12 +1116,7 @@ def _run(argv: Optional[List[str]]) -> int:
             cell_timeout_s=args.cell_timeout,
         )
         parallel.activate(sup)
-    hits0, misses0, writes0, corrupt0 = (
-        GLOBAL_STATS.hits,
-        GLOBAL_STATS.misses,
-        GLOBAL_STATS.writes,
-        GLOBAL_STATS.corrupt,
-    )
+    cache_before = dataclasses.replace(GLOBAL_STATS)
     try:
         # Commands return an exit code or None (= success): replay and
         # the obs inspectors signal "not reproduced" / "nothing found"
@@ -1122,7 +1125,7 @@ def _run(argv: Optional[List[str]]) -> int:
     finally:
         if sup is not None:
             parallel.deactivate()
-    summary = _cache_summary_line(hits0, misses0, writes0, corrupt0)
+    summary = _cache_summary_line(cache_before)
     if summary is not None:
         print(summary)
     if sup is not None and sup.stats.cells:

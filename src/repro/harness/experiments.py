@@ -1,28 +1,32 @@
-"""One driver per paper table/figure (DESIGN.md section 4).
+"""The drivers behind the paper's tables and figures (DESIGN.md section 4).
 
 Every function returns plain dataclasses so the renderers in
 :mod:`repro.harness.tables`, the pytest benchmarks and the CLI can share
-results. Paper-reported values are carried alongside measured ones so
+results; the CLI's ``ARTIFACTS`` registry pairs each driver with its
+renderer. Paper-reported values are carried alongside measured ones so
 EXPERIMENTS.md tables can be regenerated mechanically.
 
 Each driver decomposes into independent *cells* -- one (app, test,
 seed) or (bug, tool, seed) unit implemented as a module-level worker
 function -- mapped through :func:`repro.harness.parallel.map_units`.
-Cells take only plain arguments (names, configs, seeds, a cache
-directory) and ``jobs > 1`` fans them out over forked workers; results
-merge in submission order, so parallel runs are bit-identical to serial
-ones. ``cache_dir`` enables the content-addressed trace/plan cache
-(:mod:`repro.harness.cache`): preparation traces are recorded once and
-their plans reused across tables instead of re-executed per driver.
+The per-app drivers (Tables 2, 5 and 6, the section 3.3 censuses) share
+one fan-out, :func:`_per_app_rows`. Cells take only plain arguments
+(names, configs, seeds, a cache directory) and ``jobs > 1`` fans them
+out over forked workers; results merge in submission order, so
+parallel runs are bit-identical to serial ones. ``cache_dir`` enables
+the content-addressed trace/plan cache (:mod:`repro.harness.cache`):
+preparation traces are recorded once and their plans reused across
+tables instead of re-executed per driver.
 
 When a campaign supervisor is active (``--resume``/``--retries``/
 ``--cell-timeout`` or ``WAFFLE_CHAOS``; see
 :mod:`repro.harness.supervisor`), ``map_units`` routes every cell
 through its fault boundary: hung or crashed cells are retried with
-backoff, deterministic failures are quarantined (their row degrades to
-``None`` instead of aborting the table), and with ``--resume`` finished
-cells are published to an artifact store (:mod:`repro.harness.store`)
-for checkpoint-resume. Because cells are deterministic,
+backoff, deterministic failures are quarantined, and with ``--resume``
+finished cells are published to an artifact store
+(:mod:`repro.harness.store`) for checkpoint-resume. A degraded cell's
+slot is ``None``, and so is every row derived from it: the table keeps
+its other rows instead of aborting. Because cells are deterministic,
 supervised, resumed and chaos-surviving campaigns all produce
 bit-identical tables.
 """
@@ -30,7 +34,7 @@ bit-identical tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..apps import all_apps, all_bugs, bug_workload, get_app, get_bug
 from ..apps.base import Application, AppTestCase, KnownBug
@@ -63,30 +67,42 @@ def _apps(subset: Optional[Sequence[str]] = None) -> List[Application]:
     return [registry[name] for name in subset]
 
 
-def _app_test_units(apps: Optional[Sequence[str]]) -> List[Tuple[str, str]]:
-    """Flatten the selected apps into (app_name, test_name) cells."""
-    units: List[Tuple[str, str]] = []
-    for app in _apps(apps):
-        for test in app.multithreaded_tests:
-            units.append((app.name, test.name))
-    return units
+def _bugs(subset: Optional[Sequence[str]] = None) -> List[KnownBug]:
+    return [bug for bug in all_bugs() if subset is None or bug.bug_id in subset]
 
 
 def _test_id(app_name: str, test_name: str) -> str:
     return "%s:%s" % (app_name, test_name)
 
 
-def _merge_per_app(
+def _per_app_rows(
+    cell_fn: Callable[..., Any],
+    build: Callable[[Application, list], Any],
+    config: WaffleConfig,
     apps: Optional[Sequence[str]],
-    units: Sequence[Tuple[str, str]],
-    results: Sequence,
-) -> Dict[str, List]:
-    """Group per-test cell results back into per-app lists, preserving
-    the per-app test order the serial loops used."""
-    grouped: Dict[str, List] = {app.name: [] for app in _apps(apps)}
-    for (app_name, _), result in zip(units, results):
-        grouped[app_name].append(result)
-    return grouped
+    seed: int,
+    jobs: int,
+    cache_dir: Optional[str],
+) -> List[Optional[Any]]:
+    """The per-app drivers' shared fan-out: one ``cell_fn`` cell per
+    multithreaded test of the selected apps, grouped back per app in
+    test order and folded into one row by ``build(app, cells)``.
+
+    An app with a degraded cell (a supervisor-quarantined ``None``)
+    gets ``None`` for its row instead of an average over the rest.
+    """
+    selected = _apps(apps)
+    results = iter(map_units(
+        cell_fn,
+        [(app.name, test.name, config, seed, cache_dir)
+         for app in selected for test in app.multithreaded_tests],
+        jobs,
+    ))
+    rows: List[Optional[Any]] = []
+    for app in selected:
+        cells = [next(results) for _ in app.multithreaded_tests]
+        rows.append(None if any(c is None for c in cells) else build(app, cells))
+    return rows
 
 
 def _planned_run_cached(
@@ -178,30 +194,21 @@ def table2_sites(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-) -> List[Table2Row]:
+) -> List[Optional[Table2Row]]:
     """Average unique static instrumentation and injection sites per
     test input, for the TSV (Tsvd) and MemOrder (Waffle) surfaces."""
-    units = _app_test_units(apps)
-    cells = map_units(
-        _table2_cell,
-        [(app, test, config, seed, cache_dir) for app, test in units],
-        jobs,
-    )
-    grouped = _merge_per_app(apps, units, cells)
-    rows: List[Table2Row] = []
-    for app in _apps(apps):
-        per_test = grouped[app.name]
-        count = max(1, len(app.multithreaded_tests))
-        rows.append(
-            Table2Row(
-                app=app.display_name,
-                tsv_instr_sites=sum(c[1] for c in per_test) / count,
-                mo_instr_sites=sum(c[0] for c in per_test) / count,
-                tsv_injection_sites=sum(c[3] for c in per_test) / count,
-                mo_injection_sites=sum(c[2] for c in per_test) / count,
-            )
+
+    def row(app: Application, per_test: list) -> Table2Row:
+        count = max(1, len(per_test))
+        return Table2Row(
+            app=app.display_name,
+            tsv_instr_sites=sum(c[1] for c in per_test) / count,
+            mo_instr_sites=sum(c[0] for c in per_test) / count,
+            tsv_injection_sites=sum(c[3] for c in per_test) / count,
+            mo_injection_sites=sum(c[2] for c in per_test) / count,
         )
-    return rows
+
+    return _per_app_rows(_table2_cell, row, config, apps, seed, jobs, cache_dir)
 
 
 # ======================================================================
@@ -283,7 +290,7 @@ def figure2_timing_conditions(
     delays_ms: Sequence[float] = (0, 2, 4, 6, 8, 9, 11, 12, 14, 16, 20, 30),
     seed: int = 0,
     jobs: int = 1,
-) -> List[Figure2Point]:
+) -> List[Optional[Figure2Point]]:
     return map_units(_figure2_cell, [(delay, seed) for delay in delays_ms], jobs)
 
 
@@ -336,37 +343,28 @@ def overlap_ratios(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-) -> List[OverlapRow]:
+) -> List[Optional[OverlapRow]]:
     """Average delay-overlap ratio per app for Tsvd vs WaffleBasic.
 
     Each test gets two runs per tool (state persists across them, so
     the second run actually injects); the overlap ratio of the delayed
     run is averaged across tests.
     """
-    units = _app_test_units(apps)
-    cells = map_units(
-        _overlap_cell,
-        [(app, test, config, seed, cache_dir) for app, test in units],
-        jobs,
-    )
-    grouped = _merge_per_app(apps, units, cells)
-    rows: List[OverlapRow] = []
-    for app in _apps(apps):
-        per_test = grouped[app.name]
+
+    def row(app: Application, per_test: list) -> OverlapRow:
         tsvd = [c[0] for c in per_test]
         basic = [c[1] for c in per_test]
-        rows.append(
-            OverlapRow(
-                app=app.display_name,
-                tsvd_overlap=metrics.mean(tsvd, context="overlap/tsvd: %s" % app.name) if tsvd else 0.0,
-                wafflebasic_overlap=(
-                    metrics.mean(basic, context="overlap/wafflebasic: %s" % app.name)
-                    if basic
-                    else 0.0
-                ),
-            )
+        return OverlapRow(
+            app=app.display_name,
+            tsvd_overlap=metrics.mean(tsvd, context="overlap/tsvd: %s" % app.name) if tsvd else 0.0,
+            wafflebasic_overlap=(
+                metrics.mean(basic, context="overlap/wafflebasic: %s" % app.name)
+                if basic
+                else 0.0
+            ),
         )
-    return rows
+
+    return _per_app_rows(_overlap_cell, row, config, apps, seed, jobs, cache_dir)
 
 
 @dataclass
@@ -400,35 +398,28 @@ def dynamic_instances(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-) -> Tuple[List[DynamicInstanceRow], float]:
+) -> Tuple[List[Optional[DynamicInstanceRow]], Optional[float]]:
     """Median dynamic instances of initialization sites (section 3.3:
     'the median number of dynamic instances for all object
-    initialization operations is 2')."""
-    units = _app_test_units(apps)
-    cells = map_units(
-        _dynamic_cell,
-        [(app, test, config, seed, cache_dir) for app, test in units],
-        jobs,
-    )
-    grouped = _merge_per_app(apps, units, cells)
-    rows: List[DynamicInstanceRow] = []
+    initialization operations is 2'). The overall median is None when
+    an app's row degraded."""
     all_counts: List[int] = []
-    for app in _apps(apps):
-        counts: List[int] = []
-        for per_test in grouped[app.name]:
-            counts.extend(per_test)
+
+    def row(app: Application, per_test: list) -> DynamicInstanceRow:
+        counts = [count for cell in per_test for count in cell]
         all_counts.extend(counts)
-        rows.append(
-            DynamicInstanceRow(
-                app=app.display_name,
-                median_init_instances=(
-                    metrics.median(counts, context="dynamic: %s" % app.name) if counts else 0.0
-                ),
-                init_sites=len(counts),
-            )
+        return DynamicInstanceRow(
+            app=app.display_name,
+            median_init_instances=(
+                metrics.median(counts, context="dynamic: %s" % app.name) if counts else 0.0
+            ),
+            init_sites=len(counts),
         )
-    overall = metrics.median(all_counts) if all_counts else 0.0
-    return rows, overall
+
+    rows = _per_app_rows(_dynamic_cell, row, config, apps, seed, jobs, cache_dir)
+    if any(r is None for r in rows):
+        return rows, None
+    return rows, metrics.median(all_counts) if all_counts else 0.0
 
 
 # ======================================================================
@@ -569,14 +560,12 @@ def table4_detection(
     base_seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-) -> List[Table4Row]:
+) -> List[Optional[Table4Row]]:
     """Per-bug detection runs and end-to-end slowdowns, Waffle vs
     WaffleBasic, with the paper's 15-attempt majority convention."""
-    selected = [b for b in all_bugs() if bugs is None or b.bug_id in bugs]
     return map_units(
         _table4_cell,
-        [(bug.bug_id, attempts, budget, base_seed, cache_dir) for bug in selected],
-        jobs,
+        [(bug.bug_id, attempts, budget, base_seed, cache_dir) for bug in _bugs(bugs)], jobs
     )
 
 
@@ -691,7 +680,7 @@ def table5_overhead(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-) -> List[Table5Row]:
+) -> List[Optional[Table5Row]]:
     """Average Run#1/Run#2 overheads per app for both tools.
 
     For WaffleBasic, Run#1 and Run#2 are its first two (online)
@@ -700,16 +689,8 @@ def table5_overhead(
     and R#2 columns). Tests whose run exceeds the per-test timeout are
     counted as timeouts and excluded from the percentage averages.
     """
-    units = _app_test_units(apps)
-    cells = map_units(
-        _table5_cell,
-        [(app, test, config, seed, cache_dir) for app, test in units],
-        jobs,
-    )
-    grouped = _merge_per_app(apps, units, cells)
-    rows: List[Table5Row] = []
-    for app in _apps(apps):
-        per_test: List[_Table5Cell] = grouped[app.name]
+
+    def row(app: Application, per_test: List[_Table5Cell]) -> Table5Row:
         bases = [c.base for c in per_test]
         basic_pcts = {
             index: [c.basic_pcts[index] for c in per_test if c.basic_pcts[index] is not None]
@@ -723,24 +704,23 @@ def table5_overhead(
         def avg(values: List[float]) -> Optional[float]:
             return metrics.mean(values, context="table5: %s" % app.name) if values else None
 
-        rows.append(
-            Table5Row(
-                app=app.display_name,
-                baseline_ms=(
-                    metrics.mean(bases, context="table5/baseline: %s" % app.name)
-                    if bases
-                    else 0.0
-                ),
-                basic_run1_pct=avg(basic_pcts[1]),
-                basic_run2_pct=avg(basic_pcts[2]),
-                waffle_run1_pct=avg(waffle_pcts[1]),
-                waffle_run2_pct=avg(waffle_pcts[2]),
-                basic_timeouts=sum(1 for c in per_test if c.basic_timed_out),
-                waffle_timeouts=sum(c.waffle_timeouts for c in per_test),
-                tests=len(app.multithreaded_tests),
-            )
+        return Table5Row(
+            app=app.display_name,
+            baseline_ms=(
+                metrics.mean(bases, context="table5/baseline: %s" % app.name)
+                if bases
+                else 0.0
+            ),
+            basic_run1_pct=avg(basic_pcts[1]),
+            basic_run2_pct=avg(basic_pcts[2]),
+            waffle_run1_pct=avg(waffle_pcts[1]),
+            waffle_run2_pct=avg(waffle_pcts[2]),
+            basic_timeouts=sum(1 for c in per_test if c.basic_timed_out),
+            waffle_timeouts=sum(c.waffle_timeouts for c in per_test),
+            tests=len(per_test),
         )
-    return rows
+
+    return _per_app_rows(_table5_cell, row, config, apps, seed, jobs, cache_dir)
 
 
 # ======================================================================
@@ -811,33 +791,24 @@ def table6_delays(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-) -> List[Table6Row]:
+) -> List[Optional[Table6Row]]:
     """Cumulative number and duration of injected delays across all
     test inputs, one detection run per input (Basic: its second run,
     when persisted state makes injection meaningful; Waffle: its first
     detection run after the preparation run)."""
-    units = _app_test_units(apps)
-    cells = map_units(
-        _table6_cell,
-        [(app, test, config, seed, cache_dir) for app, test in units],
-        jobs,
-    )
-    grouped = _merge_per_app(apps, units, cells)
-    rows: List[Table6Row] = []
-    for app in _apps(apps):
-        per_test = grouped[app.name]
-        rows.append(
-            Table6Row(
-                app=app.display_name,
-                basic_delays=sum(c[0] for c in per_test),
-                basic_duration_ms=sum(c[1] for c in per_test),
-                waffle_delays=sum(c[2] for c in per_test),
-                waffle_duration_ms=sum(c[3] for c in per_test),
-                basic_timeouts=sum(1 for c in per_test if c[4]),
-                tests=len(app.multithreaded_tests),
-            )
+
+    def row(app: Application, per_test: list) -> Table6Row:
+        return Table6Row(
+            app=app.display_name,
+            basic_delays=sum(c[0] for c in per_test),
+            basic_duration_ms=sum(c[1] for c in per_test),
+            waffle_delays=sum(c[2] for c in per_test),
+            waffle_duration_ms=sum(c[3] for c in per_test),
+            basic_timeouts=sum(1 for c in per_test if c[4]),
+            tests=len(per_test),
         )
-    return rows
+
+    return _per_app_rows(_table6_cell, row, config, apps, seed, jobs, cache_dir)
 
 
 # ======================================================================
@@ -874,14 +845,7 @@ def _table7_found_cell(
     bug = get_bug(bug_id)
     test = bug_workload(bug_id)
     runs, _ = _detect_attempts(
-        factory,
-        bug,
-        test,
-        attempts,
-        budget,
-        base_seed,
-        open_cache(cache_dir),
-        label,
+        factory, bug, test, attempts, budget, base_seed, open_cache(cache_dir), label,
         _test_id(bug.app, bug.test_name),
     )
     return metrics.majority_runs_to_expose(runs) is not None
@@ -923,25 +887,6 @@ def _table7_perf_cell(
     return total, count
 
 
-def _ablation_perf(
-    design_point: Optional[str],
-    apps: Optional[Sequence[str]],
-    base_seed: int,
-    jobs: int,
-    cache_dir: Optional[str],
-) -> float:
-    """Average detection-run virtual time across all test inputs for a
-    driver, capped at one detection run per test."""
-    cells = map_units(
-        _table7_perf_cell,
-        [(design_point, app.name, base_seed, cache_dir) for app in _apps(apps)],
-        jobs,
-    )
-    total = sum(c[0] for c in cells)
-    count = sum(c[1] for c in cells)
-    return total / count if count else 0.0
-
-
 def table7_ablations(
     attempts: int = 5,
     budget: int = 15,
@@ -949,38 +894,60 @@ def table7_ablations(
     apps_for_perf: Optional[Sequence[str]] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-) -> List[Table7Row]:
+) -> List[Optional[Table7Row]]:
     """Bugs missed and detection-run slowdown for each single-design-
-    point ablation, relative to full Waffle."""
-    bugs = all_bugs()
+    point ablation, relative to full Waffle.
 
-    # Reference: bugs Waffle itself finds, and its detection-run times.
+    Three fan-outs: the bugs Waffle itself finds; every tool's
+    per-app perf probes (Waffle first); and each ablation on the bugs
+    Waffle finds. An ablation's row is None when a cell it depends on
+    (its own, or Waffle's reference) degraded.
+    """
+    bugs = all_bugs()
     found_flags = map_units(
         _table7_found_cell,
         [(None, bug.bug_id, attempts, budget, base_seed, cache_dir) for bug in bugs],
         jobs,
     )
-    waffle_found = {bug.bug_id: flag for bug, flag in zip(bugs, found_flags)}
-    waffle_perf = _ablation_perf(None, apps_for_perf, base_seed, jobs, cache_dir)
+    found_bugs = [bug for bug, flag in zip(bugs, found_flags) if flag]
+    perf_apps = _apps(apps_for_perf)
+    perf_cells = map_units(
+        _table7_perf_cell,
+        [(point, app.name, base_seed, cache_dir)
+         for point in (None, *ALL_ABLATIONS) for app in perf_apps],
+        jobs,
+    )
+    ablation_flags = map_units(
+        _table7_found_cell,
+        [(point, bug.bug_id, attempts, budget, base_seed, cache_dir)
+         for point in ALL_ABLATIONS for bug in found_bugs],
+        jobs,
+    )
 
-    rows: List[Table7Row] = []
-    for point in ALL_ABLATIONS:
-        found_bugs = [bug for bug in bugs if waffle_found[bug.bug_id]]
-        flags = map_units(
-            _table7_found_cell,
-            [(point, bug.bug_id, attempts, budget, base_seed, cache_dir) for bug in found_bugs],
-            jobs,
-        )
-        missed = sum(1 for flag in flags if not flag)
-        ablated_perf = _ablation_perf(point, apps_for_perf, base_seed, jobs, cache_dir)
-        rows.append(
-            Table7Row(
-                design_point=point,
-                label=DESIGN_POINT_LABELS[point],
-                bugs_missed=missed,
-                slowdown_over_waffle=ablated_perf / waffle_perf if waffle_perf > 0 else 0.0,
-            )
-        )
+    def slice_of(cells: list, index: int, width: int) -> Optional[list]:
+        part = cells[index * width:(index + 1) * width]
+        return None if any(c is None for c in part) else part
+
+    def mean_perf(cells: list) -> float:
+        """Average detection-run virtual time across every test input,
+        capped at one detection run per test."""
+        count = sum(c[1] for c in cells)
+        return sum(c[0] for c in cells) / count if count else 0.0
+
+    reference = slice_of(perf_cells, 0, len(perf_apps))
+    if reference is None or any(flag is None for flag in found_flags):
+        return [None] * len(ALL_ABLATIONS)
+    waffle_perf = mean_perf(reference)
+    rows: List[Optional[Table7Row]] = []
+    for index, point in enumerate(ALL_ABLATIONS):
+        flags = slice_of(ablation_flags, index, len(found_bugs))
+        perf = slice_of(perf_cells, index + 1, len(perf_apps))
+        rows.append(None if flags is None or perf is None else Table7Row(
+            design_point=point,
+            label=DESIGN_POINT_LABELS[point],
+            bugs_missed=sum(1 for flag in flags if not flag),
+            slowdown_over_waffle=mean_perf(perf) / waffle_perf if waffle_perf > 0 else 0.0,
+        ))
     return rows
 
 
@@ -1012,15 +979,10 @@ def stress_control(
     bugs: Optional[Sequence[str]] = None,
     base_seed: int = 0,
     jobs: int = 1,
-) -> List[StressRow]:
+) -> List[Optional[StressRow]]:
     """Re-run each bug-triggering input ``runs`` times without delays;
     the paper's control says no bug ever manifests."""
-    selected = [b for b in all_bugs() if bugs is None or b.bug_id in bugs]
-    return map_units(
-        _stress_cell,
-        [(bug.bug_id, runs, base_seed) for bug in selected],
-        jobs,
-    )
+    return map_units(_stress_cell, [(bug.bug_id, runs, base_seed) for bug in _bugs(bugs)], jobs)
 
 
 # ======================================================================
@@ -1074,7 +1036,7 @@ def related_tools_comparison(
     base_seed: int = 1,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-) -> List[RelatedToolsRow]:
+) -> List[Optional[RelatedToolsRow]]:
     """Extension experiment: quantify Table 1's qualitative matrix.
 
     Runs simplified models of RaceFuzzer, CTrigger, RaceMob and
@@ -1085,11 +1047,8 @@ def related_tools_comparison(
     |S| candidates on the dense apps, and the sampling tools miss the
     long-gap bugs outright.
     """
-    selected = [b for b in all_bugs() if bugs is None or b.bug_id in bugs]
     return map_units(
-        _related_cell,
-        [(bug.bug_id, budget, base_seed, cache_dir) for bug in selected],
-        jobs,
+        _related_cell, [(bug.bug_id, budget, base_seed, cache_dir) for bug in _bugs(bugs)], jobs
     )
 
 
@@ -1174,7 +1133,7 @@ def figure5_interference_window(
     interferer_delay_ms: float = 20.0,
     seed: int = 0,
     jobs: int = 1,
-) -> List[Figure5Point]:
+) -> List[Optional[Figure5Point]]:
     """Quantify Figure 5: an equal-length delay at l* on the disposer's
     thread cancels the reordering delay at l1 *only when it runs late
     enough to still be pending when the delayed use lands* -- an early
@@ -1192,9 +1151,6 @@ def figure5_interference_window(
     """
     return map_units(
         _figure5_cell,
-        [
-            (interferer_at, target_delay_ms, interferer_delay_ms, seed)
-            for interferer_at in interferer_times_ms
-        ],
+        [(at, target_delay_ms, interferer_delay_ms, seed) for at in interferer_times_ms],
         jobs,
     )

@@ -12,10 +12,10 @@ outcome. This module is the vocabulary the campaign supervisor
   every retry and are quarantined instead;
 * a **chaos harness** (``WAFFLE_CHAOS``) that deterministically injects
   exactly those faults -- worker crashes, hangs, cache-record
-  corruption, partial-write truncation -- at configurable sites and
-  rates, so the supervisor's guarantees are themselves tested. This is
-  the same active-injection philosophy Waffle applies to target
-  programs, turned on our own harness.
+  corruption -- at configurable sites and rates, so the supervisor's
+  guarantees are themselves tested. This is the same active-injection
+  philosophy Waffle applies to target programs, turned on our own
+  harness.
 
 Determinism contract: whether a chaos site fires is a pure function of
 ``(chaos seed, site, key, attempt)`` via a SHA-256 draw, so a chaos
@@ -63,10 +63,8 @@ FAULT_KINDS = (WORKER_CRASH, HANG, TRANSIENT_IO, CORRUPT_RECORD, DETERMINISTIC)
 
 #: Chaos injection sites. ``worker_crash`` and ``hang`` fire in the
 #: cell fault boundary (killing / wedging the executing worker);
-#: ``cache_corrupt`` flips bytes in a cache record before it is read;
-#: ``truncate`` cuts the tail off a just-appended JSONL telemetry file,
-#: emulating a worker killed mid-write.
-CHAOS_SITES = ("worker_crash", "hang", "cache_corrupt", "truncate")
+#: ``cache_corrupt`` flips bytes in a cache record before it is read.
+CHAOS_SITES = ("worker_crash", "hang", "cache_corrupt")
 
 #: Exit code a chaos-crashed worker dies with (mimics an OOM-kill /
 #: SIGKILL'd worker: no result, no traceback, nonzero exit).
@@ -196,8 +194,8 @@ class ChaosConfig:
     hang_s: float = 3600.0
     rates: Dict[str, float] = field(default_factory=dict)
     #: Sites that already fired this process, so file-level chaos
-    #: (corruption/truncation) does not re-fire on every re-read of a
-    #: record the supervisor just repaired.
+    #: (corruption) does not re-fire on every re-read of a record the
+    #: supervisor just repaired.
     fired: Set[Tuple[str, str]] = field(default_factory=set)
 
 
@@ -259,10 +257,16 @@ def disable() -> None:
     _chaos = None
 
 
-def _configure_from_env() -> None:
+def _configure_from_env() -> Optional[str]:
+    """Configure chaos from ``WAFFLE_CHAOS``. A spec that does not parse
+    leaves chaos off and is returned as an error message."""
     spec = os.environ.get(CHAOS_ENV)
     if spec:
-        configure(spec)
+        try:
+            configure(spec)
+        except ValueError as exc:
+            return "%s=%r: %s" % (CHAOS_ENV, spec, exc)
+    return None
 
 
 def should_fire(site: str, key: str, attempt: int = 1) -> bool:
@@ -359,25 +363,9 @@ def maybe_corrupt_record(path: os.PathLike) -> bool:
     return False
 
 
-def maybe_truncate_file(path: os.PathLike, drop_bytes: int = 16) -> bool:
-    """Chaos site for partial writes: drop the tail of ``path``,
-    emulating a worker killed mid-append (truncated final JSONL line).
-    """
-    name = Path(path).name
-    if not should_fire("truncate", name):
-        return False
-    target = Path(path)
-    if not target.exists():
-        return False
-    size = target.stat().st_size
-    if size <= drop_bytes:
-        return False
-    with open(target, "rb+") as fp:
-        fp.truncate(size - drop_bytes)
-    return True
-
-
-_configure_from_env()
+#: Why this process's ``WAFFLE_CHAOS`` did not parse, or None; the CLI
+#: reports it as a usage error rather than run without the chaos asked for.
+ENV_ERROR = _configure_from_env()
 
 if hasattr(os, "register_at_fork"):
     # A forked worker inherits the parent's fired-site memory; clear it

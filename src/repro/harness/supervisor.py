@@ -200,6 +200,8 @@ class CampaignStats:
     failed: int = 0  # retryable fault that exhausted the attempt budget
     resumed: int = 0  # cells satisfied from the resume store without running
     fault_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
+    #: Keys of the quarantined and failed cells, in finalization order.
+    degraded: List[str] = dataclasses.field(default_factory=list)
 
     @property
     def cells(self) -> int:
@@ -313,21 +315,9 @@ class Supervisor:
         self.policy = policy or RetryPolicy()
         self.store = store
         self.stats = CampaignStats()
-        #: Set (from a signal handler or another thread) to drain at the
-        #: next fault boundary instead of sleeping through a backoff.
-        self.shutdown = threading.Event()
         self.cell_timeout_s = cell_timeout_s
-        self.sleep = sleep if sleep is not None else self._interruptible_sleep
+        self.sleep = sleep if sleep is not None else time.sleep
         self._wall_times: List[float] = []
-
-    def request_shutdown(self) -> None:
-        """Ask the supervisor to drain at the next fault boundary."""
-        self.shutdown.set()
-
-    def _interruptible_sleep(self, seconds: float) -> None:
-        """The default backoff sleep: wakes early on :attr:`shutdown`."""
-        if seconds > 0.0:
-            self.shutdown.wait(seconds)
 
     # -- Watchdog ------------------------------------------------------
 
@@ -429,10 +419,12 @@ class Supervisor:
             self.stats.ok += 1
             if attempt > 1:
                 self.stats.retried += 1
-        elif status == "quarantined":
-            self.stats.quarantined += 1
         else:
-            self.stats.failed += 1
+            if status == "quarantined":
+                self.stats.quarantined += 1
+            else:
+                self.stats.failed += 1
+            self.stats.degraded.append(key)
         self._publish(key, status, result, attempt)
         bus = eventbus.bus()
         if bus is not None:
@@ -482,12 +474,8 @@ class Supervisor:
                 verdict, backoff = self._fault(exc, key, attempt)
                 if verdict == RETRY:
                     self.sleep(backoff)
-                    if not self.shutdown.is_set():
-                        attempt += 1
-                        continue
-                    # Draining: finalize the tail as failed rather than
-                    # holding resources through the remaining attempts.
-                    verdict = "failed"
+                    attempt += 1
+                    continue
                 return self._finalize(key, verdict, None, attempt,
                                       time.perf_counter() - started)
             wall_s = time.perf_counter() - started
@@ -575,15 +563,6 @@ class Supervisor:
 
         try:
             while queue or inflight:
-                if self.shutdown.is_set():
-                    # Draining: finalize every cell still owed a result
-                    # as failed, promptly; busy workers are killed below.
-                    for cell in inflight.values():
-                        self._finalize(keys[cell["index"]], "failed", None, cell["attempt"],
-                                       time.monotonic() - cell["started"])
-                    for index, attempt, _ in queue:
-                        self._finalize(keys[index], "failed", None, attempt, 0.0)
-                    break
                 now = time.monotonic()
                 # Dispatch every ready cell a worker slot exists for.
                 queue.sort(key=lambda item: item[2])

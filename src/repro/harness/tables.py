@@ -93,12 +93,12 @@ def render_overlap(rows: List[OverlapRow]) -> str:
     return "Section 3.3: average delay-overlap ratio per application\n" + _grid(header, body)
 
 
-def render_dynamic_instances(rows: List[DynamicInstanceRow], overall: float) -> str:
+def render_dynamic_instances(rows: List[DynamicInstanceRow], overall: Optional[float]) -> str:
     header = ["App", "init sites", "median dynamic instances"]
     body = [[r.app, str(r.init_sites), "%.1f" % r.median_init_instances] for r in rows]
     return (
         "Section 3.3: dynamic instances of initialization sites "
-        "(overall median: %.1f)\n" % overall + _grid(header, body)
+        "(overall median: %s)\n" % _fmt(overall) + _grid(header, body)
     )
 
 

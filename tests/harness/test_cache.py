@@ -216,15 +216,15 @@ class TestPlanCache:
         fresh.put("prep", key, {"v": "payload"})
         assert fresh.get("prep", key) == {"v": "payload"}
 
-    def test_memo_hits_skip_integrity_io(self, cache):
-        # In-process memo hits never touch the file, so post-put
-        # corruption is invisible until a fresh process reads the disk.
+    def test_every_get_verifies_the_file(self, cache):
+        # There is no in-process memo: a get after a put reads the
+        # record again, so post-put corruption is caught at once.
         key = {"k": 5}
         cache.put("prep", key, {"v": 1})
         path = record_file(cache, "prep", key)
         path.write_bytes(b"garbage")
-        assert cache.get("prep", key) == {"v": 1}
-        assert cache.stats.corrupt == 0
+        assert cache.get("prep", key) is None
+        assert cache.stats.corrupt == 1
 
     def test_open_cache_none_and_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("WAFFLE_CACHE_DIR", raising=False)
@@ -252,7 +252,7 @@ class TestPrepareTestCaching:
     def test_disk_roundtrip_is_exact(self, test_case, tmp_path):
         first = PlanCache(tmp_path)
         cold = prepare_test(test_case, DEFAULT_CONFIG, seed=3, cache=first, test_id="n:t")
-        reopened = PlanCache(tmp_path)  # no in-memory memo: forces file read
+        reopened = PlanCache(tmp_path)  # a fresh instance, as each cell opens one
         warm = prepare_test(test_case, DEFAULT_CONFIG, seed=3, cache=reopened, test_id="n:t")
         assert warm.plan.to_dict() == cold.plan.to_dict()
         assert reopened.stats.hits == 1

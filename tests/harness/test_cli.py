@@ -1,8 +1,18 @@
 """CLI behavior (fast subcommands only)."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.harness.cli import build_parser, main
+from repro.harness import experiments
+from repro.harness.cli import ARTIFACTS, SELECTION_OPTIONS, build_parser, main
+
+#: The subcommands that are not paper artifacts.
+TOOL_COMMANDS = {"apps", "bugs", "trace", "detect", "fuzz", "replay", "obs", "campaign"}
 
 
 class TestParser:
@@ -14,6 +24,46 @@ class TestParser:
             "table4", "table5", "table6", "table7", "stress", "all", "detect",
         }
         assert expected <= set(sub.choices)
+
+    def test_the_registry_is_the_parser_s_artifact_set(self):
+        sub = next(a for a in build_parser()._actions if hasattr(a, "choices") and a.choices)
+        names = [entry.name for entry in ARTIFACTS]
+        assert len(set(names)) == len(names)
+        assert set(sub.choices) - TOOL_COMMANDS == set(names) | {"all"}
+        assert [entry.name for entry in ARTIFACTS if entry.in_all] == [
+            "table1", "table2", "figure2", "figure5", "overlap", "dynamic",
+            "table4", "table5", "table6", "table7", "stress",
+        ]
+        assert sub.choices["all"].get_default("artifacts") == tuple(
+            entry for entry in ARTIFACTS if entry.in_all
+        )
+
+    @pytest.mark.parametrize("name", [entry.name for entry in ARTIFACTS] + ["all"])
+    def test_an_artifact_accepts_only_the_options_its_driver_reads(self, name, capsys):
+        parser = build_parser()
+        entries = [e for e in ARTIFACTS if e.name == name] or [
+            e for e in ARTIFACTS if e.in_all
+        ]
+        reads = {option for entry in entries for option in entry.options}
+        if name in ("table1", "figure2", "figure5"):
+            assert reads == set()
+        if name == "all":
+            assert reads == set(SELECTION_OPTIONS)
+        for option in SELECTION_OPTIONS:
+            argv = [name, "--" + option, "1"]
+            if option in reads:
+                parser.parse_args(argv)
+                continue
+            with pytest.raises(SystemExit) as raised:
+                parser.parse_args(argv)
+            assert raised.value.code == 2
+            assert "unrecognized arguments: --%s" % option in capsys.readouterr().err
+
+    def test_attempts_defaults(self):
+        parser = build_parser()
+        assert parser.parse_args(["table4"]).attempts == 15
+        assert parser.parse_args(["table7"]).attempts == 5
+        assert parser.parse_args(["all"]).attempts == 5
 
     def test_detect_requires_target(self, capsys):
         with pytest.raises(SystemExit):
@@ -293,6 +343,99 @@ class TestSupervisedCampaigns:
         assert self.table_lines(first) == self.table_lines(second)
 
 
+class TestReducedAll:
+    """``all`` on one app and one bug prints exactly what it printed
+    before its artifacts moved into one registry, serially and with
+    forked workers."""
+
+    ARGV = ["all", "--apps", "nsubstitute", "--bugs", "Bug-1", "--attempts", "1",
+            "--budget", "4"]
+    DIGESTS = {
+        "text": "a3dbf8bd254b4c2143eec7ecbc05f12e74e2e7c0d47c1a5e3849fa9a7ee15f78",
+        "json": "9776d05e4d952b79cc170665353345374cc8775b95a642b5a17b8b3b36c514b1",
+    }
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_digest(self, form, jobs, capsys):
+        argv = self.ARGV + ["--jobs", jobs] + (["--json"] if form == "json" else [])
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[form]
+
+
+class TestDegradation:
+    """A quarantined cell drops its row, not the table."""
+
+    @pytest.fixture(autouse=True)
+    def clean_supervision(self):
+        from repro.harness import faults, parallel
+
+        faults.disable()
+        parallel.deactivate()
+        yield
+        faults.disable()
+        parallel.deactivate()
+
+    @staticmethod
+    def failing(monkeypatch, name, first_arg):
+        """Make one cell of ``experiments.<name>`` fail deterministically."""
+        real = getattr(experiments, name)
+
+        def cell(*args):
+            if args[0] == first_arg:
+                raise AssertionError("injected deterministic failure")
+            return real(*args)
+
+        monkeypatch.setattr(experiments, name, cell)
+
+    @staticmethod
+    def quarantine_lines(out):
+        return [line for line in out.splitlines() if line.startswith("quarantined: ")]
+
+    def test_table4_keeps_the_other_rows(self, monkeypatch, capsys):
+        self.failing(monkeypatch, "_table4_cell", "Bug-1")
+        argv = ["table4", "--bugs", "Bug-1", "Bug-11", "--attempts", "1", "--budget", "4",
+                "--retries", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        rows = [line.split()[0] for line in out.splitlines() if line.startswith("Bug-")]
+        assert rows == ["Bug-11"]
+        assert len(self.quarantine_lines(out)) == 1
+        assert "1 quarantined" in out.splitlines()[-1]
+
+        assert main(argv + ["--json"]) == 0
+        payload = capsys.readouterr().out
+        table = json.loads(payload[:payload.index("\nsupervisor: ")])["table4"]
+        assert table[0] is None and table[1]["bug"]["bug_id"] == "Bug-11"
+
+    def test_table2_keeps_the_other_apps(self, monkeypatch, capsys):
+        self.failing(monkeypatch, "_table2_cell", "nsubstitute")
+        argv = ["table2", "--apps", "nsubstitute", "netmq", "--retries", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "NetMQ" in out and "NSubstitute" not in out
+        (line,) = self.quarantine_lines(out)
+        tests = len(experiments.get_app("nsubstitute").multithreaded_tests)
+        assert len(line.split(", ")) == tests
+        assert "%d quarantined" % tests in out.splitlines()[-1]
+
+        assert main(argv + ["--json"]) == 0
+        payload = capsys.readouterr().out
+        table = json.loads(payload[:payload.index("\nsupervisor: ")])["table2"]
+        assert table[0] is None and table[1]["app"] == "NetMQ"
+
+
+    def test_dynamic_loses_its_overall_median(self, monkeypatch, capsys):
+        self.failing(monkeypatch, "_dynamic_cell", "nsubstitute")
+        argv = ["dynamic", "--apps", "nsubstitute", "netmq", "--retries", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "(overall median: -)" in out
+        assert "NetMQ" in out and "NSubstitute" not in out
+        assert len(self.quarantine_lines(out)) == 1
+
+
 class TestUsageErrors:
     """Bad targets and counts exit 2 with one ``waffle-repro: error:`` line."""
 
@@ -389,7 +532,7 @@ class TestUsageErrors:
             ["table4", "--attempts", "0"],
             ["table4", "--attempts", "-1"],
             ["table4", "--budget", "0"],
-            ["table2", "--budget", "-3"],
+            ["stress", "--budget", "-3"],
             ["fuzz", "--budget", "0"],
             ["detect", "--bug", "Bug-1", "--budget", "0"],
         ],
@@ -455,6 +598,34 @@ class TestUsageErrors:
                             capsys)
         assert "--resume %s" % path in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--retries", "0", "table1"], "must be at least 1, got 0"),
+            (["table2", "--cell-timeout", "-1"], "must be a positive number of seconds"),
+            (["table2", "--cell-timeout", "0"], "must be a positive number of seconds"),
+            (["table2", "--cell-timeout", "nan"], "must be a positive number of seconds"),
+            (["table2", "--cell-timeout", "soon"], "invalid float value: 'soon'"),
+        ],
+    )
+    def test_bad_resilience_options(self, argv, reason, capsys):
+        # argparse's own format: usage, then "waffle-repro[ CMD]: error: ...".
+        err = self.fails_with(argv, capsys)
+        errors = [line for line in err.splitlines() if ": error: " in line]
+        assert len(errors) == 1 and errors[0].startswith("waffle-repro")
+        assert reason in errors[0]
+        assert "Traceback" not in err
+
+    def test_malformed_chaos_spec(self):
+        env = dict(os.environ, WAFFLE_CHAOS="worker_crash",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-m", "repro", "table1"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("waffle-repro: error: WAFFLE_CHAOS='worker_crash': ")
+        assert proc.stderr.count("\n") == 1
 
     def test_non_integer_count_is_rejected(self, capsys):
         err = self.fails_with(["table4", "--attempts", "many"], capsys)

@@ -4,6 +4,7 @@ assertions that mirror the paper's qualitative claims."""
 import pytest
 
 from repro.harness import experiments, tables
+from repro.harness.supervisor import supervised
 from repro.harness.runner import (
     analyze_test,
     run_baseline,
@@ -16,6 +17,7 @@ from repro.apps import get_app
 from repro.core.candidates import CandidateSet
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.delay_policy import DecayState
+from repro.obs import eventbus
 
 
 class TestRunner:
@@ -137,9 +139,18 @@ class TestTables567:
         assert row.waffle_duration_ms < row.basic_duration_ms
 
     def test_table7_runs(self):
-        rows = experiments.table7_ablations(
-            attempts=1, budget=4, base_seed=0, apps_for_perf=["nsubstitute"]
+        fanouts = []
+        eventbus.configure(None).add_listener(
+            lambda event: event["type"] == "fanout" and fanouts.append(event["unit"])
         )
+        try:
+            rows = experiments.table7_ablations(
+                attempts=1, budget=4, base_seed=0, apps_for_perf=["nsubstitute"]
+            )
+        finally:
+            eventbus.disable()
+        # Waffle's reference bugs, every tool's perf probes, the ablations.
+        assert fanouts == ["_table7_found_cell", "_table7_perf_cell", "_table7_found_cell"]
         assert len(rows) == 4
         points = {r.design_point for r in rows}
         assert points == {
@@ -148,6 +159,24 @@ class TestTables567:
             "custom_delay_length",
             "interference_control",
         }
+
+    def test_table7_degrades_only_the_row_that_lost_a_cell(self, monkeypatch):
+        real = experiments._table7_found_cell
+
+        def cell(design_point, *rest):
+            if design_point == "preparation_run":
+                raise AssertionError("injected deterministic failure")
+            return real(design_point, *rest)
+
+        monkeypatch.setattr(experiments, "_table7_found_cell", cell)
+        with supervised() as sup:
+            rows = experiments.table7_ablations(
+                attempts=1, budget=4, base_seed=0, apps_for_perf=["nsubstitute"]
+            )
+        assert [r and r.design_point for r in rows] == [
+            "parent_child_analysis", None, "custom_delay_length", "interference_control",
+        ]
+        assert sup.stats.quarantined > 0
 
 
 class TestStressControl:

@@ -80,9 +80,20 @@ class TestChaosSpec:
 
     def test_env_configures_on_import_path(self, monkeypatch):
         monkeypatch.setenv(faults.CHAOS_ENV, "seed=3,hang=0.5")
-        faults._configure_from_env()
+        assert faults._configure_from_env() is None
         assert faults.active()
         assert faults.chaos().rates["hang"] == 0.5
+
+    def test_a_malformed_env_spec_is_reported_not_raised(self, monkeypatch):
+        monkeypatch.setenv(faults.CHAOS_ENV, "worker_crash")
+        error = faults._configure_from_env()
+        assert "WAFFLE_CHAOS='worker_crash'" in error
+        assert "not key=value" in error
+        assert not faults.active()
+
+    def test_truncate_is_not_a_chaos_site(self):
+        with pytest.raises(ValueError, match="unknown chaos key 'truncate'"):
+            faults.parse_chaos("truncate=1.0")
 
 
 class TestDeterministicFiring:
@@ -134,10 +145,3 @@ class TestActuators:
         target.write_bytes(b"A" * 100)
         faults.corrupt_file(target, "record.json")
         assert [i for i in range(100) if target.read_bytes()[i] != ord("A")] == [position]
-
-    def test_maybe_truncate_drops_the_tail(self, tmp_path):
-        target = tmp_path / "telemetry-1.jsonl"
-        target.write_bytes(b"x" * 100)
-        faults.configure("seed=1,truncate=1.0")
-        assert faults.maybe_truncate_file(target, drop_bytes=16)
-        assert target.stat().st_size == 84

@@ -141,28 +141,6 @@ class TestRetryPolicy:
             )
 
 
-class TestDrain:
-    def test_interruptible_sleep_wakes_on_shutdown(self):
-        sup = Supervisor(policy=RetryPolicy(max_attempts=2, seed=1))
-        timer = threading.Timer(0.05, sup.request_shutdown)
-        timer.start()
-        started = time.monotonic()
-        sup._interruptible_sleep(60.0)
-        timer.join()
-        assert time.monotonic() - started < 10.0
-
-    def test_drain_finalizes_the_retry_tail_as_failed(self):
-        # Default (interruptible) sleep: with shutdown already requested
-        # the backoff returns immediately and the cell is finalized
-        # failed after its first fault instead of burning the budget.
-        sup = Supervisor(policy=RetryPolicy(max_attempts=5, seed=1))
-        sup.request_shutdown()
-        assert sup.map(flaky, [(7, 99)]) == [None]
-        assert ATTEMPTS[7] == 1
-        assert sup.stats.failed == 1
-        assert sup.stats.retried == 0
-
-
 class TestRetryAndQuarantine:
     def test_retry_until_budget_succeeds(self):
         sup = Supervisor(policy=RetryPolicy(max_attempts=3, seed=1), sleep=no_sleep)
@@ -178,6 +156,7 @@ class TestRetryAndQuarantine:
         assert ATTEMPTS[2] == 2  # exactly the budget, no more
         assert sup.stats.failed == 1
         assert sup.stats.ok == 0
+        assert sup.stats.degraded == [cell_key(flaky, (2, 99))]
 
     def test_deterministic_failure_quarantines_without_retry(self):
         sup = Supervisor(policy=RetryPolicy(max_attempts=5, seed=1), sleep=no_sleep)
@@ -197,6 +176,7 @@ class TestRetryAndQuarantine:
         assert sup.map(mixed, [(0,), (1,), (2,)]) == [0, None, 4]
         assert sup.stats.ok == 2
         assert sup.stats.quarantined == 1
+        assert sup.stats.degraded == [cell_key(mixed, (1,))]
 
     def test_backoff_uses_the_policy_schedule(self):
         slept = []
