@@ -18,8 +18,8 @@ Two budgets, one benchmark:
   The figure is the median per-pair wall-time ratio; its interquartile
   range is reported beside it. Interpreter start-up is in both sides.
 
-The flight-recorder-enabled time is reported but not gated (it is an
-opt-in debugging mode).
+The time with a flight ring installed is reported but not gated: only
+a detection session that keeps dossiers records into one.
 
 Writes ``BENCH_obs.json`` at the repo root, with the CPU count, Python
 version and git revision of the measuring machine.

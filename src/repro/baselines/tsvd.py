@@ -16,13 +16,12 @@ MemOrder tools).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List
 
-from .. import obs
 from ..sim.unsafe_api import TsvOccurrence
 from ..core.candidates import CandidateSet
 from ..core.delay_policy import DecayState
-from ..core.detector import DetectionOutcome, ToolDriver, as_workload
+from ..core.detector import DetectionOutcome, ToolDriver, Workload
 from ..core.runtime import OnlineInjectionHook
 
 
@@ -42,29 +41,22 @@ class Tsvd(ToolDriver):
 
     name = "tsvd"
 
-    def detect(
-        self,
-        workload: Any,
-        max_detection_runs: Optional[int] = None,
-        dossiers: bool = False,
+    def _detect(
+        self, workload: Workload, budget: int, dossiers: bool, flight
     ) -> TsvdOutcome:
-        """``dossiers`` is accepted for the driver interface only: a
-        thread-safety violation yields no ``BugReport``, so Tsvd
-        assembles no dossier and its hooks capture no schedule."""
-        workload = as_workload(workload)
+        """``dossiers`` and ``flight`` are accepted for the driver
+        interface only: a thread-safety violation yields no
+        ``BugReport``, so Tsvd assembles no dossier and its hooks capture
+        no schedule."""
         config = self.config
-        budget = max_detection_runs if max_detection_runs is not None else config.max_detection_runs
         outcome = TsvdOutcome(tool=self.name, workload=workload.name)
 
         candidates = CandidateSet()
         decay = DecayState(config.decay_lambda)
-        flight = obs.flightrec.recorder()
         site_injections: Dict[str, int] = {}
 
         for attempt in range(1, budget + 1):
             sim_seed = config.seed + attempt
-            if flight is not None:
-                flight.begin_run(kind="online", test=workload.name, seed=sim_seed)
             hook = OnlineInjectionHook(
                 config,
                 decay,

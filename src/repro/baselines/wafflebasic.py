@@ -17,12 +17,11 @@ initializations, typically -- receive delays in later runs at all.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict
 
-from .. import obs
 from ..core.candidates import CandidateSet
 from ..core.delay_policy import DecayState
-from ..core.detector import DetectionOutcome, ToolDriver, as_workload
+from ..core.detector import DetectionOutcome, ToolDriver, Workload
 from ..core.runtime import OnlineInjectionHook
 
 
@@ -31,23 +30,15 @@ class WaffleBasic(ToolDriver):
 
     name = "wafflebasic"
 
-    def detect(
-        self,
-        workload: Any,
-        max_detection_runs: Optional[int] = None,
-        dossiers: bool = False,
+    def _detect(
+        self, workload: Workload, budget: int, dossiers: bool, flight
     ) -> DetectionOutcome:
-        workload = as_workload(workload)
         config = self.config
-        budget = max_detection_runs if max_detection_runs is not None else config.max_detection_runs
         outcome = DetectionOutcome(tool=self.name, workload=workload.name)
 
         # State persisted across runs (saved/bootstrapped, section 5).
         candidates = CandidateSet()
         decay = DecayState(config.decay_lambda)
-        flight = obs.flightrec.recorder()
-        dossiers = dossiers or flight is not None
-        session_start_seq = flight.recorded if flight is not None else 0
         site_injections: Dict[str, int] = {}
 
         for attempt in range(1, budget + 1):
@@ -76,9 +67,7 @@ class WaffleBasic(ToolDriver):
                 outcome.reports.append(report)
                 if dossiers:
                     outcome.dossiers.append(
-                        self._assemble_dossier(
-                            workload, report, hook, sim_seed, flight, session_start_seq
-                        )
+                        self._assemble_dossier(workload, report, hook, sim_seed, flight)
                     )
                 if config.stop_at_first_bug:
                     break

@@ -88,12 +88,13 @@ class DetectionOutcome:
     plan: Optional[InjectionPlan] = None
     trace: Optional[Trace] = None
     #: One :class:`repro.obs.dossier.BugDossier` per report, assembled
-    #: when ``detect`` was asked for dossiers or a flight recorder is
-    #: installed (``obs.flightrec``); the recorder adds only provenance
-    #: (prunes, decisions, flight events), never the schedule.
+    #: when ``detect`` was asked for dossiers; under an obs session the
+    #: session's flight ring adds provenance (prunes, decisions, flight
+    #: events), never the schedule.
     dossiers: List[Any] = field(default_factory=list)
     #: The session's coverage record (``repro.obs.coverage``): which
-    #: candidate pairs were delayed vs. planned vs. pruned.
+    #: candidate pairs were delayed vs. planned vs. pruned. Built only
+    #: under an obs session, which keeps it.
     coverage: Optional[dict] = None
 
     @property
@@ -250,15 +251,11 @@ class ToolDriver:
         hook: _BaseInjectionHook,
         sim_seed: int,
         recorder,
-        session_start_seq: int,
     ):
         """Build a replay-verified bug dossier; an obs session keeps it.
 
-        ``recorder`` is the installed flight recorder or None; it feeds
-        only the dossier's provenance fields. ``session_start_seq`` is
-        ``recorder.recorded`` when ``detect`` began, so the dossier's
-        pruning verdicts are this session's alone, not those of earlier
-        sessions in the same process."""
+        ``recorder`` is the session's own flight ring or None; it feeds
+        only the dossier's provenance fields."""
         from ..obs import dossier as dossier_mod
 
         built = dossier_mod.assemble_dossier(
@@ -270,11 +267,10 @@ class ToolDriver:
             sim_seed=sim_seed,
             recorder=recorder,
             build=workload.build,
-            session_start_seq=session_start_seq,
         )
         session = obs.session()
         if session is not None:
-            dossier_mod.write_dossier(built, session.directory)
+            built.path = dossier_mod.write_dossier(built, session.directory)
         return built
 
     def _finish_coverage(
@@ -284,7 +280,11 @@ class ToolDriver:
         decay,
         site_injections: Dict[str, int],
     ) -> None:
-        """Attach the session's coverage record; emit it to the obs dir."""
+        """Attach the session's coverage record and queue it for the obs
+        dir; without an obs session nothing keeps it, so none is built."""
+        session = obs.session()
+        if session is None:
+            return
         from ..obs import coverage as coverage_mod
 
         record = coverage_mod.build_coverage(
@@ -297,12 +297,10 @@ class ToolDriver:
             bug_found=outcome.bug_found or getattr(outcome, "tsv_found", False),
         )
         outcome.coverage = record
-        session = obs.session()
-        if session is not None:
-            # Queued, not written: the session batches coverage I/O into
-            # its next flush (per-cell atomic writes were measurable on
-            # the enabled path).
-            session.queue_coverage(record)
+        # Queued, not written: the session batches coverage I/O into its
+        # next flush (per-cell atomic writes were measurable on the
+        # enabled path).
+        session.queue_coverage(record)
 
     @staticmethod
     def _count_site_injections(hook, site_injections: Dict[str, int]) -> None:
@@ -319,8 +317,25 @@ class ToolDriver:
         dossiers: bool = False,
     ) -> DetectionOutcome:
         """Run one detection session. ``dossiers`` asks for one
-        replay-verified dossier per bug report; an installed flight
-        recorder asks for them too, and adds its provenance."""
+        replay-verified dossier per bug report. Under an obs session,
+        which keeps them, the session records into a fresh flight ring
+        of its own for their provenance; the recorder in place before
+        is restored when it ends."""
+        workload = as_workload(workload)
+        budget = (
+            max_detection_runs
+            if max_detection_runs is not None
+            else self.config.max_detection_runs
+        )
+        if not dossiers or obs.session() is None:
+            return self._detect(workload, budget, dossiers, None)
+        with obs.flightrec.suspended():
+            return self._detect(workload, budget, True, obs.flightrec.install())
+
+    def _detect(
+        self, workload: Workload, budget: int, dossiers: bool, flight
+    ) -> DetectionOutcome:
+        """The session itself; ``flight`` is its own ring or None."""
         raise NotImplementedError
 
 
@@ -336,21 +351,13 @@ class Waffle(ToolDriver):
 
     name = "waffle"
 
-    def detect(
-        self,
-        workload: Any,
-        max_detection_runs: Optional[int] = None,
-        dossiers: bool = False,
+    def _detect(
+        self, workload: Workload, budget: int, dossiers: bool, flight
     ) -> DetectionOutcome:
-        workload = as_workload(workload)
         config = self.config
-        budget = max_detection_runs if max_detection_runs is not None else config.max_detection_runs
         outcome = DetectionOutcome(tool=self.name, workload=workload.name)
         decay = DecayState(config.decay_lambda)
         run_index = 0
-        flight = obs.flightrec.recorder()
-        dossiers = dossiers or flight is not None
-        session_start_seq = flight.recorded if flight is not None else 0
         site_injections: Dict[str, int] = {}
 
         plan: Optional[InjectionPlan] = None
@@ -421,9 +428,7 @@ class Waffle(ToolDriver):
                 outcome.reports.append(report)
                 if dossiers:
                     outcome.dossiers.append(
-                        self._assemble_dossier(
-                            workload, report, hook, sim_seed, flight, session_start_seq
-                        )
+                        self._assemble_dossier(workload, report, hook, sim_seed, flight)
                     )
                 if config.stop_at_first_bug:
                     break

@@ -14,12 +14,13 @@ spec's planted-bug oracle:
   crash-proof benign motifs make any other site a generator bug;
 * **detectability model** -- a planted *undetectable* bug (gap beyond
   the near-miss window) must never be found;
-* **replay** (optional) -- every detection's dossier, replayed through
-  :func:`repro.obs.dossier.replay_dossier`, reproduces the same error
-  at the same site. The detector is asked for dossiers directly: their
-  schedule comes from the injection hook, so no flight recorder is
-  needed. One installed by the caller (the fuzz driver does so when an
-  obs session will keep the dossiers) only adds their provenance.
+* **replay** (optional) -- every detection's dossier reproduces the
+  same error at the same site. The detector is asked for dossiers
+  directly: their schedule comes from the injection hook, so no flight
+  recorder is needed (under an obs session the detector records one
+  for their provenance). A dossier whose minimization verified its
+  schedule by replay counts as reproduced; an unverified one is
+  replayed through :func:`repro.obs.dossier.replay_dossier`.
 
 The result carries only deterministic fields (virtual times, run
 counts, sites), so a fuzz row is a pure function of
@@ -156,18 +157,20 @@ def evaluate_spec(
 
 
 def _check_replay(result: OracleResult, test, outcome, bug_id: str) -> None:
-    """Replay every dossier the session assembled (from the hook's
-    captured schedule, with or without a recorder); record the verdict."""
+    """Check that every dossier the session assembled reproduces; record
+    the verdict. A ``verified`` dossier's minimal schedule was just
+    replayed to the same manifestation by its minimization, so only an
+    unverified one is replayed here."""
     from ..obs import dossier as dossier_mod
 
     if not outcome.dossiers:
         result.violations.append("replay: no dossier assembled for %s" % bug_id)
         result.replays[bug_id] = False
         return
-    reproduced = True
-    for built in outcome.dossiers:
-        _, ok = dossier_mod.replay_dossier(built, test.build)
-        reproduced = reproduced and ok
+    reproduced = all(
+        built.verified or dossier_mod.replay_dossier(built, test.build)[1]
+        for built in outcome.dossiers
+    )
     result.replays[bug_id] = reproduced
     if not reproduced:
         result.violations.append("replay: dossier for %s did not reproduce" % bug_id)

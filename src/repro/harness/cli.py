@@ -344,16 +344,13 @@ def _write_dashboard_artifact(
 def cmd_detect(args) -> None:
     test = _resolve_target(args)
     config = DEFAULT_CONFIG.with_seed(args.seed)
-    keep_dossiers = bool(getattr(args, "dossier_dir", None))
-    if keep_dossiers and not obs.flightrec.active():
-        # A dossier written to disk carries the flight recorder's
-        # provenance; install it before the driver constructs its
-        # instrumented objects.
-        obs.flightrec.install()
     driver = {"waffle": Waffle, "wafflebasic": WaffleBasic, "stress": StressRunner}[args.tool](
         config
     )
-    outcome = driver.detect(test, max_detection_runs=args.budget, dossiers=keep_dossiers)
+    # An obs session keeps the dossiers (and their flight provenance).
+    outcome = driver.detect(
+        test, max_detection_runs=args.budget, dossiers=obs.session() is not None
+    )
     print("tool=%s workload=%s" % (outcome.tool, outcome.workload))
     for record in outcome.runs:
         print(
@@ -373,19 +370,9 @@ def cmd_detect(args) -> None:
         print("  " + outcome.reports[0].summary())
     else:
         print("no bug exposed within %d runs" % args.budget)
-    if keep_dossiers:
-        from ..obs import coverage as coverage_mod
-        from ..obs import dossier as dossier_mod
-
-        for built in getattr(outcome, "dossiers", []):
-            path = dossier_mod.write_dossier(built, args.dossier_dir)
-            print(
-                "dossier written: %s (replay with: waffle-repro replay %s)"
-                % (path, path)
-            )
-        if getattr(outcome, "coverage", None) is not None:
-            path = coverage_mod.write_coverage(outcome.coverage, args.dossier_dir)
-            print("coverage written: %s" % path)
+    for built in outcome.dossiers:
+        print("dossier written: %s (replay with: waffle-repro replay %s)"
+              % (built.path, built.path))
 
 
 def _resolve_workload(name: str):
@@ -828,12 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--app", type=str, default=None)
     p.add_argument("--test", type=str, default=None)
     p.add_argument("--budget", type=positive_int, default=50)
-    p.add_argument(
-        "--dossier-dir",
-        type=str,
-        default=None,
-        help="enable the flight recorder and write bug dossiers + coverage here",
-    )
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser(

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .. import obs
 from ..core.config import DEFAULT_CONFIG, WaffleConfig
-from ..gen.oracle import OracleResult, evaluate_spec
+from ..gen.oracle import evaluate_spec
 from ..gen.spec import WorkloadSpec, generate_spec, spec_hash
 from ..obs import eventbus
 from .cache import config_hash, open_cache
@@ -77,30 +76,13 @@ def _fuzz_cell(
         if record is not None:
             _emit_fuzz(record["row"])
             return record["row"]
-    result = _evaluate(spec, cfg, budget, check_replay)
+    result = evaluate_spec(spec, cfg, budget=budget, check_replay=check_replay)
     row = result.to_row()
     row["spec_hash"] = shash[:12]
     if cache is not None and key is not None:
         cache.put("fuzz", key, {"row": row})
     _emit_fuzz(row)
     return row
-
-
-def _evaluate(
-    spec: WorkloadSpec, cfg: WaffleConfig, budget: int, check_replay: bool
-) -> OracleResult:
-    """The oracle evaluation of one spec. Its replay check assembles
-    dossiers; an obs session writes them, so only then does the spec get
-    a flight ring of its own for their provenance (a process that
-    already records, under ``WAFFLE_FLIGHTREC``, keeps its ring)."""
-    owned = check_replay and obs.session() is not None and not obs.flightrec.active()
-    if owned:
-        obs.flightrec.install()
-    try:
-        return evaluate_spec(spec, cfg, budget=budget, check_replay=check_replay)
-    finally:
-        if owned:
-            obs.flightrec.uninstall()
 
 
 def _emit_fuzz(row: dict) -> None:

@@ -45,13 +45,6 @@ def test_time_limit(baseline_ms: float) -> float:
     return max(TIMEOUT_FLOOR_MS, TIMEOUT_FACTOR * baseline_ms)
 
 
-def _begin_flight_run(kind: str, test: AppTestCase, seed: int) -> None:
-    """Mark a run boundary in the flight recorder (no-op when off)."""
-    flight = obs.flightrec.recorder()
-    if flight is not None:
-        flight.begin_run(kind=kind, test=test.name, seed=seed)
-
-
 def _record_run(session, kind, test, seed, started, result, hook=None, sim=None) -> None:
     """Per-run telemetry summary (only called when a session is active)."""
     obs.collect_run_telemetry(
@@ -85,7 +78,6 @@ def run_baseline(test: AppTestCase, seed: int = 0) -> SingleRun:
     BASELINE_RUNS += 1
     session = obs.session()
     started = time.perf_counter()
-    _begin_flight_run("baseline", test, seed)
     sim = Simulation(seed=seed, hook=NoopHook(), time_limit_ms=600_000.0)
     result = sim.run(test.build(sim))
     if session is not None:
@@ -109,7 +101,6 @@ def run_recording(
     RECORDING_RUNS += 1
     session = obs.session()
     started = time.perf_counter()
-    _begin_flight_run("prep", test, seed)
     hook = RecordingHook(
         record_overhead_ms=config.record_overhead_ms,
         track_vector_clocks=config.parent_child_analysis,
@@ -143,7 +134,6 @@ def run_planned_detection(
     """One Waffle detection run bootstrapped from a plan."""
     session = obs.session()
     started = time.perf_counter()
-    _begin_flight_run("detect", test, seed)
     hook = PlannedInjectionHook(
         plan, config, decay, seed=hook_seed if hook_seed is not None else seed
     )
@@ -181,7 +171,6 @@ def run_online_detection(
     """One WaffleBasic (or Tsvd) run; state persists via the arguments."""
     session = obs.session()
     started = time.perf_counter()
-    _begin_flight_run("online", test, seed)
     hook = OnlineInjectionHook(
         config,
         decay,

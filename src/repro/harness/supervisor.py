@@ -31,9 +31,8 @@ supervisor wraps every cell execution in a fault boundary:
   resumed campaign is bit-identical to an uninterrupted one -- the
   property the resume tests guard. ``campaign run --fleet-dir D`` is
   this path over ``D/store``, a durable store whose records fsync.
-* **Crash dossiers** -- every fault is captured as a JSON dossier
-  (fault taxonomy record plus a flight-recorder snapshot when one is
-  installed) before the worker is torn down.
+* **Crash dossiers** -- every fault is captured as a JSON dossier (the
+  fault taxonomy record) before the worker is torn down.
 
 The supervisor is **opt-in**: it takes the executor slot of
 :mod:`repro.harness.parallel` while active. With the slot empty,
@@ -374,18 +373,16 @@ class Supervisor:
         return session.directory if session is not None else None
 
     def _write_dossier(self, key: str, attempt: int, fault_record: dict) -> None:
-        """Capture fault context (including flight-recorder state) as a
-        crash dossier before the cell is finalized or retried."""
+        """Capture the fault record as a crash dossier before the cell is
+        finalized or retried."""
         target = self._dossier_target()
         if target is None:
             return
-        flight = obs.flightrec.recorder()
         payload = {
             "cell": key,
             "attempt": attempt,
             "fault": fault_record,
             "unix_time": round(time.time(), 3),
-            "flightrec": flight.snapshot()[-256:] if flight is not None else None,
         }
         try:
             save_record(payload, Path(target) / ("crash-%s-a%d.json" % (key[:16], attempt)))
@@ -399,9 +396,6 @@ class Supervisor:
         record = faults.describe(exc)
         kind = str(record["kind"])
         self.stats.count_fault(kind)
-        flight = obs.flightrec.recorder()
-        if flight is not None:
-            flight.record("cell_fault", cell=key[:16], attempt=attempt, kind=kind)
         eventbus.emit("fault", cell=key[:16], attempt=attempt, kind=kind,
                       error=record.get("error", "?"))
         self._write_dossier(key, attempt, record)

@@ -17,8 +17,7 @@ every run explainable from emitted data instead of reruns:
 * :mod:`repro.obs.report` -- ``repro obs report``: aggregate an obs
   directory into a human-readable digest;
 * :mod:`repro.obs.flightrec` -- a bounded ring buffer of scheduler /
-  injection / near-miss events (``WAFFLE_FLIGHTREC``), the raw
-  material for bug dossiers;
+  injection / near-miss events, the raw material for bug dossiers;
 * :mod:`repro.obs.dossier` -- assemble a :class:`BugDossier` (pair
   provenance, swimlane, minimal replay schedule) when a bug manifests;
 * :mod:`repro.obs.coverage` -- per-session and cross-session
@@ -35,6 +34,11 @@ call :func:`session` once and keep the result, so a disabled process
 pays only a handful of ``is None`` checks per *run*, not per event --
 the bound guarded by ``benchmarks/bench_obs.py``.
 
+The same switch is the only one for dossier provenance: a detection
+session asked for dossiers under an active session records into a
+flight ring of its own (see :mod:`repro.obs.flightrec`) and writes the
+dossiers into the session directory.
+
 A forked ``--jobs`` worker reopens both streams under its own
 pid (one fork handler, below); spawned processes inherit the
 environment variable. Workers flush their own streams, which
@@ -48,7 +52,7 @@ import os
 from typing import Optional
 
 from . import eventbus  # noqa: F401  (re-export)
-from . import flightrec  # noqa: F401  (re-export; configures from env below)
+from . import flightrec  # noqa: F401  (re-export)
 from .eventbus import EventBus  # noqa: F401
 from .flightrec import FlightRecorder  # noqa: F401
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry  # noqa: F401
@@ -135,4 +139,3 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 _configure_from_env()
-flightrec._configure_from_env()

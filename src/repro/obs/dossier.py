@@ -1,16 +1,16 @@
 """Bug dossiers: everything needed to understand and replay one bug.
 
 When a detection run manifests a MemOrder bug and the detector was
-asked for dossiers (or a flight recorder is installed), it assembles a
-*dossier* from the hook and engine/candidate state of the crashing run:
+asked for dossiers, it assembles a *dossier* from the hook and
+engine/candidate state of the crashing run:
 
 * full candidate-pair provenance for every matched pair -- the
   near-miss gap history that created it, the planned ``alpha * len``
-  delay and the decay probability it ended the run with; an installed
-  flight recorder (:mod:`repro.obs.flightrec`) adds every pruning
-  verdict the detection session recorded (parent-child with vector
-  clocks, happens-before inference windows, retirement), the crashing
-  run's decisions and its raw flight events;
+  delay and the decay probability it ended the run with; under an obs
+  session, the detection session's own flight ring
+  (:mod:`repro.obs.flightrec`) adds every pruning verdict it recorded
+  (parent-child with vector clocks, happens-before inference windows,
+  retirement), the crashing run's decisions and its raw flight events;
 * a virtual-time swimlane of all threads with injected delays and the
   faulting access highlighted (ASCII and HTML renderings);
 * a **minimal reproducing schedule**: the per-site, per-occurrence
@@ -269,6 +269,8 @@ class BugDossier:
     #: Raw flight events of the crashing run, plus ring-loss accounting.
     flight_events: List[dict] = field(default_factory=list)
     flight_dropped: int = 0
+    #: Where an obs session wrote the dossier; not part of its record.
+    path: Optional[Path] = field(default=None, compare=False)
 
     @property
     def fault_site(self) -> str:
@@ -340,7 +342,6 @@ def assemble_dossier(
     recorder: Optional[flightrec.FlightRecorder] = None,
     build: Optional[Callable[[Simulation], Generator]] = None,
     max_replays: int = DEFAULT_MAX_REPLAYS,
-    session_start_seq: int = 0,
 ) -> BugDossier:
     """Build a dossier for ``report`` from the crashing run's state.
 
@@ -350,11 +351,9 @@ def assemble_dossier(
     given, the embedded schedule is verified and minimized by actual
     replay (the delays at the report's matched delay sites first, see
     :func:`minimize_schedule`), otherwise it is stored as captured
-    (unverified). ``recorder`` feeds only ``prunes``, ``decisions`` and
-    the flight events; without one they stay empty. ``session_start_seq``
-    is the recorder's ``recorded`` count when the detection session
-    began: pruning verdicts older than that belong to earlier sessions
-    run in the same process and are left out.
+    (unverified). ``recorder`` is the detection session's own ring; it
+    feeds only ``prunes``, ``decisions`` and the flight events, and
+    without one they stay empty.
     """
     engine = hook.engine
     candidates = engine.candidates
@@ -451,7 +450,6 @@ def assemble_dossier(
     if recorder is not None:
         prunes = recorder.events("prune_parent_child") + recorder.events("prune_hb")
         prunes += [e for e in recorder.events("pair_removed") if e.get("reason")]
-        prunes = [e for e in prunes if e["seq"] >= session_start_seq]
         flight_events = recorder.events_for_run(recorder.run_seq)
         decisions = [e for e in flight_events if e["k"] in ("inject", "skip")]
         flight_dropped = recorder.dropped

@@ -8,14 +8,18 @@ injection decisions (inject/skip with the reason taxonomy), near-miss
 pair observations and pruning verdicts (with the vector clocks that
 justified them).
 
-Activation model mirrors the telemetry session: a process-global
-recorder, off by default. ``install(capacity)`` enables it;
-instrumented constructors bind :func:`recorder` once and branch on
-``is not None``, so a disabled process pays one pointer check per
-guarded site -- the same budget ``benchmarks/bench_obs.py`` enforces
-for the telemetry session. Events live in a ``deque(maxlen=capacity)``:
-memory is bounded no matter how long the session runs, and eviction is
-counted (``dropped``) so a dossier can say when provenance was lost.
+Activation model: a process-global recorder, off by default, with one
+owner. A detection session asked for dossiers under an active obs
+session (``--obs-dir``) installs a fresh ring for its own runs and
+restores the previous recorder when it ends
+(:meth:`repro.core.detector.ToolDriver.detect`), so a ring never holds
+another session's events and none is live across a fork. Tests install
+one directly to watch the instrumented layers. Instrumented
+constructors bind :func:`recorder` once and branch on ``is not None``,
+so a disabled process pays one pointer check per guarded site. Events
+live in a ``deque(maxlen=capacity)``: memory is bounded no matter how
+long the session runs, and eviction is counted (``dropped``) so a
+dossier can say when provenance was lost.
 
 Like the telemetry session, the recorder is purely observational: it
 never feeds values back into a run, so runs are bit-identical with the
@@ -26,17 +30,10 @@ not pollute the ring that is being snapshotted.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from contextlib import contextmanager
 from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-#: Environment variable enabling the flight recorder (the propagation
-#: channel to ``--jobs`` workers, like ``WAFFLE_OBS_DIR``). The value
-#: is the ring capacity, so ``WAFFLE_FLIGHTREC=1`` keeps one event; a
-#: non-integer or non-positive value means the default capacity.
-FLIGHTREC_ENV = "WAFFLE_FLIGHTREC"
 
 DEFAULT_CAPACITY = 4096
 
@@ -45,8 +42,9 @@ DEFAULT_CAPACITY = 4096
 #: ``fault``), injection decisions (``inject`` | ``skip``), candidate
 #: pipeline (``near_miss`` | ``prune_parent_child`` | ``prune_hb`` |
 #: ``pair_removed``), and resilience marks (``hang`` -- a real-threads
-#: ``join_all`` deadline naming the stuck threads; ``cell_fault`` -- the
-#: campaign supervisor's fault-boundary record for one cell attempt).
+#: ``join_all`` deadline naming the stuck threads; ``cell_fault`` -- a
+#: campaign supervisor record nothing writes any more, kept so dossiers
+#: written before still validate).
 EVENT_KINDS = (
     "run_start",
     "thread_start",
@@ -202,7 +200,9 @@ def uninstall() -> None:
 
 @contextmanager
 def suspended() -> Iterator[None]:
-    """Temporarily hide the recorder (dossier verification replays)."""
+    """Temporarily hide the recorder, and restore it on exit even when
+    the body installed another: dossier verification replays, and a
+    detection session's own ring."""
     global _recorder
     saved = _recorder
     _recorder = None
@@ -210,27 +210,3 @@ def suspended() -> Iterator[None]:
         yield
     finally:
         _recorder = saved
-
-
-def _configure_from_env() -> None:
-    value = os.environ.get(FLIGHTREC_ENV)
-    if not value:
-        return
-    try:
-        capacity = int(value)
-    except ValueError:
-        capacity = DEFAULT_CAPACITY
-    install(capacity if capacity > 0 else DEFAULT_CAPACITY)
-
-
-def _reset_after_fork() -> None:
-    # A forked worker inherits the parent's ring; its contents are
-    # the parent's story. Start the child with a fresh ring of the same
-    # capacity so per-run marks and sequence numbers stay coherent.
-    global _recorder
-    if _recorder is not None:
-        _recorder = FlightRecorder(_recorder.capacity)
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_after_fork)

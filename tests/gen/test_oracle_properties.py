@@ -146,3 +146,39 @@ class TestRecorderFreeReplay:
             finally:
                 flightrec.uninstall()
             assert bare == recorded, "seed %d" % seed
+
+
+class TestReplayVerdict:
+    """The replay check counts a dossier whose minimization verified its
+    schedule as reproduced, and replays only an unverified one."""
+
+    def test_verified_dossiers_are_not_replayed_again(self, monkeypatch):
+        from repro.obs import dossier as dossier_mod
+
+        calls = []
+        replay = dossier_mod.replay_dossier
+        monkeypatch.setattr(
+            dossier_mod, "replay_dossier", lambda *args: calls.append(args) or replay(*args)
+        )
+        result = evaluate_spec(generate_spec(0), _config(0), check_replay=True)
+        assert result.replays and all(result.replays.values())
+        assert calls == []
+
+    @pytest.mark.parametrize("reproduces", [True, False])
+    def test_an_unverified_dossier_is_replayed(self, monkeypatch, reproduces):
+        from repro.obs import dossier as dossier_mod
+
+        calls = []
+        monkeypatch.setattr(
+            dossier_mod, "minimize_schedule",
+            lambda build, schedule, *args, **kwargs: (schedule["delays"], 1, False),
+        )
+        monkeypatch.setattr(
+            dossier_mod, "replay_dossier",
+            lambda dossier, build: calls.append(dossier) or (None, reproduces),
+        )
+        result = evaluate_spec(generate_spec(0), _config(0), check_replay=True)
+        assert calls and not any(d.verified for d in calls)
+        assert result.replays and set(result.replays.values()) == {reproduces}
+        violations = [v for v in result.violations if v.startswith("replay: dossier for")]
+        assert len(violations) == (0 if reproduces else len(result.replays))

@@ -104,6 +104,32 @@ class TestObsDirOption:
         with pytest.raises(SystemExit):
             main(["table2", "--apps", "netmq", "--events-dir", str(tmp_path)])
 
+    def test_dossier_dir_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(DETECT + ["--dossier-dir", str(tmp_path)])
+
+    def test_detect_keeps_one_dossier_with_its_fault(self, tmp_path, capsys):
+        from repro.obs import dossier as dossier_mod
+
+        obs_dir = tmp_path / "obs"
+        assert main(DETECT + ["--obs-dir", str(obs_dir)]) == 0
+        out = capsys.readouterr().out
+        (path,) = obs_dir.glob("dossier-*.json")
+        assert "dossier written: %s (replay with: waffle-repro replay %s)" % (path, path) in out
+        events = dossier_mod.load_dossier(path).flight_events
+        assert [e["k"] for e in events].count("fault") == 1
+        assert list(obs_dir.glob("coverage-*.json"))
+
+    def test_table_campaigns_keep_no_dossiers(self, tmp_path):
+        obs_dir = tmp_path / "obs"
+        assert main(["table4", "--bugs", "Bug-1", "Bug-11", "--attempts", "1",
+                     "--budget", "10", "--obs-dir", str(obs_dir)]) == 0
+        obs.disable()
+        runs = [r for r in read_events(obs_dir) if r["type"] == "run"]
+        assert any(r["crashed"] for r in runs)  # bugs were exposed
+        assert list(obs_dir.glob("coverage-*.json"))
+        assert not list(obs_dir.glob("dossier-*.json"))
+
     def test_obs_report_renders_and_reconciles(self, tmp_path, capsys):
         obs_dir = tmp_path / "obs"
         main(DETECT + ["--obs-dir", str(obs_dir)])
@@ -127,7 +153,7 @@ class TestObsDirOption:
     def test_determinism_unchanged_by_telemetry(self, tmp_path, capsys):
         """Telemetry is observational: the same detection run with and
         without --obs-dir prints identical run measurements."""
-        noise = ("telemetry written", "cache:")
+        noise = ("telemetry written", "dossier written", "cache:")
         strip = lambda text: [
             l for l in text.splitlines() if not l.startswith(noise)
         ]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.apps import bug_workload
 from repro.baselines import WaffleBasic
 from repro.core.config import WaffleConfig
@@ -12,10 +13,20 @@ from repro.obs import coverage as coverage_mod
 from repro.obs.report import load_obs_dir
 
 
+def observed_detect(driver, bug_id, runs, directory):
+    """A detection session under a temporary obs session: only a session
+    keeps a coverage record, so only then is one built."""
+    obs.configure(directory)
+    try:
+        return driver.detect(bug_workload(bug_id), max_detection_runs=runs)
+    finally:
+        obs.disable()
+
+
 @pytest.fixture(scope="module")
-def outcome():
-    return Waffle(WaffleConfig(seed=21)).detect(
-        bug_workload("Bug-8"), max_detection_runs=8
+def outcome(tmp_path_factory):
+    return observed_detect(
+        Waffle(WaffleConfig(seed=21)), "Bug-8", 8, tmp_path_factory.mktemp("obs")
     )
 
 
@@ -46,12 +57,20 @@ class TestSessionRecord:
         )
         assert record["pairs_delayed"] >= 1  # the bug-exposing pair was tested
 
-    def test_online_tool_emits_the_same_record_shape(self):
-        outcome = WaffleBasic(WaffleConfig(seed=21)).detect(
-            bug_workload("Bug-1"), max_detection_runs=6
-        )
+    def test_online_tool_emits_the_same_record_shape(self, tmp_path):
+        outcome = observed_detect(WaffleBasic(WaffleConfig(seed=21)), "Bug-1", 6, tmp_path)
         assert outcome.coverage is not None
         assert coverage_mod.reconcile_coverage(outcome.coverage) == []
+
+    def test_the_session_writes_the_record_it_attaches(self, outcome, tmp_path):
+        session = observed_detect(Waffle(WaffleConfig(seed=21)), "Bug-8", 8, tmp_path)
+        assert load_obs_dir(tmp_path).coverage == [session.coverage] == [outcome.coverage]
+
+    def test_no_record_without_an_obs_session(self):
+        outcome = Waffle(WaffleConfig(seed=21)).detect(
+            bug_workload("Bug-8"), max_detection_runs=8
+        )
+        assert outcome.bug_found and outcome.coverage is None
 
 
 class TestReconcileFlagsInconsistencies:

@@ -4,7 +4,7 @@ The acceptance criterion for the dossier subsystem: every bug Waffle
 finds on the apps suite emits a dossier whose embedded minimal schedule
 replays to the same error type at the same fault location,
 deterministically. The module-scoped fixture runs that campaign once
-(flight recorder installed) and the tests assert over it.
+(dossiers asked for directly) and the tests assert over it.
 """
 
 import hashlib
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.apps import all_bugs, bug_workload
 from repro.core.config import WaffleConfig
 from repro.core.detector import Waffle
@@ -26,26 +27,32 @@ from repro.sim.instrument import AccessType, Location, PendingAccess
 
 @pytest.fixture(scope="module")
 def sessions():
-    """One Waffle detection per Table-4 bug, flight recorder on.
+    """One Waffle detection per Table-4 bug, dossiers asked for.
 
     A couple of fallback seeds absorb per-seed misses (the headline
     campaign requires 2-of-3 seeds, so one seed alone may miss a bug).
     """
     results = {}
-    flightrec.install()
-    try:
-        for bug in all_bugs():
-            test = bug_workload(bug.bug_id)
-            for seed in (21, 22, 23):
-                outcome = Waffle(WaffleConfig(seed=seed)).detect(
-                    test, max_detection_runs=8
-                )
-                if outcome.bug_found:
-                    break
-            results[bug.bug_id] = (test, outcome)
-    finally:
-        flightrec.uninstall()
+    for bug in all_bugs():
+        test = bug_workload(bug.bug_id)
+        for seed in (21, 22, 23):
+            outcome = Waffle(WaffleConfig(seed=seed)).detect(
+                test, max_detection_runs=8, dossiers=True
+            )
+            if outcome.bug_found:
+                break
+        results[bug.bug_id] = (test, outcome)
     return results
+
+
+def observed_detect(test, config, directory, runs=8):
+    """A dossier session under a temporary obs session, which records
+    its provenance into a flight ring of its own."""
+    obs.configure(directory)
+    try:
+        return Waffle(config).detect(test, max_detection_runs=runs, dossiers=True)
+    finally:
+        obs.disable()
 
 
 def _any_dossier(sessions):
@@ -140,63 +147,56 @@ class TestSlicedRecorderReads:
     @pytest.mark.parametrize("bug_id,capacity", [
         ("Bug-16", 16), ("Bug-16", 256), ("Bug-17", 64),
     ])
-    def test_dossier_after_eviction_matches_the_snapshot_reference(self, bug_id, capacity):
-        import json
-
+    def test_dossier_after_eviction_matches_the_snapshot_reference(
+        self, bug_id, capacity, monkeypatch, tmp_path
+    ):
         payloads = []
         for recorder_cls in (flightrec.FlightRecorder, ReferenceRecorder):
-            flightrec._recorder = recorder_cls(capacity)
-            try:
-                outcome = Waffle(WaffleConfig(seed=21)).detect(
-                    bug_workload(bug_id), max_detection_runs=8
-                )
-                assert flightrec.recorder().dropped > 0
-            finally:
-                flightrec.uninstall()
+            def install(_capacity=None, recorder_cls=recorder_cls):
+                flightrec._recorder = recorder_cls(capacity)
+                return flightrec._recorder
+
+            monkeypatch.setattr(flightrec, "install", install)
+            outcome = observed_detect(
+                bug_workload(bug_id), WaffleConfig(seed=21), tmp_path / recorder_cls.__name__
+            )
             assert outcome.dossiers
+            assert all(d.flight_dropped > 0 for d in outcome.dossiers)
             payloads.append(
                 [json.dumps(d.to_dict(), sort_keys=True) for d in outcome.dossiers]
             )
         assert payloads[0] == payloads[1]
 
 
-def _strip_run_numbering(value):
-    """Drop the fields that number events and runs within a process
-    (``seq``, ``run``) and the ring's eviction count."""
-    if isinstance(value, dict):
-        return {
-            k: _strip_run_numbering(v)
-            for k, v in value.items()
-            if k not in ("seq", "run", "flight_dropped")
-        }
-    if isinstance(value, list):
-        return [_strip_run_numbering(v) for v in value]
-    return value
+def _fuzz_dossiers(obs_dir, global_args=(), fuzz_args=(), env_extra=None):
+    """Sorted dossier payloads of one ``--obs-dir ... fuzz`` subprocess."""
+    repo = Path(__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    env.pop("WAFFLE_OBS_DIR", None)
+    env.pop("WAFFLE_FLIGHTREC", None)
+    env.update(env_extra or {})
+    subprocess.run(
+        [sys.executable, "-m", "repro", "--obs-dir", str(obs_dir), *global_args,
+         "fuzz", *fuzz_args],
+        env=env, capture_output=True, check=True,
+    )
+    return sorted(
+        json.dumps(dossier_mod.load_dossier(path).to_dict(), sort_keys=True)
+        for path in obs_dir.glob("dossier-*.json")
+    )
 
 
 class TestSessionScopedPrunes:
-    """A reused ``--jobs`` worker's ring still holds the pruning
-    verdicts of the cells it ran before; a dossier keeps only those of
-    its own detection session, so which worker ran a cell no longer
-    shows in the dossier."""
+    """Each detection session records into a ring of its own, so a
+    reused ``--jobs`` worker's earlier cells never show in a dossier,
+    and which worker ran a cell does not either."""
 
     def test_dossiers_equal_across_job_counts(self, tmp_path):
-        repo = Path(__file__).resolve().parents[2]
-        env = {**os.environ, "PYTHONPATH": str(repo / "src"), "WAFFLE_FLIGHTREC": "4096"}
-        env.pop("WAFFLE_OBS_DIR", None)
-        payloads = []
-        for jobs in (1, 2):
-            obs_dir = tmp_path / ("jobs%d" % jobs)
-            subprocess.run(
-                [sys.executable, "-m", "repro", "--obs-dir", str(obs_dir),
-                 "--jobs", str(jobs), "fuzz", "--seed-range", "0:12", "--seed", "2"],
-                env=env, capture_output=True, check=True,
-            )
-            payloads.append(sorted(
-                json.dumps(_strip_run_numbering(dossier_mod.load_dossier(path).to_dict()),
-                           sort_keys=True)
-                for path in obs_dir.glob("dossier-*.json")
-            ))
+        payloads = [
+            _fuzz_dossiers(tmp_path / ("jobs%d" % jobs), ("--jobs", str(jobs)),
+                           ("--seed-range", "0:12", "--seed", "2"))
+            for jobs in (1, 2)
+        ]
         assert len(payloads[0]) > 1
         assert any(json.loads(p)["prunes"] for p in payloads[0])
         assert payloads[0] == payloads[1]
@@ -215,7 +215,7 @@ class TestRecorderProvenance:
     @pytest.mark.parametrize(
         "name", ["Bug-1", "Bug-5", "Bug-11", "Bug-16", "gen-0", "gen-3", "gen-7"]
     )
-    def test_recorder_free_dossier_differs_only_in_provenance(self, name):
+    def test_recorder_free_dossier_differs_only_in_provenance(self, name, tmp_path):
         if name.startswith("gen-"):
             from repro.gen.registry import gen_app
 
@@ -224,11 +224,7 @@ class TestRecorderProvenance:
             test = bug_workload(name)
         config = WaffleConfig(seed=3)
         bare = Waffle(config).detect(test, max_detection_runs=8, dossiers=True)
-        flightrec.install()
-        try:
-            recorded = Waffle(config).detect(test, max_detection_runs=8)
-        finally:
-            flightrec.uninstall()
+        recorded = observed_detect(test, config, tmp_path)
         assert bare.dossiers and len(bare.dossiers) == len(recorded.dossiers)
         for plain, full in zip(bare.dossiers, recorded.dossiers):
             plain, full = plain.to_dict(), full.to_dict()
@@ -245,25 +241,58 @@ class TestRecorderProvenance:
         )
         assert outcome.bug_found and outcome.dossiers == []
 
-    def test_fuzz_obs_dir_dossiers_carry_provenance(self, tmp_path):
-        repo = Path(__file__).resolve().parents[2]
-        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
-        env.pop("WAFFLE_OBS_DIR", None)
-        env.pop(flightrec.FLIGHTREC_ENV, None)
-        obs_dir = tmp_path / "obs"
-        subprocess.run(
-            [sys.executable, "-m", "repro", "--obs-dir", str(obs_dir),
-             "fuzz", "--seed-range", "0:6"],
-            env=env, capture_output=True, check=True,
+    def test_an_installed_ring_does_not_ask_for_dossiers(self, tmp_path):
+        flightrec.install()
+        obs.configure(tmp_path)
+        try:
+            outcome = Waffle(WaffleConfig(seed=3)).detect(
+                bug_workload("Bug-11"), max_detection_runs=8
+            )
+        finally:
+            obs.disable()
+            flightrec.uninstall()
+        assert outcome.bug_found and outcome.dossiers == []
+        assert not list(tmp_path.glob("dossier-*.json"))
+
+    def test_sessions_before_leave_no_trace(self, tmp_path):
+        """A Bug-11 dossier after a Bug-1 session in the same process
+        equals one from Bug-11 alone, ``seq`` numbers included."""
+        config = WaffleConfig()
+        alone = observed_detect(bug_workload("Bug-11"), config, tmp_path / "alone", 50)
+        obs.configure(tmp_path / "after")
+        try:
+            first = Waffle(config).detect(
+                bug_workload("Bug-1"), max_detection_runs=50, dossiers=True
+            )
+            after = Waffle(config).detect(
+                bug_workload("Bug-11"), max_detection_runs=50, dossiers=True
+            )
+        finally:
+            obs.disable()
+        assert first.dossiers and first.dossiers[0].prunes
+        assert [d.to_dict() for d in after.dossiers] == [d.to_dict() for d in alone.dossiers]
+        assert alone.dossiers[0].flight_events
+
+    def test_the_flightrec_variable_changes_no_dossier(self, tmp_path):
+        """``WAFFLE_FLIGHTREC`` once installed a process-wide ring whose
+        value was its capacity; it is inert now."""
+        args = ("--seed-range", "0:10", "--seed", "7")
+        plain = _fuzz_dossiers(tmp_path / "plain", fuzz_args=args)
+        with_env = _fuzz_dossiers(
+            tmp_path / "env", fuzz_args=args, env_extra={"WAFFLE_FLIGHTREC": "1"}
         )
-        paths = sorted(obs_dir.glob("dossier-*.json"))
-        assert paths
-        for path in paths:
-            payload = dossier_mod.load_dossier(path).to_dict()
-            assert payload["decisions"], path.name
-            assert payload["flight_events"], path.name
+        assert len(plain) > 1 and plain == with_env
+        for payload in map(json.loads, plain):
+            assert payload["decisions"] and payload["flight_dropped"] == 0
+
+    def test_fuzz_obs_dir_dossiers_carry_provenance(self, tmp_path):
+        payloads = _fuzz_dossiers(tmp_path / "obs", fuzz_args=("--seed-range", "0:6"))
+        assert payloads
+        for payload in map(json.loads, payloads):
+            assert payload["decisions"], payload["workload"]
+            assert payload["flight_events"], payload["workload"]
             faults = [e for e in payload["flight_events"] if e["k"] == "fault"]
-            assert len(faults) == 1, path.name
+            assert len(faults) == 1, payload["workload"]
 
 
 class TestRendering:

@@ -194,21 +194,6 @@ class TestActivation:
                 raise RuntimeError("boom")
         assert flightrec.recorder() is rec
 
-    def test_env_configuration(self, monkeypatch):
-        monkeypatch.setenv(flightrec.FLIGHTREC_ENV, "128")
-        flightrec._configure_from_env()
-        assert flightrec.recorder().capacity == 128
-
-    def test_env_non_integer_means_default_capacity(self, monkeypatch):
-        monkeypatch.setenv(flightrec.FLIGHTREC_ENV, "on")
-        flightrec._configure_from_env()
-        assert flightrec.recorder().capacity == flightrec.DEFAULT_CAPACITY
-
-    def test_env_absent_is_noop(self, monkeypatch):
-        monkeypatch.delenv(flightrec.FLIGHTREC_ENV, raising=False)
-        flightrec._configure_from_env()
-        assert flightrec.recorder() is None
-
 
 class TestPipelineIntegration:
     def test_detection_emits_lifecycle_and_decision_events(self):
@@ -222,8 +207,43 @@ class TestPipelineIntegration:
         )
         assert outcome.bug_found
         kinds = {e["k"] for e in rec.snapshot()}
-        assert {"run_start", "thread_start", "inject", "near_miss"} <= kinds
+        # Run marks are the driver's, written only into a dossier
+        # session's own ring.
+        assert {"thread_start", "inject", "near_miss"} <= kinds
         assert kinds <= set(flightrec.EVENT_KINDS)
+
+    def test_a_dossier_session_records_into_its_own_ring(self, tmp_path):
+        from repro import obs
+        from repro.apps import bug_workload
+        from repro.core.config import WaffleConfig
+        from repro.core.detector import Waffle
+
+        caller = flightrec.install()
+        obs.configure(tmp_path)
+        try:
+            outcome = Waffle(WaffleConfig()).detect(
+                bug_workload("Bug-11"), max_detection_runs=5, dossiers=True
+            )
+        finally:
+            obs.disable()
+        assert flightrec.recorder() is caller
+        assert caller.recorded == 0
+        (dossier,) = outcome.dossiers
+        assert dossier.flight_events[0]["k"] == "run_start"
+        assert dossier.flight_events[0]["seq"] > 0  # the prep run came first
+        assert dossier.flight_dropped == 0
+
+    def test_no_ring_without_an_obs_session(self):
+        from repro.apps import bug_workload
+        from repro.core.config import WaffleConfig
+        from repro.core.detector import Waffle
+
+        outcome = Waffle(WaffleConfig()).detect(
+            bug_workload("Bug-11"), max_detection_runs=5, dossiers=True
+        )
+        assert flightrec.recorder() is None
+        (dossier,) = outcome.dossiers
+        assert dossier.flight_events == [] and dossier.path is None
 
     def test_recorder_is_purely_observational(self):
         from repro.apps import bug_workload
