@@ -11,7 +11,7 @@ from .ablations import (
     no_preparation_run,
 )
 from .related import RELATED_TOOLS, CTrigger, DataCollider, RaceFuzzer, RaceMob
-from .stress import StressRunner, baseline_time_ms
+from .stress import StressRunner
 from .tsvd import Tsvd, TsvdOutcome
 from .wafflebasic import WaffleBasic
 
@@ -30,7 +30,6 @@ __all__ = [
     "RaceFuzzer",
     "RaceMob",
     "StressRunner",
-    "baseline_time_ms",
     "Tsvd",
     "TsvdOutcome",
     "WaffleBasic",

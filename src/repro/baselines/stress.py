@@ -56,14 +56,3 @@ class StressRunner(ToolDriver):
 
     def spontaneous_manifestations(self, outcome: DetectionOutcome) -> int:
         return sum(1 for record in outcome.runs if record.bug_found)
-
-
-def baseline_time_ms(workload: Any, seed: int = 0, config=None) -> float:
-    """Virtual execution time of one delay-free stress run: the
-    slowdown denominator of the ``related`` extension table. Tables 4
-    and 5 take theirs from :func:`repro.harness.runner.baseline_run`."""
-    from ..core.config import DEFAULT_CONFIG
-
-    runner = StressRunner(config if config is not None else DEFAULT_CONFIG.with_seed(seed))
-    outcome = runner.detect(workload, max_detection_runs=1)
-    return outcome.runs[0].virtual_time_ms

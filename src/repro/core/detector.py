@@ -254,10 +254,13 @@ class ToolDriver:
     ):
         """Build a replay-verified bug dossier; an obs session keeps it.
 
-        ``recorder`` is the session's own flight ring or None; it feeds
-        only the dossier's provenance fields."""
+        Only a kept dossier is minimized. Without an obs session the
+        dossier is verified by one replay of its full captured schedule,
+        the one bit the fuzz oracle reads. ``recorder`` is the session's
+        own flight ring or None; it feeds only the provenance fields."""
         from ..obs import dossier as dossier_mod
 
+        session = obs.session()
         built = dossier_mod.assemble_dossier(
             tool=self.name,
             workload=workload.name,
@@ -267,8 +270,8 @@ class ToolDriver:
             sim_seed=sim_seed,
             recorder=recorder,
             build=workload.build,
+            max_replays=dossier_mod.DEFAULT_MAX_REPLAYS if session is not None else 1,
         )
-        session = obs.session()
         if session is not None:
             built.path = dossier_mod.write_dossier(built, session.directory)
         return built
@@ -318,9 +321,11 @@ class ToolDriver:
     ) -> DetectionOutcome:
         """Run one detection session. ``dossiers`` asks for one
         replay-verified dossier per bug report. Under an obs session,
-        which keeps them, the session records into a fresh flight ring
-        of its own for their provenance; the recorder in place before
-        is restored when it ends."""
+        which keeps them, each is minimized and the session records
+        into a fresh flight ring of its own for their provenance; the
+        recorder in place before is restored when it ends. Without one,
+        each dossier is verified by a single replay of its captured
+        schedule and neither minimized nor recorded."""
         workload = as_workload(workload)
         budget = (
             max_detection_runs

@@ -18,9 +18,11 @@ spec's planted-bug oracle:
   same error at the same site. The detector is asked for dossiers
   directly: their schedule comes from the injection hook, so no flight
   recorder is needed (under an obs session the detector records one
-  for their provenance). A dossier whose minimization verified its
-  schedule by replay counts as reproduced; an unverified one is
-  replayed through :func:`repro.obs.dossier.replay_dossier`.
+  for their provenance). Without an obs session each dossier is
+  verified by one replay of its full captured schedule; only a dossier
+  an obs session keeps is also minimized. A ``verified`` dossier counts
+  as reproduced; an unverified one is replayed through
+  :func:`repro.obs.dossier.replay_dossier`.
 
 The result carries only deterministic fields (virtual times, run
 counts, sites), so a fuzz row is a pure function of
@@ -158,9 +160,10 @@ def evaluate_spec(
 
 def _check_replay(result: OracleResult, test, outcome, bug_id: str) -> None:
     """Check that every dossier the session assembled reproduces; record
-    the verdict. A ``verified`` dossier's minimal schedule was just
-    replayed to the same manifestation by its minimization, so only an
-    unverified one is replayed here."""
+    the verdict. A ``verified`` dossier's schedule was just replayed to
+    the same manifestation when it was assembled (once in full, or, for
+    a dossier an obs session keeps, through its minimization), so only
+    an unverified one is replayed here."""
     from ..obs import dossier as dossier_mod
 
     if not outcome.dossiers:

@@ -228,10 +228,11 @@ ARTIFACTS: Tuple[Artifact, ...] = (
              _per_app(experiments.table5_overhead), tables.render_table5),
     Artifact("table6", "cumulative delays injected (Table 6)", ("apps",),
              _per_app(experiments.table6_delays), tables.render_table6),
-    Artifact("table7", "design-point ablations (Table 7)", ("attempts", "budget"),
+    Artifact("table7", "design-point ablations (Table 7)",
+             ("apps", "bugs", "attempts", "budget"),
              lambda a: experiments.table7_ablations(
-                 attempts=a.attempts, budget=a.budget, base_seed=a.seed, jobs=a.jobs,
-                 cache_dir=a.cache_dir),
+                 attempts=a.attempts, budget=a.budget, base_seed=a.seed,
+                 apps_for_perf=a.apps, bugs=a.bugs, jobs=a.jobs, cache_dir=a.cache_dir),
              tables.render_table7, attempts=5),
     Artifact("stress", "delay-free control (section 6.2)", ("bugs", "budget"),
              lambda a: experiments.stress_control(

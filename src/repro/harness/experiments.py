@@ -894,22 +894,24 @@ def table7_ablations(
     apps_for_perf: Optional[Sequence[str]] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
+    bugs: Optional[Sequence[str]] = None,
 ) -> List[Optional[Table7Row]]:
     """Bugs missed and detection-run slowdown for each single-design-
     point ablation, relative to full Waffle.
 
-    Three fan-outs: the bugs Waffle itself finds; every tool's
-    per-app perf probes (Waffle first); and each ablation on the bugs
+    Three fan-outs: the bugs Waffle itself finds (among ``bugs``,
+    default all 18); every tool's per-app perf probes on
+    ``apps_for_perf`` (Waffle first); and each ablation on the bugs
     Waffle finds. An ablation's row is None when a cell it depends on
     (its own, or Waffle's reference) degraded.
     """
-    bugs = all_bugs()
+    selected = _bugs(bugs)
     found_flags = map_units(
         _table7_found_cell,
-        [(None, bug.bug_id, attempts, budget, base_seed, cache_dir) for bug in bugs],
+        [(None, bug.bug_id, attempts, budget, base_seed, cache_dir) for bug in selected],
         jobs,
     )
-    found_bugs = [bug for bug, flag in zip(bugs, found_flags) if flag]
+    found_bugs = [bug for bug, flag in zip(selected, found_flags) if flag]
     perf_apps = _apps(apps_for_perf)
     perf_cells = map_units(
         _table7_perf_cell,
@@ -1007,7 +1009,6 @@ def _related_cell(
     cache_dir: Optional[str],
 ) -> RelatedToolsRow:
     from ..baselines.related import RELATED_TOOLS
-    from ..baselines.stress import baseline_time_ms
 
     tool_factories = dict(RELATED_TOOLS)
     tool_factories["waffle"] = Waffle
@@ -1016,7 +1017,7 @@ def _related_cell(
     test = bug_workload(bug_id)
     cache = open_cache(cache_dir)
     test_id = _test_id(bug.app, bug.test_name)
-    baseline = baseline_time_ms(test, seed=base_seed)
+    baseline = baseline_run(test, seed=base_seed, cache=cache, test_id=test_id).virtual_time_ms
     row = RelatedToolsRow(bug_id=bug.bug_id, app=bug.app)
     for name, factory in tool_factories.items():
         runs, times = _detect_attempts(

@@ -13,12 +13,13 @@ engine/candidate state of the crashing run:
   retirement), the crashing run's decisions and its raw flight events;
 * a virtual-time swimlane of all threads with injected delays and the
   faulting access highlighted (ASCII and HTML renderings);
-* a **minimal reproducing schedule**: the per-site, per-occurrence
-  delays the run actually injected, minimized by actual replay through
-  the deterministic simulator -- the delays at the report's matched
-  delay sites are tried alone first, then greedy drop-one -- so
-  ``repro replay <dossier.json>`` re-manifests the same error at the
-  same location.
+* a **reproducing schedule**: the per-site, per-occurrence delays the
+  run actually injected, verified by actual replay through the
+  deterministic simulator, so ``repro replay <dossier.json>``
+  re-manifests the same error at the same location. A dossier an obs
+  session keeps is also minimized by replay -- the delays at the
+  report's matched delay sites are tried alone first, then greedy
+  drop-one; any other is verified by one replay of the full schedule.
 
 Determinism contract: the simulator draws all op-cost jitter from one
 RNG seeded with the run's sim seed; the injection engine uses its own
@@ -248,7 +249,8 @@ class BugDossier:
     #: Config snapshot relevant to reproduction and provenance.
     config: Dict[str, Any] = field(default_factory=dict)
     #: Replay envelope: sim_seed, time_limit_ms, inject_overhead_ms,
-    #: mode, delays=[{site, nth, len_ms}] -- the *minimal* schedule.
+    #: mode, delays=[{site, nth, len_ms}] -- the *minimal* schedule of a
+    #: kept dossier, the full captured one otherwise.
     schedule: Dict[str, Any] = field(default_factory=dict)
     #: The full schedule as captured, before minimization.
     schedule_original: List[dict] = field(default_factory=list)
@@ -351,9 +353,11 @@ def assemble_dossier(
     given, the embedded schedule is verified and minimized by actual
     replay (the delays at the report's matched delay sites first, see
     :func:`minimize_schedule`), otherwise it is stored as captured
-    (unverified). ``recorder`` is the detection session's own ring; it
-    feeds only ``prunes``, ``decisions`` and the flight events, and
-    without one they stay empty.
+    (unverified). ``max_replays=1`` verifies the full captured schedule
+    by one replay and minimizes nothing; detectors pass it for a
+    dossier no obs session keeps. ``recorder`` is the detection
+    session's own ring; it feeds only ``prunes``, ``decisions`` and the
+    flight events, and without one they stay empty.
     """
     engine = hook.engine
     candidates = engine.candidates
@@ -489,7 +493,7 @@ def assemble_dossier(
 def replay_dossier(
     dossier: BugDossier, build: Callable[[Simulation], Generator]
 ) -> Tuple[ReplayOutcome, bool]:
-    """Replay a dossier's minimal schedule; returns (outcome, reproduced)."""
+    """Replay a dossier's schedule; returns (outcome, reproduced)."""
     outcome = replay_schedule(build, dossier.schedule, name="replay:%s" % dossier.workload)
     return outcome, outcome.matches(dossier.error_type, dossier.fault_site)
 

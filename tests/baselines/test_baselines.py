@@ -8,7 +8,6 @@ from repro.baselines import (
     StressRunner,
     Tsvd,
     WaffleBasic,
-    baseline_time_ms,
     make_ablation,
 )
 from repro.core.config import WaffleConfig
@@ -137,9 +136,6 @@ class TestStressRunner:
         assert runner.spontaneous_manifestations(outcome) == 0
         assert len(outcome.runs) == 25
         assert not outcome.bug_found
-
-    def test_baseline_time_positive(self):
-        assert baseline_time_ms(repeated_ubi_workload(), seed=1) > 0
 
 
 class TestAblations:

@@ -128,3 +128,33 @@ class TestCli:
         capsys.readouterr()
         view, _ = load_view(events_dir)
         assert fuzz_analytics(view)["workloads"] == 3
+
+
+class TestReplayCount:
+    """Plain ``fuzz`` verifies each dossier with one replay; under
+    ``--obs-dir``, which keeps every dossier, each is also minimized."""
+
+    ARGS = ["fuzz", "--seed-range", "0:50", "--seed", "7"]
+
+    @staticmethod
+    def _count_replays(monkeypatch, argv):
+        from repro.obs import dossier as dossier_mod
+
+        calls = []
+        replay = dossier_mod.replay_schedule
+        monkeypatch.setattr(
+            dossier_mod, "replay_schedule",
+            lambda *args, **kwargs: calls.append(1) or replay(*args, **kwargs),
+        )
+        assert main(argv) == 0
+        return len(calls)
+
+    def test_plain_fuzz_replays_each_dossier_once(self, monkeypatch, capsys):
+        assert self._count_replays(monkeypatch, self.ARGS) == 55
+        assert "fuzz digest:" in capsys.readouterr().out
+
+    def test_kept_dossiers_are_still_minimized(self, monkeypatch, tmp_path, capsys):
+        argv = ["--obs-dir", str(tmp_path / "obs")] + self.ARGS
+        assert self._count_replays(monkeypatch, argv) == 148
+        capsys.readouterr()
+        assert len(list((tmp_path / "obs").glob("dossier-*.json"))) == 55

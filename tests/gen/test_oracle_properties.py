@@ -149,8 +149,8 @@ class TestRecorderFreeReplay:
 
 
 class TestReplayVerdict:
-    """The replay check counts a dossier whose minimization verified its
-    schedule as reproduced, and replays only an unverified one."""
+    """The replay check counts a dossier whose assembly verified its
+    schedule by replay as reproduced, and replays only an unverified one."""
 
     def test_verified_dossiers_are_not_replayed_again(self, monkeypatch):
         from repro.obs import dossier as dossier_mod
@@ -182,3 +182,30 @@ class TestReplayVerdict:
         assert result.replays and set(result.replays.values()) == {reproduces}
         violations = [v for v in result.violations if v.startswith("replay: dossier for")]
         assert len(violations) == (0 if reproduces else len(result.replays))
+
+    def test_an_unkept_dossier_whose_one_replay_misses_is_a_violation(
+        self, monkeypatch
+    ):
+        from repro.obs import dossier as dossier_mod
+
+        def replay(build, schedule, delays=None, name="replay"):
+            return dossier_mod.ReplayOutcome(
+                crashed=False, error_type=None, fault_site=None, fault_time_ms=0.0,
+                virtual_time_ms=0.0, timed_out=False, delays_injected=0,
+            )
+
+        built = []
+        assemble = dossier_mod.assemble_dossier
+        monkeypatch.setattr(dossier_mod, "replay_schedule", replay)
+        monkeypatch.setattr(
+            dossier_mod, "assemble_dossier",
+            lambda **kwargs: built.append(assemble(**kwargs)) or built[-1],
+        )
+        result = evaluate_spec(generate_spec(0), _config(0), check_replay=True)
+        assert built and all(
+            not d.verified and d.replays_used == 1 and not d.minimized for d in built
+        )
+        assert result.replays and not any(result.replays.values())
+        assert sorted(result.violations) == sorted(
+            "replay: dossier for %s did not reproduce" % bug_id for bug_id in result.replays
+        )

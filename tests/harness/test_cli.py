@@ -10,6 +10,7 @@ import pytest
 
 from repro.harness import experiments
 from repro.harness.cli import ARTIFACTS, SELECTION_OPTIONS, build_parser, main
+from repro.obs import eventbus
 
 #: The subcommands that are not paper artifacts.
 TOOL_COMMANDS = {"apps", "bugs", "trace", "detect", "fuzz", "replay", "obs", "campaign"}
@@ -344,15 +345,16 @@ class TestSupervisedCampaigns:
 
 
 class TestReducedAll:
-    """``all`` on one app and one bug prints exactly what it printed
-    before its artifacts moved into one registry, serially and with
-    forked workers."""
+    """``all`` on one app and one bug prints the same bytes serially and
+    with forked workers. Every artifact but Table 7 prints what it
+    printed before the artifacts moved into one registry; Table 7 is
+    computed on the selected app and bug, as the others are."""
 
     ARGV = ["all", "--apps", "nsubstitute", "--bugs", "Bug-1", "--attempts", "1",
             "--budget", "4"]
     DIGESTS = {
-        "text": "a3dbf8bd254b4c2143eec7ecbc05f12e74e2e7c0d47c1a5e3849fa9a7ee15f78",
-        "json": "9776d05e4d952b79cc170665353345374cc8775b95a642b5a17b8b3b36c514b1",
+        "text": "2146ac6d4eb2e4cb8c990579efed422d45e7f06bca7b2f87379d8c795864b841",
+        "json": "2e0b00587ae636bb59d68499eac14f3d8d9065b6e96eed581d4e6e4ab35214f8",
     }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -362,6 +364,25 @@ class TestReducedAll:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[form]
+
+    def test_table7_runs_on_the_selection(self, capsys):
+        """Waffle on Bug-1, five tools' perf probes on nsubstitute and
+        four ablations on Bug-1: 10 cells, not a full-scale 145."""
+        cells = {}
+
+        def count(event):
+            if event["type"] == "fanout":
+                cells[event["unit"]] = cells.get(event["unit"], 0) + event["cells"]
+
+        eventbus.configure(None).add_listener(count)
+        try:
+            assert main(self.ARGV) == 0
+        finally:
+            eventbus.disable()
+        capsys.readouterr()
+        assert cells["_table7_found_cell"] == 1 + 4
+        assert cells["_table7_perf_cell"] == 5
+        assert sum(cells.values()) == 80
 
 
 class TestDegradation:

@@ -13,10 +13,11 @@ from repro.harness.runner import (
     run_recording,
 )
 from repro.harness.runner import test_time_limit as compute_time_limit
-from repro.apps import get_app
+from repro.apps import bug_workload, get_app, get_bug
 from repro.core.candidates import CandidateSet
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.delay_policy import DecayState
+from repro.core.detector import Waffle
 from repro.obs import eventbus
 
 
@@ -177,6 +178,17 @@ class TestTables567:
             "parent_child_analysis", None, "custom_delay_length", "interference_control",
         ]
         assert sup.stats.quarantined > 0
+
+
+class TestRelatedTools:
+    def test_slowdowns_share_table4s_baseline(self):
+        """``related`` divides by the delay-free baseline run that Tables
+        4 and 5 divide by, not by a run of its own."""
+        (row,) = experiments.related_tools_comparison(bugs=["Bug-1"], budget=8, base_seed=1)
+        bug, test = get_bug("Bug-1"), bug_workload("Bug-1")
+        baseline = run_baseline(test, seed=1).virtual_time_ms
+        _, times = experiments._detect_attempts(Waffle, bug, test, 1, 8, 0)
+        assert row.slowdowns["waffle"] == times[0] / baseline
 
 
 class TestStressControl:

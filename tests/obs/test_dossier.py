@@ -4,7 +4,8 @@ The acceptance criterion for the dossier subsystem: every bug Waffle
 finds on the apps suite emits a dossier whose embedded minimal schedule
 replays to the same error type at the same fault location,
 deterministically. The module-scoped fixture runs that campaign once
-(dossiers asked for directly) and the tests assert over it.
+under an obs session, which keeps and so minimizes each dossier, and
+the tests assert over it.
 """
 
 import hashlib
@@ -26,22 +27,27 @@ from repro.sim.instrument import AccessType, Location, PendingAccess
 
 
 @pytest.fixture(scope="module")
-def sessions():
-    """One Waffle detection per Table-4 bug, dossiers asked for.
+def sessions(tmp_path_factory):
+    """One Waffle detection per Table-4 bug, dossiers asked for, under an
+    obs session so that each dossier is kept and minimized.
 
     A couple of fallback seeds absorb per-seed misses (the headline
     campaign requires 2-of-3 seeds, so one seed alone may miss a bug).
     """
     results = {}
-    for bug in all_bugs():
-        test = bug_workload(bug.bug_id)
-        for seed in (21, 22, 23):
-            outcome = Waffle(WaffleConfig(seed=seed)).detect(
-                test, max_detection_runs=8, dossiers=True
-            )
-            if outcome.bug_found:
-                break
-        results[bug.bug_id] = (test, outcome)
+    obs.configure(tmp_path_factory.mktemp("sessions"))
+    try:
+        for bug in all_bugs():
+            test = bug_workload(bug.bug_id)
+            for seed in (21, 22, 23):
+                outcome = Waffle(WaffleConfig(seed=seed)).detect(
+                    test, max_detection_runs=8, dossiers=True
+                )
+                if outcome.bug_found:
+                    break
+            results[bug.bug_id] = (test, outcome)
+    finally:
+        obs.disable()
     return results
 
 
@@ -205,17 +211,29 @@ class TestSessionScopedPrunes:
 #: The dossier fields only the flight recorder feeds.
 RECORDER_FIELDS = ("prunes", "decisions", "flight_events", "flight_dropped")
 
+#: The dossier fields minimization sets.
+MINIMIZATION_FIELDS = ("schedule", "minimized", "replays_used")
+
+
+def _suspects(dossier, schedule):
+    """The schedule's delays at the report's matched delay sites, as
+    ``assemble_dossier`` passes them to ``minimize_schedule``."""
+    sites = {pair.delay_location.site for pair in dossier.report.matched_pairs}
+    return [d for d in schedule["delays"] if d["site"] in sites]
+
 
 class TestRecorderProvenance:
-    """The schedule, its minimization, pair provenance, interference and
-    the swimlane come from hook and engine state; the recorder adds only
-    the fields in ``RECORDER_FIELDS``, and does so for every dossier an
-    obs session keeps."""
+    """The schedule, pair provenance, interference and the swimlane come
+    from hook and engine state. Only a dossier an obs session keeps is
+    minimized, and the recorder adds the fields in ``RECORDER_FIELDS``
+    to every such dossier; an unkept one is verified by one replay."""
 
     @pytest.mark.parametrize(
         "name", ["Bug-1", "Bug-5", "Bug-11", "Bug-16", "gen-0", "gen-3", "gen-7"]
     )
-    def test_recorder_free_dossier_differs_only_in_provenance(self, name, tmp_path):
+    def test_unkept_dossier_differs_only_in_provenance_and_minimization(
+        self, name, tmp_path
+    ):
         if name.startswith("gen-"):
             from repro.gen.registry import gen_app
 
@@ -224,13 +242,28 @@ class TestRecorderProvenance:
             test = bug_workload(name)
         config = WaffleConfig(seed=3)
         bare = Waffle(config).detect(test, max_detection_runs=8, dossiers=True)
-        recorded = observed_detect(test, config, tmp_path)
-        assert bare.dossiers and len(bare.dossiers) == len(recorded.dossiers)
-        for plain, full in zip(bare.dossiers, recorded.dossiers):
-            plain, full = plain.to_dict(), full.to_dict()
+        kept = observed_detect(test, config, tmp_path)
+        assert bare.dossiers and len(bare.dossiers) == len(kept.dossiers)
+        for unkept, full in zip(bare.dossiers, kept.dossiers):
+            assert unkept.verified and unkept.replays_used == 1 and not unkept.minimized
+            assert unkept.schedule["delays"] == [
+                {"site": e["site"], "nth": e["nth"], "len_ms": e["len_ms"]}
+                for e in full.schedule_original
+            ]
+            delays, replays, verified = dossier_mod.minimize_schedule(
+                test.build, unkept.schedule, unkept.error_type, unkept.fault_site,
+                suspects=_suspects(unkept, unkept.schedule),
+            )
+            assert verified and delays == full.schedule["delays"]
+            assert replays == full.replays_used
+            plain, full = unkept.to_dict(), full.to_dict()
             assert all(not plain[key] for key in RECORDER_FIELDS)
             assert full["decisions"] and full["flight_events"]
-            for key in RECORDER_FIELDS:
+            plain_schedule, full_schedule = plain["schedule"], full["schedule"]
+            plain_schedule.pop("delays")
+            full_schedule.pop("delays")
+            assert plain_schedule == full_schedule
+            for key in RECORDER_FIELDS + MINIMIZATION_FIELDS:
                 plain.pop(key)
                 full.pop(key)
             assert plain == full
@@ -367,17 +400,12 @@ class TestMinimization:
         ]
         return schedule
 
-    @staticmethod
-    def _suspects(dossier, schedule):
-        sites = {pair.delay_location.site for pair in dossier.report.matched_pairs}
-        return [d for d in schedule["delays"] if d["site"] in sites]
-
     def test_reproducing_suspect_costs_three_replays(self, sessions):
         checked = 0
         for bug_id, (test, outcome) in sessions.items():
             for dossier in outcome.dossiers:
                 schedule = self._full_schedule(dossier)
-                suspects = self._suspects(dossier, schedule)
+                suspects = _suspects(dossier, schedule)
                 if len(schedule["delays"]) < 3 or len(suspects) != 1:
                     continue
                 greedy, _, _ = dossier_mod.minimize_schedule(
