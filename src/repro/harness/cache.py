@@ -84,11 +84,21 @@ class CacheStats:
     #: (renamed to ``*.corrupt``); each also counts as a miss.
     corrupt: int = 0
 
+    def since(self, before: "CacheStats") -> "CacheStats":
+        """What was counted after ``before``, an earlier copy of these stats."""
+        return CacheStats(*(now - then for now, then in
+                            zip(dataclasses.astuple(self), dataclasses.astuple(before))))
+
+    def add(self, delta: "CacheStats") -> None:
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, getattr(self, field.name) + getattr(delta, field.name))
+
 
 #: Process-wide totals across every cache instance, so the CLI can print
 #: one end-of-run summary line without threading cache objects through
-#: each experiment. (Forked workers accumulate their own copy; their
-#: numbers surface through the obs telemetry files instead.)
+#: each experiment. A forked worker sends each cell's delta home with
+#: its result, and the coordinator adds it here (see
+#: :func:`repro.harness.supervisor._worker`).
 GLOBAL_STATS = CacheStats()
 
 

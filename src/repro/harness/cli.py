@@ -720,8 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=argparse.SUPPRESS,
-        help="worker processes for experiment cells (1 = serial, 0 = all CPUs); "
-        "results are bit-identical at any value",
+        help="worker processes for experiment cells (default 0: one per usable "
+        "CPU; 1 = serial, in this process); results are bit-identical at any value",
     )
     shared.add_argument(
         "--cache-dir",
@@ -977,19 +977,16 @@ def _cache_summary_line(before: CacheStats) -> Optional[str]:
     """End-of-run cache effectiveness for this invocation: the delta of
     the process-wide totals against ``before``, their copy at entry (so
     embedders calling main() repeatedly don't see stale numbers)."""
-    hits = GLOBAL_STATS.hits - before.hits
-    misses = GLOBAL_STATS.misses - before.misses
-    writes = GLOBAL_STATS.writes - before.writes
-    corrupt = GLOBAL_STATS.corrupt - before.corrupt
-    lookups = hits + misses
-    if lookups == 0 and writes == 0:
+    delta = GLOBAL_STATS.since(before)
+    lookups = delta.hits + delta.misses
+    if lookups == 0 and delta.writes == 0:
         return None
-    rate = 100.0 * hits / lookups if lookups else 0.0
+    rate = 100.0 * delta.hits / lookups if lookups else 0.0
     line = "cache: %d hits / %d misses (%.1f%% hit rate), %d writes" % (
-        hits, misses, rate, writes
+        delta.hits, delta.misses, rate, delta.writes
     )
-    if corrupt:
-        line += ", %d corrupt record(s) quarantined" % corrupt
+    if delta.corrupt:
+        line += ", %d corrupt record(s) quarantined" % delta.corrupt
     return line
 
 
@@ -1000,7 +997,7 @@ SHARED_DEFAULTS = {
     "seed": 0,
     "out": None,
     "json": False,
-    "jobs": 1,
+    "jobs": parallel.AUTO_JOBS,
     "cache_dir": None,
     "obs_dir": None,
     "progress": False,
@@ -1083,7 +1080,8 @@ def _run(argv: Optional[List[str]]) -> int:
     campaign_started = time.time()
     if emit_campaign:
         eventbus.emit(
-            "campaign_begin", command=args.command, seed=args.seed, jobs=args.jobs
+            "campaign_begin", command=args.command, seed=args.seed,
+            jobs=parallel.resolve_jobs(args.jobs),
         )
     # The supervisor activates when any resilience flag is given, or
     # when chaos injection is on (a chaos campaign without the fault

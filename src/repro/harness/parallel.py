@@ -7,7 +7,8 @@ function of its arguments (the simulator is virtual-time with seeded
 RNGs), results are merged in *submission* order regardless of
 completion order, so ``--jobs N`` produces bit-identical tables to a
 serial run. The equivalence tests in ``tests/harness/test_parallel.py``
-guard this property.
+guard this property. The CLI's default is :data:`AUTO_JOBS`, one worker
+per usable CPU; ``--jobs 1`` runs every cell in the CLI process.
 
 Work-unit functions must be module-level and take only plain
 arguments: app/test/bug *names* rather than objects, the frozen
@@ -36,7 +37,8 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from .. import obs
 from ..obs import eventbus
 
-#: Sentinel for "use one worker per unit, capped by the machine".
+#: Sentinel for "one worker per CPU this process may run on" (the
+#: CLI's default ``--jobs``).
 AUTO_JOBS = 0
 
 #: The active executor (a Supervisor), or None.
@@ -99,10 +101,14 @@ def _call_unit(fn: Callable[..., Any], args: Tuple) -> Any:
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a ``--jobs`` value: None/1 -> serial, 0 -> cpu count."""
+    """Normalize a ``--jobs`` value: None/1 -> serial, 0 -> the CPUs this
+    process may run on (its affinity mask, which a cpuset or ``taskset``
+    narrows below the host's CPU count)."""
     if jobs is None:
         return 1
     if jobs == AUTO_JOBS:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return max(1, jobs)
 

@@ -61,6 +61,7 @@ from .. import obs
 from ..obs import eventbus
 from ..core.persistence import save_record
 from . import faults, parallel
+from .cache import GLOBAL_STATS
 from .runner import TIMEOUT_FACTOR, TIMEOUT_FLOOR_MS
 from .store import ArtifactStore
 
@@ -262,8 +263,10 @@ def _portable(exc: BaseException) -> Any:
 def _worker(conn, inherited: List[Any], fn: Callable[..., Any], units: List[Tuple],
             keys: List[str]) -> None:
     """Body of one reused worker: run ``(index, attempt)`` requests until
-    EOF, replying ``("ok", result)`` or ``("err", (the exception or its
-    description, formatted traceback))``.
+    EOF, replying ``("ok", result, cache)`` or ``("err", (the exception or
+    its description, formatted traceback), cache)``, where ``cache`` is
+    the cell's :class:`~repro.harness.cache.CacheStats` delta, so the
+    coordinator's ``cache:`` line counts the lookups its workers made.
 
     ``inherited`` holds the parent's pipe ends the fork copied; closing
     them lets EOF reach this worker once the parent closes its end. The
@@ -277,17 +280,19 @@ def _worker(conn, inherited: List[Any], fn: Callable[..., Any], units: List[Tupl
             index, attempt = conn.recv()
         except EOFError:
             return
+        before = dataclasses.replace(GLOBAL_STATS)
         try:
             faults.cell_prelude(keys[index], attempt, in_child=True)
             reply = ("ok", parallel._call_unit(fn, units[index]))
         except BaseException as exc:  # noqa: BLE001 - the boundary's job
             reply = ("err", (_portable(exc), traceback.format_exc()))
+        cache = GLOBAL_STATS.since(before)
         try:
-            conn.send(reply)
+            conn.send(reply + (cache,))
         except OSError:
             return  # the parent hung up
         except Exception as exc:  # noqa: BLE001 - an unpicklable result
-            conn.send(("err", (faults.describe(exc), traceback.format_exc())))
+            conn.send(("err", (faults.describe(exc), traceback.format_exc()), cache))
 
 
 class Supervisor:
@@ -573,7 +578,7 @@ class Supervisor:
                 for conn in conn_wait(list(inflight), timeout=timeout):
                     cell = inflight.pop(conn)
                     try:
-                        status, payload = conn.recv()
+                        status, payload, cache = conn.recv()
                     except (EOFError, OSError):
                         # The pipe died with no reply: the worker crashed
                         # (chaos os._exit, OOM kill, segfault).
@@ -585,6 +590,7 @@ class Supervisor:
                         ), None)
                         continue
                     idle.append((cell["proc"], conn))
+                    GLOBAL_STATS.add(cache)
                     if status == "ok":
                         settle(cell, None, payload)
                         continue

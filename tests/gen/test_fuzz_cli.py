@@ -132,9 +132,10 @@ class TestCli:
 
 class TestReplayCount:
     """Plain ``fuzz`` verifies each dossier with one replay; under
-    ``--obs-dir``, which keeps every dossier, each is also minimized."""
+    ``--obs-dir``, which keeps every dossier, each is also minimized.
+    The spy counts calls in this process, so the cells run here."""
 
-    ARGS = ["fuzz", "--seed-range", "0:50", "--seed", "7"]
+    ARGS = ["fuzz", "--seed-range", "0:50", "--seed", "7", "--jobs", "1"]
 
     @staticmethod
     def _count_replays(monkeypatch, argv):

@@ -385,6 +385,30 @@ class TestReducedAll:
         assert sum(cells.values()) == 80
 
 
+class TestDefaultJobs:
+    """Without ``--jobs`` a campaign fans out over the CPUs this process
+    may run on, and prints what ``--jobs 1`` prints."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table4", "--bugs", "Bug-1", "Bug-11", "--attempts", "2", "--budget", "4", "--json"],
+        ["fuzz", "--seed-range", "0:10"],
+    ], ids=["table4", "fuzz"])
+    def test_fans_out_over_usable_cpus(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fanouts = []
+        eventbus.configure(None).add_listener(
+            lambda event: event["type"] == "fanout" and fanouts.append(event["jobs"])
+        )
+        try:
+            assert main(argv) == 0
+        finally:
+            eventbus.disable()
+        default = capsys.readouterr().out
+        assert fanouts and set(fanouts) == {2}
+        assert main(argv + ["--jobs", "1"]) == 0
+        assert capsys.readouterr().out == default
+
+
 class TestDegradation:
     """A quarantined cell drops its row, not the table."""
 

@@ -6,13 +6,14 @@ and results merge in submission order, so ``jobs=4`` must reproduce the
 """
 
 import multiprocessing
+import os
 import time
 import traceback
 
 import pytest
 
 from repro.harness import experiments
-from repro.harness.parallel import current, map_units, resolve_jobs
+from repro.harness.parallel import AUTO_JOBS, current, map_units, resolve_jobs
 from repro.harness.supervisor import cell_key
 from repro.obs import eventbus
 
@@ -54,7 +55,32 @@ class TestMapUnits:
         assert resolve_jobs(1) == 1
         assert resolve_jobs(-3) == 1
         assert resolve_jobs(7) == 7
-        assert resolve_jobs(0) >= 1  # AUTO_JOBS -> cpu count
+        assert resolve_jobs(0) >= 1  # AUTO_JOBS -> usable CPUs
+
+
+def _in_worker(_):
+    return multiprocessing.parent_process() is not None
+
+
+class TestUsableCpus:
+    """``AUTO_JOBS`` counts the CPUs this process may run on, which a
+    cpuset or ``taskset`` narrows below the host's count."""
+
+    def test_one_usable_cpu_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_jobs(AUTO_JOBS) == 1
+        assert map_units(_in_worker, [(i,) for i in range(4)], jobs=AUTO_JOBS) == [False] * 4
+
+    def test_three_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_jobs(AUTO_JOBS) == 3
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert resolve_jobs(AUTO_JOBS) == 5
 
 
 class TestNoBoundary:

@@ -53,7 +53,8 @@ def fuzz_obs_dir(target, *extra):
 @pytest.fixture(scope="module")
 def base_dir(tmp_path_factory):
     """One process's telemetry, events, coverage records and dossiers."""
-    return fuzz_obs_dir(tmp_path_factory.mktemp("base") / "obs", "--seed-range", "0:2")
+    return fuzz_obs_dir(tmp_path_factory.mktemp("base") / "obs", "--seed-range", "0:2",
+                        "--jobs", "1")
 
 
 @pytest.fixture(autouse=True)

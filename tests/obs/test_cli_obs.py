@@ -175,13 +175,17 @@ class TestCacheSummaryLine:
         yield
         zero()
 
-    def test_summary_line_reports_hits_and_misses(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_summary_line_reports_hits_and_misses(self, tmp_path, capsys, jobs):
+        """Under ``--jobs 2`` the cells' lookups happen in workers, and
+        the line still counts every one of them."""
         cache_dir = str(tmp_path / "cache")
-        args = ["table2", "--apps", "netmq", "--cache-dir", cache_dir]
+        args = ["table2", "--apps", "netmq", "--cache-dir", cache_dir, "--jobs", jobs]
         main(args)
         cold = capsys.readouterr().out
         cold_line = next(l for l in cold.splitlines() if l.startswith("cache:"))
         assert "misses" in cold_line and "writes" in cold_line
+        assert cold_line == "cache: 0 hits / 17 misses (0.0% hit rate), 17 writes"
 
         # The summary is per-invocation: the warm run's line must not
         # carry the cold run's misses forward.
@@ -189,6 +193,7 @@ class TestCacheSummaryLine:
         warm = capsys.readouterr().out
         warm_line = next(l for l in warm.splitlines() if l.startswith("cache:"))
         assert "100.0% hit rate" in warm_line
+        assert warm_line == "cache: 17 hits / 0 misses (100.0% hit rate), 0 writes"
 
     def test_no_line_when_cache_unused(self, capsys):
         main(DETECT)
