@@ -13,9 +13,8 @@ exact. This benchmark pins both:
   on detectable planted bugs is gated at 100% and soundness violations
   at zero. The full fuzz row digest is recorded alongside.
 
-Writes ``BENCH_gen.json`` at the repo root (ingested by the
-``obs analytics`` perf-regression tracker alongside the other
-``BENCH_*.json`` snapshots).
+Writes ``BENCH_gen.json`` at the repo root, beside the other
+``BENCH_*.json`` snapshots.
 
 Usage::
 

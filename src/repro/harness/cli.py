@@ -12,6 +12,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -35,6 +36,15 @@ def _usage_error(message: str) -> NoReturn:
     """Exit 2 with argparse's one-line ``waffle-repro: error:`` format."""
     print("waffle-repro: error: %s" % message, file=sys.stderr)
     raise SystemExit(2)
+
+
+@contextlib.contextmanager
+def _writing(path: Optional[str]):
+    """Turn a failure to write the output file ``path`` into a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        _usage_error("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
 def positive_int(text: str) -> int:
@@ -334,9 +344,7 @@ def _write_dashboard_artifact(
     html_path = Path(dashboard_out or os.path.join(directory, "dashboard.html"))
     html_path.write_text(
         dashboard_mod.render_dashboard(
-            view=data.view,
-            quality=quality_mod.build_quality(data, rows=rows),
-            snapshot=data.metrics,
+            data, quality=quality_mod.build_quality(data, rows=rows)
         )
     )
     return str(html_path)
@@ -501,46 +509,18 @@ def cmd_trace(args) -> None:
         print("  wrote injection plan to %s" % args.save_plan)
 
 
-def _bench_history(values: Optional[List[str]]) -> List[Path]:
-    """Expand --bench arguments: files pass through, directories glob
-    their ``BENCH_*.json`` snapshots (lexicographic = history order)."""
-    out: List[Path] = []
-    for value in values or []:
-        path = Path(value)
-        if path.is_dir():
-            out.extend(sorted(path.glob("BENCH_*.json")))
-        else:
-            out.append(path)
-    return out
-
-
 def cmd_obs(args) -> int:
     """Aggregate an obs directory: digest report, coverage observatory,
-    bug dossiers, Chrome trace export, or campaign analytics."""
+    bug dossiers, Chrome trace export, or HTML dashboard."""
     from ..obs.report import load_obs_dir, render_report, write_chrome_trace
 
     if not os.path.exists(args.obs_path):
         _usage_error("obs path %s does not exist" % args.obs_path)
     data = load_obs_dir(args.obs_path)  # parses each file on first use
     if args.action == "dashboard":
-        path = _write_dashboard_artifact(args.obs_path, dashboard_out=args.dashboard_out)
+        with _writing(args.dashboard_out):
+            path = _write_dashboard_artifact(args.obs_path, dashboard_out=args.dashboard_out)
         print("dashboard artifact written: %s" % path)
-        return 0
-    if args.action == "analytics":
-        from ..obs import campaign as campaign_mod
-
-        if data.view is None:
-            print("no event streams under %s" % args.obs_path)
-            return 1
-        _emit(
-            campaign_mod.render_analytics(
-                data.view,
-                obs_data=data,
-                bench_paths=_bench_history(args.bench),
-                source=args.obs_path,
-            ),
-            args.out,
-        )
         return 0
     if args.action == "coverage":
         from ..obs import coverage as coverage_mod
@@ -579,7 +559,8 @@ def cmd_obs(args) -> int:
         return 0
     if args.action == "chrome":
         out = args.trace_out or os.path.join(args.obs_path, "trace.json")
-        count = write_chrome_trace(data, out)
+        with _writing(out):
+            count = write_chrome_trace(data, out)
         print("wrote %d trace events to %s (open in chrome://tracing or Perfetto)" % (count, out))
         return 0
     _emit(render_report(data, max_runs=args.max_runs), args.out)
@@ -601,7 +582,8 @@ def cmd_campaign(args) -> int:
         print("no event streams under %s" % source)
         return 1
     if args.action == "merge":
-        count = eventbus.write_merged(streams, merged_out)
+        with _writing(merged_out):
+            count = eventbus.write_merged(streams, merged_out)
         print(
             "merged %d event(s) from %d stream(s) into %s"
             % (count, len(streams), merged_out)
@@ -735,8 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=argparse.SUPPRESS,
         help="enable run telemetry and the campaign event stream and write "
-        "both here (also via WAFFLE_OBS_DIR); inspect with 'obs report <dir>', "
-        "'campaign status <dir>' or 'obs analytics <dir>' afterwards",
+        "both here (also via WAFFLE_OBS_DIR); inspect with 'obs report <dir>' "
+        "or 'campaign status <dir>' afterwards",
     )
     shared.add_argument(
         "--progress",
@@ -876,14 +858,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "action",
-        choices=[
-            "report", "chrome", "coverage", "dossier", "analytics", "dashboard",
-        ],
-        help="digest, trace_event export, coverage observatory, dossier dump, "
-        "cross-run campaign analytics, or self-contained HTML dashboard",
+        choices=["report", "chrome", "coverage", "dossier", "dashboard"],
+        help="digest (detection funnel, time to first detection, generated "
+        "workloads), trace_event export, coverage observatory, dossier dump, "
+        "or self-contained HTML dashboard",
     )
     p.add_argument("obs_path", type=str, help="the obs directory to aggregate")
-    p.add_argument("--max-runs", type=int, default=20, help="rows in the slowest-runs table")
+    p.add_argument(
+        "--max-runs", type=positive_int, default=20, help="rows in the slowest-runs table"
+    )
     p.add_argument(
         "--trace-out", type=str, default=None, help="chrome: output path (default <dir>/trace.json)"
     )
@@ -891,14 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--html",
         action="store_true",
         help="dossier: also write an HTML swimlane next to each dossier file",
-    )
-    p.add_argument(
-        "--bench",
-        nargs="*",
-        default=None,
-        metavar="PATH",
-        help="analytics: BENCH_*.json snapshots (or directories of them) "
-        "for the perf-regression tracker",
     )
     p.add_argument(
         "--dashboard-out",
@@ -947,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     for action, help_text in (
-        ("status", "render progress/health/funnel from event streams"),
+        ("status", "render progress, health and cells in flight from event streams"),
         ("merge", "combine worker streams into one deterministic timeline"),
     ):
         cp = campaign_sub.add_parser(action, parents=[shared], help=help_text)
@@ -967,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         else:
             cp.add_argument(
-                "--max-cells", type=int, default=8, help="in-flight cells listed"
+                "--max-cells", type=positive_int, default=8, help="in-flight cells listed"
             )
         cp.set_defaults(func=cmd_campaign)
     return parser

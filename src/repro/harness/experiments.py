@@ -474,13 +474,9 @@ def _detect_attempts(
                 "matched": matched,
                 "runs": outcome.runs_to_expose if matched else None,
                 "time_ms": outcome.total_time_ms,
-                # Deterministic funnel census, carried in the cache
-                # entry so a warm-cache campaign emits the same
-                # detection event as a cold one.
+                # Carried in the cache entry so a warm-cache campaign
+                # emits the same detection event as a cold one.
                 "session_runs": len(outcome.runs),
-                "delays": outcome.total_delays,
-                "crashes": sum(1 for r in outcome.runs if r.crashed),
-                "pairs": outcome.plan.stats.candidate_pairs if outcome.plan else 0,
             }
             if cache is not None and key is not None:
                 cache.put("detect", key, entry)
@@ -496,9 +492,6 @@ def _detect_attempts(
                 runs=entry["runs"],
                 time_ms=entry["time_ms"],
                 session_runs=entry.get("session_runs", 0),
-                delays=entry.get("delays", 0),
-                crashes=entry.get("crashes", 0),
-                pairs=entry.get("pairs", 0),
             )
             bus.maybe_flush()
         runs.append(entry["runs"] if entry["matched"] else None)

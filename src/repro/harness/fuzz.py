@@ -12,8 +12,8 @@ and across serial, resumed and ``campaign run`` campaigns.
 Cells flow through :func:`map_units`, so fuzz campaigns inherit the
 supervisor (watchdogs, retries, ``--resume`` from its artifact store,
 chaos, ``campaign run``) and the campaign event bus (one ``fuzz_workload``
-event per workload, folded into ``obs analytics``'s
-detection-rate-vs-topology table) for free.
+event per workload, folded into ``obs report``'s generated-workload
+table and detection funnel) for free.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .. import obs
-from ..obs import eventbus
 from ..apps.base import AppTestCase
 from ..core.analyzer import InjectionPlan, analyze_trace
 from ..core.candidates import CandidateSet
@@ -154,7 +153,6 @@ def run_planned_detection(
         total_delay_ms=hook.total_delay_ms,
         overlap_ratio=hook.overlap_ratio(),
     )
-    _emit_detect_run("detect", test.name, seed, hook_seed, run)
     return run, hook
 
 
@@ -199,35 +197,7 @@ def run_online_detection(
         total_delay_ms=hook.total_delay_ms,
         overlap_ratio=hook.overlap_ratio(),
     )
-    _emit_detect_run("online", test.name, seed, hook_seed, run,
-                     pairs_observed=hook._tracker.pairs_observed)
     return run, hook
-
-
-def _emit_detect_run(kind: str, test_name: str, seed: int,
-                     hook_seed: Optional[int], run: SingleRun,
-                     pairs_observed: int = 0) -> None:
-    """Campaign event for one executed detection run.
-
-    Every field besides the bus transport metadata is a deterministic
-    function of (test, seed, hook seed), which is what lets the
-    campaign view deduplicate re-executions (retried cells, resumed
-    campaigns) by whole-event identity.
-    """
-    bus = eventbus.bus()
-    if bus is None:
-        return
-    bus.emit(
-        "detect_run",
-        kind=kind,
-        test=test_name,
-        seed=seed,
-        hook_seed=hook_seed if hook_seed is not None else seed,
-        injected=run.delays_injected,
-        crashed=run.crashed,
-        pairs_observed=pairs_observed,
-    )
-    bus.maybe_flush()
 
 
 def analyze_test(
@@ -302,9 +272,7 @@ def prepare_test(
         }
         record = cache.get("prep", key)
         if record is not None:
-            prep = prep_from_record(record, SingleRun)
-            _emit_prep(_test_key(test, test_id), seed, time_limit_ms, prep)
-            return prep
+            return prep_from_record(record, SingleRun)
 
     run, trace = run_recording(test, config, seed=seed, time_limit_ms=time_limit_ms)
     plan = analyze_trace(trace, config)
@@ -321,26 +289,7 @@ def prepare_test(
     )
     if cache is not None and key is not None:
         cache.put("prep", key, prep_to_record(prep))
-    _emit_prep(_test_key(test, test_id), seed, time_limit_ms, prep)
     return prep
-
-
-def _emit_prep(test_key: str, seed: int, limit: Optional[float], prep: PrepResult) -> None:
-    """Campaign event for one preparation analysis (cache hit or fresh:
-    the payload is deterministic either way, so the campaign view's
-    whole-event dedup keeps exactly one per logical preparation)."""
-    bus = eventbus.bus()
-    if bus is None:
-        return
-    bus.emit(
-        "prep",
-        test=test_key,
-        seed=seed,
-        limit=limit,
-        pairs=prep.plan.stats.candidate_pairs,
-        sites=prep.plan.stats.injection_sites,
-    )
-    bus.maybe_flush()
 
 
 def online_pair(

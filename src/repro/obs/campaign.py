@@ -1,38 +1,35 @@
-"""Campaign event consumption: live status, progress, cross-run analytics.
+"""Campaign event consumption: live status, progress, detection folds.
 
 :mod:`repro.obs.eventbus` writes the campaign event stream; this module
-reads it. Three consumers share one incremental fold
+reads it. Every consumer shares one incremental fold
 (:func:`apply_event` / :func:`fold_events` -> :class:`CampaignView`):
 
 * ``repro campaign status <events>`` -- render a point-in-time view of
   a running (or finished) campaign: per-cell state, ETA from completed
-  cell wall times, the detection funnel, and campaign health;
+  cell wall times, and campaign health;
 * ``--progress`` on experiment commands -- a :class:`ProgressRenderer`
   subscribed to the live bus, printing one status line per lifecycle
   event to stderr while the tables compute;
-* ``repro obs analytics <dir>`` -- cross-run analytics: per-app /
-  per-bug time-to-first-detection distributions, injection-skip
-  taxonomy rollups from co-located telemetry, and a perf-regression
-  tracker over ``BENCH_*.json`` history.
+* ``repro obs report <dir>`` -- its time-to-first-detection and
+  generated-workload sections (:func:`detection_analytics`,
+  :func:`fuzz_analytics`) and the detected stage of its detection
+  funnel.
 
-Determinism contract: the analytics sections are computed only from
-deterministic event fields (virtual ``time_ms``, candidate-pair and
-delay counts, runs-to-expose, matched flags), and the work-product
-events (``prep``, ``detect_run``, ``detection``) are deduplicated by
-their deterministic identity keys -- a retried or resumed cell re-runs
-the same pure function and re-emits identical values, so its duplicate
-events collapse. A chaos-interrupted, resumed campaign therefore
-renders an analytics report identical to an uninterrupted run's.
-Wall-clock fields feed only the live view (ETA, throughput), never
-analytics.
+Determinism contract: the detection folds read only deterministic
+event fields (virtual ``time_ms``, runs-to-expose, matched flags,
+oracle counts), and the outcome events (``detection``,
+``fuzz_workload``) are deduplicated by their deterministic identity
+keys -- a retried or resumed cell re-runs the same pure function and
+re-emits identical values, so its duplicate events collapse. A
+chaos-interrupted, resumed campaign therefore folds to the same
+detections as an uninterrupted run. Wall-clock fields feed only the
+live view (ETA, throughput).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from . import eventbus
@@ -72,11 +69,9 @@ class CampaignView:
     faults: Dict[str, int] = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Work-product events, deduplicated by deterministic identity key.
+    #: Outcome events, deduplicated by deterministic identity key.
     #: Values are whole events; a re-emitted duplicate (retry, resume,
     #: cold cache) overwrites with identical content.
-    preps: Dict[Tuple, dict] = field(default_factory=dict)
-    detect_runs: Dict[Tuple, dict] = field(default_factory=dict)
     detections: Dict[Tuple, dict] = field(default_factory=dict)
     fuzz: Dict[Tuple, dict] = field(default_factory=dict)
     first_t: float = 0.0
@@ -124,36 +119,6 @@ class CampaignView:
             return None
         return remaining * (self.elapsed_s / done)
 
-    # -- detection funnel (deterministic fields only) ------------------
-
-    @property
-    def pairs_candidates(self) -> int:
-        """Candidate pairs discovered by preparation analysis (both the
-        harness prep primitive and detection sessions' own plans)."""
-        return (
-            sum(int(e.get("pairs", 0)) for e in self.preps.values())
-            + sum(int(e.get("pairs", 0)) for e in self.detections.values())
-        )
-
-    @property
-    def delays_injected(self) -> int:
-        return (
-            sum(int(e.get("injected", 0)) for e in self.detect_runs.values())
-            + sum(int(e.get("delays", 0)) for e in self.detections.values())
-        )
-
-    @property
-    def pairs_observed(self) -> int:
-        """Near-miss pairs observed during online detection runs."""
-        return sum(int(e.get("pairs_observed", 0)) for e in self.detect_runs.values())
-
-    @property
-    def detect_crashes(self) -> int:
-        return (
-            sum(1 for e in self.detect_runs.values() if e.get("crashed"))
-            + sum(int(e.get("crashes", 0)) for e in self.detections.values())
-        )
-
     @property
     def detected(self) -> List[dict]:
         return [d for d in self.detections.values() if d.get("matched")]
@@ -176,10 +141,10 @@ def detection_key(event: dict) -> Tuple:
 
 def _identity(event: dict) -> Tuple:
     """Whole-event identity minus transport fields (seq, timestamp,
-    writer). ``prep`` and ``detect_run`` events carry only deterministic
-    work-product fields, so two emissions of the same computation (a
-    retried cell, a resumed campaign's overlap) have equal identity and
-    collapse, while genuinely distinct runs never do."""
+    writer). ``fuzz_workload`` events carry only deterministic oracle
+    fields, so two emissions of the same workload (a retried cell, a
+    resumed campaign's overlap) have equal identity and collapse, while
+    genuinely distinct workloads never do."""
     return tuple(
         sorted((k, str(v)) for k, v in event.items() if k not in ("seq", "t", "w"))
     )
@@ -250,10 +215,6 @@ def apply_event(view: CampaignView, event: dict) -> None:
             view.cache_hits += 1
         else:
             view.cache_misses += 1
-    elif etype == "prep":
-        view.preps[_identity(event)] = event
-    elif etype == "detect_run":
-        view.detect_runs[_identity(event)] = event
     elif etype == "detection":
         view.detections[detection_key(event)] = event
     elif etype == "fuzz_workload":
@@ -319,7 +280,7 @@ def _bar(done: int, total: int, width: int = 24) -> str:
 
 
 def render_status(view: CampaignView, source: str = "", max_cells: int = 8) -> str:
-    """The ``campaign status`` digest: progress, health, funnel, detections."""
+    """The ``campaign status`` digest: progress, health, cells in flight."""
     lines: List[str] = []
     header = "Campaign status"
     if source:
@@ -373,37 +334,6 @@ def render_status(view: CampaignView, source: str = "", max_cells: int = 8) -> s
             "  faults: %s"
             % ", ".join("%s %d" % (k, n) for k, n in sorted(view.faults.items()))
         )
-    lines.append("")
-    lines.append("detection funnel")
-    lines.append(
-        "  candidate pairs %d → delays injected %d → near-miss pairs %d → detected %d"
-        % (
-            view.pairs_candidates,
-            view.delays_injected,
-            view.pairs_observed,
-            len(view.detected),
-        )
-    )
-    if view.detect_runs:
-        lines.append(
-            "  online/planned detection runs %d (%d crashed)"
-            % (len(view.detect_runs), view.detect_crashes)
-        )
-    if view.detected:
-        lines.append("")
-        lines.append("detections")
-        for event in sorted(view.detected, key=detection_key):
-            lines.append(
-                "  %-10s %-12s %-24s attempt %d   %s run(s)   %.1f virtual ms"
-                % (
-                    event.get("bug", "?"),
-                    event.get("tool", "?"),
-                    str(event.get("test", "?"))[:24],
-                    event.get("attempt", 0),
-                    event.get("runs", "?"),
-                    event.get("time_ms", 0.0),
-                )
-            )
     running = sorted(view.cells_running, key=lambda c: c.cell)
     if running and not view.finished:
         lines.append("")
@@ -436,8 +366,8 @@ class ProgressRenderer:
     uses, so the live numbers and ``campaign status`` agree.
     """
 
-    #: Event types worth a line; high-frequency types (cache, prep,
-    #: detect_run) only update counters silently.
+    #: Event types worth a line; high-frequency types (cache, store,
+    #: checkpoint) only update counters silently.
     RENDERED = ("fanout", "cell_end", "cell_retry", "cell_resumed",
                 "watchdog", "chaos", "detection", "campaign_end")
 
@@ -503,7 +433,7 @@ def attach_progress(stream: TextIO) -> Optional[ProgressRenderer]:
 
 
 # ----------------------------------------------------------------------
-# Cross-run analytics
+# Detection folds (deterministic fields only)
 # ----------------------------------------------------------------------
 
 
@@ -608,170 +538,3 @@ def fuzz_analytics(view: CampaignView) -> Dict[str, Any]:
         "workloads": sum(b["workloads"] for b in rows),
         "failed": sum(b["failed"] for b in rows),
     }
-
-
-#: BENCH_*.json timing keys end in ``_s``; a newer snapshot slower than
-#: its predecessor by more than this fraction is flagged.
-PERF_REGRESSION_THRESHOLD = 0.25
-
-
-def perf_tracker(bench_paths: Sequence[os.PathLike],
-                 threshold: float = PERF_REGRESSION_THRESHOLD) -> Dict[str, Any]:
-    """Ingest ``BENCH_*.json`` history and flag deltas beyond budget.
-
-    Two signal classes: (a) a snapshot's own verdict (``within_budget``
-    / ``rows_identical`` false) and (b) timing drift -- for benchmarks
-    with multiple snapshots (same ``benchmark`` name, lexicographic
-    path order = history order), any shared top-level ``*_s`` timing
-    growing more than ``threshold`` between consecutive snapshots.
-    """
-    history: Dict[str, List[Tuple[str, dict]]] = {}
-    problems: List[str] = []
-    loaded = 0
-    for path in bench_paths:
-        target = Path(path)
-        try:
-            payload = json.loads(target.read_text())
-        except (OSError, ValueError) as exc:
-            problems.append("%s: unreadable bench snapshot (%s)" % (target.name, exc))
-            continue
-        loaded += 1
-        name = str(payload.get("benchmark", target.stem))
-        history.setdefault(name, []).append((target.name, payload))
-        if payload.get("within_budget") is False:
-            problems.append("%s: outside its own overhead budget" % target.name)
-        if payload.get("rows_identical") is False:
-            problems.append("%s: parallel/cached rows diverged" % target.name)
-    regressions: List[dict] = []
-    for name, snapshots in sorted(history.items()):
-        snapshots.sort(key=lambda item: item[0])
-        for (prev_name, prev), (cur_name, cur) in zip(snapshots, snapshots[1:]):
-            for key in sorted(set(prev) & set(cur)):
-                if not key.endswith("_s"):
-                    continue
-                before, after = prev.get(key), cur.get(key)
-                if not isinstance(before, (int, float)) or not isinstance(after, (int, float)):
-                    continue
-                if before > 0 and (after - before) / before > threshold:
-                    regressions.append({
-                        "benchmark": name, "key": key,
-                        "before": before, "after": after,
-                        "delta_pct": round(100.0 * (after - before) / before, 1),
-                        "from": prev_name, "to": cur_name,
-                    })
-    return {
-        "snapshots": loaded,
-        "benchmarks": sorted(history),
-        "budget_problems": problems,
-        "regressions": regressions,
-        "threshold_pct": round(100.0 * threshold, 1),
-    }
-
-
-def skip_taxonomy(obs_data: Any) -> Dict[str, int]:
-    """Injection-skip rollup out of a loaded obs directory's counters."""
-    counters = (obs_data.metrics or {}).get("counters", {})
-    from .telemetry import SKIP_REASONS
-
-    rollup = {reason: counters.get("inject.skipped.%s" % reason, 0)
-              for reason in SKIP_REASONS}
-    rollup["injected"] = counters.get("inject.injected", 0)
-    rollup["considered"] = counters.get("inject.considered", 0)
-    return rollup
-
-
-def render_analytics(view: CampaignView,
-                     obs_data: Any = None,
-                     bench_paths: Sequence[os.PathLike] = (),
-                     source: str = "") -> str:
-    """The ``repro obs analytics`` report.
-
-    Section order is fixed and every section renders deterministically
-    from its inputs; with events-only input (no telemetry, no bench
-    history) the report is a pure function of the deduplicated event
-    stream -- the identity the chaos/resume acceptance test pins.
-    """
-    lines: List[str] = []
-    header = "Campaign analytics"
-    if source:
-        header += " — %s" % source
-    lines.append(header)
-    analytics = detection_analytics(view)
-    lines.append(
-        "  targets %d   detected %d   detection events %d (deduplicated)"
-        % (analytics["targets"], analytics["detected"], len(view.detections))
-    )
-    lines.append("")
-    lines.append("detection funnel (deduplicated, deterministic)")
-    lines.append(
-        "  candidate pairs %d → delays injected %d → near-miss pairs %d → detected %d"
-        % (view.pairs_candidates, view.delays_injected,
-           view.pairs_observed, analytics["detected"])
-    )
-    if analytics["rows"]:
-        lines.append("")
-        lines.append("time to first detection (virtual ms, deterministic)")
-        lines.append("  %-10s %-12s %-14s %8s %6s %12s" %
-                     ("bug", "tool", "app", "attempts", "runs", "ttfd"))
-        for row in analytics["rows"]:
-            lines.append(
-                "  %-10s %-12s %-14s %8d %6d %12s"
-                % (row["bug"], row["tool"], row["app"], row["attempts"], row["runs"],
-                   "%.1f" % row["ttfd_ms"] if row["detected"] else "—"))
-        for label, table in (("per app", analytics["ttfd_by_app"]),
-                             ("per bug", analytics["ttfd_by_bug"])):
-            if table:
-                lines.append("  ttfd %s:" % label)
-                for name, stats in table.items():
-                    lines.append(
-                        "    %-14s n=%d  min %.1f  p50 %.1f  p90 %.1f  max %.1f"
-                        % (name, stats["n"], stats["min"], stats["p50"],
-                           stats["p90"], stats["max"]))
-    if view.fuzz:
-        generated = fuzz_analytics(view)
-        lines.append("")
-        lines.append("generated workloads (deduplicated, deterministic)")
-        lines.append(
-            "  %d workload(s) oracle-verified   %d failing"
-            % (generated["workloads"], generated["failed"]))
-        lines.append("  %-10s %9s %8s %11s %6s %6s %9s" %
-                     ("topology", "workloads", "planted", "detectable",
-                      "found", "runs", "rate"))
-        for bucket in generated["rows"]:
-            lines.append(
-                "  %-10s %9d %8d %11d %6d %6d %8.1f%%"
-                % (bucket["topology"], bucket["workloads"], bucket["planted"],
-                   bucket["detectable"], bucket["found"], bucket["runs"],
-                   100.0 * bucket["detection_rate"]))
-    lines.append("")
-    lines.append("injection-skip taxonomy")
-    if obs_data is not None and (obs_data.metrics or {}).get("counters"):
-        rollup = skip_taxonomy(obs_data)
-        total_skips = sum(v for k, v in rollup.items()
-                          if k not in ("injected", "considered"))
-        lines.append(
-            "  considered %d   injected %d   skipped %d (decay %d, interference %d, budget %d)"
-            % (rollup["considered"], rollup["injected"], total_skips,
-               rollup.get("decay", 0), rollup.get("interference", 0),
-               rollup.get("budget", 0)))
-    else:
-        lines.append("  no co-located telemetry (run with --obs-dir for the rollup)")
-    lines.append("")
-    lines.append("perf-regression tracker")
-    if bench_paths:
-        perf = perf_tracker(bench_paths)
-        lines.append(
-            "  %d snapshot(s) across %d benchmark(s)   drift threshold %.0f%%"
-            % (perf["snapshots"], len(perf["benchmarks"]), perf["threshold_pct"]))
-        for problem in perf["budget_problems"]:
-            lines.append("  BUDGET: %s" % problem)
-        for reg in perf["regressions"]:
-            lines.append(
-                "  REGRESSION: %s %s %.4fs → %.4fs (+%.1f%%) [%s → %s]"
-                % (reg["benchmark"], reg["key"], reg["before"], reg["after"],
-                   reg["delta_pct"], reg["from"], reg["to"]))
-        if not perf["budget_problems"] and not perf["regressions"]:
-            lines.append("  all snapshots within budget, no drift beyond threshold ✓")
-    else:
-        lines.append("  no BENCH_*.json history supplied")
-    return "\n".join(lines)

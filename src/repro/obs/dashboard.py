@@ -1,8 +1,9 @@
 """Self-contained campaign dashboard (single HTML file, inline SVG).
 
-``render_dashboard`` turns the deduplicated campaign view, the
-ground-truth quality joins (:mod:`repro.obs.quality`) and the merged
-telemetry snapshot into one HTML document with **no external assets**:
+``render_dashboard`` turns one obs directory (:class:`repro.obs.report.ObsData`:
+its deduplicated campaign view, merged telemetry snapshot and
+:func:`repro.obs.report.funnel`) and the ground-truth quality joins
+(:mod:`repro.obs.quality`) into one HTML document with **no external assets**:
 styles inline, charts as inline SVG, data tables beside every chart so
 nothing is color-alone. Sections render their headings even when their
 data source is absent -- an empty section is a census of what the
@@ -47,13 +48,6 @@ STATUS = {"good": "#0ca30c", "warning": "#fab219",
 #: Fixed topology -> categorical slot assignment (identity follows the
 #: entity: a filtered chart never repaints survivors).
 TOPOLOGY_SLOTS = ("fanout", "pool", "pipeline", "diamond")
-
-FUNNEL_STAGES = (
-    ("candidate pairs", "pairs_candidates"),
-    ("delays injected", "delays_injected"),
-    ("near misses observed", "pairs_observed"),
-    ("bugs detected", "detected_count"),
-)
 
 _CSS = """
 :root {
@@ -273,12 +267,12 @@ def _heat_cell(value: float, top: float) -> str:
 # ----------------------------------------------------------------------
 
 
-def _section_tiles(view, quality: Optional[dict]) -> str:
+def _section_tiles(view, stages, quality: Optional[dict]) -> str:
     curve = (quality or {}).get("curve") or {}
     bands = curve.get("bands", {})
     detectable = bands.get("detectable") or {}
     tiles = [
-        ("bugs detected", len(view.detected) if view is not None else 0),
+        ("bugs detected", dict(stages).get("detected", 0)),
         ("detectable-band rate",
          _rate(detectable.get("rate")) if detectable else "-"),
         ("planted bugs", curve.get("records", 0)),
@@ -292,18 +286,11 @@ def _section_tiles(view, quality: Optional[dict]) -> str:
     return '<div class="tiles">%s</div>' % body
 
 
-def _section_funnel(view) -> str:
+def _section_funnel(stages) -> str:
     out = ["<h2>Detection funnel</h2>"]
-    if view is None:
-        out.append('<p class="muted">no campaign events loaded</p>')
+    if not stages:
+        out.append('<p class="muted">no obs directory loaded</p>')
         return "".join(out)
-    counts = {
-        "pairs_candidates": view.pairs_candidates,
-        "delays_injected": view.delays_injected,
-        "pairs_observed": view.pairs_observed,
-        "detected_count": len(view.detected),
-    }
-    stages = [(label, counts[key]) for label, key in FUNNEL_STAGES]
     out.append(_svg_funnel(stages))
     out.append('<details><summary>funnel as a table</summary><table>'
                '<tr><th class="l">stage</th><th>count</th></tr>')
@@ -477,20 +464,26 @@ def _section_fuzz(view) -> str:
 
 
 def render_dashboard(
-    view=None,
+    data=None,
     quality: Optional[dict] = None,
-    snapshot: Optional[dict] = None,
     title: str = "WAFFLE detection-quality dashboard",
 ) -> str:
-    """The whole document. Every argument optional; every section's
-    heading renders regardless (empty data is reported, not hidden)."""
+    """The whole document for one loaded obs directory (``data``, an
+    :class:`~repro.obs.report.ObsData`). Every argument optional; every
+    section's heading renders regardless (empty data is reported, not
+    hidden)."""
+    from .report import funnel
+
+    view = data.view if data is not None else None
+    snapshot = data.metrics if data is not None else None
+    stages = funnel(data) if data is not None else []
     body = [
         "<h1>%s</h1>" % _e(title),
-        '<p class="muted">active delay injection: candidate pairs &#8594; '
-        'injected delays &#8594; observed near misses &#8594; detections, '
+        '<p class="muted">active delay injection: near-miss pairs &#8594; '
+        'candidate pairs &#8594; injected delays &#8594; detections, '
         'reconciled against generator ground truth</p>',
-        _section_tiles(view, quality),
-        _section_funnel(view),
+        _section_tiles(view, stages, quality),
+        _section_funnel(stages),
         _section_sensitivity(quality),
         _section_attribution(quality),
         _section_gaps(snapshot),

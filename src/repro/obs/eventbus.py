@@ -6,8 +6,9 @@ finished; this module is the campaign-level plane above them: an
 append-only stream of campaign/cell/attempt lifecycle, cache, fault,
 chaos, watchdog, detection and checkpoint events, written as it
 happens. It is what ``campaign status`` renders live, what
-``campaign merge`` combines across workers, and what ``obs analytics``
-mines across runs.
+``campaign merge`` combines across workers, and what ``obs report``
+folds into its time-to-first-detection and generated-workload
+sections.
 
 The :class:`Stream` writer and :func:`read_stream` reader here are
 also the telemetry session's (``telemetry-<pid>-<token>.jsonl``), so
@@ -83,21 +84,23 @@ EVENT_TYPES = (
     "chaos",             # a chaos site fired (site, key)
     "checkpoint",        # the campaign journal finalized a cell
     "cache",             # run-cache lookup (action hit|miss, kind)
-    "prep",              # a preparation run was analyzed (test, pairs, sites)
-    "detect_run",        # one detection run finished (test, injected, crashed)
     "detection",         # one detection attempt concluded (bug, tool, matched, runs)
     "fuzz_workload",     # one generated workload oracle-verified (seed, topology, ok)
     # -- v2 --
     "store",             # artifact store traffic (action publish|hit|corrupt)
 )
 
-#: The v2 worker and lease vocabulary of the retired lease-based fleet.
-#: :func:`read_stream` drops these from streams written before it was
-#: retired (counting them in :attr:`EventStream.retired`), so such a
-#: directory reads as if they had never been written.
+#: Event types no writer emits any more: the v2 worker and lease
+#: vocabulary of the retired lease-based fleet, and the per-run
+#: ``prep`` and ``detect_run`` work-product copies (the detection
+#: funnel reads the telemetry counters instead). :func:`read_stream`
+#: drops these from streams written before they were retired (counting
+#: them in :attr:`EventStream.retired`), so such a directory reads as
+#: if they had never been written.
 RETIRED_EVENT_TYPES = (
     "worker_begin", "worker_end", "heartbeat",
     "lease_acquire", "lease_release", "lease_expire", "lease_steal",
+    "prep", "detect_run",
 )
 
 
@@ -449,6 +452,10 @@ def write_merged(streams: Sequence[EventStream], out_path: os.PathLike) -> int:
         for record in [meta] + merged
     )
     tmp = target.with_name(target.name + ".tmp.%d" % os.getpid())
-    tmp.write_text(body)
-    os.replace(tmp, target)
+    try:
+        tmp.write_text(body)
+        os.replace(tmp, target)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
     return len(merged)

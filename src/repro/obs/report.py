@@ -9,8 +9,9 @@ records and the ``dossier-*.json`` bug dossiers -- at most once, and
 only when a consumer asks for it. :func:`check` holds every
 consistency law CI applies to the recorded data; ``repro obs report``
 renders its verdict next to the digest of how many delays were
-planned, injected and skipped (and *why*), cache effectiveness and
-where the wall time went.
+planned, injected and skipped (and *why*), cache effectiveness, where
+the wall time went, and the run's :func:`funnel` from near-miss pairs
+to detected bugs.
 """
 
 from __future__ import annotations
@@ -396,6 +397,72 @@ def _fmt_count(value: float) -> str:
     return "%d" % value
 
 
+def funnel(data: ObsData) -> List[tuple]:
+    """The detection funnel of one obs directory, as ``(stage, count)``.
+
+    The paper's pipeline, each stage from one source that every driver
+    writes: near-miss pairs observed and candidate pairs added are
+    session counters, delays injected are counted from the ``inject``
+    records (:attr:`ObsData.metrics`), and detected is the number of
+    ``(tool, bug, test)`` targets with a matched ``detection`` event
+    plus the bugs found in generated workloads (``fuzz_workload``
+    events). ``obs report`` and the dashboard both render this.
+    """
+    from .campaign import detection_analytics
+
+    counters = data.metrics.get("counters", {})
+    view = data.view
+    detected = 0
+    if view is not None:
+        detected = detection_analytics(view)["detected"]
+        detected += sum(int(e.get("found", 0)) for e in view.fuzz.values())
+    return [
+        ("near-miss pairs", counters.get("nearmiss.pairs_observed", 0)),
+        ("candidate pairs", counters.get("candidates.added", 0)),
+        ("delays injected", counters.get("inject.injected", 0)),
+        ("detected", detected),
+    ]
+
+
+def event_sections(view) -> List[str]:
+    """The report sections folded from campaign events alone: time to
+    first detection and generated workloads. Both read deterministic,
+    deduplicated fields only, so a chaos-retried or resumed campaign
+    renders them identically to an uninterrupted one."""
+    return _ttfd_section(view) + _fuzz_section(view)
+
+
+def _ttfd_section(view) -> List[str]:
+    """Per-target time to first detection, with per-app and per-bug
+    quantiles (:func:`repro.obs.campaign.detection_analytics`)."""
+    from .campaign import detection_analytics
+
+    analytics = detection_analytics(view)
+    if not analytics["rows"]:
+        return []
+    lines = [
+        "time to first detection (virtual ms): %d of %d target(s) detected"
+        % (analytics["detected"], analytics["targets"]),
+        "  %-10s %-12s %-14s %8s %6s %12s"
+        % ("bug", "tool", "app", "attempts", "runs", "ttfd"),
+    ]
+    for row in analytics["rows"]:
+        lines.append(
+            "  %-10s %-12s %-14s %8d %6d %12s"
+            % (row["bug"], row["tool"], row["app"], row["attempts"], row["runs"],
+               "%.1f" % row["ttfd_ms"] if row["detected"] else "—"))
+    for label, table in (("per app", analytics["ttfd_by_app"]),
+                         ("per bug", analytics["ttfd_by_bug"])):
+        if table:
+            lines.append("  ttfd %s:" % label)
+            for name, stats in table.items():
+                lines.append(
+                    "    %-14s n=%d  min %.1f  p50 %.1f  p90 %.1f  max %.1f"
+                    % (name, stats["n"], stats["min"], stats["p50"],
+                       stats["p90"], stats["max"]))
+    return lines
+
+
 def _fuzz_section(view) -> List[str]:
     """Generated-workload digest from ``fuzz_workload`` events.
 
@@ -406,28 +473,28 @@ def _fuzz_section(view) -> List[str]:
     the one the campaign ran against (generator drift) and sensitivity
     joins against it would be fiction.
     """
-    from . import campaign as campaign_mod
+    from .campaign import fuzz_analytics
+    from .quality import resolvable_fuzz_events
 
     if not view.fuzz:
         return []
-    from .quality import resolvable_fuzz_events
-
     resolvable, mismatched = resolvable_fuzz_events(view.fuzz.values())
-    generated = campaign_mod.fuzz_analytics(view)
+    generated = fuzz_analytics(view)
     lines: List[str] = ["generated workloads (fuzz)"]
     lines.append(
         "  %d workload(s) oracle-verified   %d with invariant violations"
         % (generated["workloads"], generated["failed"])
     )
     lines.append(
-        "  %-10s %9s %11s %6s %9s"
-        % ("topology", "workloads", "detectable", "found", "rate")
+        "  %-10s %9s %8s %11s %6s %6s %9s"
+        % ("topology", "workloads", "planted", "detectable", "found", "runs", "rate")
     )
     for bucket in generated["rows"]:
         lines.append(
-            "  %-10s %9d %11d %6d %8.1f%%"
-            % (bucket["topology"], bucket["workloads"], bucket["detectable"],
-               bucket["found"], 100.0 * bucket["detection_rate"])
+            "  %-10s %9d %8d %11d %6d %6d %8.1f%%"
+            % (bucket["topology"], bucket["workloads"], bucket["planted"],
+               bucket["detectable"], bucket["found"], bucket["runs"],
+               100.0 * bucket["detection_rate"])
         )
     if not resolvable:
         lines.append(
@@ -468,6 +535,8 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
     injected = counters.get("inject.injected", 0)
     skips = {r: counters.get("inject.skipped.%s" % r, 0) for r in SKIP_REASONS}
     lines.append("")
+    lines.append("detection funnel: %s" % " → ".join(
+        "%s %d" % stage for stage in funnel(data)))
     lines.append("injection decisions")
     lines.append(
         "  considered %s   injected %s   skipped %s (decay %s, interference %s, budget %s)"
@@ -593,17 +662,15 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
         lines.append("  full digest: repro obs coverage %s" % data.directory)
 
     if data.event_streams:
-        lines.extend(_fuzz_section(data.view))
+        lines.extend(event_sections(data.view))
         events_total = sum(len(s.events) for s in data.event_streams)
         recovered = sum(s.recovered for s in data.event_streams)
         lines.append("campaign events (%d stream(s))" % len(data.event_streams))
         lines.append(
-            "  %d event(s)%s   status: repro campaign status %s   "
-            "analytics: repro obs analytics %s"
+            "  %d event(s)%s   status: repro campaign status %s"
             % (
                 events_total,
                 "   (%d torn line(s) recovered)" % recovered if recovered else "",
-                data.directory,
                 data.directory,
             )
         )

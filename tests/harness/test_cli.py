@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from repro import obs
 from repro.harness import experiments
 from repro.harness.cli import ARTIFACTS, SELECTION_OPTIONS, build_parser, main
 from repro.obs import eventbus
@@ -563,13 +564,53 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "action",
-        ["report", "chrome", "coverage", "dossier", "analytics", "dashboard"],
+        ["report", "chrome", "coverage", "dossier", "dashboard"],
     )
     def test_obs_on_a_missing_path(self, action, tmp_path, capsys):
         missing = tmp_path / "never-written"
         err = self.one_line(["obs", action, str(missing)], capsys)
         assert "obs path %s does not exist" % missing in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["obs", "chrome", "OBS", "--trace-out"], "trace-out"),
+            (["obs", "dashboard", "OBS", "--dashboard-out"], "dashboard-out"),
+            (["campaign", "merge", "OBS", "--merged-out"], "merged-out"),
+        ],
+        ids=["chrome", "dashboard", "merge"],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
+    def test_unwritable_output_path(self, tmp_path, capsys, argv, flag, target):
+        obs_dir = tmp_path / "obs"
+        assert main(["fuzz", "--seed-range", "0:1", "--no-replay", "--budget", "2",
+                     "--jobs", "1", "--obs-dir", str(obs_dir)]) == 0
+        obs.disable()
+        os.environ.pop(obs.OBS_DIR_ENV, None)
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "nonexistent" / ("x." + flag) if target == "missing-dir" else obs_dir
+        argv = [str(obs_dir) if a == "OBS" else a for a in argv] + [str(out)]
+        err = self.one_line(argv, capsys)
+        assert "cannot write %s" % out in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before  # no partial or .tmp.* file
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs", "report", "OBS", "--max-runs", "-3"],
+            ["obs", "report", "OBS", "--max-runs", "0"],
+            ["campaign", "status", "OBS", "--max-cells", "-2"],
+        ],
+        ids=["max-runs-negative", "max-runs-zero", "max-cells-negative"],
+    )
+    def test_listing_limits_below_one_are_rejected(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path) if a == "OBS" else a for a in argv]
+        err = self.fails_with(argv, capsys)
+        assert "must be at least 1" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,16 +1,16 @@
-"""Campaign view fold, live progress, status/analytics rendering."""
+"""Campaign view fold, live progress, status rendering, and the event-derived
+sections and detection funnel of ``obs report``."""
 
 import io
 import json
 import os
-from types import SimpleNamespace
 
 import pytest
 
 from repro import obs
 from repro.harness import faults
 from repro.harness.cli import main
-from repro.obs import campaign, eventbus
+from repro.obs import campaign, eventbus, report
 
 
 @pytest.fixture(autouse=True)
@@ -39,11 +39,10 @@ SAMPLE = [
     _ev("fault", t=1.3, cell="c2", attempt=1, kind="worker_crash", error="x"),
     _ev("cell_retry", t=1.4, cell="c2", attempt=2, backoff_s=0.01, kind="worker_crash"),
     _ev("cell_begin", t=1.5, cell="c2", unit="cell_fn", attempt=2),
-    _ev("prep", t=1.6, test="app:t1", seed=0, limit=100, pairs=4, sites=2),
-    _ev("detect_run", t=1.7, kind="online", test="app:t1", seed=1, hook_seed=1,
-        injected=3, crashed=True, pairs_observed=2),
     _ev("detection", t=1.8, tool="waffle", bug="Bug-1", test="app:t1", attempt=1,
-        matched=True, runs=2, time_ms=12.5, session_runs=2, delays=3, crashes=1, pairs=4),
+        matched=True, runs=2, time_ms=12.5, session_runs=2),
+    _ev("fuzz_workload", t=1.9, seed=4, spec="abc", topology="pool", planted=2,
+        detectable=2, found=2, sessions=1, runs=3, ok=True),
     _ev("cell_end", t=2.0, cell="c1", status="ok", attempt=1, wall_s=1.0),
     _ev("cell_end", t=2.5, cell="c2", status="ok", attempt=2, wall_s=1.0),
     _ev("cell_resumed", t=2.6, cell="c3"),
@@ -68,30 +67,20 @@ class TestFold:
         assert view.cache_hits == 1 and view.cache_misses == 1
         assert view.elapsed_s == 2.0
         assert len(view.campaigns) == 1 and len(view.finished) == 1
-
-    def test_detection_funnel_from_deterministic_fields(self):
-        view = campaign.fold_events(SAMPLE)
-        assert view.pairs_candidates == 4 + 4  # prep + detection census
-        assert view.delays_injected == 3 + 3  # detect_run + detection census
-        assert view.pairs_observed == 2
-        assert view.detect_crashes == 1 + 1
         assert len(view.detected) == 1
+        assert len(view.fuzz) == 1
 
     def test_duplicate_work_products_collapse(self):
         # A retried/resumed cell re-emits identical deterministic events;
         # the fold must count them once.
-        view = campaign.fold_events(SAMPLE + SAMPLE[10:13])
-        assert len(view.preps) == 1
-        assert len(view.detect_runs) == 1
+        view = campaign.fold_events(SAMPLE + SAMPLE[10:12])
         assert len(view.detections) == 1
-        assert view.pairs_candidates == 8
+        assert len(view.fuzz) == 1
 
     def test_distinct_work_products_do_not_collapse(self):
-        other = _ev("detect_run", t=9.0, kind="online", test="app:t2", seed=2,
-                    hook_seed=2, injected=1, crashed=False, pairs_observed=0)
+        other = dict(SAMPLE[11], t=9.0, seed=5)
         view = campaign.fold_events(SAMPLE + [other])
-        assert len(view.detect_runs) == 2
-        assert view.delays_injected == 3 + 3 + 1
+        assert len(view.fuzz) == 2
 
     def test_resumed_cell_counts_once_and_keeps_first_status(self):
         first = [
@@ -132,14 +121,15 @@ class TestFold:
 
 
 class TestRenderStatus:
-    def test_sections_and_funnel(self):
+    def test_sections(self):
         view = campaign.fold_events(SAMPLE)
         text = campaign.render_status(view, source="dir")
         assert "Campaign status — dir" in text
         assert "command: table4" in text
-        assert "candidate pairs 8 → delays injected 6 → near-miss pairs 2 → detected 1" in text
         assert "chaos fires 1" in text
-        assert "Bug-1" in text
+        # The funnel and the detections are obs report's to show.
+        assert "funnel" not in text
+        assert "Bug-1" not in text
 
     def test_in_flight_cells_listed_while_running(self):
         events = [
@@ -170,9 +160,10 @@ class TestProgressRenderer:
         out = io.StringIO()
         renderer = campaign.ProgressRenderer(out)
         renderer(_ev("cache", action="hit"))
-        renderer(_ev("prep", test="t", pairs=1))
+        renderer(_ev("checkpoint", cell="c1", status="ok", attempts=1))
         assert out.getvalue() == ""
         assert renderer.view.cache_hits == 1  # still folded
+        assert renderer.view.checkpoints == 1
 
     def test_attach_without_a_bus_returns_none(self):
         assert campaign.attach_progress(io.StringIO()) is None
@@ -214,57 +205,14 @@ class TestAnalytics:
         assert analytics["detected"] == 0
         assert analytics["rows"][0]["ttfd_ms"] is None
 
-    def test_skip_taxonomy_rolls_up_counters(self):
-        data = SimpleNamespace(metrics={"counters": {
-            "inject.considered": 10, "inject.injected": 6,
-            "inject.skipped.decay": 2, "inject.skipped.interference": 1,
-            "inject.skipped.budget": 1,
-        }})
-        rollup = campaign.skip_taxonomy(data)
-        assert rollup["considered"] == 10
-        assert rollup["decay"] == 2
-
-    def test_render_analytics_degrades_without_optional_inputs(self):
-        text = campaign.render_analytics(campaign.fold_events(SAMPLE))
-        assert "no co-located telemetry" in text
-        assert "no BENCH_*.json history supplied" in text
-
-
-class TestPerfTracker:
-    def _snapshot(self, tmp_path, name, payload):
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return path
-
-    def test_drift_beyond_threshold_is_a_regression(self, tmp_path):
-        older = self._snapshot(tmp_path, "BENCH_x.a.json",
-                               {"benchmark": "x", "serial_s": 1.0})
-        newer = self._snapshot(tmp_path, "BENCH_x.b.json",
-                               {"benchmark": "x", "serial_s": 1.5})
-        perf = campaign.perf_tracker([older, newer])
-        (reg,) = perf["regressions"]
-        assert reg["key"] == "serial_s"
-        assert reg["delta_pct"] == pytest.approx(50.0)
-
-    def test_drift_within_threshold_is_quiet(self, tmp_path):
-        older = self._snapshot(tmp_path, "BENCH_x.a.json",
-                               {"benchmark": "x", "serial_s": 1.0})
-        newer = self._snapshot(tmp_path, "BENCH_x.b.json",
-                               {"benchmark": "x", "serial_s": 1.1})
-        assert campaign.perf_tracker([older, newer])["regressions"] == []
-
-    def test_own_verdict_flags_are_budget_problems(self, tmp_path):
-        bad = self._snapshot(tmp_path, "BENCH_y.json",
-                             {"benchmark": "y", "within_budget": False,
-                              "rows_identical": False})
-        perf = campaign.perf_tracker([bad])
-        assert len(perf["budget_problems"]) == 2
-
-    def test_unreadable_snapshot_is_reported(self, tmp_path):
-        broken = self._snapshot(tmp_path, "BENCH_z.json", {})
-        broken.write_text("{torn")
-        perf = campaign.perf_tracker([broken])
-        assert any("unreadable" in p for p in perf["budget_problems"])
+    def test_report_event_sections(self):
+        lines = report.event_sections(campaign.fold_events(SAMPLE))
+        assert lines[0] == "time to first detection (virtual ms): 1 of 1 target(s) detected"
+        assert any(line.split()[:2] == ["Bug-1", "waffle"] for line in lines)
+        assert "generated workloads (fuzz)" in lines
+        (pool,) = [line for line in lines if line.split()[:1] == ["pool"]]
+        # topology, workloads, planted, detectable, found, runs, rate
+        assert pool.split() == ["pool", "1", "2", "2", "2", "3", "100.0%"]
 
 
 TABLE4 = ["table4", "--bugs", "Bug-1", "--attempts", "2", "--budget", "10"]
@@ -287,7 +235,8 @@ class TestCliIntegration:
         out = capsys.readouterr().out
         assert "Campaign status" in out
         assert "command: table4" in out
-        assert "detection funnel" in out
+        assert "health" in out
+        assert "detection funnel" not in out
 
     def test_campaign_merge_is_order_independent(self, tmp_path, capsys):
         events_dir = tmp_path / "ev"
@@ -326,8 +275,9 @@ class TestCliIntegration:
         assert "no event streams" in capsys.readouterr().out
 
     def test_chaos_retried_campaign_analyzes_identically(self, tmp_path, capsys):
-        """The acceptance identity: a chaos-disrupted campaign's analytics
-        report equals the clean campaign's, byte for byte."""
+        """The acceptance identity: a chaos-disrupted campaign's
+        event-derived report sections (time to first detection,
+        generated workloads) equal the clean campaign's, byte for byte."""
         clean_dir, chaos_dir = tmp_path / "clean", tmp_path / "chaos"
         assert main(TABLE4 + ["--obs-dir", str(clean_dir)]) == 0
         os.environ.pop(obs.OBS_DIR_ENV, None)
@@ -342,19 +292,64 @@ class TestCliIntegration:
         clean_view, _ = campaign.load_view(clean_dir)
         chaos_view, _ = campaign.load_view(chaos_dir)
         assert chaos_view.retries > 0  # chaos actually disrupted it
-        assert campaign.render_analytics(clean_view) == campaign.render_analytics(chaos_view)
+        assert report.event_sections(clean_view) == report.event_sections(chaos_view)
 
-    def test_obs_analytics_cli_renders(self, tmp_path, capsys):
+    def test_obs_report_renders_time_to_first_detection(self, tmp_path, capsys):
         events_dir = tmp_path / "ev"
         assert main(TABLE4 + ["--obs-dir", str(events_dir)]) == 0
         os.environ.pop(obs.OBS_DIR_ENV, None)
         obs.disable()
         capsys.readouterr()
-        assert main(["obs", "analytics", str(events_dir)]) == 0
+        assert main(["obs", "report", str(events_dir)]) == 0
         out = capsys.readouterr().out
-        assert "Campaign analytics" in out
-        assert "time to first detection" in out
+        assert "time to first detection (virtual ms)" in out
         assert "Bug-1" in out
+
+
+def _funnel_line(text):
+    """The counts of the report's one ``detection funnel`` line."""
+    (line,) = [line for line in text.splitlines() if line.startswith("detection funnel: ")]
+    stages = line[len("detection funnel: "):].split(" → ")
+    return {stage.rsplit(" ", 1)[0]: int(stage.rsplit(" ", 1)[1]) for stage in stages}
+
+
+class TestDetectionFunnel:
+    """One funnel, folded by :func:`report.funnel` from the telemetry
+    counters and the outcome events, whichever driver wrote them."""
+
+    def run(self, argv, capsys):
+        assert main(argv) == 0
+        os.environ.pop(obs.OBS_DIR_ENV, None)
+        obs.disable()
+        capsys.readouterr()
+
+    def test_fuzz_funnel_counts_dossiers_and_injections(self, tmp_path, capsys):
+        obs_dir = tmp_path / "obs"
+        self.run(["fuzz", "--seed-range", "0:10", "--obs-dir", str(obs_dir)], capsys)
+        assert main(["obs", "report", str(obs_dir)]) == 0
+        stages = _funnel_line(capsys.readouterr().out)
+        data = report.load_obs_dir(obs_dir)
+        injected = sum(1 for r in data.inject_events if r.get("action") == "inject")
+        assert stages["detected"] == len(data.dossiers) > 0
+        assert stages["delays injected"] == injected > 0
+        assert stages == dict(report.funnel(data))
+
+    def test_table4_readers_agree_on_detected(self, tmp_path, capsys):
+        obs_dir = tmp_path / "obs"
+        self.run(["table4", "--bugs", "Bug-1", "Bug-11", "--attempts", "2", "--budget", "10",
+                  "--obs-dir", str(obs_dir)], capsys)
+        assert main(["obs", "report", str(obs_dir)]) == 0
+        text = capsys.readouterr().out
+        detected = _funnel_line(text)["detected"]
+        (ttfd,) = [line for line in text.splitlines()
+                   if line.startswith("time to first detection")]
+        assert ttfd.endswith(": %d of 4 target(s) detected" % detected)
+        assert main(["obs", "dashboard", str(obs_dir)]) == 0
+        html = (obs_dir / "dashboard.html").read_text()
+        assert ('<div class="tile"><div class="v">%d</div><div class="k">bugs detected</div>'
+                % detected) in html
+        assert '<tr><td class="l">detected</td><td>%d</td></tr>' % detected in html
+        assert detected > 0
 
 
 class TestEtaText:

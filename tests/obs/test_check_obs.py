@@ -276,7 +276,6 @@ class TestOneParsePerFile:
         "action, kinds",
         [
             ("report", KINDS),
-            ("analytics", ("telemetry", "events")),
             ("dashboard", ("telemetry", "events", "dossier")),
             ("chrome", ("telemetry",)),
             ("coverage", ("coverage",)),
@@ -305,8 +304,6 @@ class TestLegacyExports:
         '"label": "fuzz", "t": 1792288918.147, "type": "quality", "v": 1}\n'
     )
 
-    BENCH = {"benchmark": "x", "run_s": 1.5, "within_budget": True}
-
     def run(self, argv, directory, capsys):
         """Exit code and stdout of one command, plus every file in
         ``directory`` afterwards (the artifacts it wrote included)."""
@@ -325,20 +322,15 @@ class TestLegacyExports:
             ["check_obs", "DIR"],
             ["check_obs", "--events-only", "DIR"],
             ["obs", "report", "DIR"],
-            ["obs", "analytics", "DIR"],
-            ["obs", "analytics", "DIR", "--bench", "BENCH"],
             ["obs", "coverage", "DIR"],
             ["obs", "dossier", "DIR"],
             ["obs", "chrome", "DIR"],
             ["obs", "dashboard", "DIR"],
             ["campaign", "status", "DIR"],
         ],
-        ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a not in ("DIR", "BENCH")),
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a != "DIR"),
     )
     def test_stale_files_are_ignored(self, obs_dir, tmp_path, capsys, argv):
-        bench = tmp_path / "BENCH_x.json"
-        bench.write_text(json.dumps(self.BENCH))
-        argv = [str(bench) if a == "BENCH" else a for a in argv]
         legacy = Path(shutil.copytree(obs_dir, tmp_path / "legacy"))
         (legacy / "metrics.prom").write_text(self.PROM)
         (legacy / "timeseries.jsonl").write_text(self.SERIES)
@@ -351,7 +343,7 @@ class TestLegacyExports:
         if "dashboard.html" in files:
             assert b"Quality trend" not in files["dashboard.html"]
 
-    @pytest.mark.parametrize("action", ["metrics", "trend"])
+    @pytest.mark.parametrize("action", ["metrics", "trend", "analytics"])
     def test_removed_actions_are_invalid_choices(self, obs_dir, capsys, action):
         with pytest.raises(SystemExit) as raised:
             main(["obs", action, str(obs_dir)])
@@ -367,8 +359,8 @@ class TestLegacyExports:
 
     @pytest.mark.parametrize(
         "option",
-        [["--deterministic"], ["--metrics-out", "x.prom"]],
-        ids=["deterministic", "metrics-out"],
+        [["--deterministic"], ["--metrics-out", "x.prom"], ["--bench", "."]],
+        ids=["deterministic", "metrics-out", "bench"],
     )
     def test_removed_options_are_unrecognized(self, obs_dir, capsys, option):
         with pytest.raises(SystemExit) as raised:
@@ -407,9 +399,8 @@ class TestRetiredFleetDirectory:
         [
             (["campaign", "status"], "command: fleet:fuzz"),
             (["obs", "report"], "3 workload(s) oracle-verified"),
-            (["obs", "analytics"], "3 workload(s) oracle-verified"),
         ],
-        ids=["campaign-status", "obs-report", "obs-analytics"],
+        ids=["campaign-status", "obs-report"],
     )
     def test_reads_as_without_the_retired_events(self, tmp_path, capsys, argv, content):
         outs = []
@@ -432,6 +423,69 @@ class TestRetiredFleetDirectory:
             "lease_release 3, worker_begin 2, worker_end 2\n"
             "obs check OK (events only): 21 event(s) in 2 stream(s)\n"
         )
+
+
+class TestRetiredWorkProductEvents:
+    """Event streams written while the table harness still emitted
+    ``prep`` and ``detect_run`` events (the non-empty streams of
+    ``all --apps nsubstitute --bugs Bug-1 --attempts 1 --budget 4
+    --obs-dir``) read exactly as the same streams without them."""
+
+    FIXTURE = Path(__file__).resolve().parent / "fixtures" / "all-v2"
+    RETIRED = {"prep": 40, "detect_run": 100}
+
+    def copies(self, tmp_path):
+        old = Path(shutil.copytree(self.FIXTURE, tmp_path / "old" / "obs"))
+        new = tmp_path / "new" / "obs"
+        new.mkdir(parents=True)
+        dropped = Counter()
+        for path in old.glob("events-*.jsonl"):
+            kept = []
+            for line in path.read_text().splitlines(True):
+                kind = json.loads(line)["type"]
+                if kind in self.RETIRED:
+                    dropped[kind] += 1
+                else:
+                    kept.append(line)
+            (new / path.name).write_text("".join(kept))
+        assert dropped == self.RETIRED
+        return old, new
+
+    @pytest.mark.parametrize(
+        "argv, artifact",
+        [
+            (["campaign", "status"], None),
+            (["obs", "report"], None),
+            (["obs", "dashboard"], "dashboard.html"),
+        ],
+        ids=["campaign-status", "obs-report", "obs-dashboard"],
+    )
+    def test_reads_as_without_the_retired_events(self, tmp_path, capsys, argv, artifact):
+        outs = []
+        for directory in self.copies(tmp_path):
+            assert main(argv + [str(directory)]) == 0
+            out = capsys.readouterr().out.replace(str(directory), "DIR")
+            outs.append((out, (directory / artifact).read_bytes() if artifact else None))
+        assert outs[0] == outs[1]
+        if argv[-1] == "report":
+            assert "detection funnel: near-miss pairs 0 → candidate pairs 0 → " \
+                   "delays injected 0 → detected 6" in outs[0][0]
+
+    def test_check_obs_names_the_retired_types(self, tmp_path):
+        outs = []
+        for directory in self.copies(tmp_path):
+            proc = subprocess.run(
+                [sys.executable, str(REPO / "scripts" / "check_obs.py"), "--events-only",
+                 str(directory)],
+                env=ENV, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            assert proc.stderr == ""
+            outs.append(proc.stdout)
+        verdict = "obs check OK (events only): 181 event(s) in 13 stream(s)\n"
+        assert outs[1] == verdict
+        assert outs[0] == "note: ignored 140 event(s) of retired types: " \
+                          "detect_run 100, prep 40\n" + verdict
 
 
 class TestDashboardCheck:
