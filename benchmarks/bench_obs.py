@@ -18,9 +18,6 @@ Two budgets, one benchmark:
   The figure is the median per-pair wall-time ratio; its interquartile
   range is reported beside it. Interpreter start-up is in both sides.
 
-The time with a flight ring installed is reported but not gated: only
-a detection session that keeps dossiers records into one.
-
 Writes ``BENCH_obs.json`` at the repo root, with the CPU count, Python
 version and git revision of the measuring machine.
 
@@ -107,12 +104,6 @@ def main() -> int:
         baseline.append(_timed())
         disabled.append(_timed())
 
-    obs.flightrec.install()
-    try:
-        flightrec_s = min(_timed() for _ in range(2))
-    finally:
-        obs.flightrec.uninstall()
-
     plain_s, obs_s, ratios = [], [], []
     with tempfile.TemporaryDirectory(prefix="waffle-bench-obs-") as scratch:
         for pair in range(PAIRS):
@@ -151,10 +142,8 @@ def main() -> int:
         "enabled: interleaved order-alternating fresh-interpreter pairs",
         "baseline_serial_s": round(baseline_s, 4),
         "disabled_min_s": round(disabled_s, 4),
-        "flightrec_min_s": round(flightrec_s, 4),
         "reps": REPS,
         "disabled_overhead_pct": round(100.0 * overhead, 2),
-        "flightrec_overhead_pct": round(100.0 * (flightrec_s / baseline_s - 1.0), 2),
         "enabled_campaign": " ".join(FUZZ_ARGV),
         "enabled_pairs": PAIRS,
         "enabled_plain_median_s": round(statistics.median(plain_s), 4),

@@ -164,7 +164,7 @@ class InjectionEngine:
         if remaining <= 0.0:
             self.candidates.remove_with_delay_location(pending.location)
         if ses is not None:
-            ses.decision(self.obs_run_seq, site, now, length_ms=length)
+            ses.decision(self.obs_run_seq, site, now, length_ms=length, tid=pending.thread_id)
         if self._fr is not None:
             self._fr.record(
                 "inject", now, site=site, tid=pending.thread_id,

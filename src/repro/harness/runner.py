@@ -44,7 +44,7 @@ def test_time_limit(baseline_ms: float) -> float:
     return max(TIMEOUT_FLOOR_MS, TIMEOUT_FACTOR * baseline_ms)
 
 
-def _record_run(session, kind, test, seed, started, result, hook=None, sim=None) -> None:
+def _record_run(session, kind, test, seed, started, result, hook=None) -> None:
     """Per-run telemetry summary (only called when a session is active)."""
     obs.collect_run_telemetry(
         session,
@@ -54,7 +54,6 @@ def _record_run(session, kind, test, seed, started, result, hook=None, sim=None)
         (time.perf_counter() - started) * 1000.0,
         result,
         hook=hook,
-        scheduler=sim.scheduler if sim is not None else None,
     )
 
 
@@ -80,7 +79,7 @@ def run_baseline(test: AppTestCase, seed: int = 0) -> SingleRun:
     sim = Simulation(seed=seed, hook=NoopHook(), time_limit_ms=600_000.0)
     result = sim.run(test.build(sim))
     if session is not None:
-        _record_run(session, "baseline", test, seed, started, result, sim=sim)
+        _record_run(session, "baseline", test, seed, started, result)
     return SingleRun(
         virtual_time_ms=result.virtual_time,
         op_count=result.op_count,
@@ -111,7 +110,7 @@ def run_recording(
     )
     result = sim.run(test.build(sim))
     if session is not None:
-        _record_run(session, "prep", test, seed, started, result, hook=hook, sim=sim)
+        _record_run(session, "prep", test, seed, started, result, hook=hook)
     run = SingleRun(
         virtual_time_ms=result.virtual_time,
         op_count=result.op_count,
@@ -143,7 +142,7 @@ def run_planned_detection(
     )
     result = sim.run(test.build(sim))
     if session is not None:
-        _record_run(session, "detect", test, seed, started, result, hook=hook, sim=sim)
+        _record_run(session, "detect", test, seed, started, result, hook=hook)
     run = SingleRun(
         virtual_time_ms=result.virtual_time,
         op_count=result.op_count,
@@ -187,7 +186,7 @@ def run_online_detection(
     )
     result = sim.run(test.build(sim))
     if session is not None:
-        _record_run(session, "online", test, seed, started, result, hook=hook, sim=sim)
+        _record_run(session, "online", test, seed, started, result, hook=hook)
     run = SingleRun(
         virtual_time_ms=result.virtual_time,
         op_count=result.op_count,

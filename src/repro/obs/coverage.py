@@ -26,9 +26,6 @@ is therefore imported directly, never via ``repro.obs.__init__``.
 
 from __future__ import annotations
 
-import itertools
-import os
-from pathlib import Path
 from collections import Counter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -158,27 +155,6 @@ def build_coverage(
             },
         },
     }
-
-
-_file_seq = itertools.count()
-
-
-def write_coverage(record: dict, directory) -> Path:
-    """Persist one session's coverage record into an obs directory.
-
-    One file per record, so concurrent ``--jobs`` workers
-    never interleave writes; :func:`repro.obs.report.load_obs_dir` reads
-    them back.
-    """
-    from ..core import persistence
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / (
-        "coverage-%d-%d.json" % (os.getpid(), next(_file_seq))
-    )
-    persistence.save_record(record, path)
-    return path
 
 
 def reconcile_coverage(record: dict) -> List[str]:

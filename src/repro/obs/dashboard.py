@@ -93,6 +93,7 @@ svg .grid { stroke: var(--line); stroke-width: 1; }
 .legend .l1::before { color: var(--cat1); } .legend .l2::before { color: var(--cat2); }
 .legend .l3::before { color: var(--cat3); } .legend .l4::before { color: var(--cat4); }
 details { margin: 0.4rem 0; } summary { color: var(--ink2); cursor: pointer; }
+pre { font: 12px/1.5 ui-monospace, monospace; }
 """
 
 
@@ -439,28 +440,14 @@ def _section_census(view) -> str:
 
 
 def _section_fuzz(view) -> str:
-    from . import campaign as campaign_mod
+    """The report's generated-workloads digest (:func:`repro.obs.report.fuzz_lines`)."""
+    from .report import fuzz_lines
 
-    out = ["<h2>Generated workloads</h2>"]
-    if view is None or not view.fuzz:
-        out.append('<p class="muted">no fuzz workloads in this campaign</p>')
-        return "".join(out)
-    rows = campaign_mod.fuzz_analytics(view)["rows"]
-    out.append('<table><tr><th class="l">topology</th><th>workloads</th>'
-               '<th>planted</th><th>detectable</th><th>found</th>'
-               '<th>rate</th></tr>')
-    for row in rows:
-        out.append('<tr><td class="l">%s</td><td>%s</td><td>%s</td><td>%s</td>'
-                   '<td>%s</td><td>%s</td></tr>'
-                   % (_e(row["topology"]), _num(row["workloads"]),
-                      _num(row["planted"]), _num(row["detectable"]),
-                      _num(row["found"]), _rate(row["detection_rate"])))
-    out.append("</table>")
-    failed = sum(1 for e in view.fuzz.values() if not e.get("ok", True))
-    if failed:
-        out.append('<p class="status" style="color:var(--crit)">&#10006; '
-                   '%d workload(s) violated an oracle invariant</p>' % failed)
-    return "".join(out)
+    lines = fuzz_lines(view) if view is not None else []
+    if not lines:
+        return ('<h2>Generated workloads</h2>'
+                '<p class="muted">no fuzz workloads in this campaign</p>')
+    return "<h2>Generated workloads</h2><pre>%s</pre>" % _e("\n".join(lines[1:]))
 
 
 def render_dashboard(

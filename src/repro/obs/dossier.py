@@ -823,6 +823,15 @@ def dossier_filename(dossier: BugDossier, index: Optional[int] = None) -> str:
     )
 
 
+def dossier_pid(name: str) -> Optional[int]:
+    """The writing process's pid in a :func:`dossier_filename` name, or
+    None for a name of another form."""
+    try:
+        return int(name.rsplit("-", 2)[1])
+    except (IndexError, ValueError):
+        return None
+
+
 def write_dossier(dossier: BugDossier, directory) -> "Path":
     """Persist a dossier into an obs directory; returns its path."""
     directory = Path(directory)

@@ -104,6 +104,11 @@ RETIRED_EVENT_TYPES = (
 )
 
 
+#: One compact encoder for every stream line (``json.dumps`` with a
+#: ``separators`` argument would build a new encoder per record).
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 @dataclass
 class StreamMeta:
     """The identity line opening one event stream."""
@@ -189,9 +194,9 @@ class Stream:
                 self._meta = None
         if not head and not records:
             return
-        dumps = json.dumps
+        encode = _LINE_ENCODER.encode
         with open(self.path, "a") as fp:
-            fp.write("".join(dumps(r, separators=(",", ":")) + "\n" for r in head + records))
+            fp.write("".join(encode(r) + "\n" for r in head + records))
 
 
 class EventBus(Stream):

@@ -26,7 +26,7 @@ from typing import Any, Dict, List
 from . import eventbus
 from .metrics import merge_snapshots
 from .telemetry import FAULT_KINDS, SKIP_REASONS, TELEMETRY_GLOB
-from .tracing import chrome_trace_events
+from .tracing import chrome_trace_events, virtual_runs
 
 #: Counters every telemetry stream's last ``metrics`` record must name.
 #: Sessions pre-register them, so the names are present even at 0.
@@ -48,7 +48,7 @@ RECORD_COUNTERS = (
 )
 
 #: Record types a telemetry stream may carry (after its ``meta`` line).
-TELEMETRY_TYPES = ("inject", "run", "metrics")
+TELEMETRY_TYPES = ("inject", "run", "metrics", "coverage")
 
 
 class ObsData:
@@ -104,19 +104,24 @@ class ObsData:
         return self._files(kind)[1]
 
     @cached_property
-    def coverage_files(self) -> List[tuple]:
-        """``(file name, record)`` per coverage record, ordered by tool,
-        test and content, so worker pids never decide the order."""
+    def coverage_records(self) -> List[tuple]:
+        """``(file name, record)`` per coverage record -- from the
+        telemetry streams, and from the ``coverage-*.json`` files of an
+        older directory -- ordered by tool, test and content, so worker
+        pids never decide the order."""
+        records = [(Path(stream.path).name, record) for stream in self.telemetry_streams
+                   for record in stream.events if record.get("type") == "coverage"]
+        records += [(name, record) for name, record in self._files("coverage")[0]
+                    if record.get("type") == "coverage"]
         return sorted(
-            ((name, record) for name, record in self._files("coverage")[0]
-             if record.get("type") == "coverage"),
+            records,
             key=lambda item: (str(item[1].get("tool")), str(item[1].get("test")),
                               json.dumps(item[1], sort_keys=True)),
         )
 
     @property
     def coverage(self) -> List[dict]:
-        return [record for _name, record in self.coverage_files]
+        return [record for _name, record in self.coverage_records]
 
     @cached_property
     def dossiers(self) -> List[dict]:
@@ -303,7 +308,7 @@ def _coverage_laws(data: ObsData) -> List[str]:
 
     problems = [
         "%s: %s" % (name, issue)
-        for name, record in data.coverage_files
+        for name, record in data.coverage_records
         for issue in reconcile_coverage(record)
     ]
     return data.unreadable("coverage") + problems
@@ -440,31 +445,47 @@ def _ttfd_section(view) -> List[str]:
     analytics = detection_analytics(view)
     if not analytics["rows"]:
         return []
+    rows = analytics["rows"]
+    # Columns fit their longest entry (``ablation:*`` tools, long app
+    # names), never narrower than the headers' usual widths.
+    bug_w = max([10] + [len(str(row["bug"])) for row in rows])
+    tool_w = max([12] + [len(str(row["tool"])) for row in rows])
+    app_w = max([14] + [len(str(row["app"])) for row in rows])
+    row_format = "  %%-%ds %%-%ds %%-%ds %%8s %%6s %%12s" % (bug_w, tool_w, app_w)
     lines = [
         "time to first detection (virtual ms): %d of %d target(s) detected"
         % (analytics["detected"], analytics["targets"]),
-        "  %-10s %-12s %-14s %8s %6s %12s"
-        % ("bug", "tool", "app", "attempts", "runs", "ttfd"),
+        row_format % ("bug", "tool", "app", "attempts", "runs", "ttfd"),
     ]
-    for row in analytics["rows"]:
+    for row in rows:
         lines.append(
-            "  %-10s %-12s %-14s %8d %6d %12s"
+            row_format
             % (row["bug"], row["tool"], row["app"], row["attempts"], row["runs"],
                "%.1f" % row["ttfd_ms"] if row["detected"] else "—"))
     for label, table in (("per app", analytics["ttfd_by_app"]),
                          ("per bug", analytics["ttfd_by_bug"])):
         if table:
+            name_w = max([14] + [len(str(name)) for name in table])
             lines.append("  ttfd %s:" % label)
             for name, stats in table.items():
                 lines.append(
-                    "    %-14s n=%d  min %.1f  p50 %.1f  p90 %.1f  max %.1f"
-                    % (name, stats["n"], stats["min"], stats["p50"],
+                    "    %-*s n=%d  min %.1f  p50 %.1f  p90 %.1f  max %.1f"
+                    % (name_w, name, stats["n"], stats["min"], stats["p50"],
                        stats["p90"], stats["max"]))
     return lines
 
 
 def _fuzz_section(view) -> List[str]:
-    """Generated-workload digest from ``fuzz_workload`` events.
+    """:func:`fuzz_lines`, pointing to the dashboard's curves."""
+    lines = fuzz_lines(view)
+    if lines:
+        lines.append("  sensitivity curves: repro obs dashboard <dir>")
+    return lines
+
+
+def fuzz_lines(view) -> List[str]:
+    """Generated-workload digest from ``fuzz_workload`` events; the
+    report and the dashboard both render it.
 
     Reads the folded campaign view, so retried/resumed/cache-hit
     re-emissions collapse, then checks each workload's oracle is still
@@ -508,7 +529,6 @@ def _fuzz_section(view) -> List[str]:
             "  warning: %d of %d workload(s) have unresolvable oracles "
             "(spec hash mismatch)" % (mismatched, len(view.fuzz))
         )
-    lines.append("  sensitivity curves: repro obs dashboard <dir>")
     return lines
 
 
@@ -740,6 +760,11 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
 def write_chrome_trace(data: ObsData, out_path: os.PathLike) -> int:
     """Write the Chrome ``trace_event`` view of the recorded virtual-time
     schedules; returns the number of trace events written."""
-    trace = chrome_trace_events(data.runs)
+    from .dossier import dossier_pid
+
+    trace = chrome_trace_events(virtual_runs(
+        [(stream.meta.pid, stream.events) for stream in data.telemetry_streams],
+        [(dossier_pid(item["file"]), item["dossier"]) for item in data.dossiers],
+    ))
     Path(out_path).write_text(json.dumps(trace, indent=1, sort_keys=True))
     return len(trace["traceEvents"])

@@ -7,6 +7,8 @@ JSON object per line, discriminated by ``type``):
 
 * ``inject`` -- one injection decision (inject, or skip with a reason);
 * ``run`` -- one simulated run's :class:`RunTelemetry` summary;
+* ``coverage`` -- one detection session's candidate-pair coverage
+  record (:mod:`repro.obs.coverage`);
 * ``metrics`` -- the metrics snapshot, written at the head of each
   flush whose counters moved. Readers take the last one per stream.
 
@@ -21,8 +23,8 @@ the simulation, so runs stay bit-identical with telemetry on or off.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from .eventbus import Stream
 from .metrics import MetricsRegistry
@@ -86,21 +88,14 @@ class RunTelemetry:
     pruned_parent_child: int = 0
     pruned_hb_inference: int = 0
     candidates_final: int = 0
-    # Virtual-time schedule (for the Chrome trace_event view).
-    vt_threads: List[Dict[str, Any]] = field(default_factory=list)
-    vt_delays: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def skipped_total(self) -> int:
         return self.skipped_decay + self.skipped_interference + self.skipped_budget
 
     def to_record(self) -> dict:
-        # Hand-rolled (not dataclasses.asdict): asdict recurses through
-        # and deep-copies the vt_threads/vt_delays dict lists, which
-        # made run-summary assembly the hottest obs call on the enabled
-        # path. The key set is pinned by tests/obs/test_telemetry.py;
-        # the vt lists are already JSON-plain, so sharing them is safe
-        # -- they are built fresh per run and never mutated after.
+        # Hand-rolled (not dataclasses.asdict), which is slower on this
+        # per-run path.
         return {
             "type": "run",
             "run_seq": self.run_seq,
@@ -126,8 +121,6 @@ class RunTelemetry:
             "pruned_parent_child": self.pruned_parent_child,
             "pruned_hb_inference": self.pruned_hb_inference,
             "candidates_final": self.candidates_final,
-            "vt_threads": self.vt_threads,
-            "vt_delays": self.vt_delays,
         }
 
 
@@ -150,7 +143,6 @@ class TelemetrySession:
         self.stream = Stream("telemetry", directory)
         self.directory = self.stream.directory
         self.registry = MetricsRegistry()
-        self._coverage_pending: List[dict] = []
         self._last_metrics: Optional[dict] = None
         self._run_seq = 0
 
@@ -190,13 +182,14 @@ class TelemetrySession:
         reason: Optional[str] = None,
         length_ms: Optional[float] = None,
         detail: Optional[str] = None,
+        tid: Optional[int] = None,
     ) -> None:
         """Buffer one injection decision.
 
-        ``reason is None`` means an injection (with ``length_ms``), a
-        reason tag from :data:`SKIP_REASONS` means a skip. One call per
-        decision keeps the engine's ``decide`` hot path at one dict
-        build.
+        ``reason is None`` means an injection (with ``length_ms`` and
+        the delayed thread's ``tid``), a reason tag from
+        :data:`SKIP_REASONS` means a skip. One call per decision keeps
+        the engine's ``decide`` hot path at one dict build.
         """
         record: Dict[str, Any] = {
             "type": "inject",
@@ -207,6 +200,7 @@ class TelemetrySession:
         }
         if reason is None:
             record["len_ms"] = round(length_ms, 4)
+            record["tid"] = tid
         else:
             record["reason"] = reason
         if detail is not None:
@@ -217,15 +211,9 @@ class TelemetrySession:
         self.stream.pending.append(run.to_record())
 
     def queue_coverage(self, record: dict) -> None:
-        """Buffer a candidate-pair coverage record until the next flush.
-
-        Coverage records used to be written (one atomic file each) the
-        moment a detection cell finished; at per-cell cadence those
-        open/rename pairs were a measurable slice of enabled-path
-        overhead. Queuing them keeps the file-per-record on-disk layout
-        while batching the I/O with everything else.
-        """
-        self._coverage_pending.append(record)
+        """Buffer a detection session's candidate-pair coverage record;
+        it lands in the stream with the next flush."""
+        self.stream.pending.append(record)
 
     # -- Flushing --------------------------------------------------------
 
@@ -250,13 +238,6 @@ class TelemetrySession:
             self.stream.flush({"type": "metrics", "metrics": snapshot})
         else:
             self.stream.flush()
-        if self._coverage_pending:
-            from .coverage import write_coverage
-
-            queued = self._coverage_pending
-            self._coverage_pending = []
-            for record in queued:
-                write_coverage(record, self.directory)
 
 
 def collect_run_telemetry(
@@ -267,14 +248,12 @@ def collect_run_telemetry(
     wall_ms: float,
     result: Any,
     hook: Any = None,
-    scheduler: Any = None,
 ) -> RunTelemetry:
     """Assemble a :class:`RunTelemetry` from a finished run.
 
     Duck-typed on purpose: ``result`` is a
-    :class:`~repro.sim.scheduler.RunResult`, ``hook`` any
-    instrumentation hook (injection hooks expose ``engine``), and
-    ``scheduler`` the driving scheduler (for thread lifetimes). Using
+    :class:`~repro.sim.scheduler.RunResult` and ``hook`` any
+    instrumentation hook (injection hooks expose ``engine``). Using
     ``getattr`` keeps :mod:`repro.obs` free of core/sim imports.
     """
     engine = getattr(hook, "engine", None)
@@ -305,23 +284,8 @@ def collect_run_telemetry(
         run.pruned_parent_child = getattr(candidates, "pruned_parent_child", 0)
         run.pruned_hb_inference = getattr(candidates, "pruned_hb_inference", 0)
         run.candidates_final = len(candidates)
-        run.vt_delays = [
-            {"site": i.site, "tid": i.thread_id, "start": i.start, "end": i.end}
-            for i in ledger.history
-        ]
     if tracker is not None:
         run.pairs_observed = getattr(tracker, "pairs_observed", 0)
         run.pairs_new = getattr(tracker, "pairs_new", 0)
-    if scheduler is not None:
-        threads = getattr(scheduler, "threads", {})
-        run.vt_threads = [
-            {
-                "tid": tid,
-                "name": thread.name,
-                "start": getattr(thread, "spawn_time", 0.0),
-                "end": getattr(thread, "end_time", None),
-            }
-            for tid, thread in threads.items()
-        ]
     session.record_run(run)
     return run

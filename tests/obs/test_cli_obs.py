@@ -118,7 +118,8 @@ class TestObsDirOption:
         assert "dossier written: %s (replay with: waffle-repro replay %s)" % (path, path) in out
         events = dossier_mod.load_dossier(path).flight_events
         assert [e["k"] for e in events].count("fault") == 1
-        assert list(obs_dir.glob("coverage-*.json"))
+        assert any(r["type"] == "coverage" for r in read_events(obs_dir))
+        assert not list(obs_dir.glob("coverage-*.json"))
 
     def test_table_campaigns_keep_no_dossiers(self, tmp_path):
         obs_dir = tmp_path / "obs"
@@ -127,7 +128,7 @@ class TestObsDirOption:
         obs.disable()
         runs = [r for r in read_events(obs_dir) if r["type"] == "run"]
         assert any(r["crashed"] for r in runs)  # bugs were exposed
-        assert list(obs_dir.glob("coverage-*.json"))
+        assert any(r["type"] == "coverage" for r in read_events(obs_dir))
         assert not list(obs_dir.glob("dossier-*.json"))
 
     def test_obs_report_renders_and_reconciles(self, tmp_path, capsys):

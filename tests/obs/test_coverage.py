@@ -7,6 +7,7 @@ import pytest
 from repro import obs
 from repro.apps import bug_workload
 from repro.baselines import WaffleBasic
+from repro.core import persistence
 from repro.core.config import WaffleConfig
 from repro.core.detector import Waffle
 from repro.obs import coverage as coverage_mod
@@ -89,17 +90,25 @@ class TestReconcileFlagsInconsistencies:
 
 
 class TestPersistence:
-    def test_write_then_load_round_trips(self, outcome, tmp_path):
-        path = coverage_mod.write_coverage(outcome.coverage, tmp_path)
-        assert path.name.startswith("coverage-")
+    def test_session_stream_round_trips(self, outcome, tmp_path):
+        session = obs.configure(tmp_path)
+        try:
+            session.queue_coverage(outcome.coverage)
+            session.flush()
+        finally:
+            obs.disable()
+        assert not list(tmp_path.glob("coverage-*.json"))
         records = load_obs_dir(tmp_path).coverage
         assert records == [outcome.coverage]
 
-    def test_load_skips_partially_written_files(self, outcome, tmp_path):
-        coverage_mod.write_coverage(outcome.coverage, tmp_path)
-        (tmp_path / "coverage-999-0.json").write_text('{"version": 1, "rec')
-        records = load_obs_dir(tmp_path).coverage
-        assert len(records) == 1
+    def test_legacy_file_loads_and_a_partial_one_is_skipped(self, outcome, tmp_path):
+        """Directories written before coverage joined the telemetry
+        stream hold one ``coverage-*.json`` file per session."""
+        persistence.save_record(outcome.coverage, tmp_path / "coverage-999-0.json")
+        (tmp_path / "coverage-999-1.json").write_text('{"version": 1, "rec')
+        data = load_obs_dir(tmp_path)
+        assert data.coverage == [outcome.coverage]
+        assert [w.split(":")[0] for w in data.unreadable("coverage")] == ["coverage-999-1.json"]
 
     def test_load_missing_directory_is_empty(self, tmp_path):
         assert load_obs_dir(tmp_path / "nope").coverage == []

@@ -66,6 +66,18 @@ class TestRender:
         assert "skip taxonomy" in html
         assert str(target) not in html        # no paths leak into the bytes
 
+    def test_generated_workloads_render_the_report_fold(self, tmp_path):
+        """One formatter: the section is the report's digest, verbatim."""
+        from repro.obs.report import fuzz_lines
+
+        target = run_campaign(tmp_path / "camp")
+        html = (target / "dashboard.html").read_text()
+        section = html.split("<h2>Generated workloads</h2>")[1].split("</pre>")[0] + "</pre>"
+        lines = fuzz_lines(load_obs_dir(target).view)
+        assert lines[0] == "generated workloads (fuzz)"
+        assert section == "<pre>%s</pre>" % "\n".join(lines[1:])
+        assert "  topology   workloads  planted" in section
+
     def test_fuzz_dashboard_writes_one_artifact(self, tmp_path, capsys):
         target = run_campaign(tmp_path / "camp")
         written = [line for line in capsys.readouterr().out.splitlines()

@@ -417,6 +417,27 @@ class TestRender:
         assert "RECONCILIATION" in text
 
 
+    def test_ttfd_columns_line_up_with_long_tools_and_apps(self):
+        text = render_report(load_obs_dir(FIXTURES / "all-v2"))
+        lines = text.splitlines()
+        start = next(i for i, l in enumerate(lines) if l.startswith("time to first detection"))
+        header, rows = lines[start + 1], []
+        for line in lines[start + 2:]:
+            if line.startswith("  ttfd "):
+                break
+            rows.append(line)
+        assert any(len(row.split()[1]) > 12 for row in rows)  # ablation:* tools
+        columns = [header.index(" %s " % name) + 1 for name in ("tool", "app")]
+        for row in rows:
+            assert len(row) == len(header), row
+            for column, value in zip(columns, row.split()[1:3]):
+                assert row[column - 1] == " " and row[column:].startswith(value), row
+
+
+#: Obs directories written by earlier versions.
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
 class TestChromeExport:
     def test_writes_trace_file(self, obs_dir, tmp_path):
         out = tmp_path / "trace.json"
@@ -424,6 +445,48 @@ class TestChromeExport:
         trace = json.loads(out.read_text())
         assert count == len(trace["traceEvents"])
         assert trace["displayTimeUnit"] == "ms"
+
+    def test_delays_from_inject_records_and_lanes_from_dossiers(self, tmp_path):
+        """A new directory: run records carry no span lists; delays come
+        from the ``inject`` records, and the crashing run's thread lanes
+        from its dossier's swimlane."""
+        obs.configure(tmp_path / "obs")
+        try:
+            from repro.apps import bug_workload
+            from repro.core.config import WaffleConfig
+            from repro.core.detector import Waffle
+
+            outcome = Waffle(WaffleConfig()).detect(
+                bug_workload("Bug-11"), max_detection_runs=5, dossiers=True
+            )
+            obs.flush()
+        finally:
+            obs.disable()
+        (dossier,) = outcome.dossiers
+        data = load_obs_dir(tmp_path / "obs")
+        assert not any("vt_threads" in run or "vt_delays" in run for run in data.runs)
+        write_chrome_trace(data, tmp_path / "trace.json")
+        events = json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
+        delays = [e for e in events if e.get("cat") == "delay"]
+        injected = [e for e in data.inject_events if e["action"] == "inject"]
+        assert len(delays) == len(injected) > 0
+        assert sorted((e["tid"], e["ts"]) for e in delays) == sorted(
+            (e["tid"], e["t_ms"] * 1000.0) for e in injected)
+        lanes = [e for e in events if e.get("cat") == "thread"]
+        assert sorted(e["name"] for e in lanes) == sorted(
+            t["name"] for t in dossier.swimlane["threads"])
+
+    def test_an_older_directory_renders_as_before(self, tmp_path):
+        """Run records written before carry ``vt_threads``/``vt_delays``
+        and their directory one ``coverage-*.json`` per session."""
+        data = load_obs_dir(FIXTURES / "detect-v1")
+        assert all("vt_threads" in run for run in data.runs)
+        count = write_chrome_trace(data, tmp_path / "trace.json")
+        events = json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
+        assert count == len(events) == 11
+        assert [e["name"] for e in events if e.get("cat") == "delay"] == [
+            "delay@netmq.NetMQRuntime.ChkDisposed:11"]
+        assert len(data.coverage) == 1 and check(data) == []
 
 
 class TestSessionRoundTrip:

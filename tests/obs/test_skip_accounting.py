@@ -150,11 +150,11 @@ class TestReasonTaxonomy:
         assert event["reason"] == "budget"
         assert event["detail"] == "zero_length"
 
-    def test_inject_event_carries_length(self, session):
-        session.decision(7, "l1", 1.23456, length_ms=12.345678)
+    def test_inject_event_carries_length_and_thread(self, session):
+        session.decision(7, "l1", 1.23456, length_ms=12.345678, tid=3)
         (event,) = decisions(session)
         assert event == {"type": "inject", "run": 7, "action": "inject", "site": "l1",
-                         "t_ms": 1.2346, "len_ms": 12.3457}
+                         "t_ms": 1.2346, "len_ms": 12.3457, "tid": 3}
         # The engine's decide() emits through the same call.
         engine = make_engine(pairs=[make_pair()])
         length = engine.decide(pending())
@@ -162,6 +162,7 @@ class TestReasonTaxonomy:
         event = session.stream.pending[-1]
         assert event["action"] == "inject"
         assert event["len_ms"] == length
+        assert event["tid"] == pending().thread_id
         assert len(decisions(session)) == 1 + engine.considered == 2
         assert engine.ledger.count == 1
 
