@@ -4,13 +4,12 @@ Runs every consistency law on the recorded data through
 :func:`repro.obs.report.check`, over the directory as parsed once by
 :func:`repro.obs.report.load_obs_dir`:
 
-* every ``telemetry-*.jsonl`` stream parses, carries only known record
-  types and tagged skips, and its last ``metrics`` record names every
-  stored counter in ``REQUIRED_COUNTERS`` (sessions pre-register them,
-  so the *names* must be present even at value 0);
-* each run's decision events reconcile with its run summary (the
-  counts of records -- decisions, cache, fault and cell events -- are
-  computed from the records, so there is no second copy to compare);
+* every ``telemetry-*.jsonl`` stream parses and carries only known
+  record types and tagged skips;
+* each run's decision events reconcile with its run summary (every
+  count ``obs report`` prints -- decisions, runs, analyses, cache,
+  fault and cell events -- is folded from the records, so there is no
+  second copy to compare);
 * every ``dossier-*.json`` validates against the dossier schema;
 * every coverage record -- in a telemetry stream, or a
   ``coverage-*.json`` file of an older directory -- reconciles with

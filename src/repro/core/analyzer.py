@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
+from .. import obs
 from .candidates import CandidateSet
 from .config import WaffleConfig
 from .interference import InterferencePair, build_interference_set
@@ -125,6 +126,7 @@ def analyze_trace(trace: Trace, config: WaffleConfig) -> InjectionPlan:
     )
     memorder_events = [e for e in events if e.access_type.is_memorder]
     candidates = tracker.observe_all(memorder_events)
+    obs.record_analysis(tracker)
 
     delay_lengths: Dict[str, float] = {}
     for pair in candidates:

@@ -120,7 +120,6 @@ class CandidateSet:
         self.removal_log: List[Tuple[Tuple[str, str, str], str]] = []
         from .. import obs
 
-        self._obs = obs.session()
         self._fr = obs.flightrec.recorder()
 
     def __len__(self) -> int:
@@ -141,8 +140,6 @@ class CandidateSet:
             self._by_delay.setdefault(pair.delay_location.site, {})[key] = pair
             self._by_other.setdefault(pair.other_location.site, {})[key] = pair
             self.added_total += 1
-            if self._obs is not None:
-                self._obs.c_cand_added.inc()
         if observation is not None:
             self._record_gap(key, observation)
         return is_new
@@ -162,8 +159,6 @@ class CandidateSet:
             self._unindex(removed, key)
             self.removed_total += 1
             self.removal_log.append((key, reason))
-            if self._obs is not None:
-                self._obs.c_cand_removed.inc()
             if self._fr is not None:
                 self._fr.record(
                     "pair_removed",

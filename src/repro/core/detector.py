@@ -11,7 +11,6 @@ described in section 5.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
@@ -145,11 +144,7 @@ class ToolDriver:
 
     # -- Common helpers -------------------------------------------------
 
-    def _simulate(
-        self, workload: Workload, hook, seed: int, kind: Optional[str] = None
-    ) -> RunResult:
-        session = obs.session()
-        started = time.perf_counter()
+    def _simulate(self, workload: Workload, hook, seed: int) -> RunResult:
         sim = Simulation(
             seed=seed,
             hook=hook,
@@ -157,29 +152,7 @@ class ToolDriver:
             stop_on_failure=True,
             name=workload.name,
         )
-        result = sim.run(workload.build(sim), name="main")
-        if session is not None:
-            obs.collect_run_telemetry(
-                session,
-                kind if kind is not None else self._run_kind(hook),
-                workload.name,
-                seed,
-                (time.perf_counter() - started) * 1000.0,
-                result,
-                hook=hook,
-            )
-        return result
-
-    @staticmethod
-    def _run_kind(hook) -> str:
-        """Classify a run by its hook when the caller gave no kind."""
-        if isinstance(hook, RecordingHook):
-            return "prep"
-        if isinstance(hook, PlannedInjectionHook):
-            return "detect"
-        if isinstance(hook, OnlineInjectionHook):
-            return "online"
-        return "baseline"
+        return sim.run(workload.build(sim), name="main")
 
     def _record(
         self,

@@ -85,7 +85,6 @@ class NearMissTracker:
         #: (re)added pair vs. first-time-seen pairs only).
         self.pairs_observed: int = 0
         self.pairs_new: int = 0
-        self._obs = obs.session()
         self._fr = obs.flightrec.recorder()
 
     #: Shared empty result so delay-free streams allocate nothing.
@@ -143,7 +142,6 @@ class NearMissTracker:
         order_filter = self.order_filter
         candidates = self.candidates
         on_pair = self.on_pair
-        ses = self._obs
         fr = self._fr
         added: List[CandidatePair] = []
         for earlier in window:
@@ -151,8 +149,6 @@ class NearMissTracker:
                 continue
             if order_filter is not None and order_filter(earlier, event):
                 candidates.pruned_parent_child += 1
-                if ses is not None:
-                    ses.c_pruned_parent_child.inc()
                 if fr is not None:
                     # The verdict plus the vector clocks that justify it
                     # (fork-ordered: vc(earlier) <= vc(later)).
@@ -181,11 +177,6 @@ class NearMissTracker:
             self.pairs_observed += 1
             if is_new:
                 self.pairs_new += 1
-            if ses is not None:
-                ses.c_pairs_observed.inc()
-                ses.h_gap_ms.observe(observation.gap_ms)
-                if is_new:
-                    ses.c_pairs_new.inc()
             if fr is not None:
                 fr.record(
                     "near_miss", timestamp,
@@ -230,7 +221,6 @@ class TsvNearMissTracker:
         self._recent: Dict[int, Deque[AccessEvent]] = {}
         self.pairs_observed: int = 0
         self.pairs_new: int = 0
-        self._obs = obs.session()
         self._fr = obs.flightrec.recorder()
 
     def observe(self, event: AccessEvent) -> List[CandidatePair]:
@@ -269,11 +259,6 @@ class TsvNearMissTracker:
                 self.pairs_observed += 1
                 if is_new:
                     self.pairs_new += 1
-                if self._obs is not None:
-                    self._obs.c_pairs_observed.inc()
-                    self._obs.h_gap_ms.observe(observation.gap_ms)
-                    if is_new:
-                        self._obs.c_pairs_new.inc()
                 if self._fr is not None:
                     self._fr.record(
                         "near_miss", event.timestamp,

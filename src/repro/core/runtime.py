@@ -356,6 +356,8 @@ class PlannedInjectionHook(_BaseInjectionHook):
     why its per-operation overhead is the low proxy-dispatch cost.
     """
 
+    run_kind = "detect"
+
     # The plan's candidate set only shrinks within a run.
     _gate_while_capturing = True
 
@@ -419,6 +421,8 @@ class OnlineInjectionHook(_BaseInjectionHook):
     lengths) is carried by the objects passed in, so a tool driver can
     thread them through successive runs.
     """
+
+    run_kind = "online"
 
     def __init__(
         self,
@@ -563,8 +567,6 @@ class OnlineInjectionHook(_BaseInjectionHook):
                 for pair in candidates.pairs_between(l1_site, site):
                     candidates.remove(pair, reason="hb_inference")
                     candidates.pruned_hb_inference += 1
-                    if engine._obs is not None:
-                        engine._obs.c_pruned_hb.inc()
                     if engine._fr is not None:
                         engine._fr.record(
                             "prune_hb", ts,

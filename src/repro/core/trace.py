@@ -119,6 +119,8 @@ class RecordingHook(InstrumentationHook):
     removes its (small) share of the recording overhead.
     """
 
+    run_kind = "prep"
+
     def __init__(
         self,
         record_overhead_ms: float = 0.02,

@@ -46,7 +46,6 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from .. import obs
 from ..obs import eventbus
 from ..core.analyzer import InjectionPlan
 from ..core.config import WaffleConfig
@@ -123,7 +122,6 @@ class PlanCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
-        self._obs = obs.session()
         self._bus = eventbus.bus()
 
     def _name(self, kind: str, key: Dict[str, Any]) -> str:
@@ -133,19 +131,22 @@ class PlanCache:
     def _path(self, name: str) -> Path:
         return record_path(self.directory, name)
 
+    def _emit(self, action: str) -> None:
+        """One ``cache`` event (``hit``, ``miss``, ``write`` or
+        ``corrupt``): the record ``obs report`` counts the cache from."""
+        if self._bus is not None:
+            self._bus.emit("cache", action=action)
+            self._bus.maybe_flush()
+
     def _hit(self) -> None:
         self.stats.hits += 1
         GLOBAL_STATS.hits += 1
-        if self._bus is not None:
-            self._bus.emit("cache", action="hit")
-            self._bus.maybe_flush()
+        self._emit("hit")
 
     def _miss(self) -> None:
         self.stats.misses += 1
         GLOBAL_STATS.misses += 1
-        if self._bus is not None:
-            self._bus.emit("cache", action="miss")
-            self._bus.maybe_flush()
+        self._emit("miss")
 
     def get(self, kind: str, key: Dict[str, Any]) -> Optional[dict]:
         name = self._name(kind, key)
@@ -157,8 +158,7 @@ class PlanCache:
                 quarantine(path)
                 self.stats.corrupt += 1
                 GLOBAL_STATS.corrupt += 1
-                if self._obs is not None:
-                    self._obs.c_cache_corrupt.inc()
+                self._emit("corrupt")
                 self._miss()
                 return None
             self._hit()
@@ -171,8 +171,7 @@ class PlanCache:
         write_record(self._path(name), name, "ok", payload, fsync=_durable())
         self.stats.writes += 1
         GLOBAL_STATS.writes += 1
-        if self._obs is not None:
-            self._obs.c_cache_writes.inc()
+        self._emit("write")
 
 
 def open_cache(cache_dir: Optional[os.PathLike]) -> Optional[PlanCache]:

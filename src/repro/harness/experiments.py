@@ -274,11 +274,13 @@ def _figure2_memorder_scenario(sim: Simulation) -> object:
 
 
 def _figure2_cell(delay: float, seed: int) -> Figure2Point:
-    sim = Simulation(seed=seed, hook=_FixedDelayAt("fig2.call1", float(delay)))
+    sim = Simulation(seed=seed, hook=_FixedDelayAt("fig2.call1", float(delay)),
+                     name="figure2.tsv")
     result = sim.run(_figure2_tsv_scenario(sim))
     tsv_exposed = bool(result.tsv_occurrences)
 
-    sim = Simulation(seed=seed, hook=_FixedDelayAt("fig2.use", float(delay)))
+    sim = Simulation(seed=seed, hook=_FixedDelayAt("fig2.use", float(delay)),
+                     name="figure2.memorder")
     result = sim.run(_figure2_memorder_scenario(sim))
     memorder_exposed = result.crashed and isinstance(
         result.first_failure(), NullReferenceError
@@ -1083,7 +1085,7 @@ def _figure5_cell(
     seed: int,
 ) -> Figure5Point:
     sim = Simulation(
-        seed=seed, hook=_TwoSiteDelays(target_delay_ms, interferer_delay_ms)
+        seed=seed, hook=_TwoSiteDelays(target_delay_ms, interferer_delay_ms), name="figure5"
     )
     ref = sim.ref("fig5_obj")
     scratch = sim.ref("fig5_scratch")

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -72,18 +71,13 @@ if hasattr(os, "register_at_fork"):
 
 
 def _call_unit(fn: Callable[..., Any], args: Tuple) -> Any:
-    """Execute one work unit, wrapped in per-cell telemetry when active.
+    """Execute one work unit, then flush what it recorded.
 
     Runs in the calling process (serially) or in a forked worker, where
     the session and the event bus are the ones the fork handler
     reopened (or that ``WAFFLE_OBS_DIR`` configured).
     """
-    session = obs.session()
-    started = time.perf_counter()
     result = fn(*args)
-    if session is not None:
-        session.c_cells.inc()
-        session.h_cell_wall_ms.observe((time.perf_counter() - started) * 1000.0)
     # A forked worker may be killed or end without running atexit
     # hooks, so a per-cell flush is what lands its records on disk;
     # cells are coarse enough that one append per cell is noise. The
@@ -91,7 +85,7 @@ def _call_unit(fn: Callable[..., Any], args: Tuple) -> Any:
     # flush, so it batches the encode/write work instead (the largest
     # single item of enabled-path overhead before batching).
     in_worker = multiprocessing.parent_process() is not None
-    for stream in (session, eventbus.bus()):
+    for stream in (obs.session(), eventbus.bus()):
         if stream is not None:
             if in_worker:
                 stream.flush()

@@ -7,7 +7,6 @@ code composes runs instead of re-implementing tool loops.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -44,19 +43,6 @@ def test_time_limit(baseline_ms: float) -> float:
     return max(TIMEOUT_FLOOR_MS, TIMEOUT_FACTOR * baseline_ms)
 
 
-def _record_run(session, kind, test, seed, started, result, hook=None) -> None:
-    """Per-run telemetry summary (only called when a session is active)."""
-    obs.collect_run_telemetry(
-        session,
-        kind,
-        test.name,
-        seed,
-        (time.perf_counter() - started) * 1000.0,
-        result,
-        hook=hook,
-    )
-
-
 @dataclass
 class SingleRun:
     """One measured run of one test."""
@@ -74,12 +60,8 @@ def run_baseline(test: AppTestCase, seed: int = 0) -> SingleRun:
     """Uninstrumented execution: the 'Base' column."""
     global BASELINE_RUNS
     BASELINE_RUNS += 1
-    session = obs.session()
-    started = time.perf_counter()
-    sim = Simulation(seed=seed, hook=NoopHook(), time_limit_ms=600_000.0)
+    sim = Simulation(seed=seed, hook=NoopHook(), time_limit_ms=600_000.0, name=test.name)
     result = sim.run(test.build(sim))
-    if session is not None:
-        _record_run(session, "baseline", test, seed, started, result)
     return SingleRun(
         virtual_time_ms=result.virtual_time,
         op_count=result.op_count,
@@ -97,8 +79,6 @@ def run_recording(
     """A Waffle preparation run: delay-free, full tracing."""
     global RECORDING_RUNS
     RECORDING_RUNS += 1
-    session = obs.session()
-    started = time.perf_counter()
     hook = RecordingHook(
         record_overhead_ms=config.record_overhead_ms,
         track_vector_clocks=config.parent_child_analysis,
@@ -107,10 +87,9 @@ def run_recording(
         seed=seed,
         hook=hook,
         time_limit_ms=time_limit_ms if time_limit_ms is not None else 600_000.0,
+        name=test.name,
     )
     result = sim.run(test.build(sim))
-    if session is not None:
-        _record_run(session, "prep", test, seed, started, result, hook=hook)
     run = SingleRun(
         virtual_time_ms=result.virtual_time,
         op_count=result.op_count,
@@ -130,8 +109,6 @@ def run_planned_detection(
     time_limit_ms: Optional[float] = None,
 ) -> Tuple[SingleRun, PlannedInjectionHook]:
     """One Waffle detection run bootstrapped from a plan."""
-    session = obs.session()
-    started = time.perf_counter()
     hook = PlannedInjectionHook(
         plan, config, decay, seed=hook_seed if hook_seed is not None else seed
     )
@@ -139,10 +116,9 @@ def run_planned_detection(
         seed=seed,
         hook=hook,
         time_limit_ms=time_limit_ms if time_limit_ms is not None else 600_000.0,
+        name=test.name,
     )
     result = sim.run(test.build(sim))
-    if session is not None:
-        _record_run(session, "detect", test, seed, started, result, hook=hook)
     run = SingleRun(
         virtual_time_ms=result.virtual_time,
         op_count=result.op_count,
@@ -166,8 +142,6 @@ def run_online_detection(
     time_limit_ms: Optional[float] = None,
 ) -> Tuple[SingleRun, OnlineInjectionHook]:
     """One WaffleBasic (or Tsvd) run; state persists via the arguments."""
-    session = obs.session()
-    started = time.perf_counter()
     hook = OnlineInjectionHook(
         config,
         decay,
@@ -183,10 +157,9 @@ def run_online_detection(
         seed=seed,
         hook=hook,
         time_limit_ms=time_limit_ms if time_limit_ms is not None else 600_000.0,
+        name=test.name,
     )
     result = sim.run(test.build(sim))
-    if session is not None:
-        _record_run(session, "online", test, seed, started, result, hook=hook)
     run = SingleRun(
         virtual_time_ms=result.virtual_time,
         op_count=result.op_count,
@@ -277,6 +250,7 @@ def prepare_test(
     plan = analyze_trace(trace, config)
     tsv_tracker = TsvNearMissTracker(config.near_miss_window_ms)
     tsv_tracker.observe_all(trace.sorted_events())
+    obs.record_analysis(tsv_tracker)
     prep = PrepResult(
         run=run,
         plan=plan,

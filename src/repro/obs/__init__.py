@@ -1,4 +1,4 @@
-"""Run-telemetry subsystem: metrics, tracing, explainable injections.
+"""Run-telemetry subsystem: run records, tracing, explainable injections.
 
 Waffle's behavior is driven by decisions that used to be invisible at
 runtime -- which near-misses became candidates, why a planned delay was
@@ -6,16 +6,17 @@ skipped (probability decay vs. the interference set of section 4.4),
 what each preparation/detection run actually did. This package makes
 every run explainable from emitted data instead of reruns:
 
-* :mod:`repro.obs.metrics` -- counters/gauges/histograms;
 * :mod:`repro.obs.eventbus` -- the campaign event bus, and the one
   JSONL stream writer (:class:`~repro.obs.eventbus.Stream`) and reader
   (:func:`~repro.obs.eventbus.read_stream`) every obs stream uses;
-* :mod:`repro.obs.telemetry` -- the per-process session and the
-  per-run :class:`~repro.obs.telemetry.RunTelemetry` summary;
+* :mod:`repro.obs.telemetry` -- the per-process session, the ``run``
+  record the scheduler writes at the end of every run
+  (:func:`~repro.obs.telemetry.collect_run_telemetry`), and the
+  per-analysis record;
 * :mod:`repro.obs.tracing` -- the Chrome ``trace_event`` export of
   virtual-time schedules;
-* :mod:`repro.obs.report` -- ``repro obs report``: aggregate an obs
-  directory into a human-readable digest;
+* :mod:`repro.obs.report` -- ``repro obs report``: fold every count
+  of an obs directory from its records into a human-readable digest;
 * :mod:`repro.obs.flightrec` -- a bounded ring buffer of scheduler /
   injection / near-miss events, the raw material for bug dossiers;
 * :mod:`repro.obs.dossier` -- assemble a :class:`BugDossier` (pair
@@ -30,9 +31,11 @@ Telemetry is **off by default** and controlled by one switch.
 variable, consulted at import) opens the process session and the
 campaign event bus in the same directory: ``telemetry-*.jsonl`` and
 ``events-*.jsonl``, one of each per process. Instrumented constructors
-call :func:`session` once and keep the result, so a disabled process
-pays only a handful of ``is None`` checks per *run*, not per event --
-the bound guarded by ``benchmarks/bench_obs.py``.
+(the scheduler, the injection engine) call :func:`session` once and
+keep the result, so a disabled process pays only a handful of
+``is None`` checks per *run*, not per event -- the bound guarded by
+``benchmarks/bench_obs.py``. No layer keeps a count of its own for
+obs: each count is folded from a record the unit of work writes once.
 
 The same switch is the only one for dossier provenance: a detection
 session asked for dossiers under an active session records into a
@@ -55,8 +58,7 @@ from . import eventbus  # noqa: F401  (re-export)
 from . import flightrec  # noqa: F401  (re-export)
 from .eventbus import EventBus  # noqa: F401
 from .flightrec import FlightRecorder  # noqa: F401
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry  # noqa: F401
-from .telemetry import SKIP_REASONS, RunTelemetry, TelemetrySession, collect_run_telemetry  # noqa: F401
+from .telemetry import SKIP_REASONS, TelemetrySession, collect_run_telemetry  # noqa: F401
 
 #: Environment variable holding the default obs directory. Setting it
 #: enables telemetry for this process and every child it spawns.
@@ -73,6 +75,13 @@ def session() -> Optional[TelemetrySession]:
     branch on ``is not None``; do not call this per event.
     """
     return _session
+
+
+def record_analysis(tracker) -> None:
+    """Under a session, write one analyzed trace's ``analysis`` record
+    from the near-miss ``tracker`` that analyzed it."""
+    if _session is not None:
+        _session.record_analysis(tracker)
 
 
 def configure(obs_dir: os.PathLike) -> TelemetrySession:

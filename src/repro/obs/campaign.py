@@ -213,7 +213,7 @@ def apply_event(view: CampaignView, event: dict) -> None:
     elif etype == "cache":
         if event.get("action") == "hit":
             view.cache_hits += 1
-        else:
+        elif event.get("action") == "miss":
             view.cache_misses += 1
     elif etype == "detection":
         view.detections[detection_key(event)] = event

@@ -1,8 +1,7 @@
 """Self-contained campaign dashboard (single HTML file, inline SVG).
 
 ``render_dashboard`` turns one obs directory (:class:`repro.obs.report.ObsData`:
-its deduplicated campaign view, merged telemetry snapshot and
-:func:`repro.obs.report.funnel`) and the ground-truth quality joins
+its deduplicated campaign view and :func:`repro.obs.report.funnel`) and the ground-truth quality joins
 (:mod:`repro.obs.quality`) into one HTML document with **no external assets**:
 styles inline, charts as inline SVG, data tables beside every chart so
 nothing is color-alone. Sections render their headings even when their
@@ -26,8 +25,6 @@ from __future__ import annotations
 
 import html as _html
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from .metrics import snapshot_percentile
 
 # Validated categorical slots (fixed assignment order, never cycled):
 # slot 1 blue, slot 2 orange, slot 3 aqua, slot 4 yellow.
@@ -385,34 +382,6 @@ def _section_attribution(quality: Optional[dict]) -> str:
     return "".join(out)
 
 
-def _section_gaps(snapshot: Optional[dict]) -> str:
-    out = ["<h2>Observed near-miss gaps</h2>"]
-    hist = (snapshot or {}).get("histograms", {}).get("nearmiss.gap_ms")
-    if not hist or not hist.get("count"):
-        out.append('<p class="muted">no gap observations in telemetry</p>')
-        return "".join(out)
-    out.append('<table><tr><th>observations</th><th>p50</th><th>p90</th>'
-               '<th>p99</th><th>max</th></tr><tr><td>%s</td><td>%s ms</td>'
-               '<td>%s ms</td><td>%s ms</td><td>%s ms</td></tr></table>'
-               % (_num(hist["count"]),
-                  _num(round(snapshot_percentile(hist, 0.50), 3)),
-                  _num(round(snapshot_percentile(hist, 0.90), 3)),
-                  _num(round(snapshot_percentile(hist, 0.99), 3)),
-                  _num(hist.get("max"))))
-    bounds = list(hist.get("buckets", ())) + [float("inf")]
-    counts = list(hist.get("bucket_counts", ()))
-    top = max(counts) if counts else 0
-    out.append('<table><tr><th>gap ≤ ms</th><th>observations</th></tr>')
-    lower = 0.0
-    for index, bound in enumerate(bounds):
-        count = counts[index] if index < len(counts) else 0
-        label = "&gt;%s" % _num(lower) if bound == float("inf") else _num(bound)
-        out.append('<tr><td>%s</td>%s</tr>' % (label, _heat_cell(count, top)))
-        lower = bound
-    out.append("</table>")
-    return "".join(out)
-
-
 def _section_census(view) -> str:
     out = ["<h2>Fault &amp; chaos census</h2>"]
     if view is None:
@@ -462,7 +431,6 @@ def render_dashboard(
     from .report import funnel
 
     view = data.view if data is not None else None
-    snapshot = data.metrics if data is not None else None
     stages = funnel(data) if data is not None else []
     body = [
         "<h1>%s</h1>" % _e(title),
@@ -473,7 +441,6 @@ def render_dashboard(
         _section_funnel(stages),
         _section_sensitivity(quality),
         _section_attribution(quality),
-        _section_gaps(snapshot),
         _section_fuzz(view),
         _section_census(view),
     ]

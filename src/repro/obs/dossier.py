@@ -74,6 +74,8 @@ class ScheduleReplayHook(InstrumentationHook):
     the schedule.
     """
 
+    run_kind = "replay"
+
     def __init__(
         self,
         delays: List[dict],
@@ -134,15 +136,15 @@ def replay_schedule(
     build: Callable[[Simulation], Generator],
     schedule: dict,
     delays: Optional[List[dict]] = None,
-    name: str = "replay",
 ) -> ReplayOutcome:
     """Re-execute a workload under a recorded schedule, deterministically.
 
     ``schedule`` is the dossier's schedule envelope (``sim_seed``,
     ``time_limit_ms``, ``inject_overhead_ms``, ``mode``, ``delays``);
     ``delays`` overrides the delay list (used by minimization trials).
-    The flight recorder is suspended for the duration so verification
-    replays do not pollute the ring being snapshotted.
+    The run is named ``replay:<workload>``, which its telemetry record
+    carries. The flight recorder is suspended for the duration so
+    verification replays do not pollute the ring being snapshotted.
     """
     with flightrec.suspended():
         hook = ScheduleReplayHook(
@@ -155,7 +157,7 @@ def replay_schedule(
             hook=hook,
             time_limit_ms=float(schedule.get("time_limit_ms", 600_000.0)),
             stop_on_failure=True,
-            name=name,
+            name="replay:%s" % schedule.get("workload", ""),
         )
         result = sim.run(build(sim), name="main")
     error_type: Optional[str] = None
@@ -262,8 +264,6 @@ class BugDossier:
     #: Pruning verdicts of the whole detection session still retained
     #: in the flight ring.
     prunes: List[dict] = field(default_factory=list)
-    #: Injection decisions (inject/skip) of the crashing run.
-    decisions: List[dict] = field(default_factory=list)
     #: Interference conflicts for each matched delay site.
     interference: Dict[str, List[str]] = field(default_factory=dict)
     #: Thread/delay/fault timeline backing the swimlane renderings.
@@ -282,6 +282,12 @@ class BugDossier:
     def error_type(self) -> str:
         return self.report.error_type
 
+    @property
+    def decisions(self) -> List[dict]:
+        """Injection decisions (inject/skip) of the crashing run: its
+        flight events of those kinds."""
+        return [e for e in self.flight_events if e["k"] in ("inject", "skip")]
+
     def to_dict(self) -> dict:
         return {
             "tool": self.tool,
@@ -295,7 +301,6 @@ class BugDossier:
             "replays_used": self.replays_used,
             "provenance": list(self.provenance),
             "prunes": list(self.prunes),
-            "decisions": list(self.decisions),
             "interference": {k: list(v) for k, v in self.interference.items()},
             "swimlane": dict(self.swimlane),
             "flight_events": list(self.flight_events),
@@ -316,7 +321,6 @@ class BugDossier:
             replays_used=payload.get("replays_used", 0),
             provenance=list(payload.get("provenance", [])),
             prunes=list(payload.get("prunes", [])),
-            decisions=list(payload.get("decisions", [])),
             interference={
                 k: list(v) for k, v in payload.get("interference", {}).items()
             },
@@ -356,8 +360,8 @@ def assemble_dossier(
     (unverified). ``max_replays=1`` verifies the full captured schedule
     by one replay and minimizes nothing; detectors pass it for a
     dossier no obs session keeps. ``recorder`` is the detection
-    session's own ring; it feeds only ``prunes``, ``decisions`` and the
-    flight events, and without one they stay empty.
+    session's own ring; it feeds only ``prunes`` and the flight events
+    (``decisions`` are theirs), and without one they stay empty.
     """
     engine = hook.engine
     candidates = engine.candidates
@@ -448,14 +452,12 @@ def assemble_dossier(
     }
 
     prunes: List[dict] = []
-    decisions: List[dict] = []
     flight_events: List[dict] = []
     flight_dropped = 0
     if recorder is not None:
         prunes = recorder.events("prune_parent_child") + recorder.events("prune_hb")
         prunes += [e for e in recorder.events("pair_removed") if e.get("reason")]
         flight_events = recorder.events_for_run(recorder.run_seq)
-        decisions = [e for e in flight_events if e["k"] in ("inject", "skip")]
         flight_dropped = recorder.dropped
 
     config_snapshot = {
@@ -482,7 +484,6 @@ def assemble_dossier(
         replays_used=replays_used,
         provenance=provenance,
         prunes=prunes,
-        decisions=decisions,
         interference=interference,
         swimlane=swimlane,
         flight_events=flight_events,
@@ -494,7 +495,7 @@ def replay_dossier(
     dossier: BugDossier, build: Callable[[Simulation], Generator]
 ) -> Tuple[ReplayOutcome, bool]:
     """Replay a dossier's schedule; returns (outcome, reproduced)."""
-    outcome = replay_schedule(build, dossier.schedule, name="replay:%s" % dossier.workload)
+    outcome = replay_schedule(build, dossier.schedule)
     return outcome, outcome.matches(dossier.error_type, dossier.fault_site)
 
 

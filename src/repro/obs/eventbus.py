@@ -83,7 +83,7 @@ EVENT_TYPES = (
     "fault",             # one classified fault (kind, error, cell, attempt)
     "chaos",             # a chaos site fired (site, key)
     "checkpoint",        # the campaign journal finalized a cell
-    "cache",             # run-cache lookup (action hit|miss, kind)
+    "cache",             # run-cache hit|miss|write|corrupt (action)
     "detection",         # one detection attempt concluded (bug, tool, matched, runs)
     "fuzz_workload",     # one generated workload oracle-verified (seed, topology, ok)
     # -- v2 --

@@ -217,7 +217,8 @@ def sensitivity_curve(
 def load_run_ledger(streams: Sequence[Any]) -> dict:
     """Deduplicated (run, decisions) ledger out of telemetry streams.
 
-    Raw telemetry double-counts under chaos: a retried cell re-runs the
+    Dossier replays are not part of the ledger: they re-run a recorded
+    schedule and decide nothing. Raw telemetry double-counts under chaos: a retried cell re-runs the
     same pure function in another worker and appends an identical run
     record (plus identical decision events) to *its* file. Dedup key:
     every deterministic run field (``wall_ms`` and the process-local
@@ -234,7 +235,7 @@ def load_run_ledger(streams: Sequence[Any]) -> dict:
         decisions_by_seq: Dict[int, List[dict]] = {}
         for record in stream.events:
             kind = record.get("type")
-            if kind == "run":
+            if kind == "run" and record.get("kind") != "replay":
                 runs_in_file.append(record)
             elif kind == "inject":
                 decisions_by_seq.setdefault(int(record.get("run", 0)), []).append(record)

@@ -6,7 +6,8 @@ the :class:`ObsData` it returns, which parses each source -- the
 ``telemetry-*.jsonl`` and ``events-*.jsonl`` streams (through
 :func:`repro.obs.eventbus.read_stream`), the ``coverage-*.json``
 records and the ``dossier-*.json`` bug dossiers -- at most once, and
-only when a consumer asks for it. :func:`check` holds every
+only when a consumer asks for it. Every count it prints is folded from
+a record (:attr:`ObsData.counts`). :func:`check` holds every
 consistency law CI applies to the recorded data; ``repro obs report``
 renders its verdict next to the digest of how many delays were
 planned, injected and skipped (and *why*), cache effectiveness, where
@@ -21,34 +22,38 @@ import os
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Dict, List, Optional
 
 from . import eventbus
-from .metrics import merge_snapshots
-from .telemetry import FAULT_KINDS, SKIP_REASONS, TELEMETRY_GLOB
+from .telemetry import SKIP_REASONS, TELEMETRY_GLOB
 from .tracing import chrome_trace_events, virtual_runs
 
-#: Counters every telemetry stream's last ``metrics`` record must name.
-#: Sessions pre-register them, so the names are present even at 0.
-REQUIRED_COUNTERS = (
-    "nearmiss.pairs_observed", "candidates.added",
-    "sched.runs", "sched.context_switches", "cache.corrupt",
-)
-
-#: Counters no session stores: :attr:`ObsData.metrics` counts them from
-#: the records the directory already holds -- ``inject`` and ``run``
-#: records, and ``cache``, ``fault``, ``cell_end`` and ``cell_resumed``
-#: events.
-RECORD_COUNTERS = (
-    ("inject.considered", "inject.injected")
-    + tuple("inject.skipped.%s" % reason for reason in SKIP_REASONS)
-    + ("telemetry.runs_recorded", "cache.hits", "cache.misses")
-    + tuple("faults.%s" % kind for kind in FAULT_KINDS)
-    + ("cells.retried", "cells.quarantined", "cells.resumed")
-)
-
 #: Record types a telemetry stream may carry (after its ``meta`` line).
-TELEMETRY_TYPES = ("inject", "run", "metrics", "coverage")
+#: Only a stream written before every count was folded from records
+#: carries ``metrics`` snapshots.
+TELEMETRY_TYPES = ("inject", "run", "analysis", "coverage", "metrics")
+
+#: Count name per field that ``run`` and ``analysis`` records sum into.
+RECORD_FIELDS = {
+    "pairs_observed": "nearmiss.pairs_observed",
+    "pairs_new": "nearmiss.pairs_new",
+    "candidates_added": "candidates.added",
+    "candidates_removed": "candidates.removed",
+    "pruned_parent_child": "candidates.pruned_parent_child",
+    "pruned_hb_inference": "candidates.pruned_hb_inference",
+    "context_switches": "sched.context_switches",
+}
+
+#: The counts a ``metrics`` snapshot of an older stream stored, for
+#: which that stream holds no record: its near-miss, candidate and
+#: scheduler counts, and the cache writes and corrupt reads its
+#: ``cache`` events did not name.
+SNAPSHOT_COUNTERS = tuple(RECORD_FIELDS.values()) + (
+    "sched.runs", "cache.writes", "cache.corrupt")
+
+#: ``cache`` event action -> count.
+CACHE_ACTIONS = {"hit": "cache.hits", "miss": "cache.misses",
+                 "write": "cache.writes", "corrupt": "cache.corrupt"}
 
 
 class ObsData:
@@ -142,51 +147,58 @@ class ObsData:
     def inject_events(self) -> List[dict]:
         return self._telemetry("inject")
 
-    @cached_property
-    def snapshots(self) -> List[dict]:
-        """The last ``metrics`` record of each stream that has one."""
-        out = []
-        for stream in self.telemetry_streams:
-            metrics = [r.get("metrics") for r in stream.events if r.get("type") == "metrics"]
-            if metrics and metrics[-1] is not None:
-                out.append(metrics[-1])
-        return out
-
     @property
     def processes(self) -> int:
-        return len(self.snapshots)
+        return len(self.telemetry_streams)
 
     @cached_property
-    def metrics(self) -> Dict[str, Any]:
-        """The merged snapshots, with every :data:`RECORD_COUNTERS`
-        entry counted from the records (a stored value is ignored).
-        Without a ``metrics`` record (a fleet directory) nothing is
-        counted, so the counters stay empty."""
-        merged = merge_snapshots(self.snapshots)
-        if self.snapshots:
-            merged["counters"].update(self._record_counts())
-        return merged
-
-    def _record_counts(self) -> Dict[str, int]:
-        names = ["telemetry.runs_recorded"] * len(self.runs)
+    def counts(self) -> Counter:
+        """Every count the report prints, folded from the records: each
+        telemetry stream's ``run`` and ``analysis`` records (an older
+        stream's ``metrics`` snapshot instead, see
+        :func:`_snapshot_counts`), the ``inject`` records, and the
+        ``cache``, ``fault`` and cell events. ``sched.virtual_time_ms_total``
+        sums run records' virtual time. Without a telemetry stream (a
+        fleet directory) nothing is counted."""
+        counts: Counter = Counter()
+        if not self.telemetry_streams:
+            return counts
+        virtual_ms = 0.0
+        for stream in self.telemetry_streams:
+            stream_counts = _snapshot_counts(stream.events)
+            if stream_counts is None:
+                stream_counts = _record_counts(stream.events)
+            virtual_ms = stream_counts.pop("sched.virtual_time_ms_total", 0.0) + virtual_ms
+            counts.update(stream_counts)
+        counts["sched.virtual_time_ms_total"] = virtual_ms
+        counts["telemetry.runs_recorded"] = len(self.runs)
         for record in self.inject_events:
-            names.append("inject.considered")
-            names.append("inject.injected" if record.get("action") == "inject"
-                         else "inject.skipped.%s" % record.get("reason"))
+            counts["inject.considered"] += 1
+            counts["inject.injected" if record.get("action") == "inject"
+                   else "inject.skipped.%s" % record.get("reason")] += 1
         for event in self.events:
             kind, status = event.get("type"), event.get("status")
-            if kind == "cache":
-                names.append("cache.hits" if event.get("action") == "hit" else "cache.misses")
+            if kind == "cache" and event.get("action") in CACHE_ACTIONS:
+                counts[CACHE_ACTIONS[event["action"]]] += 1
             elif kind == "fault":
-                names.append("faults.%s" % event.get("kind"))
+                counts["faults.%s" % event.get("kind")] += 1
             elif kind == "cell_resumed":
-                names.append("cells.resumed")
+                counts["cells.resumed"] += 1
             elif kind == "cell_end" and status == "quarantined":
-                names.append("cells.quarantined")
+                counts["cells.quarantined"] += 1
             elif kind == "cell_end" and status == "ok" and int(event.get("attempt", 1)) > 1:
-                names.append("cells.retried")
-        counted = Counter(names)
-        return {name: counted[name] for name in RECORD_COUNTERS}
+                counts["cells.retried"] += 1
+        return counts
+
+    @cached_property
+    def cell_walls_ms(self) -> List[float]:
+        """Wall time of each cell that ended ``ok`` (its ``cell_end``
+        event), counted like :attr:`counts`: only with a telemetry
+        stream."""
+        if not self.telemetry_streams:
+            return []
+        return [1000.0 * float(event.get("wall_s", 0.0)) for event in self.events
+                if event.get("type") == "cell_end" and event.get("status") == "ok"]
 
     @property
     def recovered_lines(self) -> int:
@@ -227,12 +239,38 @@ class ObsData:
         out += [w for s in self.telemetry_streams for w in s.warnings]
         out += self.unreadable("coverage") + self.unreadable("dossier")
         out += [w for s in self.event_streams for w in s.warnings]
-        if not self.event_streams and self.metrics["counters"].get("harness.cells", 0):
-            out.append(
-                "harness cells were recorded but no campaign event stream "
-                "(events-*.jsonl) is present"
-            )
         return out
+
+
+def _record_counts(records: List[dict]) -> Counter:
+    """One stream's counts from its ``run`` and ``analysis`` records."""
+    counts: Counter = Counter()
+    virtual_ms = 0.0
+    for record in records:
+        kind = record.get("type")
+        if kind in ("run", "analysis"):
+            for field, name in RECORD_FIELDS.items():
+                counts[name] += record.get(field, 0)
+        if kind == "run":
+            counts["sched.runs"] += 1
+            virtual_ms += record.get("virtual_ms", 0.0)
+    counts["sched.virtual_time_ms_total"] = virtual_ms
+    return counts
+
+
+def _snapshot_counts(records: List[dict]) -> Optional[Counter]:
+    """An older stream's counts, from the counters and ``*_total``
+    gauge of its last ``metrics`` snapshot; None for a stream without
+    one. Its run records then count only ``telemetry.runs_recorded``:
+    they covered some of its runs, and their candidate fields were
+    session totals."""
+    snapshots = [r.get("metrics") for r in records if r.get("type") == "metrics"]
+    if not snapshots or snapshots[-1] is None:
+        return None
+    counters, gauges = snapshots[-1].get("counters", {}), snapshots[-1].get("gauges", {})
+    counts = Counter({name: counters[name] for name in SNAPSHOT_COUNTERS if name in counters})
+    counts.update({name: value for name, value in gauges.items() if name.endswith("_total")})
+    return counts
 
 
 def load_obs_dir(directory: os.PathLike) -> ObsData:
@@ -243,10 +281,8 @@ def load_obs_dir(directory: os.PathLike) -> ObsData:
 def check(data: ObsData, events_only: bool = False) -> List[str]:
     """Every consistency law CI applies to recorded data; [] = consistent.
 
-    The telemetry laws: streams exist, carry only known record types and
-    tagged skips, and end in a ``metrics`` record naming every
-    :data:`REQUIRED_COUNTERS` entry; dossiers validate against the
-    dossier schema; coverage records reconcile with their own engine
+    The telemetry laws: streams exist and carry only known record types
+    and tagged skips; dossiers validate against the dossier schema; coverage records reconcile with their own engine
     counters; committed lines parse; each run's decision events
     reconcile with its run summary. The event laws (all that
     ``events_only`` runs, for a fleet directory): committed lines parse,
@@ -270,25 +306,13 @@ def _telemetry_laws(data: ObsData) -> List[str]:
         problems.append("no telemetry-*.jsonl files in %s" % data.directory)
     for stream in data.telemetry_streams:
         name = Path(stream.path).name
-        metrics = None
         for record in stream.events:
             kind = record.get("type")
             if kind not in TELEMETRY_TYPES:
                 problems.append("%s: unknown type %r" % (name, kind))
-            elif kind == "metrics":
-                metrics = record.get("metrics") or {}
             elif kind == "inject" and record.get("action") == "skip":
                 if record.get("reason") not in SKIP_REASONS:
                     problems.append("%s: skip event without a valid reason" % name)
-        if metrics is None:
-            problems.append("%s: no metrics record" % name)
-            continue
-        counters = metrics.get("counters", {})
-        problems += [
-            "%s: missing counter %r" % (name, counter)
-            for counter in REQUIRED_COUNTERS
-            if counter not in counters
-        ]
     return problems
 
 
@@ -407,24 +431,25 @@ def funnel(data: ObsData) -> List[tuple]:
 
     The paper's pipeline, each stage from one source that every driver
     writes: near-miss pairs observed and candidate pairs added are
-    session counters, delays injected are counted from the ``inject``
-    records (:attr:`ObsData.metrics`), and detected is the number of
+    summed over the ``run`` and ``analysis`` records, delays injected
+    are counted from the ``inject`` records (:attr:`ObsData.counts`),
+    and detected is the number of
     ``(tool, bug, test)`` targets with a matched ``detection`` event
     plus the bugs found in generated workloads (``fuzz_workload``
     events). ``obs report`` and the dashboard both render this.
     """
     from .campaign import detection_analytics
 
-    counters = data.metrics.get("counters", {})
+    counters = data.counts
     view = data.view
     detected = 0
     if view is not None:
         detected = detection_analytics(view)["detected"]
         detected += sum(int(e.get("found", 0)) for e in view.fuzz.values())
     return [
-        ("near-miss pairs", counters.get("nearmiss.pairs_observed", 0)),
-        ("candidate pairs", counters.get("candidates.added", 0)),
-        ("delays injected", counters.get("inject.injected", 0)),
+        ("near-miss pairs", counters["nearmiss.pairs_observed"]),
+        ("candidate pairs", counters["candidates.added"]),
+        ("delays injected", counters["inject.injected"]),
         ("detected", detected),
     ]
 
@@ -534,9 +559,7 @@ def fuzz_lines(view) -> List[str]:
 
 def render_report(data: ObsData, max_runs: int = 20) -> str:
     """The human-readable digest behind ``repro obs report``."""
-    counters = data.metrics.get("counters", {})
-    gauges = data.metrics.get("gauges", {})
-    histograms = data.metrics.get("histograms", {})
+    counters = data.counts
 
     lines: List[str] = []
     lines.append("Telemetry digest — %s" % data.directory)
@@ -551,9 +574,9 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
         lines.append("warnings (%d):" % len(data.warnings))
         lines.extend("  " + msg for msg in data.warnings[:10])
 
-    considered = counters.get("inject.considered", 0)
-    injected = counters.get("inject.injected", 0)
-    skips = {r: counters.get("inject.skipped.%s" % r, 0) for r in SKIP_REASONS}
+    considered = counters["inject.considered"]
+    injected = counters["inject.injected"]
+    skips = {r: counters["inject.skipped.%s" % r] for r in SKIP_REASONS}
     lines.append("")
     lines.append("detection funnel: %s" % " → ".join(
         "%s %d" % stage for stage in funnel(data)))
@@ -575,22 +598,22 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
         "  near-misses observed %s (%s new pairs)   candidates +%s / -%s"
         "   pruned: parent-child %s, hb-inference %s"
         % (
-            _fmt_count(counters.get("nearmiss.pairs_observed", 0)),
-            _fmt_count(counters.get("nearmiss.pairs_new", 0)),
-            _fmt_count(counters.get("candidates.added", 0)),
-            _fmt_count(counters.get("candidates.removed", 0)),
-            _fmt_count(counters.get("candidates.pruned_parent_child", 0)),
-            _fmt_count(counters.get("candidates.pruned_hb_inference", 0)),
+            _fmt_count(counters["nearmiss.pairs_observed"]),
+            _fmt_count(counters["nearmiss.pairs_new"]),
+            _fmt_count(counters["candidates.added"]),
+            _fmt_count(counters["candidates.removed"]),
+            _fmt_count(counters["candidates.pruned_parent_child"]),
+            _fmt_count(counters["candidates.pruned_hb_inference"]),
         )
     )
 
-    hits = counters.get("cache.hits", 0)
-    misses = counters.get("cache.misses", 0)
+    hits = counters["cache.hits"]
+    misses = counters["cache.misses"]
     rate = 100.0 * hits / (hits + misses) if (hits + misses) else 0.0
     lines.append("run cache")
     lines.append(
         "  hits %s   misses %s   writes %s   hit rate %.1f%%"
-        % (_fmt_count(hits), _fmt_count(misses), _fmt_count(counters.get("cache.writes", 0)), rate)
+        % (_fmt_count(hits), _fmt_count(misses), _fmt_count(counters["cache.writes"]), rate)
     )
 
     fault_counts = {
@@ -600,10 +623,10 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
     }
     resilience = (
         sum(fault_counts.values())
-        + counters.get("cells.retried", 0)
-        + counters.get("cells.quarantined", 0)
-        + counters.get("cells.resumed", 0)
-        + counters.get("cache.corrupt", 0)
+        + counters["cells.retried"]
+        + counters["cells.quarantined"]
+        + counters["cells.resumed"]
+        + counters["cache.corrupt"]
         + data.recovered_lines
     )
     if resilience:
@@ -622,10 +645,10 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
             "  cells retried %s   quarantined %s   resumed %s   "
             "cache records quarantined %s   truncated lines recovered %d"
             % (
-                _fmt_count(counters.get("cells.retried", 0)),
-                _fmt_count(counters.get("cells.quarantined", 0)),
-                _fmt_count(counters.get("cells.resumed", 0)),
-                _fmt_count(counters.get("cache.corrupt", 0)),
+                _fmt_count(counters["cells.retried"]),
+                _fmt_count(counters["cells.quarantined"]),
+                _fmt_count(counters["cells.resumed"]),
+                _fmt_count(counters["cache.corrupt"]),
                 data.recovered_lines,
             )
         )
@@ -634,24 +657,18 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
     lines.append(
         "  simulated runs %s   context switches %s   virtual time %.1f ms total"
         % (
-            _fmt_count(counters.get("sched.runs", 0)),
-            _fmt_count(counters.get("sched.context_switches", 0)),
-            gauges.get("sched.virtual_time_ms_total", 0.0),
+            _fmt_count(counters["sched.runs"]),
+            _fmt_count(counters["sched.context_switches"]),
+            counters["sched.virtual_time_ms_total"],
         )
     )
 
-    cell_hist = histograms.get("harness.cell_wall_ms")
-    if cell_hist and cell_hist["count"]:
+    walls = data.cell_walls_ms
+    if walls:
         lines.append("harness cells")
         lines.append(
             "  %d cells   wall %.1f ms total   mean %.1f ms   min %.1f / max %.1f ms"
-            % (
-                cell_hist["count"],
-                cell_hist["sum"],
-                cell_hist["sum"] / cell_hist["count"],
-                cell_hist["min"],
-                cell_hist["max"],
-            )
+            % (len(walls), sum(walls), sum(walls) / len(walls), min(walls), max(walls))
         )
 
     if data.coverage:

@@ -10,8 +10,9 @@ Run records written before those joins carry both lists themselves
 :func:`chrome_trace_events` turns the runs into a Chrome
 ``trace_event`` file (chrome://tracing, Perfetto) where each run becomes
 a process row and each simulated thread a track. Wall-clock cell time
-is not traced here: ``cell_end.wall_s`` on the event bus and the
-``harness.cell_wall_ms`` histogram carry it.
+is not traced here: ``cell_end.wall_s`` on the event bus carries it.
+Dossier replays are not drawn: they re-run a schedule the dossier's
+own swimlane shows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Dict, Iterable, List, Tuple
 def virtual_runs(
     streams: Iterable[Tuple[int, List[dict]]], dossiers: Iterable[Tuple[int, dict]] = ()
 ) -> List[dict]:
-    """One dict per ``run`` record with its ``vt_threads``/``vt_delays``.
+    """One dict per ``run`` record (replays aside) with its
+    ``vt_threads``/``vt_delays``.
 
     ``streams`` holds ``(pid, records)`` per process's telemetry stream
     (``run_seq`` is process-local, so delays join their run within a
@@ -47,7 +49,7 @@ def virtual_runs(
                      "end": start + record["len_ms"]}
                 )
         for record in records:
-            if record.get("type") != "run":
+            if record.get("type") != "run" or record.get("kind") == "replay":
                 continue
             if "vt_delays" in record:
                 runs.append(record)

@@ -69,6 +69,7 @@ class Simulation:
             cost_model=cost_model,
             time_limit_ms=time_limit_ms,
             stop_on_failure=stop_on_failure,
+            name=name,
         )
         self._unsafe_calls = ActiveCallTable()
         #: Site label -> interned Location: one entry per static site

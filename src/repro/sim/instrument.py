@@ -142,6 +142,11 @@ class InstrumentationHook:
     #: logging overhead of the instrumented binary. Subclasses tune it.
     per_op_overhead_ms: float = 0.0
 
+    #: The kind of run this hook drives, as its telemetry record names
+    #: it: ``baseline`` here; the preparation, detection, online and
+    #: replay hooks name their own.
+    run_kind: str = "baseline"
+
     def on_run_start(self, sim: "Any") -> None:
         """Called once before the root thread starts."""
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import time
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from .. import obs
@@ -126,6 +127,12 @@ class Scheduler:
         stops the whole run -- matching the paper's setting where a
         NULL-reference exception crashes the test process and "halts the
         detection run prematurely" (section 6.3).
+    name:
+        The workload's name, which the run's telemetry record carries.
+
+    Under an obs session each run ends by writing its ``run`` record
+    (:func:`repro.obs.telemetry.collect_run_telemetry`), so every
+    simulated run has exactly one.
     """
 
     def __init__(
@@ -136,7 +143,10 @@ class Scheduler:
         time_limit_ms: float = 600_000.0,
         stop_on_failure: bool = True,
         max_steps: int = 5_000_000,
+        name: str = "",
     ):
+        self.name = name
+        self.seed = seed
         self.clock = VirtualClock()
         self.rng = random.Random(seed)
         self.hook = hook if hook is not None else NoopHook()
@@ -216,6 +226,10 @@ class Scheduler:
         per-operation hot path: everything it touches is bound to a
         local, and queue entries hold float wake times only.
         """
+        session = self._obs
+        if session is not None:
+            started = time.perf_counter()
+            counters = obs.telemetry.run_counters(self.hook)
         self.hook.on_run_start(self)
         queue = self._queue
         heappop = heapq.heappop
@@ -310,10 +324,10 @@ class Scheduler:
             self.current = None
             result.virtual_time = clock.now
             self.hook.on_run_end(self)
-            if self._obs is not None:
-                self._obs.c_sched_runs.inc()
-                self._obs.c_context_switches.inc(result.context_switches)
-                self._obs.g_virtual_ms_total.add(result.virtual_time)
+            if session is not None:
+                obs.collect_run_telemetry(
+                    session, self, (time.perf_counter() - started) * 1000.0, counters
+                )
             self._release()
         return result
 

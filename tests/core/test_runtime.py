@@ -340,10 +340,10 @@ def _planned_schedules(monkeypatch, workload, gate):
     hooks = []
     simulate = Waffle._simulate
 
-    def spy(self, workload, hook, seed, kind=None):
+    def spy(self, workload, hook, seed):
         if isinstance(hook, PlannedInjectionHook):
             hooks.append(hook)
-        return simulate(self, workload, hook, seed, kind)
+        return simulate(self, workload, hook, seed)
 
     with monkeypatch.context() as patch:
         patch.setattr(Waffle, "_simulate", spy)

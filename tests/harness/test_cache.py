@@ -12,12 +12,14 @@ import pickle
 
 import pytest
 
+from repro import obs
 from repro.core.config import DEFAULT_CONFIG
 from repro.harness import cache as cache_mod
 from repro.harness import faults, parallel, runner, store
 from repro.harness.cache import PlanCache, config_hash, open_cache
 from repro.harness.runner import baseline_run, online_pair, prepare_test
 from repro.apps import get_app
+from repro.obs.report import load_obs_dir, render_report
 
 
 @pytest.fixture(autouse=True)
@@ -205,16 +207,29 @@ class TestPlanCache:
         assert fresh.get("prep", key) is None
         assert fresh.stats.corrupt == 1
 
-    def test_chaos_cache_corrupt_site(self, cache):
-        key = {"k": 4}
-        cache.put("prep", key, {"v": "payload"})
-        faults.configure("seed=9,cache_corrupt=1.0")
-        fresh = PlanCache(cache.directory)  # cold: forces the file read
-        assert fresh.get("prep", key) is None  # chaos corrupted the read
-        assert fresh.stats.corrupt == 1
-        # Chaos fires once per file; the recomputed record then sticks.
-        fresh.put("prep", key, {"v": "payload"})
-        assert fresh.get("prep", key) == {"v": "payload"}
+    def test_chaos_cache_corrupt_site(self, cache, tmp_path):
+        """Under an obs session the report counts the cache from its
+        ``cache`` events: quarantined records and writes equal the
+        caches' own stats."""
+        obs.configure(tmp_path / "obs")
+        try:
+            cache = PlanCache(cache.directory)
+            key = {"k": 4}
+            cache.put("prep", key, {"v": "payload"})
+            faults.configure("seed=9,cache_corrupt=1.0")
+            fresh = PlanCache(cache.directory)  # cold: forces the file read
+            assert fresh.get("prep", key) is None  # chaos corrupted the read
+            assert fresh.stats.corrupt == 1
+            # Chaos fires once per file; the recomputed record then sticks.
+            fresh.put("prep", key, {"v": "payload"})
+            assert fresh.get("prep", key) == {"v": "payload"}
+            obs.flush()
+        finally:
+            obs.disable()
+        text = render_report(load_obs_dir(tmp_path / "obs"))
+        writes = cache.stats.writes + fresh.stats.writes
+        assert "hits 1   misses 1   writes %d" % writes in text
+        assert "cache records quarantined %d " % fresh.stats.corrupt in text
 
     def test_every_get_verifies_the_file(self, cache):
         # There is no in-process memo: a get after a put reads the

@@ -83,19 +83,6 @@ def write_lines(path, records):
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
-def edit_metrics(path, **counters):
-    records = read_lines(path)
-    for record in records:
-        if record["type"] == "metrics":
-            for name, value in counters.items():
-                name = name.replace("__", ".")
-                if value is None:
-                    record["metrics"]["counters"].pop(name, None)
-                else:
-                    record["metrics"]["counters"][name] = value
-    write_lines(path, records)
-
-
 def legacy_coverage_file(obs_dir):
     """Move one coverage record out of the telemetry stream into a
     ``coverage-*.json`` file, as directories written before coverage
@@ -158,16 +145,6 @@ class TestLaws:
         write_lines(path, read_lines(path) + [skip])
         assert_fails_with(capsys, "%s: skip event without a valid reason" % path.name, obs_dir)
         assert_fails_with(capsys, "1 skip events missing a valid reason tag", obs_dir)
-
-    def test_missing_metrics_record(self, obs_dir, capsys):
-        path = only(obs_dir, "telemetry-*.jsonl")
-        write_lines(path, [r for r in read_lines(path) if r["type"] != "metrics"])
-        assert_fails_with(capsys, "%s: no metrics record" % path.name, obs_dir)
-
-    def test_missing_required_counter(self, obs_dir, capsys):
-        path = only(obs_dir, "telemetry-*.jsonl")
-        edit_metrics(path, sched__runs=None)
-        assert_fails_with(capsys, "%s: missing counter 'sched.runs'" % path.name, obs_dir)
 
     def test_unreadable_dossier(self, obs_dir, capsys):
         path = only(obs_dir, "dossier-*.json")

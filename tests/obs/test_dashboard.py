@@ -22,7 +22,6 @@ HEADINGS = (
     "Detection funnel",
     "Sensitivity curves",
     "Delay-budget attribution",
-    "Observed near-miss gaps",
     "Generated workloads",
     "Fault &amp; chaos census",
 )

@@ -240,7 +240,7 @@ class TestSessionScopedPrunes:
 
 
 #: The dossier fields only the flight recorder feeds.
-RECORDER_FIELDS = ("prunes", "decisions", "flight_events", "flight_dropped")
+RECORDER_FIELDS = ("prunes", "flight_events", "flight_dropped")
 
 #: The dossier fields minimization sets.
 MINIMIZATION_FIELDS = ("schedule", "minimized", "replays_used")
@@ -287,9 +287,10 @@ class TestRecorderProvenance:
             )
             assert verified and delays == full.schedule["delays"]
             assert replays == full.replays_used
+            assert not unkept.decisions and full.decisions
             plain, full = unkept.to_dict(), full.to_dict()
             assert all(not plain[key] for key in RECORDER_FIELDS)
-            assert full["decisions"] and full["flight_events"]
+            assert full["flight_events"]
             plain_schedule, full_schedule = plain["schedule"], full["schedule"]
             plain_schedule.pop("delays")
             full_schedule.pop("delays")
@@ -347,13 +348,17 @@ class TestRecorderProvenance:
         )
         assert len(plain) > 1 and plain == with_env
         for payload in map(json.loads, plain):
-            assert payload["decisions"] and payload["flight_dropped"] == 0
+            assert payload["flight_dropped"] == 0
+            assert dossier_mod.BugDossier.from_dict(payload).decisions
 
     def test_fuzz_obs_dir_dossiers_carry_provenance(self, tmp_path):
         payloads = _fuzz_dossiers(tmp_path / "obs", fuzz_args=("--seed-range", "0:6"))
         assert payloads
+        for path in (tmp_path / "obs").glob("dossier-*.json"):
+            # The crashing run's decisions are its flight events, stored once.
+            assert "decisions" not in json.loads(path.read_text())["record"]["dossier"]
         for payload in map(json.loads, payloads):
-            assert payload["decisions"], payload["workload"]
+            assert dossier_mod.BugDossier.from_dict(payload).decisions, payload["workload"]
             assert payload["flight_events"], payload["workload"]
             faults = [e for e in payload["flight_events"] if e["k"] == "fault"]
             assert len(faults) == 1, payload["workload"]

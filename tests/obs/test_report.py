@@ -10,14 +10,7 @@ import pytest
 
 from repro import obs
 from repro.obs import eventbus
-from repro.obs.report import (
-    RECORD_COUNTERS,
-    REQUIRED_COUNTERS,
-    check,
-    load_obs_dir,
-    render_report,
-    write_chrome_trace,
-)
+from repro.obs.report import check, load_obs_dir, render_report, write_chrome_trace
 from repro.obs.telemetry import FAULT_KINDS, SKIP_REASONS
 
 REPO = Path(__file__).resolve().parents[2]
@@ -40,35 +33,19 @@ def write_events(obs_dir, events):
     )
 
 
-def update_counters(obs_dir, pid, **changes):
-    """Rewrite the counters of one stream's (only) metrics record."""
-    path = obs_dir / ("telemetry-%d-1.jsonl" % pid)
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    for record in records:
-        if record["type"] == "metrics":
-            counters = record["metrics"]["counters"]
-            for name, value in changes.items():
-                counters[name.replace("__", ".")] = value
-    write_jsonl(path, records)
+def run_record(run_seq, virtual_ms, **fields):
+    return dict({"type": "run", "run_seq": run_seq, "kind": "baseline", "test": "t",
+                 "wall_ms": 1.0, "virtual_ms": virtual_ms, "context_switches": 2}, **fields)
 
 
 @pytest.fixture
 def obs_dir(tmp_path):
-    """A hand-built two-process obs directory with consistent data
-    (every required counter registered, as live sessions do)."""
+    """A hand-built two-process obs directory with consistent data: two
+    runs per process, one of them a detection run with its decisions."""
     root = tmp_path / "obs"
     root.mkdir()
     for pid, considered in ((100, 3), (101, 0)):
-        snapshot = {
-            "counters": {
-                **dict.fromkeys(REQUIRED_COUNTERS, 0),
-                "sched.runs": 2,
-                "cache.writes": 1,
-            },
-            "gauges": {"sched.virtual_time_ms_total": 12.5},
-            "histograms": {},
-        }
-        records = [meta(pid), {"type": "metrics", "metrics": snapshot}]
+        records = [meta(pid)]
         if considered:
             records += [
                 {"type": "inject", "run": 1, "action": "inject", "site": "l1", "t_ms": 0.0},
@@ -82,53 +59,121 @@ def obs_dir(tmp_path):
                     "t_ms": 2.0,
                     "reason": "interference",
                 },
-                {
-                    "type": "run",
-                    "run_seq": 1,
-                    "kind": "detect",
-                    "test": "t",
-                    "wall_ms": 5.0,
-                    "virtual_ms": 10.0,
-                    "considered": 3,
-                    "injected": 1,
-                    "skipped_decay": 1,
-                    "skipped_interference": 1,
-                    "skipped_budget": 0,
-                    "candidates_final": 2,
-                    "crashed": True,
-                },
+                run_record(1, 10.0, kind="detect", wall_ms=5.0, considered=3, injected=1,
+                           skipped_decay=1, skipped_interference=1, skipped_budget=0,
+                           candidates_final=2, crashed=True),
+                run_record(2, 2.5),
             ]
+        else:
+            records += [run_record(1, 6.25), run_record(2, 6.25)]
         write_jsonl(root / ("telemetry-%d-1.jsonl" % pid), records)
     return root
+
+
+def legacy_stream(path, pid, *snapshots, records=()):
+    """A stream as written before counts were folded from records: run
+    records and ``metrics`` snapshots of stored counters."""
+    write_jsonl(path, [meta(pid)] + list(records)
+                + [{"type": "metrics", "metrics": snapshot} for snapshot in snapshots])
 
 
 class TestLoad:
     def test_merges_processes_and_buckets_records(self, obs_dir):
         data = load_obs_dir(obs_dir)
         assert data.processes == 2
-        assert data.metrics["counters"]["sched.runs"] == 4
-        assert data.metrics["counters"]["inject.considered"] == 3
-        assert len(data.runs) == 1
+        assert data.counts["sched.runs"] == 4
+        assert data.counts["sched.context_switches"] == 8
+        assert data.counts["sched.virtual_time_ms_total"] == 25.0
+        assert data.counts["inject.considered"] == 3
+        assert len(data.runs) == 4
         assert len(data.inject_events) == 3
         assert data.parse_errors == []
 
-    def test_last_metrics_record_per_stream_wins(self, obs_dir):
-        path = obs_dir / "telemetry-101-1.jsonl"
-        later = {"counters": {"sched.runs": 10}, "gauges": {}, "histograms": {}}
-        with open(path, "a") as fp:
-            fp.write(json.dumps({"type": "metrics", "metrics": later}) + "\n")
-        assert load_obs_dir(obs_dir).metrics["counters"]["sched.runs"] == 12
+    def test_run_and_analysis_records_sum_into_the_pipeline_counts(self, obs_dir):
+        with open(obs_dir / "telemetry-101-1.jsonl", "a") as fp:
+            for record in (
+                run_record(3, 1.0, pairs_observed=4, pairs_new=2, candidates_added=2,
+                           candidates_removed=1, pruned_hb_inference=1),
+                {"type": "analysis", "pairs_observed": 5, "pairs_new": 3,
+                 "candidates_added": 3, "pruned_parent_child": 7},
+            ):
+                fp.write(json.dumps(record) + "\n")
+        data = load_obs_dir(obs_dir)
+        assert check(data) == []
+        assert [data.counts[name] for name in (
+            "nearmiss.pairs_observed", "nearmiss.pairs_new", "candidates.added",
+            "candidates.removed", "candidates.pruned_parent_child",
+            "candidates.pruned_hb_inference", "sched.runs")] == [9, 5, 5, 1, 7, 1, 5]
+        text = render_report(data)
+        assert ("near-misses observed 9 (5 new pairs)   candidates +5 / -1"
+                "   pruned: parent-child 7, hb-inference 1") in text
+        assert "detection funnel: near-miss pairs 9 → candidate pairs 5" in text
+        assert "simulated runs 5   context switches 10   virtual time 26.0 ms total" in text
+
+    def test_cache_and_cell_events_are_counted(self, obs_dir):
+        write_events(obs_dir, [{"type": "cache", "action": action} for action in
+                               ("hit", "miss", "miss", "corrupt", "write", "write")]
+                     + [{"type": "cell_end", "cell": "c%d" % i, "status": "ok",
+                         "attempt": 1, "wall_s": 0.002 * (i + 1)} for i in range(3)])
+        text = render_report(load_obs_dir(obs_dir))
+        assert "hits 1   misses 2   writes 2   hit rate 33.3%" in text
+        assert "cache records quarantined 1" in text
+        assert "3 cells   wall 12.0 ms total   mean 4.0 ms   min 2.0 / max 6.0 ms" in text
 
     def test_parse_errors_are_collected_not_fatal(self, obs_dir):
         (obs_dir / "telemetry-999-1.jsonl").write_text('{"type": "inject"\nnot json\n')
         data = load_obs_dir(obs_dir)
         assert len(data.parse_errors) == 2
-        assert data.processes == 2  # a stream without a metrics record is not counted
+        assert data.processes == 3
 
     def test_empty_directory(self, tmp_path):
         data = load_obs_dir(tmp_path)
         assert data.processes == 0
         assert data.runs == []
+
+
+class TestOlderStreams:
+    """A stream with ``metrics`` snapshots was written before counts
+    were folded from records: its counts come from its last snapshot."""
+
+    def test_last_snapshot_wins_and_its_runs_are_not_summed(self, tmp_path):
+        first = {"counters": {"sched.runs": 2, "candidates.added": 9}, "gauges": {}}
+        last = {"counters": {"sched.runs": 10, "candidates.added": 3, "cache.writes": 2,
+                             "harness.cells": 4},
+                "gauges": {"sched.virtual_time_ms_total": 12.5}, "histograms": {}}
+        legacy_stream(tmp_path / "telemetry-1-1.jsonl", 1, first, last,
+                      records=[run_record(1, 99.0, candidates_added=50)])
+        data = load_obs_dir(tmp_path)
+        assert data.processes == 1 and check(data) == []
+        assert data.counts["sched.runs"] == 10
+        assert data.counts["candidates.added"] == 3
+        assert data.counts["cache.writes"] == 2
+        assert data.counts["sched.virtual_time_ms_total"] == 12.5
+        assert data.counts["telemetry.runs_recorded"] == 1
+        assert "harness cells" not in render_report(data)
+
+    def test_stale_stored_values_are_ignored(self, tmp_path):
+        folded = (["inject.considered", "inject.injected", "telemetry.runs_recorded",
+                   "cache.hits", "cache.misses", "cells.retried", "cells.quarantined",
+                   "cells.resumed"]
+                  + ["inject.skipped.%s" % reason for reason in SKIP_REASONS]
+                  + ["faults.%s" % kind for kind in FAULT_KINDS])
+        legacy_stream(tmp_path / "telemetry-1-1.jsonl", 1,
+                      {"counters": dict.fromkeys(folded, 99), "gauges": {}},
+                      records=[{"type": "inject", "run": 1, "action": "skip", "site": "l1",
+                                "t_ms": 1.0, "reason": "decay"}])
+        data = load_obs_dir(tmp_path)
+        text = render_report(data)
+        assert "considered 1   injected 0   skipped 1 (decay 1, interference 0, budget 0)" in text
+        assert "hits 0   misses 0" in text
+        assert "resilience" not in text
+        assert 99 not in data.counts.values()
+
+    def test_detect_v1_fixture_reads_its_snapshot(self):
+        data = load_obs_dir(FIXTURES / "detect-v1")
+        assert len(data.runs) == 2 and data.counts["sched.runs"] == 4
+        assert "simulated runs 4   context switches 14   virtual time 46.8 ms total" in (
+            render_report(data))
 
 
 class TestRecovery:
@@ -140,7 +185,7 @@ class TestRecovery:
         data = load_obs_dir(obs_dir)
         assert data.parse_errors == []
         assert any("truncated final line" in w for w in data.warnings)
-        assert len(data.runs) == 1  # the committed lines still load
+        assert len(data.runs) == 4  # the committed lines still load
 
     def test_interior_bad_line_stays_a_parse_error(self, obs_dir):
         (obs_dir / "telemetry-999-1.jsonl").write_text('not json\n' + json.dumps(meta(999)))
@@ -198,14 +243,6 @@ class TestEventStreamSurface:
         text = render_report(load_obs_dir(obs_dir))
         assert "campaign events (1 stream(s))" in text
         assert "repro campaign status" in text
-
-    def test_missing_stream_warns_only_when_cells_ran(self, obs_dir):
-        # The fixture has no harness.cells counter: silence is correct
-        # (pre-event-bus artifacts must not suddenly warn).
-        assert load_obs_dir(obs_dir).warnings == []
-        update_counters(obs_dir, 100, harness__cells=3)
-        data = load_obs_dir(obs_dir)
-        assert any("no campaign event stream" in w for w in data.warnings)
 
 
 class TestCoverageAndDossierSections:
@@ -328,7 +365,7 @@ class TestRecoveredLineTolerance:
         rewritten = []
         for line in lines:
             record = json.loads(line)
-            if record.get("type") == "run":
+            if record.get("type") == "run" and record["run_seq"] == 1:
                 record["considered"] += 1
                 record["skipped_decay"] += 1
             rewritten.append(record)
@@ -344,7 +381,7 @@ class TestRecoveredLineTolerance:
         path = obs_dir / "telemetry-100-1.jsonl"
         records = [json.loads(line) for line in path.read_text().splitlines()]
         for record in records:
-            if record["type"] == "run":
+            if record["type"] == "run" and record["run_seq"] == 1:
                 record["considered"] += 2
                 record["skipped_decay"] += 2
         write_jsonl(path, records)
@@ -372,10 +409,10 @@ class TestResilienceSection:
         assert "resilience" not in render_report(load_obs_dir(obs_dir))
 
     def test_fault_counters_render(self, obs_dir):
-        update_counters(obs_dir, 100, cache__corrupt=1)
         write_events(
             obs_dir,
-            [{"type": "fault", "cell": "c1", "attempt": 1, "kind": "worker_crash"}] * 2
+            [{"type": "cache", "action": "corrupt"}]
+            + [{"type": "fault", "cell": "c1", "attempt": 1, "kind": "worker_crash"}] * 2
             + [{"type": "fault", "cell": "c2", "attempt": 1, "kind": "hang"}]
             + [{"type": "cell_end", "cell": "c%d" % i, "status": "ok", "attempt": 2}
                for i in range(3)]
@@ -389,6 +426,7 @@ class TestResilienceSection:
         assert "cells retried 3" in text
         assert "quarantined 1" in text
         assert "resumed 4" in text
+        assert "cache records quarantined 1" in text
 
     def test_recovered_lines_alone_trigger_the_section(self, obs_dir):
         with open(obs_dir / "telemetry-100-1.jsonl", "a") as fp:
@@ -501,7 +539,7 @@ class TestSessionRoundTrip:
             obs.disable()
         data = load_obs_dir(tmp_path / "live")
         assert data.processes == 1
-        assert data.metrics["counters"]["cache.hits"] == 3
+        assert data.counts["cache.hits"] == 3
         assert data.warnings == [] and data.parse_errors == []
         assert check(data) == []
         assert "hit rate 75.0%" in render_report(data)
@@ -545,8 +583,8 @@ class TestTornTailOrdering:
         path, first_write_ends = self.write_two_batches(tmp_path / "obs")
         text = path.read_text()
         if cut == "snapshot":
-            # Cut inside the metrics record leading the second write:
-            # its whole batch is lost with it.
+            # Cut inside the first record of the second write: the
+            # rest of its batch is lost with it.
             torn = text[: first_write_ends + 20]
         else:
             torn = text[: len(text) - 5]
@@ -554,7 +592,7 @@ class TestTornTailOrdering:
         data = load_obs_dir(path.parent)
         assert data.recovered_lines == 1
         assert data.processes == 1
-        assert data.metrics["counters"]["inject.skipped.decay"] == len(data.inject_events)
+        assert data.counts["inject.skipped.decay"] == len(data.inject_events)
         assert check(data) == []
 
 
@@ -625,22 +663,26 @@ def live_dir(tmp_path_factory):
 
 
 class TestRecordCounters:
-    """Counts of records the directory holds are folded, never stored."""
+    """Every count is folded from a record; no stream stores one."""
 
-    def test_live_metrics_store_none_and_fold_each(self, live_dir):
+    def test_live_streams_store_no_count_and_fold_each(self, live_dir):
         records = read_records(live_dir, "telemetry-*.jsonl")
         events = read_records(live_dir, "events-*.jsonl")
-        stored = [r["metrics"]["counters"] for r in records if r["type"] == "metrics"]
-        assert stored and not any(set(RECORD_COUNTERS) & set(c) for c in stored)
+        assert not [r for r in records if r["type"] == "metrics"]
 
         decisions = [r for r in records if r["type"] == "inject"]
+        runs = [r for r in records if r["type"] == "run"]
         cell_ends = [e for e in events if e["type"] == "cell_end"]
+        cache = [e["action"] for e in events if e["type"] == "cache"]
         expected = {
             "inject.considered": len(decisions),
             "inject.injected": sum(r["action"] == "inject" for r in decisions),
-            "telemetry.runs_recorded": sum(r["type"] == "run" for r in records),
-            "cache.hits": sum(e["type"] == "cache" and e["action"] == "hit" for e in events),
-            "cache.misses": sum(e["type"] == "cache" and e["action"] == "miss" for e in events),
+            "telemetry.runs_recorded": len(runs),
+            "sched.runs": len(runs),
+            "sched.context_switches": sum(r["context_switches"] for r in runs),
+            "cache.hits": cache.count("hit"),
+            "cache.misses": cache.count("miss"),
+            "cache.writes": cache.count("write"),
             "cells.retried": sum(e["status"] == "ok" and e["attempt"] > 1 for e in cell_ends),
             "cells.quarantined": sum(e["status"] == "quarantined" for e in cell_ends),
             "cells.resumed": sum(e["type"] == "cell_resumed" for e in events),
@@ -653,22 +695,9 @@ class TestRecordCounters:
                 e["type"] == "fault" and e["kind"] == kind for e in events)
 
         data = load_obs_dir(live_dir)
-        assert {name: data.metrics["counters"][name] for name in RECORD_COUNTERS} == expected
+        assert {name: data.counts[name] for name in expected} == expected
         for name in ("inject.injected", "inject.skipped.decay", "telemetry.runs_recorded",
-                     "cache.hits", "cache.misses", "faults.worker_crash", "cells.retried",
-                     "cells.resumed"):
+                     "cache.hits", "cache.misses", "cache.writes", "faults.worker_crash",
+                     "cells.retried", "cells.resumed"):
             assert expected[name] > 0, name
         assert check(data) == []
-
-    def test_stale_stored_values_are_ignored(self, obs_dir):
-        update_counters(obs_dir, 100, **{n.replace(".", "__"): 99 for n in RECORD_COUNTERS})
-        data = load_obs_dir(obs_dir)
-        text = render_report(data)
-        assert "considered 3   injected 1   skipped 2 (decay 1, interference 1, budget 0)" in text
-        assert "hits 0   misses 0" in text
-        assert "resilience" not in text
-        counters = data.metrics["counters"]
-        assert counters["inject.considered"] == 3
-        assert counters["cache.hits"] == 0
-        assert counters["faults.hang"] == 0
-        assert 99 not in counters.values()
