@@ -218,14 +218,15 @@ def load_run_ledger(streams: Sequence[Any]) -> dict:
     """Deduplicated (run, decisions) ledger out of telemetry streams.
 
     Dossier replays are not part of the ledger: they re-run a recorded
-    schedule and decide nothing. Raw telemetry double-counts under chaos: a retried cell re-runs the
-    same pure function in another worker and appends an identical run
-    record (plus identical decision events) to *its* file. Dedup key:
-    every deterministic run field (``wall_ms`` and the process-local
-    ``run_seq`` excluded) plus the run's decision-event tuple -- the
-    same whole-value identity convention the campaign view applies to
-    work-product events, so a clean, a chaos-retried, and a resumed
-    campaign produce the same ledger.
+    schedule and decide nothing. Raw telemetry double-counts under
+    chaos: a retried cell re-runs the same pure function in another
+    worker and appends an identical run record (plus identical
+    decision events) to *its* file. Dedup key: every deterministic run
+    field (``wall_ms`` and the process-local ``run_seq`` excluded)
+    plus the run's decision-event tuple -- the same whole-value
+    identity convention the campaign view applies to work-product
+    events, so a clean, a chaos-retried, and a resumed campaign
+    produce the same ledger.
     """
     duplicates = 0
     seen: Set[Tuple] = set()

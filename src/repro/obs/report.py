@@ -282,9 +282,10 @@ def check(data: ObsData, events_only: bool = False) -> List[str]:
     """Every consistency law CI applies to recorded data; [] = consistent.
 
     The telemetry laws: streams exist and carry only known record types
-    and tagged skips; dossiers validate against the dossier schema; coverage records reconcile with their own engine
-    counters; committed lines parse; each run's decision events
-    reconcile with its run summary. The event laws (all that
+    and tagged skips; dossiers validate against the dossier schema;
+    coverage records reconcile with their own engine counters; committed
+    lines parse; each run's decision events reconcile with its run
+    summary. The event laws (all that
     ``events_only`` runs, for a fleet directory): committed lines parse,
     and carry known event types at a supported schema version.
     """
