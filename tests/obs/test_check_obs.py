@@ -126,6 +126,17 @@ class TestBaseDirectory:
         events = sum(len(read_lines(p)) - 1 for p in obs_dir.glob("events-*.jsonl"))
         assert out == "obs check OK (events only): %d event(s) in 1 stream(s)\n" % events
 
+    def test_an_older_stream_with_a_partial_snapshot_passes(self, obs_dir, capsys):
+        # A live stream stores no count; an older stream's `metrics`
+        # snapshot is still a known record, whatever counters it names.
+        path = only(obs_dir, "telemetry-*.jsonl")
+        records = read_lines(path)
+        assert not [r for r in records if r["type"] == "metrics"]
+        write_lines(path, records + [{"type": "metrics", "metrics": {
+            "counters": {"candidates.added": 1}, "gauges": {}, "histograms": {}}}])
+        code, out = run_check(capsys, obs_dir)
+        assert code == 0, out
+
 
 class TestLaws:
     """Each law's parent message, on a directory with one defect."""

@@ -176,6 +176,59 @@ class TestOlderStreams:
             render_report(data))
 
 
+def _count_source_cases():
+    """One case per row of OBSERVABILITY.md's "Where each count comes
+    from": the telemetry records and events of one source, and every
+    count they move."""
+    churn = dict(pairs_observed=5, pairs_new=3, candidates_added=2, candidates_removed=1,
+                 pruned_parent_child=4, pruned_hb_inference=6)
+    yield "run", [run_record(1, 4.0, **churn)], [], {
+        "sched.runs": 1, "telemetry.runs_recorded": 1, "sched.context_switches": 2,
+        "sched.virtual_time_ms_total": 4.0, "nearmiss.pairs_observed": 5,
+        "nearmiss.pairs_new": 3, "candidates.added": 2, "candidates.removed": 1,
+        "candidates.pruned_parent_child": 4, "candidates.pruned_hb_inference": 6}
+    yield "analysis", [{"type": "analysis", "pairs_observed": 5, "pairs_new": 3,
+                        "candidates_added": 2, "pruned_parent_child": 4}], [], {
+        "nearmiss.pairs_observed": 5, "nearmiss.pairs_new": 3, "candidates.added": 2,
+        "candidates.pruned_parent_child": 4}
+    yield "inject", [{"type": "inject", "run": 1, "action": "inject", "site": "l1"}], [], {
+        "inject.considered": 1, "inject.injected": 1}
+    for reason in SKIP_REASONS:
+        yield "skip-" + reason, [{"type": "inject", "run": 1, "action": "skip", "site": "l1",
+                                  "reason": reason}], [], {
+            "inject.considered": 1, "inject.skipped." + reason: 1}
+    for action in ("hit", "miss", "write", "corrupt"):
+        name = {"hit": "hits", "miss": "misses", "write": "writes"}.get(action, action)
+        yield "cache-" + action, [], [{"type": "cache", "action": action}], {
+            "cache." + name: 1}
+    yield "fault", [], [{"type": "fault", "kind": "hang"}], {"faults.hang": 1}
+    yield "cell-retried", [], [{"type": "cell_end", "cell": "c", "status": "ok",
+                                "attempt": 2}], {"cells.retried": 1}
+    yield "cell-first-attempt", [], [{"type": "cell_end", "cell": "c", "status": "ok",
+                                      "attempt": 1}], {}
+    yield "cell-quarantined", [], [{"type": "cell_end", "cell": "c", "status": "quarantined",
+                                    "attempt": 3}], {"cells.quarantined": 1}
+    yield "cell-resumed", [], [{"type": "cell_resumed", "cell": "c"}], {"cells.resumed": 1}
+
+
+COUNT_SOURCE_CASES = list(_count_source_cases())
+
+
+class TestCountSources:
+    """Each source folds into its own counts and moves no other."""
+
+    @pytest.mark.parametrize("records,events,expected",
+                             [case[1:] for case in COUNT_SOURCE_CASES],
+                             ids=[case[0] for case in COUNT_SOURCE_CASES])
+    def test_each_source_moves_only_its_counts(self, tmp_path, records, events, expected):
+        write_jsonl(tmp_path / "telemetry-1-1.jsonl", [meta(1)] + records)
+        if events:
+            write_events(tmp_path, events)
+        data = load_obs_dir(tmp_path)
+        assert {name: value for name, value in data.counts.items() if value} == expected
+        assert check(data) == []
+
+
 class TestRecovery:
     """Killed-worker artifacts are warnings; committed data stays strict."""
 
