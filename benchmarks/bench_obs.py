@@ -19,6 +19,8 @@ Two budgets, one benchmark:
   ``--obs-dir``, alternating which side runs first.
   The figure is the median per-pair wall-time ratio; its interquartile
   range is reported beside it. Interpreter start-up is in both sides.
+  A spread as wide as the budget decides nothing: the enabled figure
+  fails when its IQR is at least the 15% budget, whatever its median.
 
 Writes ``BENCH_obs.json`` at the repo root, with the CPU count, Python
 version and git revision of the measuring machine.
@@ -135,6 +137,7 @@ def main() -> int:
     overhead = disabled_ratio - 1.0
     q1, median_ratio, q3 = _quartiles(ratios)
     enabled_overhead = median_ratio - 1.0
+    enabled_decided = q3 - q1 < MAX_ENABLED_OVERHEAD
     payload = {
         "benchmark": "obs overhead: disabled = table4_detection subset in-process, "
         "enabled = fuzz campaign pairs with and without --obs-dir",
@@ -162,7 +165,9 @@ def main() -> int:
         "eventbus_events": events_recorded,
         "max_overhead_pct": 100.0 * MAX_OVERHEAD,
         "max_enabled_overhead_pct": 100.0 * MAX_ENABLED_OVERHEAD,
-        "within_budget": overhead <= MAX_OVERHEAD and enabled_overhead <= MAX_ENABLED_OVERHEAD,
+        "enabled_decided": enabled_decided,
+        "within_budget": (overhead <= MAX_OVERHEAD and enabled_decided
+                          and enabled_overhead <= MAX_ENABLED_OVERHEAD),
     }
     out = REPO_ROOT / "BENCH_obs.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -177,7 +182,15 @@ def main() -> int:
             file=sys.stderr,
         )
         failed = True
-    if enabled_overhead > MAX_ENABLED_OVERHEAD:
+    if not enabled_decided:
+        print(
+            "FAIL: the --obs-dir figure decides nothing: its IQR %.4f is at least "
+            "the %.0f%% budget (median pair %+.2f%%)"
+            % (q3 - q1, 100.0 * MAX_ENABLED_OVERHEAD, 100.0 * enabled_overhead),
+            file=sys.stderr,
+        )
+        failed = True
+    elif enabled_overhead > MAX_ENABLED_OVERHEAD:
         print(
             "FAIL: --obs-dir campaigns are %.2f%% slower in the median pair "
             "(IQR %.4f; budget %.0f%%)"

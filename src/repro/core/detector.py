@@ -224,12 +224,12 @@ class ToolDriver:
         sim_seed: int,
         recorder,
     ):
-        """Build a replay-verified bug dossier; an obs session keeps it.
-
-        Only a kept dossier is minimized. Without an obs session the
-        dossier is verified by one replay of its full captured schedule,
-        the one bit the fuzz oracle reads. ``recorder`` is the session's
-        own flight ring or None; it feeds only the provenance fields."""
+        """Build a bug dossier verified by one replay of its full
+        captured schedule; an obs session keeps it. ``recorder`` is the
+        session's own flight ring or None; it feeds only the provenance
+        fields, and the verifying replay adds the crashing run's
+        scheduler events to its timeline. Minimization runs on demand
+        only (``repro replay --minimize``)."""
         from ..obs import dossier as dossier_mod
 
         session = obs.session()
@@ -242,7 +242,6 @@ class ToolDriver:
             sim_seed=sim_seed,
             recorder=recorder,
             build=workload.build,
-            max_replays=dossier_mod.DEFAULT_MAX_REPLAYS if session is not None else 1,
         )
         if session is not None:
             built.path = dossier_mod.write_dossier(built, session.directory)
@@ -291,13 +290,12 @@ class ToolDriver:
         max_detection_runs: Optional[int] = None,
         dossiers: bool = False,
     ) -> DetectionOutcome:
-        """Run one detection session. ``dossiers`` asks for one
-        replay-verified dossier per bug report. Under an obs session,
-        which keeps them, each is minimized and the session records
-        into a fresh flight ring of its own for their provenance; the
-        recorder in place before is restored when it ends. Without one,
-        each dossier is verified by a single replay of its captured
-        schedule and neither minimized nor recorded."""
+        """Run one detection session. ``dossiers`` asks for one dossier
+        per bug report, each verified by a single replay of its captured
+        schedule. Under an obs session, which keeps them, the session
+        records into a fresh flight ring of its own for their
+        provenance; the recorder in place before is restored when it
+        ends. Without one, nothing is recorded."""
         workload = as_workload(workload)
         budget = (
             max_detection_runs

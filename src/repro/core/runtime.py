@@ -194,7 +194,7 @@ class _ScheduleCapture:
                 {
                     "site": site,
                     "nth": nth,
-                    "len_ms": round(length, 6),
+                    "len_ms": length,
                     "t_ms": round(pending.timestamp, 4),
                     "thread_id": pending.thread_id,
                 }

@@ -18,11 +18,11 @@ spec's planted-bug oracle:
   same error at the same site. The detector is asked for dossiers
   directly: their schedule comes from the injection hook, so no flight
   recorder is needed (under an obs session the detector records one
-  for their provenance). Without an obs session each dossier is
-  verified by one replay of its full captured schedule; only a dossier
-  an obs session keeps is also minimized. A ``verified`` dossier counts
-  as reproduced; an unverified one is replayed through
-  :func:`repro.obs.dossier.replay_dossier`.
+  for their provenance). Each dossier is verified by one replay of its
+  full captured schedule, with or without an obs session, and none is
+  minimized (``repro replay --minimize`` does that on demand). A
+  ``verified`` dossier counts as reproduced, an unverified one does
+  not.
 
 The result carries only deterministic fields (virtual times, run
 counts, sites), so a fuzz row is a pure function of
@@ -161,8 +161,7 @@ def evaluate_spec(
 def _check_replay(result: OracleResult, outcome, bug_id: str) -> None:
     """Check that every dossier the session assembled reproduces; record
     the verdict. Assembly has already replayed each dossier's full
-    captured schedule (and, for a dossier an obs session keeps, its
-    minimization trials) and set ``verified`` from the outcome. Replays
+    captured schedule once and set ``verified`` from the outcome. Replays
     are deterministic, so an unverified dossier would miss again: the
     oracle reads ``verified`` alone and replays nothing."""
     if not outcome.dossiers:

@@ -107,6 +107,11 @@ def _num(value: Any) -> str:
     return "%.4g" % number
 
 
+def _stage(count: Optional[int]) -> str:
+    """A funnel stage's count; None is a stage nothing recorded."""
+    return "not recorded" if count is None else _num(count)
+
+
 def _rate(value: Optional[float]) -> str:
     return "-" if value is None else "%.0f%%" % (100.0 * value)
 
@@ -116,11 +121,12 @@ def _rate(value: Optional[float]) -> str:
 # ----------------------------------------------------------------------
 
 
-def _svg_funnel(stages: Sequence[Tuple[str, int]]) -> str:
+def _svg_funnel(stages: Sequence[Tuple[str, Optional[int]]]) -> str:
     """Horizontal funnel: thin bars, 4px rounded data ends, direct
-    labels (count + conversion from the previous stage)."""
+    labels (count + conversion from the previous stage; a stage the
+    directory holds no record for reads "not recorded")."""
     width, bar_h, gap, label_w = 960, 22, 12, 190
-    top = max((count for _n, count in stages), default=0) or 1
+    top = max((count for _n, count in stages if count is not None), default=0) or 1
     height = len(stages) * (bar_h + gap) + gap
     parts = ['<svg width="%d" height="%d" viewBox="0 0 %d %d" role="img" '
              'aria-label="detection funnel">' % (width, height, width, height)]
@@ -128,16 +134,17 @@ def _svg_funnel(stages: Sequence[Tuple[str, int]]) -> str:
     for index, (name, count) in enumerate(stages):
         y = gap + index * (bar_h + gap)
         span = max(2.0, (width - label_w - 140) * (count / top)) if count else 2.0
-        conv = "" if prev in (None, 0) else "  (%s of prior)" % _rate(count / prev)
+        conv = ("" if prev in (None, 0) or count is None
+                else "  (%s of prior)" % _rate(count / prev))
         parts.append('<text x="%d" y="%.0f" text-anchor="end" class="lbl">%s</text>'
                      % (label_w - 10, y + bar_h - 6, _e(name)))
         parts.append(
             '<rect x="%d" y="%d" width="%.1f" height="%d" rx="4" class="f1">'
             '<title>%s: %s%s</title></rect>'
-            % (label_w, y, span, bar_h, _e(name), _num(count), _e(conv))
+            % (label_w, y, span, bar_h, _e(name), _stage(count), _e(conv))
         )
         parts.append('<text x="%.1f" y="%.0f">%s%s</text>'
-                     % (label_w + span + 8, y + bar_h - 6, _num(count), _e(conv)))
+                     % (label_w + span + 8, y + bar_h - 6, _stage(count), _e(conv)))
         prev = count
     parts.append("</svg>")
     return "".join(parts)
@@ -293,7 +300,8 @@ def _section_funnel(stages) -> str:
     out.append('<details><summary>funnel as a table</summary><table>'
                '<tr><th class="l">stage</th><th>count</th></tr>')
     for label, count in stages:
-        out.append('<tr><td class="l">%s</td><td>%s</td></tr>' % (_e(label), _num(count)))
+        out.append('<tr><td class="l">%s</td><td>%s</td></tr>'
+                   % (_e(label), _stage(count)))
     out.append("</table></details>")
     return "".join(out)
 

@@ -158,11 +158,10 @@ class ObsData:
         stream's ``metrics`` snapshot instead, see
         :func:`_snapshot_counts`), the ``inject`` records, and the
         ``cache``, ``fault`` and cell events. ``sched.virtual_time_ms_total``
-        sums run records' virtual time. Without a telemetry stream (a
-        fleet directory) nothing is counted."""
+        sums run records' virtual time. The event-derived counts fold in
+        any directory, a fleet directory without a telemetry stream
+        too."""
         counts: Counter = Counter()
-        if not self.telemetry_streams:
-            return counts
         virtual_ms = 0.0
         for stream in self.telemetry_streams:
             stream_counts = _snapshot_counts(stream.events)
@@ -193,10 +192,7 @@ class ObsData:
     @cached_property
     def cell_walls_ms(self) -> List[float]:
         """Wall time of each cell that ended ``ok`` (its ``cell_end``
-        event), counted like :attr:`counts`: only with a telemetry
-        stream."""
-        if not self.telemetry_streams:
-            return []
+        event)."""
         return [1000.0 * float(event.get("wall_s", 0.0)) for event in self.events
                 if event.get("type") == "cell_end" and event.get("status") == "ok"]
 
@@ -437,20 +433,25 @@ def funnel(data: ObsData) -> List[tuple]:
     and detected is the number of
     ``(tool, bug, test)`` targets with a matched ``detection`` event
     plus the bugs found in generated workloads (``fuzz_workload``
-    events). ``obs report`` and the dashboard both render this.
+    events). A stage whose source the directory does not hold -- the
+    first three without a telemetry stream (a fleet directory), the
+    last without an event stream -- counts None, which readers show as
+    "not recorded" rather than a 0 nothing measured. ``obs report``
+    and the dashboard both render this.
     """
     from .campaign import detection_analytics
 
     counters = data.counts
     view = data.view
-    detected = 0
+    detected = None
     if view is not None:
         detected = detection_analytics(view)["detected"]
         detected += sum(int(e.get("found", 0)) for e in view.fuzz.values())
+    telemetry = bool(data.telemetry_streams)
     return [
-        ("near-miss pairs", counters["nearmiss.pairs_observed"]),
-        ("candidate pairs", counters["candidates.added"]),
-        ("delays injected", counters["inject.injected"]),
+        ("near-miss pairs", counters["nearmiss.pairs_observed"] if telemetry else None),
+        ("candidate pairs", counters["candidates.added"] if telemetry else None),
+        ("delays injected", counters["inject.injected"] if telemetry else None),
         ("detected", detected),
     ]
 
@@ -580,7 +581,8 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
     skips = {r: counters["inject.skipped.%s" % r] for r in SKIP_REASONS}
     lines.append("")
     lines.append("detection funnel: %s" % " → ".join(
-        "%s %d" % stage for stage in funnel(data)))
+        "%s %s" % (name, "not recorded" if count is None else "%d" % count)
+        for name, count in funnel(data)))
     lines.append("injection decisions")
     lines.append(
         "  considered %s   injected %s   skipped %s (decay %s, interference %s, budget %s)"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 
 class AccessType(enum.Enum):
@@ -146,6 +146,12 @@ class InstrumentationHook:
     #: it: ``baseline`` here; the preparation, detection, online and
     #: replay hooks name their own.
     run_kind: str = "baseline"
+
+    #: Optional ``on_switch(thread, now)``, called each time the
+    #: scheduler resumes a different thread than the one it last ran.
+    #: None (no call at all) for every hook but one that wants the
+    #: run's context switches: the loop binds it once per run.
+    on_switch: Optional[Callable[[Any, float], None]] = None
 
     def on_run_start(self, sim: "Any") -> None:
         """Called once before the root thread starts."""

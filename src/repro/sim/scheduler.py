@@ -164,10 +164,6 @@ class Scheduler:
         self._stopping = False
         self._last_run: Optional[SimThread] = None
         self._obs = obs.session()
-        #: The flight ring's log of the current run, where this
-        #: scheduler's events go (see :mod:`repro.obs.flightrec`).
-        fr = obs.flightrec.recorder()
-        self._log = fr.log if fr is not None else None
 
     # ------------------------------------------------------------------
     # Thread lifecycle
@@ -187,11 +183,6 @@ class Scheduler:
         self.threads[tid] = thread
         self.result.thread_count += 1
         self._push(thread, self.clock.now)
-        if self._log is not None:
-            self._log.add(
-                "thread_start", self.clock.now, tid=tid, name=thread.name,
-                parent=parent.tid if parent is not None else None,
-            )
         self.hook.on_thread_start(thread)
         return thread
 
@@ -237,11 +228,8 @@ class Scheduler:
         seq = self._seq
         clock = self.clock
         result = self.result
-        # One check per switch when nothing records; a recorded switch
-        # is two list appends.
-        log_t = log_tid = None
-        if self._log is not None:
-            log_t, log_tid = self._log.t.append, self._log.tid.append
+        # One check per switch for every hook without ``on_switch``.
+        on_switch = self.hook.on_switch
         time_limit_ms = self.time_limit_ms
         max_steps = self.max_steps
         last_run = self._last_run
@@ -270,9 +258,8 @@ class Scheduler:
                 if thread is not last_run:
                     result.context_switches += 1
                     self._last_run = last_run = thread
-                    if log_t is not None:
-                        log_t(now)
-                        log_tid(thread.tid)
+                    if on_switch is not None:
+                        on_switch(thread, now)
                 self.current = thread
                 send = thread.gen.send
                 while True:
@@ -376,8 +363,6 @@ class Scheduler:
         thread.state = ThreadState.DONE
         thread.result = result
         thread.end_time = self.clock.now
-        if self._log is not None:
-            self._log.add("thread_end", self.clock.now, tid=thread.tid, failed=False)
         self._wake_joiners(thread)
         self.hook.on_thread_end(thread)
 
@@ -386,14 +371,6 @@ class Scheduler:
         thread.exception = exc
         thread.end_time = self.clock.now
         self.result.failures.append((thread, exc))
-        if self._log is not None:
-            location = getattr(exc, "location", None)
-            self._log.add(
-                "fault", self.clock.now, tid=thread.tid, thread=thread.name,
-                error=type(exc).__name__,
-                site=location.site if location is not None else None,
-            )
-            self._log.add("thread_end", self.clock.now, tid=thread.tid, failed=True)
         self._wake_joiners(thread)
         self.hook.on_failure(thread, exc)
         self.hook.on_thread_end(thread)

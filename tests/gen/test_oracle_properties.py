@@ -168,10 +168,11 @@ class TestReplayVerdict:
         from repro.obs import dossier as dossier_mod
 
         calls = []
-        monkeypatch.setattr(
-            dossier_mod, "minimize_schedule",
-            lambda build, schedule, *args, **kwargs: (schedule["delays"], 1, False),
+        missed = dossier_mod.ReplayOutcome(
+            crashed=False, error_type=None, fault_site=None, fault_time_ms=0.0,
+            virtual_time_ms=0.0, timed_out=False, delays_injected=0,
         )
+        monkeypatch.setattr(dossier_mod, "replay_schedule", lambda *args, **kwargs: missed)
         monkeypatch.setattr(
             dossier_mod, "replay_dossier",
             lambda dossier, build: calls.append(dossier) or (None, True),
@@ -191,8 +192,8 @@ class TestReplayVerdict:
 
         calls = []
 
-        def replay(build, schedule, delays=None, name="replay"):
-            calls.append(name)
+        def replay(build, schedule, delays=None, timeline=None):
+            calls.append(schedule)
             return dossier_mod.ReplayOutcome(
                 crashed=False, error_type=None, fault_site=None, fault_time_ms=0.0,
                 virtual_time_ms=0.0, timed_out=False, delays_injected=0,

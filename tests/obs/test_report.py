@@ -10,7 +10,7 @@ import pytest
 
 from repro import obs
 from repro.obs import eventbus
-from repro.obs.report import check, load_obs_dir, render_report, write_chrome_trace
+from repro.obs.report import check, funnel, load_obs_dir, render_report, write_chrome_trace
 from repro.obs.telemetry import FAULT_KINDS, SKIP_REASONS
 
 REPO = Path(__file__).resolve().parents[2]
@@ -527,6 +527,44 @@ class TestRender:
 
 #: Obs directories written by earlier versions.
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+class TestEventOnlyDirectories:
+    """A directory with event streams and no telemetry stream -- a fleet
+    directory, or the non-empty streams of an ``all`` campaign -- folds
+    its cache and cell events like any other; the funnel stages only
+    telemetry records supply read "not recorded", not 0."""
+
+    NOT_RECORDED = ("detection funnel: near-miss pairs not recorded → candidate pairs"
+                    " not recorded → delays injected not recorded → detected %d")
+
+    @pytest.mark.parametrize("name, detected, cache, cells", [
+        ("fleet-v2", 3, "hits 0   misses 3   writes 0   hit rate 0.0%",
+         "3 cells   wall 59.5 ms total   mean 19.8 ms   min 17.8 / max 20.9 ms"),
+        ("all-v2", 6, "hits 0   misses 0   writes 0   hit rate 0.0%",
+         "80 cells   wall 701.4 ms total   mean 8.8 ms   min 0.1 / max 40.7 ms"),
+    ])
+    def test_counts_fold_without_a_telemetry_stream(self, name, detected, cache, cells):
+        data = load_obs_dir(FIXTURES / name)
+        assert not data.telemetry_streams
+        lines = render_report(data).splitlines()
+        assert self.NOT_RECORDED % detected in lines
+        assert lines[lines.index("run cache") + 1].strip() == cache
+        assert lines[lines.index("harness cells") + 1].strip() == cells
+        stages = dict(funnel(data))
+        assert stages["detected"] == detected
+        assert stages["near-miss pairs"] is None
+
+    def test_a_directory_without_events_records_no_detections(self, tmp_path):
+        obs.configure(tmp_path / "obs")
+        try:
+            obs.session().flush()
+        finally:
+            obs.disable()
+        for path in (tmp_path / "obs").glob("events-*.jsonl"):
+            path.unlink()
+        stages = dict(funnel(load_obs_dir(tmp_path / "obs")))
+        assert stages["detected"] is None and stages["delays injected"] == 0
 
 
 class TestChromeExport:

@@ -51,7 +51,7 @@ def test_detect_bug11(tmp_path, capsys):
         "candidate pipeline": "near-misses observed 1 (1 new pairs)   candidates +1 / -0"
                               "   pruned: parent-child 1, hb-inference 0",
         "run cache": "hits 0   misses 0   writes 0   hit rate 0.0%",
-        "scheduler": "simulated runs 4   context switches 14   virtual time 46.8 ms total",
+        "scheduler": "simulated runs 3   context switches 11   virtual time 35.9 ms total",
     }
 
 
@@ -66,8 +66,8 @@ def test_fuzz_serial(tmp_path, capsys):
         "candidate pipeline": "near-misses observed 96 (63 new pairs)   candidates +63 / -2"
                               "   pruned: parent-child 216, hb-inference 0",
         "run cache": "hits 0   misses 0   writes 0   hit rate 0.0%",
-        "scheduler": "simulated runs 96   context switches 9790"
-                     "   virtual time 8495.3 ms total",
+        "scheduler": "simulated runs 81   context switches 8144"
+                     "   virtual time 7526.2 ms total",
         "cells": 6,
     }
 
@@ -111,9 +111,9 @@ def test_every_simulated_run_writes_one_record(tmp_path, capsys):
     capsys.readouterr()
     data = load_obs_dir(tmp_path / "obs")
     kinds = [run["kind"] for run in data.runs]
-    assert kinds.count("replay") == 2 and kinds.count("prep") == 1
-    assert len(data.runs) == data.counts["sched.runs"] == 4
-    assert "runs recorded: 4" in render_report(data)
+    assert kinds.count("replay") == 1 and kinds.count("prep") == 1
+    assert len(data.runs) == data.counts["sched.runs"] == 3
+    assert "runs recorded: 3" in render_report(data)
     # Replays decide nothing: the run ledger leaves them out.
     assert data.ledger["runs"] == 2
 
