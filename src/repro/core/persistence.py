@@ -8,6 +8,11 @@ probabilities are saved on disk and used to bootstrap the next
 detection run." The in-process drivers thread these objects through
 runs directly; this module provides the equivalent file round-trip for
 CLI workflows and for tests that assert the bootstrap is lossless.
+
+:func:`save_record` also writes the harness's crash dossiers and the
+obs bug dossiers, as a temp file renamed into place. No record is
+forced to stable storage: a reader treats one a host crash tore as
+unreadable, like any other damaged file.
 """
 
 from __future__ import annotations
@@ -76,56 +81,21 @@ def load_report(path: PathLike) -> BugReport:
     return BugReport.from_dict(load_record(path)["report"])
 
 
-def save_record(payload: dict, path: PathLike, fsync: bool = False) -> None:
+def save_record(payload: dict, path: PathLike) -> None:
     """Persist an arbitrary JSON-safe record with the format version.
 
-    Backs the harness trace/plan cache: entries are written atomically
-    via a temp file in the *same directory* as the target (so the
-    ``os.replace`` is a same-filesystem rename -- a cross-device rename
-    would raise EXDEV and, on network filesystems, forfeit atomicity)
-    followed by a rename, so concurrent workers racing on the same
-    cache key never observe a torn file.
-
-    ``fsync=True`` additionally flushes the file contents (and, best
-    effort, the directory entry) to stable storage before the rename is
-    allowed to make the record visible -- the durability a *shared*
-    store needs so a reader on another host never sees a named-but-
-    empty record after a crash. It costs ~0.5ms per record, so the
-    single-host cache leaves it off.
+    Backs :func:`save_report` and the crash and bug dossiers: the
+    record is written to a temp file in the *same directory* as the
+    target (so the ``os.replace`` is a same-filesystem rename -- a
+    cross-device rename would raise EXDEV and, on network filesystems,
+    forfeit atomicity) and renamed into place, so a concurrent reader
+    never observes a torn file.
     """
     target = Path(path)
     body = json.dumps({"version": FORMAT_VERSION, "record": payload}, sort_keys=True)
     tmp = target.with_name(target.name + ".tmp.%d" % os.getpid())
-    if fsync:
-        with open(tmp, "w") as fp:
-            fp.write(body)
-            fp.flush()
-            os.fsync(fp.fileno())
-    else:
-        tmp.write_text(body)
+    tmp.write_text(body)
     os.replace(tmp, target)
-    if fsync:
-        fsync_dir(target.parent)
-
-
-def fsync_dir(directory: PathLike) -> None:
-    """Flush a directory entry to stable storage, best effort.
-
-    Needed after an ``os.replace`` that must be durable: the rename
-    itself lives in the directory inode. Platforms that cannot open a
-    directory for fsync (e.g. Windows) are silently tolerated -- the
-    data fsync already happened and this is the weaker half.
-    """
-    try:
-        fd = os.open(str(directory), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 def load_record(path: PathLike) -> dict:

@@ -18,9 +18,8 @@ invalidates everything. The store format's checksum is verified on
 every file read: a corrupt or truncated entry (torn write, bit rot,
 chaos injection) is quarantined (``*.corrupt`` rename) and treated as
 a miss, never a crash -- every cached unit is deterministic, so
-recomputation is always sound. Puts fsync before publication while the
-active supervisor's store is durable (``campaign run``); see
-:func:`_durable`.
+recomputation is always sound. That is also why no put is forced to
+stable storage: an entry a host crash tears reads as such a miss.
 
 Cached kinds:
 
@@ -50,7 +49,7 @@ from ..obs import eventbus
 from ..core.analyzer import InjectionPlan
 from ..core.config import WaffleConfig
 from ..core.persistence import FORMAT_VERSION
-from . import faults, parallel
+from . import faults
 from .store import quarantine, read_record, record_path, write_record
 
 #: Environment variable consulted for a default cache directory.
@@ -99,15 +98,6 @@ class CacheStats:
 #: its result, and the coordinator adds it here (see
 #: :func:`repro.harness.supervisor._worker`).
 GLOBAL_STATS = CacheStats()
-
-
-def _durable() -> bool:
-    """Whether puts fsync: while the active supervisor's store is
-    durable (``campaign run``'s is), so the cache next to that store
-    survives a host crash as whole records. Forked workers run with the
-    slot empty, so only the campaign process's own puts fsync."""
-    store = getattr(parallel.current(), "store", None)
-    return store is not None and store.fsync
 
 
 class PlanCache:
@@ -168,7 +158,7 @@ class PlanCache:
 
     def put(self, kind: str, key: Dict[str, Any], payload: dict) -> None:
         name = self._name(kind, key)
-        write_record(self._path(name), name, "ok", payload, fsync=_durable())
+        write_record(self._path(name), name, "ok", payload)
         self.stats.writes += 1
         GLOBAL_STATS.writes += 1
         self._emit("write")

@@ -648,10 +648,10 @@ def _claim_fleet_dir(fleet_dir: Path, inner: List[str]) -> None:
 
 def _campaign_run_args(parser: argparse.ArgumentParser, args) -> argparse.Namespace:
     """``campaign run --fleet-dir D --workers N -- CMD`` as the parsed
-    arguments of ``CMD --jobs N+1 --resume D/store``, with ``D/cache``
-    as the default cache. Shared options given before ``--`` apply
-    unless CMD sets them itself. :func:`main` then runs CMD supervised
-    over a durable store, with the event bus in D, and merges D."""
+    arguments of ``CMD --jobs N+1 --resume D/store``. Shared options
+    given before ``--`` apply unless CMD sets them itself. :func:`main`
+    then runs CMD supervised over that store, with the event bus in D,
+    and merges D."""
     inner = list(args.inner)
     if inner and inner[0] == "--":
         inner = inner[1:]
@@ -672,7 +672,6 @@ def _campaign_run_args(parser: argparse.ArgumentParser, args) -> argparse.Namesp
     inner_args.fleet_dir = fleet_dir
     inner_args.jobs = args.workers + 1
     inner_args.resume = str(fleet_dir / "store")
-    inner_args.cache_dir = getattr(inner_args, "cache_dir", None) or str(fleet_dir / "cache")
     return inner_args
 
 
@@ -925,15 +924,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         required=True,
         metavar="DIR",
-        help="the campaign directory (manifest, artifact store, cache and "
-        "event streams)",
+        help="the campaign directory (manifest, artifact store and event "
+        "streams)",
     )
     cp.add_argument(
         "--workers",
         type=int,
         default=0,
         help="worker processes beside the campaign process: the inner "
-        "command runs with --jobs N+1 (default 0: serial)",
+        "command runs with --jobs N+1 --resume DIR/store (default 0: "
+        "serial); give it --cache-dir to reuse sub-cell work",
     )
     cp.add_argument(
         "inner",
@@ -1044,7 +1044,7 @@ def _run(argv: Optional[List[str]]) -> int:
     store = None
     if args.resume and args.command != "campaign":
         try:
-            store = ArtifactStore(args.resume, fsync=fleet_dir is not None)
+            store = ArtifactStore(args.resume)
         except OSError as exc:
             _usage_error("--resume %s: %s" % (args.resume, exc.strerror or exc))
     if args.obs_dir:

@@ -7,8 +7,8 @@ bit-identical to re-execution. Two users keep records in this format:
 * ``--resume DIR`` opens a store in DIR: the supervisor publishes every
   finalized cell there, and a resumed campaign takes ``ok`` records and
   re-attempts the degraded ones. ``campaign run --fleet-dir D`` is the
-  same path over a durable ``D/store``, and its merge reads the records
-  back into ``D/journal-merged.jsonl``;
+  same path over ``D/store``, and its merge reads the records back
+  into ``D/journal-merged.jsonl``;
 * the plan cache (:mod:`repro.harness.cache`) keeps its entries as
   records named ``<kind>-<digest>``.
 
@@ -21,13 +21,15 @@ Record format -- one ``cell-<key>.res`` file per record:
   the code that runs the campaign.
 
 Record integrity: a record is written to a temp file in the store
-directory and renamed into place (with an fsync before the rename, and
-of the directory after it, when the store is durable), so a record
-that exists is whole. A read verifies the header version, the key and
-the body checksum before unpickling; any failure -- unreadable file,
-torn header, checksum or key mismatch, unpicklable body -- renames the
-record to ``*.corrupt`` and reports a miss, never an exception: the
-reader recomputes the cell, which is always sound.
+directory and renamed into place, so a killed process never leaves a
+partial record under its name. Nothing is forced to stable storage: a
+record a host crash tears is caught by the read, which verifies the
+header version, the key and the body checksum before unpickling; any
+failure -- unreadable file, torn header, checksum or key mismatch,
+unpicklable body -- renames the record to ``*.corrupt`` and reports a
+miss, never an exception: the reader recomputes the cell, which is
+always sound. After a power loss, records from the last seconds may
+recompute; a process kill loses none, as the page cache survives it.
 
 Publication is idempotent: when a record already exists it stands
 (by determinism it is byte-identical), except that an ``ok`` result
@@ -45,7 +47,6 @@ import pickle
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
-from ..core.persistence import fsync_dir
 from ..obs import eventbus
 from . import faults
 
@@ -78,7 +79,7 @@ def record_path(directory: Path, key: str) -> Path:
 
 
 def write_record(target: Path, key: str, status: str, result: Any,
-                 attempts: int = 1, worker: str = "?", fsync: bool = True) -> str:
+                 attempts: int = 1, worker: str = "?") -> str:
     """Write one record atomically; returns the body's sha256."""
     payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(payload).hexdigest()
@@ -93,12 +94,7 @@ def write_record(target: Path, key: str, status: str, result: Any,
     tmp = target.with_name(target.name + ".tmp.%d" % os.getpid())
     with open(tmp, "wb") as fp:
         fp.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
-        if fsync:
-            fp.flush()
-            os.fsync(fp.fileno())
     os.replace(tmp, target)
-    if fsync:
-        fsync_dir(target.parent)
     return digest
 
 
@@ -156,10 +152,9 @@ class StoreStats:
 class ArtifactStore:
     """File-backed cell records in one directory (see the module doc)."""
 
-    def __init__(self, directory: os.PathLike, fsync: bool = True):
+    def __init__(self, directory: os.PathLike):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
         self.stats = StoreStats()
 
     def path(self, key: str) -> Path:
@@ -177,7 +172,7 @@ class ArtifactStore:
                 return existing
             # Corrupt (now quarantined) or a tombstone this ok result
             # supersedes: publish over it.
-        digest = write_record(target, key, status, result, attempts, worker, self.fsync)
+        digest = write_record(target, key, status, result, attempts, worker)
         self.stats.publishes += 1
         eventbus.emit("store", action="publish", cell=key[:16], status=status)
         return CellRecord(key=key, status=status, result=result, attempts=attempts,

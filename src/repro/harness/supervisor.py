@@ -30,7 +30,8 @@ supervisor wraps every cell execution in a fault boundary:
   Because every cell is a deterministic function of its arguments, a
   resumed campaign is bit-identical to an uninterrupted one -- the
   property the resume tests guard. ``campaign run --fleet-dir D`` is
-  this path over ``D/store``, a durable store whose records fsync.
+  this path over ``D/store``. A record a host crash tears fails its
+  checksum and recomputes, so no record is forced to stable storage.
 * **Crash dossiers** -- every fault is captured as a JSON dossier (the
   fault taxonomy record) before the worker is torn down.
 

@@ -190,6 +190,14 @@ class ObsData:
         return counts
 
     @cached_property
+    def cache_recorded(self) -> bool:
+        """Whether the directory saw a run cache: a ``cache`` event, or
+        an older stream's ``metrics`` snapshot, which counted the cache."""
+        return (any(event.get("type") == "cache" for event in self.events)
+                or any(_snapshot_counts(stream.events) is not None
+                       for stream in self.telemetry_streams))
+
+    @cached_property
     def cell_walls_ms(self) -> List[float]:
         """Wall time of each cell that ended ``ok`` (its ``cell_end``
         event)."""
@@ -576,29 +584,31 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
         lines.append("warnings (%d):" % len(data.warnings))
         lines.extend("  " + msg for msg in data.warnings[:10])
 
-    considered = counters["inject.considered"]
-    injected = counters["inject.injected"]
+    def section(title: str, recorded: bool, line: str) -> None:
+        """One count section; "not recorded" when the directory holds
+        none of its source, rather than a 0 nothing measured."""
+        lines.append(title)
+        lines.append("  " + (line if recorded else "not recorded"))
+
+    telemetry = bool(data.telemetry_streams)
     skips = {r: counters["inject.skipped.%s" % r] for r in SKIP_REASONS}
     lines.append("")
     lines.append("detection funnel: %s" % " → ".join(
         "%s %s" % (name, "not recorded" if count is None else "%d" % count)
         for name, count in funnel(data)))
-    lines.append("injection decisions")
-    lines.append(
-        "  considered %s   injected %s   skipped %s (decay %s, interference %s, budget %s)"
+    section("injection decisions", telemetry, (
+        "considered %s   injected %s   skipped %s (decay %s, interference %s, budget %s)"
         % (
-            _fmt_count(considered),
-            _fmt_count(injected),
+            _fmt_count(counters["inject.considered"]),
+            _fmt_count(counters["inject.injected"]),
             _fmt_count(sum(skips.values())),
             _fmt_count(skips["decay"]),
             _fmt_count(skips["interference"]),
             _fmt_count(skips["budget"]),
         )
-    )
-
-    lines.append("candidate pipeline")
-    lines.append(
-        "  near-misses observed %s (%s new pairs)   candidates +%s / -%s"
+    ))
+    section("candidate pipeline", telemetry, (
+        "near-misses observed %s (%s new pairs)   candidates +%s / -%s"
         "   pruned: parent-child %s, hb-inference %s"
         % (
             _fmt_count(counters["nearmiss.pairs_observed"]),
@@ -608,16 +618,14 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
             _fmt_count(counters["candidates.pruned_parent_child"]),
             _fmt_count(counters["candidates.pruned_hb_inference"]),
         )
-    )
-
+    ))
     hits = counters["cache.hits"]
     misses = counters["cache.misses"]
     rate = 100.0 * hits / (hits + misses) if (hits + misses) else 0.0
-    lines.append("run cache")
-    lines.append(
-        "  hits %s   misses %s   writes %s   hit rate %.1f%%"
+    section("run cache", data.cache_recorded, (
+        "hits %s   misses %s   writes %s   hit rate %.1f%%"
         % (_fmt_count(hits), _fmt_count(misses), _fmt_count(counters["cache.writes"]), rate)
-    )
+    ))
 
     fault_counts = {
         name.split("faults.", 1)[1]: value
@@ -656,15 +664,14 @@ def render_report(data: ObsData, max_runs: int = 20) -> str:
             )
         )
 
-    lines.append("scheduler")
-    lines.append(
-        "  simulated runs %s   context switches %s   virtual time %.1f ms total"
+    section("scheduler", telemetry, (
+        "simulated runs %s   context switches %s   virtual time %.1f ms total"
         % (
             _fmt_count(counters["sched.runs"]),
             _fmt_count(counters["sched.context_switches"]),
             counters["sched.virtual_time_ms_total"],
         )
-    )
+    ))
 
     walls = data.cell_walls_ms
     if walls:

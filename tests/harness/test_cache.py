@@ -7,7 +7,6 @@ counters), and any config change flips the key.
 """
 
 import json
-import os
 import pickle
 
 import pytest
@@ -15,7 +14,7 @@ import pytest
 from repro import obs
 from repro.core.config import DEFAULT_CONFIG
 from repro.harness import cache as cache_mod
-from repro.harness import faults, parallel, runner, store
+from repro.harness import faults, runner, store
 from repro.harness.cache import PlanCache, config_hash, open_cache
 from repro.harness.runner import baseline_run, online_pair, prepare_test
 from repro.apps import get_app
@@ -64,39 +63,6 @@ class TestConfigHash:
 
 def record_file(cache, kind, key):
     return cache._path(cache._name(kind, key))
-
-
-class TestDurability:
-    def test_fsyncs_only_while_a_durable_store_is_active(self, tmp_path, monkeypatch):
-        from repro.harness.supervisor import Supervisor
-
-        synced = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
-        cache = PlanCache(tmp_path / "cache")
-        payload = {"rows": [1, 2, 3]}
-
-        cache.put("prep", {"k": 1}, payload)
-        assert synced == []  # no executor: a local cache
-        parallel.activate(Supervisor(store=store.ArtifactStore(tmp_path / "resume",
-                                                               fsync=False)))
-        try:
-            cache.put("prep", {"k": 2}, payload)
-        finally:
-            parallel.deactivate()
-        assert synced == []  # a --resume campaign: still local
-        parallel.activate(Supervisor(store=store.ArtifactStore(tmp_path / "fleet" / "store")))
-        try:
-            cache.put("prep", {"k": 3}, payload)
-        finally:
-            parallel.deactivate()
-        assert synced  # campaign run's durable store
-        synced.clear()
-        cache.put("prep", {"k": 4}, payload)
-        assert synced == []
-        # Durability changes nothing about the content.
-        fresh = PlanCache(tmp_path / "cache")
-        assert [fresh.get("prep", {"k": k}) for k in (1, 3)] == [payload, payload]
 
 
 class TestPlanCache:

@@ -128,6 +128,41 @@ class TestCampaignRun:
         half = len(text) // 2
         assert text[:half] == text[half:]  # the same table, appended twice
 
+    def test_torn_records_quarantine_and_recompute(self, tmp_path, capsys):
+        """A record torn by a host crash -- emptied, or cut mid-body --
+        fails its check on the re-run: it is quarantined and its cell
+        recomputes, and the output equals the first run's."""
+        inner = INNER[:-2]  # no --cache-dir: the store is all there is
+        fleet = tmp_path / "fleet"
+        assert _campaign(inner) == 0
+        out, journal = (tmp_path / "out.txt").read_bytes(), \
+            (fleet / cli.MERGED_JOURNAL_NAME).read_bytes()
+        (tmp_path / "out.txt").unlink()
+        records = sorted((fleet / "store").glob("cell-*.res"))
+        assert len(records) == 6
+        emptied, halved = records[1], records[4]
+        emptied.write_bytes(b"")
+        halved.write_bytes(halved.read_bytes()[:halved.stat().st_size // 2])
+        first_streams = set(eventbus.stream_paths(fleet))
+        capsys.readouterr()
+        assert _campaign(inner) == 0
+        assert "6 cells ok, 0 retried, 0 quarantined, 4 resumed from store" in (
+            capsys.readouterr().out)
+        assert (tmp_path / "out.txt").read_bytes() == out
+        assert (fleet / cli.MERGED_JOURNAL_NAME).read_bytes() == journal
+        assert sorted(p.name for p in (fleet / "store").glob("*.corrupt")) == [
+            emptied.name + ".corrupt", halved.name + ".corrupt"]
+        events = [event for path in eventbus.stream_paths(fleet)
+                  if path not in first_streams
+                  for event in eventbus.read_stream(path).events]
+        corrupt = [e["cell"] for e in events if e["type"] == "store"
+                   and e["action"] == "corrupt"]
+        assert sorted(corrupt) == [emptied.name[:32], halved.name[:32]]
+        torn = {emptied.name[5:21], halved.name[5:21]}
+        assert {e["cell"] for e in events if e["type"] == "cell_end"} == torn
+        resumed = [e["cell"] for e in events if e["type"] == "cell_resumed"]
+        assert len(resumed) == 4 and not torn & set(resumed)
+
     @pytest.mark.parametrize("inner, reason", [
         (["fuzz", "--seed-range", "0:2", "--no-replay"], "refusing to mix campaigns"),
         (["campaign", "status", "fleet"], "fleet campaigns cannot nest"),
@@ -161,7 +196,9 @@ class TestCampaignRunArgs:
     @staticmethod
     def parse(argv):
         parser = cli.build_parser()
-        return cli._campaign_run_args(parser, parser.parse_args(argv))
+        args = cli._campaign_run_args(parser, parser.parse_args(argv))
+        cli.normalize_args(args)
+        return args
 
     @pytest.mark.parametrize("workers", [0, 1, 3])
     def test_workers_become_jobs(self, workers):
@@ -170,7 +207,7 @@ class TestCampaignRunArgs:
         assert args.command == "fuzz"
         assert args.jobs == workers + 1
         assert args.resume == os.path.join("fleet", "store")
-        assert args.cache_dir == os.path.join("fleet", "cache")
+        assert args.cache_dir is None
         assert args.fleet_dir == Path("fleet")
 
     def test_an_explicit_cache_dir_is_kept(self):
@@ -188,21 +225,25 @@ class TestCampaignRunArgs:
 
 class TestSupervisedPath:
     """``campaign run`` is the supervised path of its inner command over
-    a durable store, plus a merge."""
+    a store, plus a merge."""
 
     FUZZ = ["fuzz", "--seed-range", "0:6", "--budget", "4", "--no-replay", "--json"]
 
-    def test_output_and_store_equal_jobs_plus_resume(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("cache", [["--cache-dir", "cache"], []],
+                             ids=["cache-dir", "no-cache"])
+    def test_output_and_store_equal_jobs_plus_resume(self, tmp_path, capsys, monkeypatch,
+                                                     cache):
         (tmp_path / "run").mkdir()
         (tmp_path / "plain").mkdir()
         monkeypatch.chdir(tmp_path / "run")
         assert main(["campaign", "run", "--fleet-dir", "fleet", "--workers", "1", "--"]
-                    + self.FUZZ + ["--cache-dir", "cache"]) == 0
+                    + self.FUZZ + cache) == 0
         run_out = capsys.readouterr().out
         monkeypatch.chdir(tmp_path / "plain")
-        assert main(self.FUZZ + ["--cache-dir", "cache", "--jobs", "2",
-                                 "--resume", "fleet/store"]) == 0
+        assert main(self.FUZZ + cache + ["--jobs", "2", "--resume", "fleet/store"]) == 0
         plain_out = capsys.readouterr().out
+        assert ("\ncache: " in plain_out) == bool(cache)
+        assert not (tmp_path / "run" / "fleet" / "cache").exists()
         merge_line = run_out.splitlines()[-1]
         assert merge_line.startswith("fleet merge: 6 cell(s)")
         assert run_out == plain_out + merge_line + "\n"
@@ -213,24 +254,6 @@ class TestSupervisedPath:
             records = [store.fetch(key) for store in stores]
             assert records[0].status == records[1].status == "ok"
             assert records[0].result == records[1].result
-
-    @pytest.mark.parametrize("durable", [True, False], ids=["campaign-run", "plain-resume"])
-    def test_only_campaign_run_opens_a_durable_store(self, capsys, monkeypatch, durable):
-        opened = []
-
-        class Recording(ArtifactStore):
-            def __init__(self, directory, fsync=True):
-                super().__init__(directory, fsync=fsync)
-                opened.append(fsync)
-
-        monkeypatch.setattr(cli, "ArtifactStore", Recording)
-        inner = INNER[:6]
-        if durable:
-            assert _campaign(inner) == 0
-        else:
-            assert main(inner + ["--resume", "store"]) == 0
-        capsys.readouterr()
-        assert opened[:1] == [durable]
 
     def test_campaign_status_reads_the_finished_directory(self, capsys):
         assert _campaign() == 0

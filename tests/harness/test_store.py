@@ -23,7 +23,7 @@ OTHER = "b" * 32
 
 class TestPublishFetch:
     def test_roundtrip(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=False)
+        store = ArtifactStore(tmp_path)
         published = store.publish(KEY, "ok", {"rows": [1, 2, 3]}, attempts=2, worker="w1")
         fetched = store.fetch(KEY)
         assert fetched is not None
@@ -36,14 +36,14 @@ class TestPublishFetch:
         assert store.stats.hits == 1
 
     def test_missing_is_a_counted_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=False)
+        store = ArtifactStore(tmp_path)
         assert store.fetch(KEY) is None
         assert store.stats.misses == 1
         assert store.fetch(KEY, count_stats=False) is None
         assert store.stats.misses == 1
 
     def test_degraded_tombstones_carry_no_result(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=False)
+        store = ArtifactStore(tmp_path)
         store.publish(KEY, "quarantined", None, attempts=1)
         store.publish(OTHER, "failed", None, attempts=3)
         assert store.fetch(KEY).status == "quarantined"
@@ -53,8 +53,8 @@ class TestPublishFetch:
         assert record.result is None
 
     def test_first_writer_wins(self, tmp_path):
-        first = ArtifactStore(tmp_path, fsync=False)
-        second = ArtifactStore(tmp_path, fsync=False)
+        first = ArtifactStore(tmp_path)
+        second = ArtifactStore(tmp_path)
         first.publish(KEY, "ok", "original", worker="w1")
         kept = second.publish(KEY, "ok", "racing duplicate", worker="w2")
         # The existing bytes stand; the racer gets them back.
@@ -64,7 +64,7 @@ class TestPublishFetch:
         assert second.fetch(KEY).result == "original"
 
     def test_ok_result_supersedes_a_degraded_tombstone(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=False)
+        store = ArtifactStore(tmp_path)
         store.publish(KEY, "failed", None, attempts=3)
         replaced = store.publish(KEY, "ok", "recovered", attempts=1)
         assert replaced.result == "recovered"
@@ -76,18 +76,13 @@ class TestPublishFetch:
         assert store.stats.races == 1
 
     def test_a_later_tombstone_keeps_the_first(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=False)
+        store = ArtifactStore(tmp_path)
         store.publish(KEY, "failed", None, attempts=3, worker="w1")
         kept = store.publish(KEY, "quarantined", None, attempts=1, worker="w2")
         assert (kept.status, kept.worker) == ("failed", "w1")
 
-    def test_fsync_mode_roundtrips_identically(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=True)
-        store.publish(KEY, "ok", [1.5, "x"])
-        assert store.fetch(KEY).result == [1.5, "x"]
-
     def test_keys_sorted(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=False)
+        store = ArtifactStore(tmp_path)
         store.publish(OTHER, "ok", 2)
         store.publish(KEY, "ok", 1)
         assert list(store.keys()) == [KEY, OTHER]
@@ -98,7 +93,7 @@ class TestIntegrity:
         return tmp_path / (RESULT_PREFIX + KEY + RESULT_SUFFIX)
 
     def test_flipped_payload_byte_quarantines_as_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=False)
+        store = ArtifactStore(tmp_path)
         store.publish(KEY, "ok", {"value": 42})
         target = self._target(tmp_path)
         blob = bytearray(target.read_bytes())
@@ -111,13 +106,33 @@ class TestIntegrity:
         assert target.with_name(target.name + ".corrupt").exists()
 
     def test_torn_header_quarantines_as_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=False)
+        store = ArtifactStore(tmp_path)
         self._target(tmp_path).write_bytes(b'{"v": 1, "key":')
         assert store.fetch(KEY) is None
         assert store.stats.corrupt == 1
 
+    @pytest.mark.parametrize("tear", [
+        lambda blob: b"",
+        lambda blob: blob[:len(blob) // 2],
+        lambda blob: blob[:blob.index(b"\n") + 1],
+        lambda blob: bytes(len(blob)),
+    ], ids=["emptied", "cut-mid-body", "header-only", "zero-filled"])
+    def test_what_a_host_crash_leaves_reads_as_a_miss(self, tmp_path, tear):
+        """Records are renamed into place without a flush to stable
+        storage, so after a power loss a named record may hold any of
+        these; each must quarantine as a miss and republish whole."""
+        store = ArtifactStore(tmp_path)
+        store.publish(KEY, "ok", {"rows": list(range(100))})
+        target = self._target(tmp_path)
+        target.write_bytes(tear(target.read_bytes()))
+        assert store.fetch(KEY) is None
+        assert (store.stats.corrupt, store.stats.misses) == (1, 1)
+        assert target.with_name(target.name + ".corrupt").exists()
+        store.publish(KEY, "ok", {"rows": list(range(100))})
+        assert store.fetch(KEY).result == {"rows": list(range(100))}
+
     def test_wrong_key_in_header_quarantines(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=False)
+        store = ArtifactStore(tmp_path)
         store.publish(OTHER, "ok", 7)
         source = tmp_path / (RESULT_PREFIX + OTHER + RESULT_SUFFIX)
         # A record renamed onto the wrong key (misplaced rsync, copy
@@ -127,7 +142,7 @@ class TestIntegrity:
         assert store.stats.corrupt == 1
 
     def test_unknown_format_version_quarantines(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=False)
+        store = ArtifactStore(tmp_path)
         store.publish(KEY, "ok", 7)
         target = self._target(tmp_path)
         head, _, payload = target.read_bytes().partition(b"\n")
@@ -138,14 +153,14 @@ class TestIntegrity:
         assert store.stats.corrupt == 1
 
     def test_chaos_corruption_site_fires(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=False)
+        store = ArtifactStore(tmp_path)
         store.publish(KEY, "ok", list(range(50)))
         faults.configure("seed=1,cache_corrupt=1.0")
         assert store.fetch(KEY) is None
         assert store.stats.corrupt == 1
 
     def test_publish_repairs_over_a_corrupt_record(self, tmp_path):
-        store = ArtifactStore(tmp_path, fsync=False)
+        store = ArtifactStore(tmp_path)
         store.publish(KEY, "ok", "good")
         target = self._target(tmp_path)
         target.write_bytes(b"garbage with no header newline at all")

@@ -66,7 +66,7 @@ def clean_state():
 
 
 def resume_store(directory):
-    return ArtifactStore(directory, fsync=False)
+    return ArtifactStore(directory)
 
 
 def no_sleep(_s):
@@ -317,7 +317,7 @@ class TestCheckpointResume:
             "from repro.harness.store import ArtifactStore\n"
             "from repro.harness.supervisor import Supervisor\n"
             "from tests.harness.test_supervisor import slow_square\n"
-            "sup = Supervisor(store=ArtifactStore(%r, fsync=False))\n"
+            "sup = Supervisor(store=ArtifactStore(%r))\n"
             "results = sup.map(slow_square, [(x,) for x in range(6)])\n"
             "json.dump(results, open(%r, 'w'))\n" % (str(store_dir), str(out_path))
         )

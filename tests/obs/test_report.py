@@ -532,8 +532,9 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 class TestEventOnlyDirectories:
     """A directory with event streams and no telemetry stream -- a fleet
     directory, or the non-empty streams of an ``all`` campaign -- folds
-    its cache and cell events like any other; the funnel stages only
-    telemetry records supply read "not recorded", not 0."""
+    its cache and cell events like any other; the funnel stages and the
+    sections only telemetry records supply read "not recorded", not 0,
+    and so does the run cache of a campaign that used none."""
 
     NOT_RECORDED = ("detection funnel: near-miss pairs not recorded → candidate pairs"
                     " not recorded → delays injected not recorded → detected %d")
@@ -541,7 +542,7 @@ class TestEventOnlyDirectories:
     @pytest.mark.parametrize("name, detected, cache, cells", [
         ("fleet-v2", 3, "hits 0   misses 3   writes 0   hit rate 0.0%",
          "3 cells   wall 59.5 ms total   mean 19.8 ms   min 17.8 / max 20.9 ms"),
-        ("all-v2", 6, "hits 0   misses 0   writes 0   hit rate 0.0%",
+        ("all-v2", 6, "not recorded",
          "80 cells   wall 701.4 ms total   mean 8.8 ms   min 0.1 / max 40.7 ms"),
     ])
     def test_counts_fold_without_a_telemetry_stream(self, name, detected, cache, cells):
@@ -550,6 +551,8 @@ class TestEventOnlyDirectories:
         lines = render_report(data).splitlines()
         assert self.NOT_RECORDED % detected in lines
         assert lines[lines.index("run cache") + 1].strip() == cache
+        for title in ("injection decisions", "candidate pipeline", "scheduler"):
+            assert lines[lines.index(title) + 1].strip() == "not recorded"
         assert lines[lines.index("harness cells") + 1].strip() == cells
         stages = dict(funnel(data))
         assert stages["detected"] == detected

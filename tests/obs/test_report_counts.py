@@ -50,7 +50,7 @@ def test_detect_bug11(tmp_path, capsys):
                   " → delays injected 1 → detected 0",
         "candidate pipeline": "near-misses observed 1 (1 new pairs)   candidates +1 / -0"
                               "   pruned: parent-child 1, hb-inference 0",
-        "run cache": "hits 0   misses 0   writes 0   hit rate 0.0%",
+        "run cache": "not recorded",
         "scheduler": "simulated runs 3   context switches 11   virtual time 35.9 ms total",
     }
 
@@ -65,7 +65,7 @@ def test_fuzz_serial(tmp_path, capsys):
                   " → delays injected 181 → detected 9",
         "candidate pipeline": "near-misses observed 96 (63 new pairs)   candidates +63 / -2"
                               "   pruned: parent-child 216, hb-inference 0",
-        "run cache": "hits 0   misses 0   writes 0   hit rate 0.0%",
+        "run cache": "not recorded",
         "scheduler": "simulated runs 81   context switches 8144"
                      "   virtual time 7526.2 ms total",
         "cells": 6,
